@@ -46,7 +46,7 @@ from .errors import (
     SingularDenominatorError,
     ThresholdEnergyError,
 )
-from .ode_oracle import PropagatedBasis, ZoneIISystem, oracle_amplitudes, propagate, split_ode
+from .ode_oracle import ZoneIISystem, oracle_amplitudes, propagate, split_ode
 from .quaternion import Quaternion, qconj, qmul, qnorm
 from .resonance import (
     ResonanceScan,
@@ -73,7 +73,6 @@ __all__ = [
     "CriticalZone2",
     "DegenerateEnergyError",
     "IllConditionedError",
-    "PropagatedBasis",
     "QBarrierError",
     "Quaternion",
     "ResonanceScan",

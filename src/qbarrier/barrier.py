@@ -23,10 +23,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateEnergyError
+from .errors import DegenerateEnergyError, ThresholdEnergyError
 
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
 DEGENERACY_TOL = 1e-10
+
+#: below this |alpha_minus| the exponential basis is singular (eps at threshold)
+ALPHA_MINUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,3 +132,19 @@ def wave_params(eps: float, b: AdimensionalBarrier) -> WaveParams:
         beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
         gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
     )
+
+
+def require_off_threshold(p: WaveParams) -> None:
+    """Reject the diffusion/tunneling threshold, where alpha_minus ~ 0.
+
+    Both the closed formula and the continuity system divide by
+    alpha_minus there.
+
+    Raises:
+        ThresholdEnergyError: if |alpha_minus| <= ALPHA_MINUS_TOL.
+    """
+    if abs(p.alpha_minus) <= ALPHA_MINUS_TOL:
+        raise ThresholdEnergyError(
+            f"alpha_minus = {p.alpha_minus!r} at eps={p.eps!r}: "
+            "exponential basis singular at the diffusion/tunneling threshold"
+        )

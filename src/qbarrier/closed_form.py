@@ -24,12 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, require_off_threshold, wave_params
 from .errors import SingularDenominatorError, ThresholdEnergyError
 from .transfer import TransferMatrix
-
-#: below this |alpha_minus| the closed formula degrades (eps at threshold)
-ALPHA_MINUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -122,11 +119,7 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
             for vc=1 or vq=1 the critical module has the exact answer.
     """
     p = wave_params(eps, b)
-    if abs(p.alpha_minus) <= ALPHA_MINUS_TOL:
-        raise ThresholdEnergyError(
-            f"alpha_minus = {p.alpha_minus!r} at eps={eps!r}: "
-            "closed formula singular at the diffusion/tunneling threshold"
-        )
+    require_off_threshold(p)
     d = denominator_factored(p, b.lam)
     return TransmissionResult.from_amplitude(2.0 * cmath.exp(-1j * eps * b.lam) / d)
 

@@ -14,8 +14,9 @@ fourth-order Runge-Kutta step of size h is exactly the matrix
 
     S = I + hA + (hA)**2/2 + (hA)**3/6 + (hA)**4/24
 
-applied to y; the full propagation map over the barrier is S applied
-`steps` times to the identity.  No branch choices, no special functions:
+applied to y; the full propagation map over the barrier is S**steps,
+formed by binary powering: the same map in ~2*log2(steps) 4x4 products.
+No branch choices, no special functions:
 this route works at degenerate and threshold parameters alike and is the
 independent check on every closed form in the package.
 """
@@ -49,27 +50,6 @@ class ZoneIISystem:
     theta: float
     a_matrix: np.ndarray
 
-    def rhs(self, xi: float, y: np.ndarray) -> np.ndarray:
-        """Right-hand side of y' = A*y (xi-independent coefficients)."""
-        return self.a_matrix @ y
-
-
-@dataclass(frozen=True)
-class PropagatedBasis:
-    """Map sending interior boundary data at xi=0 to xi=length.
-
-    Columns are the four fundamental solutions (phi, phi', psi, psi') for
-    canonical unit initial data.  The system is trace-free, so the map has
-    determinant 1 up to integration error.
-    """
-
-    matrix: np.ndarray
-    length: float
-    steps: int
-
-    def det_modulus(self) -> float:
-        return float(abs(np.linalg.det(self.matrix)))
-
 
 def split_ode(b: AdimensionalBarrier, eps: float) -> ZoneIISystem:
     """Build the coupled first-order interior system."""
@@ -92,7 +72,7 @@ def split_ode(b: AdimensionalBarrier, eps: float) -> ZoneIISystem:
 
 
 def _propagation_matrix(system: ZoneIISystem, length: float, steps: int) -> np.ndarray:
-    """Apply `steps` classical fourth-order steps to the 4x4 identity."""
+    """`steps` classical fourth-order steps as one 4x4 map, S**steps."""
     h = length / steps
     ha = h * system.a_matrix
     step = np.eye(4, dtype=complex)
@@ -100,22 +80,23 @@ def _propagation_matrix(system: ZoneIISystem, length: float, steps: int) -> np.n
     for k in (1.0, 2.0, 3.0, 4.0):
         term = term @ ha / k
         step = step + term
-    p = np.eye(4, dtype=complex)
-    for _ in range(steps):
-        p = step @ p
-    return p
+    return np.linalg.matrix_power(step, steps)
 
 
-def propagate(system: ZoneIISystem, length: float, steps: int = DEFAULT_STEPS) -> PropagatedBasis:
-    """Propagate the four canonical basis solutions across [0, length]."""
+def propagate(system: ZoneIISystem, length: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """Map sending interior data (phi, phi', psi, psi') at xi=0 to xi=length.
+
+    Columns are the four fundamental solutions for canonical unit initial
+    data.  The system is trace-free, so the map has determinant 1 up to
+    integration error.
+    """
     if length < 0.0:
         raise ValueError("length must be non-negative")
     if length > MAX_WIDTH:
         raise ValueError(f"length {length!r} exceeds the integrator cap {MAX_WIDTH}")
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
-    return PropagatedBasis(matrix=_propagation_matrix(system, length, steps),
-                           length=length, steps=steps)
+    return _propagation_matrix(system, length, steps)
 
 
 #: per-segment exponential growth budget for the boundary matching

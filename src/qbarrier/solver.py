@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, wave_params
-from .closed_form import ALPHA_MINUS_TOL
-from .errors import ThresholdEnergyError
+from .barrier import AdimensionalBarrier, WaveParams, require_off_threshold, wave_params
 from .quaternion import I as QI, Quaternion, qconj, qmul
 
 #: max-norm residual above which one refinement pass is applied
@@ -106,10 +104,7 @@ def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
         ThresholdEnergyError: when alpha_minus ~ 0.
     """
     p = wave_params(eps, b)
-    if abs(p.alpha_minus) <= ALPHA_MINUS_TOL:
-        raise ThresholdEnergyError(
-            f"alpha_minus = {p.alpha_minus!r} at eps={eps!r}: continuity system singular"
-        )
+    require_off_threshold(p)
     mat, rhs = _assemble(p, b.lam)
     x = np.linalg.solve(mat, rhs)
     resid = float(np.abs(mat @ x - rhs).max())

@@ -16,6 +16,7 @@ from qbarrier import (
     transmission,
     wave_params,
 )
+from qbarrier.ode_oracle import DEFAULT_STEPS, MIN_STEPS, _propagation_matrix, _segment_count
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -83,8 +84,39 @@ def test_threshold_polynomial_solution_satisfies_split_system():
 
 def test_propagation_map_determinant_modulus_one():
     for eps, b in random_points(seed=13, n=25, lam_max=2.0):
-        basis = propagate(split_ode(b, eps), b.lam, steps=2048)
-        assert basis.det_modulus() == pytest.approx(1.0, abs=1e-8)
+        m = propagate(split_ode(b, eps), b.lam, steps=2048)
+        assert abs(np.linalg.det(m)) == pytest.approx(1.0, abs=1e-8)
+
+
+def rk4_loop_map(system, length, steps):
+    """Reference map: the RK4 step matrix applied `steps` times, one product each."""
+    ha = (length / steps) * system.a_matrix
+    step = np.eye(4, dtype=complex)
+    term = np.eye(4, dtype=complex)
+    for k in (1.0, 2.0, 3.0, 4.0):
+        term = term @ ha / k
+        step = step + term
+    m = np.eye(4, dtype=complex)
+    for _ in range(steps):
+        m = step @ m
+    return m
+
+
+def test_propagation_map_matches_stepwise_loop():
+    # powering reorders the products, so agreement is to rounding, not exact
+    segment_counts = set()
+    for eps, b in random_points(seed=15, n=8):
+        system = split_ode(b, eps)
+        segments = _segment_count(system, b.lam)
+        segment_counts.add(segments)
+        # the oracle's own segment map: ceil(4096/3) = 1366 steps for 3 segments
+        seg_steps = -(-DEFAULT_STEPS // segments)
+        for length, steps in ((b.lam, DEFAULT_STEPS), (b.lam, MIN_STEPS),
+                              (b.lam / segments, seg_steps)):
+            ref = rk4_loop_map(system, length, steps)
+            m = _propagation_matrix(system, length, steps)
+            assert np.abs(m - ref).max() / np.abs(ref).max() <= 1e-12
+    assert 3 in segment_counts and max(segment_counts) > 3
 
 
 def test_resonant_transparency():

@@ -138,7 +138,7 @@ class TestWavefunction:
             [start.value.z, start.derivative.z, start.value.w, start.derivative.w],
             dtype=complex,
         )
-        y_mid = propagate(split_ode(self.b, self.eps), xi, steps=4096).matrix @ y0
+        y_mid = propagate(split_ode(self.b, self.eps), xi, steps=4096) @ y0
         probe = wavefunction(xi, self.amps, self.p, self.b)
         expected = np.array(
             [probe.value.z, probe.derivative.z, probe.value.w, probe.derivative.w],
