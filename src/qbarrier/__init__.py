@@ -46,7 +46,7 @@ from .errors import (
     SingularDenominatorError,
     ThresholdEnergyError,
 )
-from .ode_oracle import ZoneIISystem, oracle_amplitudes, propagate, split_ode
+from .ode_oracle import oracle_amplitudes, propagate, split_ode
 from .quaternion import Quaternion, qconj, qmul, qnorm
 from .resonance import (
     ResonanceScan,
@@ -63,7 +63,7 @@ from .solver import (
     solve,
     wavefunction,
 )
-from .transfer import TransferMatrix, build_factors, transfer_closed, transfer_numeric
+from .transfer import build_factors, transfer_closed, transfer_numeric
 
 __all__ = [
     "AdimensionalBarrier",
@@ -79,10 +79,8 @@ __all__ = [
     "ScatteringAmplitudes",
     "SingularDenominatorError",
     "ThresholdEnergyError",
-    "TransferMatrix",
     "TransmissionResult",
     "WaveParams",
-    "ZoneIISystem",
     "ZoneWavefunction",
     "adimensionalize",
     "asymptotic_moduli",

@@ -31,6 +31,23 @@ DEGENERACY_TOL = 1e-10
 #: below this |alpha_minus| the exponential basis is singular (eps at threshold)
 ALPHA_MINUS_TOL = 1e-10
 
+#: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
+UNIT_CIRCLE_TOL = 1e-12
+
+
+def require_finite(name: str, value: float, lower: float = -math.inf, strict: bool = False) -> None:
+    """The package's one input rule: value is finite and >= lower (> lower if strict).
+
+    Written as a negated conjunction so that NaN, which fails every
+    comparison, is rejected along with +-inf.
+
+    Raises:
+        ValueError: naming the input and its bound.
+    """
+    if not (math.isfinite(value) and (value > lower if strict else value >= lower)):
+        bound = "" if lower == -math.inf else f" and {'>' if strict else '>='} {lower!r}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class BarrierSpec:
@@ -45,16 +62,12 @@ class BarrierSpec:
     energy: float
 
     def __post_init__(self):
+        for name in ("v1", "v2", "v3"):
+            require_finite(name, getattr(self, name))
         if self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0:
             raise ValueError("potential is identically zero: no barrier")
-        if self.length <= 0.0:
-            raise ValueError("barrier width must be positive")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
-        if self.energy <= 0.0:
-            raise ValueError("energy must be positive")
+        for name in ("length", "mass", "hbar", "energy"):
+            require_finite(name, getattr(self, name), 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -67,20 +80,17 @@ class AdimensionalBarrier:
     lam: float = 1.0
 
     def __post_init__(self):
-        if abs(self.vc**2 + self.vq**2 - 1.0) > 1e-12:
-            raise ValueError(
-                f"vc**2 + vq**2 must equal 1, got {self.vc**2 + self.vq**2!r}"
-            )
-        if self.vq < 0.0:
-            raise ValueError("vq must be non-negative")
-        if self.lam < 0.0:
-            raise ValueError("reduced width lam must be non-negative")
+        require_finite("vc", self.vc)
+        require_finite("vq", self.vq, 0.0)
+        require_finite("theta", self.theta)
+        require_finite("lam", self.lam, 0.0)
+        norm = self.vc * self.vc + self.vq * self.vq
+        if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
+            raise ValueError(f"vc**2 + vq**2 must equal 1, got {norm!r}")
 
     @classmethod
     def from_vc(cls, vc: float, theta: float = 0.0, lam: float = 1.0) -> "AdimensionalBarrier":
-        """Build from vc alone, with vq = sqrt(1 - vc**2)."""
-        if not -1.0 <= vc <= 1.0:
-            raise ValueError("vc must lie in [-1, 1]")
+        """Build from vc alone, with vq = sqrt(1 - vc**2); |vc| > 1 fails the unit-circle rule."""
         return cls(vc=vc, vq=math.sqrt(max(0.0, 1.0 - vc * vc)), theta=theta, lam=lam)
 
 
@@ -115,8 +125,7 @@ def wave_params(eps: float, b: AdimensionalBarrier) -> WaveParams:
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_finite("eps", eps, 0.0, strict=True)
     disc = eps**4 - b.vq**2
     if abs(disc) <= DEGENERACY_TOL:
         raise DegenerateEnergyError(

@@ -20,15 +20,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
-from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize
-from .closed_form import transmission
+from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite
+from .closed_form import TransmissionResult, transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, ThresholdEnergyError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
-from .solver import probability_balance, solve
+from .solver import ScatteringAmplitudes, probability_balance, solve
 from .verify import run_all
 
 #: the five reference potentials used throughout: pure complex to pure quaternionic
@@ -47,34 +47,31 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_potentials(text: str) -> list[tuple[float, float, float]]:
+def _parse_potentials(text: str) -> list[AdimensionalBarrier]:
+    """Barriers of unit width, one per 'vc,vq[,theta]' item; 'table' is the standard five."""
     if text.strip() == "table":
-        return [(vc, vq, 0.0) for vc, vq in STANDARD_POTENTIALS]
+        return [AdimensionalBarrier(vc=vc, vq=vq) for vc, vq in STANDARD_POTENTIALS]
     rows = []
     for chunk in text.split(";"):
         parts = [p for p in chunk.strip().split(",") if p]
         if len(parts) not in (2, 3):
             raise ValueError(f"potential {chunk!r}: expected 'vc,vq[,theta]'")
-        vc, vq = float(parts[0]), float(parts[1])
-        theta = float(parts[2]) if len(parts) == 3 else 0.0
-        if abs(vc * vc + vq * vq - 1.0) > 1e-9:
-            raise ValueError(f"potential {chunk!r}: vc**2 + vq**2 must equal 1")
-        rows.append((vc, vq, theta))
+        rows.append(AdimensionalBarrier(*map(float, parts)))
     if not rows:
         raise ValueError("empty potential list")
     return rows
 
 
-def _resolve_lambda(args, required: bool = True) -> float | None:
-    if getattr(args, "lam", None) is not None and getattr(args, "lam_pi", None) is not None:
-        raise ValueError("give either --lambda or --lambda-pi, not both")
-    if getattr(args, "lam", None) is not None:
-        return args.lam
-    if getattr(args, "lam_pi", None) is not None:
-        return args.lam_pi * math.pi
-    if required:
-        raise ValueError("a width is required (--lambda or --lambda-pi)")
-    return None
+def _pi_flag(value: float | None, value_pi: float | None, flag: str,
+             required: bool = True) -> float | None:
+    """The value of `flag`, or of `flag`-pi in units of pi; giving both is an error."""
+    if value is not None and value_pi is not None:
+        raise ValueError(f"give either {flag} or {flag}-pi, not both")
+    if value_pi is not None:
+        return value_pi * math.pi
+    if value is None and required:
+        raise ValueError(f"{flag} or {flag}-pi is required")
+    return value
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -121,32 +118,28 @@ def cmd_point(args) -> int:
     else:
         if args.vc is None or args.vq is None or args.eps is None:
             raise ValueError("point needs --vc, --vq and --eps (or --physical)")
-        lam = _resolve_lambda(args)
+        lam = _pi_flag(args.lam, args.lam_pi, "--lambda")
         barrier = AdimensionalBarrier(vc=args.vc, vq=args.vq, theta=args.theta, lam=lam)
         eps = args.eps
 
     if barrier.lam == 0.0:
-        report = {
-            "eps": eps, "vc": barrier.vc, "vq": barrier.vq,
-            "theta": barrier.theta, "lambda": barrier.lam,
-            "re_t": 1.0, "im_t": 0.0, "t_sq": 1.0, "phase": 0.0,
-            "re_r": 0.0, "im_r": 0.0,
-            "re_rt": 0.0, "im_rt": 0.0, "re_tt": 0.0, "im_tt": 0.0,
-            "balance": 0.0,
-        }
+        # no barrier: the free particle passes, and no route checks eps
+        require_finite("eps", eps, 0.0, strict=True)
+        result = TransmissionResult.from_amplitude(1.0 + 0j)
+        amps = ScatteringAmplitudes(r=0j, rt=0j, t=result.t, tt=0j)
     else:
         result = transmission(eps, barrier)
         amps = solve(eps, barrier)
-        report = {
-            "eps": eps, "vc": barrier.vc, "vq": barrier.vq,
-            "theta": barrier.theta, "lambda": barrier.lam,
-            "re_t": result.t.real, "im_t": result.t.imag,
-            "t_sq": result.prob, "phase": result.phase,
-            "re_r": amps.r.real, "im_r": amps.r.imag,
-            "re_rt": amps.rt.real, "im_rt": amps.rt.imag,
-            "re_tt": amps.tt.real, "im_tt": amps.tt.imag,
-            "balance": probability_balance(amps),
-        }
+    report = {
+        "eps": eps, "vc": barrier.vc, "vq": barrier.vq,
+        "theta": barrier.theta, "lambda": barrier.lam,
+        "re_t": result.t.real, "im_t": result.t.imag,
+        "t_sq": result.prob, "phase": result.phase,
+        "re_r": amps.r.real, "im_r": amps.r.imag,
+        "re_rt": amps.rt.real, "im_rt": amps.rt.imag,
+        "re_tt": amps.tt.real, "im_tt": amps.tt.imag,
+        "balance": probability_balance(amps),
+    }
 
     if args.format == "json":
         return _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
@@ -170,25 +163,25 @@ def cmd_point(args) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One transmission sweep: variable, fixed parameter, grid, potentials."""
+    """One transmission sweep: variable, fixed parameter, grid, potentials.
+
+    The potentials' own widths are ignored: the sweep sets lam.
+    """
 
     mode: str  # "energy" or "width"
     fixed: float  # lam for energy mode, eps for width mode
     start: float
     stop: float
     step: float
-    potentials: tuple[tuple[float, float, float], ...]
+    potentials: tuple[AdimensionalBarrier, ...]
 
     def __post_init__(self):
         if self.mode not in ("energy", "width"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if self.start > self.stop:
-            raise ValueError("start must not exceed stop")
-        for vc, vq, _ in self.potentials:
-            if abs(vc * vc + vq * vq - 1.0) > 1e-9:
-                raise ValueError(f"potential ({vc}, {vq}) is off the unit circle")
+        require_finite("fixed", self.fixed, 0.0, strict=self.mode == "width")
+        require_finite("step", self.step, 0.0, strict=True)
+        require_finite("start", self.start)
+        require_finite("stop", self.stop, self.start)
 
     def grid(self) -> list[float]:
         if self.stop <= self.start:
@@ -200,35 +193,28 @@ class SweepConfig:
 def run_sweep(config: SweepConfig) -> list[tuple]:
     """Evaluate |T|^2 rows over the grid; potential-major, grid-ascending order."""
     rows = []
-    for vc, vq, theta in config.potentials:
-        for v in config.grid():
-            if config.mode == "energy":
-                barrier = AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=config.fixed)
-                result = transmission(v, barrier)
-            else:
-                barrier = AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=v)
-                result = transmission(config.fixed, barrier)
-            rows.append((v, vc, vq, result.prob, result.t.real, result.t.imag, result.phase))
+    grid = config.grid()
+    for b in config.potentials:
+        if config.mode == "energy":
+            b = replace(b, lam=config.fixed)
+            results = [transmission(v, b) for v in grid]
+        else:
+            results = [transmission(config.fixed, replace(b, lam=v)) for v in grid]
+        rows.extend((v, b.vc, b.vq, r.prob, r.t.real, r.t.imag, r.phase)
+                    for v, r in zip(grid, results))
     return rows
 
 
 def cmd_sweep(args) -> int:
     potentials = _parse_potentials(args.potentials)
-    if args.fixed is not None and args.fixed_pi is not None:
-        raise ValueError("give either --fixed or --fixed-pi, not both")
-    if args.fixed is not None:
-        fixed = args.fixed
-    elif args.fixed_pi is not None:
-        fixed = args.fixed_pi * math.pi
-    else:
-        raise ValueError("sweep needs --fixed or --fixed-pi")
+    fixed = _pi_flag(args.fixed, args.fixed_pi, "--fixed")
     config = SweepConfig(mode=args.mode, fixed=fixed, start=args.start,
                          stop=args.stop, step=args.step, potentials=tuple(potentials))
     rows = run_sweep(config)
     meta = {
         "command": "sweep", "mode": config.mode, "fixed": _fmt(config.fixed),
         "start": _fmt(config.start), "stop": _fmt(config.stop), "step": _fmt(config.step),
-        "potentials": ";".join(f"{vc:.9g},{vq:.9g},{th:.9g}" for vc, vq, th in potentials),
+        "potentials": ";".join(f"{b.vc:.9g},{b.vq:.9g},{b.theta:.9g}" for b in potentials),
     }
     if args.format == "json":
         return _emit(_json_text(meta, rows), args.out)
@@ -244,14 +230,13 @@ def _energy_table(lam0: float, potentials, n_peaks: int) -> list[dict]:
     lo = 1.0 + min(1e-3, (eps1_complex - 1.0) / 10.0)
     step = min(1e-3, (eps1_complex - 1.0) / 20.0)
     out = []
-    for vc, vq, theta in potentials:
-        if vq == 0.0:
+    for b in potentials:
+        if b.vq == 0.0:
             locs = [e for e, _, _ in closed]
         else:
-            barrier = AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=lam0)
-            scan = scan_peaks(barrier, "energy", lo, hi, coarse_step=step)
+            scan = scan_peaks(replace(b, lam=lam0), "energy", lo, hi, coarse_step=step)
             locs = [x for x, _ in scan.peaks[:n_peaks]]
-        out.append({"vc": vc, "vq": vq, "locations": locs})
+        out.append({"vc": b.vc, "vq": b.vq, "locations": locs})
     return out
 
 
@@ -262,32 +247,27 @@ def _width_table(eps0: float, potentials, n_peaks: int) -> list[dict]:
     # are not tabulated
     lo, hi = spacing, closed[-1][0] + 0.6 * spacing
     out = []
-    for vc, vq, theta in potentials:
-        if vq == 0.0:
+    for b in potentials:
+        if b.vq == 0.0:
             locs = [l for l, _, _ in closed]
         else:
-            barrier = AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0)
-            scan = scan_peaks(barrier, "width", lo, hi, eps0=eps0)
+            scan = scan_peaks(b, "width", lo, hi, eps0=eps0)
             locs = [x for x, _ in scan.peaks[:n_peaks]]
-        out.append({"vc": vc, "vq": vq, "locations": locs})
+        out.append({"vc": b.vc, "vq": b.vq, "locations": locs})
     return out
 
 
 def cmd_resonances(args) -> int:
     potentials = _parse_potentials(args.potentials)
     n_peaks = args.n
-    lam0 = _resolve_lambda(args, required=False)
+    lam0 = _pi_flag(args.lam, args.lam_pi, "--lambda", required=False)
     if (lam0 is None) == (args.eps0 is None):
         raise ValueError("give exactly one of --lambda/--lambda-pi or --eps0")
-    if n_peaks < 1:
-        raise ValueError("--n must be at least 1")
     if lam0 is not None:
         table = _energy_table(lam0, potentials, n_peaks)
         unit = 1.0
         head = _table_headers("eps", "", n_peaks)
     else:
-        if args.eps0 <= 1.0:
-            raise ValueError("--eps0 must exceed 1")
         table = _width_table(args.eps0, potentials, n_peaks)
         unit = math.pi
         head = _table_headers("lam", "_pi", n_peaks)
@@ -328,7 +308,7 @@ def _table_headers(stem: str, suffix: str, n_peaks: int) -> list[str]:
 # ---------------------------------------------------------------- critical
 
 def cmd_critical(args) -> int:
-    lam = _resolve_lambda(args)
+    lam = _pi_flag(args.lam, args.lam_pi, "--lambda")
     if args.case in ("c", "complex"):
         amps = critical_complex(lam)
     elif args.case in ("q", "quaternionic"):

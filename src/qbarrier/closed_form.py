@@ -24,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, require_off_threshold, wave_params
+from .barrier import (
+    AdimensionalBarrier,
+    WaveParams,
+    require_finite,
+    require_off_threshold,
+    wave_params,
+)
 from .errors import SingularDenominatorError, ThresholdEnergyError
-from .transfer import TransferMatrix
 
 
 @dataclass(frozen=True)
@@ -42,20 +47,19 @@ class TransmissionResult:
         return cls(t=t, prob=abs(t) ** 2, phase=cmath.phase(t))
 
 
-def denominator(m: TransferMatrix | np.ndarray, eps: float, alpha_minus: complex) -> complex:
+def denominator(m: np.ndarray, eps: float, alpha_minus: complex) -> complex:
     """Evaluate D from a transfer matrix.
 
     Raises:
         SingularDenominatorError: if the trailing fraction's denominator
             vanishes (reported with eps and alpha_minus).
     """
-    mm = m.m if isinstance(m, TransferMatrix) else np.asarray(m)
     am = complex(alpha_minus)
     ea = eps * am
-    lead = mm[0, 0] + mm[1, 1] + 1j * (eps**2 * mm[0, 1] - am**2 * mm[1, 0]) / ea
-    upper = mm[0, 2] + 1j * mm[1, 3] - (eps**2 * mm[0, 3] + 1j * am**2 * mm[1, 2]) / ea
-    lower_num = mm[2, 0] - 1j * mm[3, 1] + (1j * eps**2 * mm[2, 1] - am**2 * mm[3, 0]) / ea
-    lower_den = mm[3, 3] + mm[2, 2] - (eps**2 * mm[2, 3] + am**2 * mm[3, 2]) / ea
+    lead = m[0, 0] + m[1, 1] + 1j * (eps**2 * m[0, 1] - am**2 * m[1, 0]) / ea
+    upper = m[0, 2] + 1j * m[1, 3] - (eps**2 * m[0, 3] + 1j * am**2 * m[1, 2]) / ea
+    lower_num = m[2, 0] - 1j * m[3, 1] + (1j * eps**2 * m[2, 1] - am**2 * m[3, 0]) / ea
+    lower_den = m[3, 3] + m[2, 2] - (eps**2 * m[2, 3] + am**2 * m[3, 2]) / ea
     if abs(lower_den) < 1e-150:
         raise SingularDenominatorError(
             f"inner denominator vanished at eps={eps!r}, alpha_minus={am!r}"
@@ -137,8 +141,8 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
     Raises:
         ThresholdEnergyError: at eps = 1 (use critical_complex instead).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_finite("eps", eps, 0.0, strict=True)
+    require_finite("lam", lam, 0.0)
     if abs(eps - 1.0) < 1e-12:
         raise ThresholdEnergyError("eps = 1: use critical_complex for the exact limit")
     a = cmath.sqrt(complex(1.0 - eps * eps, 0.0))
@@ -148,8 +152,8 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
 
 def transmission_probability_complex(eps: float, lam: float) -> float:
     """|T|**2 for the complex barrier, written in the two textbook real forms."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_finite("eps", eps, 0.0, strict=True)
+    require_finite("lam", lam, 0.0)
     if abs(eps - 1.0) < 1e-12:
         raise ThresholdEnergyError("eps = 1: use critical_complex for the exact limit")
     if eps > 1.0:

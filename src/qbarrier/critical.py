@@ -29,6 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .barrier import require_finite
 from .errors import QBarrierError
 from .quaternion import Quaternion
 
@@ -74,8 +75,7 @@ class CriticalAmplitudes:
 
 def critical_complex(lam: float) -> CriticalAmplitudes:
     """Threshold amplitudes for the complex barrier (vc=1), exact for lam >= 0."""
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    require_finite("lam", lam, 0.0)
     den = 2.0 - 1j * lam
     r = -1j * lam / den
     t = 2.0 * cmath.exp(-1j * lam) / den
@@ -90,8 +90,8 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     from the interior cubic through the continuity conditions.  |t| is
     independent of theta; rt and tt carry the phase exp(-i*theta).
     """
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    require_finite("lam", lam, 0.0)
+    require_finite("theta", theta)
     den = 24.0 + 24.0 * (1.0 - 1j) * lam - 18j * lam**2 - 4.0 * (1.0 + 1j) * lam**3 - lam**4
     if abs(den) < 1.0:
         raise QBarrierError(f"rational denominator unexpectedly small at lam={lam!r}")
@@ -181,8 +181,7 @@ def asymptotic_moduli(lam: float, regime: str, case: str) -> tuple[float, float]
         pure quaternionic:  1 - 2/lam**2 - 8/lam**3 + 6/lam**4,
                             2/lam + 4/lam**2 - 8/lam**3 - 8/lam**4
     """
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    require_finite("lam", lam, 0.0)
     if case not in ("complex", "pure_quaternionic"):
         raise ValueError(f"unknown case {case!r}")
     if regime == "thin":

@@ -24,11 +24,10 @@ independent check on every closed form in the package.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier
+from .barrier import AdimensionalBarrier, require_finite
 from .errors import ConvergenceError
 from .solver import ScatteringAmplitudes
 
@@ -40,26 +39,14 @@ MIN_STEPS = 1000
 DEFAULT_STEPS = 4096
 
 
-@dataclass(frozen=True)
-class ZoneIISystem:
-    """First-order form of the interior equations for one (eps, barrier)."""
-
-    eps: float
-    vc: float
-    vq: float
-    theta: float
-    a_matrix: np.ndarray
-
-
-def split_ode(b: AdimensionalBarrier, eps: float) -> ZoneIISystem:
-    """Build the coupled first-order interior system."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
+    """Constant 4x4 matrix A of the interior system y' = A*y, y = (phi, phi', psi, psi')."""
+    require_finite("eps", eps, 0.0, strict=True)
     c_phi = b.vc - eps * eps
     c_psi = b.vc + eps * eps
     d_phi = 1j * b.vq * cmath.exp(1j * b.theta)
     d_psi = 1j * b.vq * cmath.exp(-1j * b.theta)
-    a = np.array(
+    return np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
             [c_phi, 0.0, d_phi, 0.0],
@@ -68,13 +55,20 @@ def split_ode(b: AdimensionalBarrier, eps: float) -> ZoneIISystem:
         ],
         dtype=complex,
     )
-    return ZoneIISystem(eps=eps, vc=b.vc, vq=b.vq, theta=b.theta, a_matrix=a)
 
 
-def _propagation_matrix(system: ZoneIISystem, length: float, steps: int) -> np.ndarray:
+def _require_integrable(length: float, steps: int) -> None:
+    """Reject widths beyond the integrator cap and too-coarse step counts."""
+    require_finite("length", length, 0.0)
+    if length > MAX_WIDTH:
+        raise ValueError(f"width {length!r} exceeds the integrator cap {MAX_WIDTH}")
+    require_finite("steps", steps, MIN_STEPS)
+
+
+def _propagation_matrix(a: np.ndarray, length: float, steps: int) -> np.ndarray:
     """`steps` classical fourth-order steps as one 4x4 map, S**steps."""
     h = length / steps
-    ha = h * system.a_matrix
+    ha = h * a
     step = np.eye(4, dtype=complex)
     term = np.eye(4, dtype=complex)
     for k in (1.0, 2.0, 3.0, 4.0):
@@ -83,20 +77,15 @@ def _propagation_matrix(system: ZoneIISystem, length: float, steps: int) -> np.n
     return np.linalg.matrix_power(step, steps)
 
 
-def propagate(system: ZoneIISystem, length: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
+def propagate(a: np.ndarray, length: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Map sending interior data (phi, phi', psi, psi') at xi=0 to xi=length.
 
     Columns are the four fundamental solutions for canonical unit initial
     data.  The system is trace-free, so the map has determinant 1 up to
     integration error.
     """
-    if length < 0.0:
-        raise ValueError("length must be non-negative")
-    if length > MAX_WIDTH:
-        raise ValueError(f"length {length!r} exceeds the integrator cap {MAX_WIDTH}")
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be at least {MIN_STEPS}")
-    return _propagation_matrix(system, length, steps)
+    _require_integrable(length, steps)
+    return _propagation_matrix(a, length, steps)
 
 
 #: per-segment exponential growth budget for the boundary matching
@@ -134,22 +123,19 @@ def oracle_amplitudes(
     return amps
 
 
-def _segment_count(system: ZoneIISystem, lam: float) -> int:
-    rates = np.linalg.eigvals(system.a_matrix)
+def _segment_count(a: np.ndarray, lam: float) -> int:
+    rates = np.linalg.eigvals(a)
     growth = float(np.max(rates.real)) * lam
     return max(1, int(np.ceil(growth / _SEGMENT_GROWTH)))
 
 
 def _oracle_once(eps: float, b: AdimensionalBarrier, steps: int) -> ScatteringAmplitudes:
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be at least {MIN_STEPS}")
-    if b.lam > MAX_WIDTH:
-        raise ValueError(f"width {b.lam!r} exceeds the integrator cap {MAX_WIDTH}")
-    system = split_ode(b, eps)
-    segments = _segment_count(system, b.lam)
+    _require_integrable(b.lam, steps)
+    a = split_ode(b, eps)
+    segments = _segment_count(a, b.lam)
     seg_len = b.lam / segments
     seg_steps = -(-steps // segments)  # ceil: total step count never drops
-    p_seg = _propagation_matrix(system, seg_len, seg_steps)
+    p_seg = _propagation_matrix(a, seg_len, seg_steps)
 
     u_in = np.array([1.0, 1j * eps, 0.0, 0.0], dtype=complex)
     u_r = np.array([1.0, -1j * eps, 0.0, 0.0], dtype=complex)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .barrier import AdimensionalBarrier
+from .barrier import AdimensionalBarrier, require_finite
 from .closed_form import transmission
 
 #: golden-section shrink factor
@@ -41,10 +41,8 @@ def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, 
     eps_n = sqrt(1 + n**2*pi**2/lambda0**2); the minimum between peaks n and
     n+1 sits at the half-integer condition.
     """
-    if lambda0 <= 0.0:
-        raise ValueError("lambda0 must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    require_finite("lambda0", lambda0, 0.0, strict=True)
+    require_finite("n_max", n_max, 1)
 
     def eps_at(n: float) -> float:
         return math.sqrt(1.0 + (n * math.pi / lambda0) ** 2)
@@ -69,10 +67,8 @@ def complex_resonance_widths(
     sqrt(2) that is 2*pi, 3*pi, 4*pi, ...).  Pass include_fundamental=True
     to start at n = 1.
     """
-    if eps0 <= 1.0:
-        raise ValueError("eps0 must exceed 1 (no oscillatory regime below threshold)")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    require_finite("eps0", eps0, 1.0, strict=True)  # no oscillatory regime below threshold
+    require_finite("n_max", n_max, 1)
     k = math.sqrt(eps0 * eps0 - 1.0)
     start = 1 if include_fundamental else 2
     return [
@@ -86,8 +82,7 @@ def min_transmission(eps_tilde: float) -> float:
 
     Equals [1 + 1/(4*e**2*(e**2-1))]**-1 and tends to 1 as e grows.
     """
-    if eps_tilde <= 1.0:
-        raise ValueError("eps_tilde must exceed 1")
+    require_finite("eps_tilde", eps_tilde, 1.0, strict=True)
     e2 = eps_tilde * eps_tilde
     return 1.0 / (1.0 + 1.0 / (4.0 * e2 * (e2 - 1.0)))
 
@@ -142,8 +137,9 @@ def scan_peaks(
 
     else:
         raise ValueError(f"unknown scan variable {variable!r}")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    require_finite("lo", lo)
+    require_finite("hi", hi, lo, strict=True)
+    require_finite("coarse_step", coarse_step, 0.0, strict=True)
 
     n = int(math.floor((hi - lo) / coarse_step + 1e-9)) + 1
     xs = [lo + i * coarse_step for i in range(n)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,43 +29,33 @@ MIXING_TOL = 1e-12
 CONDITION_WARN = 1e8
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """4x4 complex transfer matrix; det(m) == 1 up to rounding."""
+def _mixing(p: WaveParams) -> complex:
+    """beta*gamma, kept away from 1 where G and the closed elements are singular.
 
-    m: np.ndarray
+    Raises:
+        IllConditionedError: if |1 - beta*gamma| < MIXING_TOL.
+    """
+    bg = p.beta * p.gamma
+    if abs(1.0 - bg) < MIXING_TOL:
+        raise IllConditionedError(
+            f"1 - beta*gamma = {1.0 - bg:.3e}: factor matrix G is singular"
+        )
+    return bg
 
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.m))
 
+def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor matrices (G, Delta) of the similarity product.
 
-def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor matrices (F, G, Delta) for the boundary-matching system.
-
-    F maps the outer amplitude vector to left-edge boundary data, G maps
-    interior coefficients to boundary data, Delta transports interior
-    coefficients across the width.
+    G maps interior coefficients to boundary data, Delta transports
+    interior coefficients across the width.
 
     Raises:
         IllConditionedError: if |1 - beta*gamma| < MIXING_TOL (G is singular).
     """
+    _mixing(p)
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
-    if abs(1.0 - beta * gamma) < MIXING_TOL:
-        raise IllConditionedError(
-            f"1 - beta*gamma = {1.0 - beta * gamma:.3e}: factor matrix G is singular"
-        )
-    ie = 1j * p.eps / am
     r = ap / am
-    f = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [ie, -ie, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, p.eps / am],
-        ],
-        dtype=complex,
-    )
     g = np.array(
         [
             [1.0, 1.0, beta, beta],
@@ -84,12 +73,12 @@ def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray, np
             cmath.exp(ap * lam),
         ]
     )
-    return f, g, delta
+    return g, delta
 
 
-def transfer_numeric(p: WaveParams, lam: float) -> TransferMatrix:
+def transfer_numeric(p: WaveParams, lam: float) -> np.ndarray:
     """Transfer matrix by direct inversion: M = G @ Delta @ inv(G)."""
-    _, g, delta = build_factors(p, lam)
+    g, delta = build_factors(p, lam)
     g_inv = np.linalg.inv(g)
     cond = np.abs(g).max() * np.abs(g_inv).max()
     if cond > CONDITION_WARN:
@@ -98,23 +87,19 @@ def transfer_numeric(p: WaveParams, lam: float) -> TransferMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    return TransferMatrix(g @ delta @ g_inv)
+    return g @ delta @ g_inv
 
 
-def transfer_closed(p: WaveParams, lam: float) -> TransferMatrix:
+def transfer_closed(p: WaveParams, lam: float) -> np.ndarray:
     """Transfer matrix from the sixteen hyperbolic closed-form elements.
 
     Every element carries the common factor 1/(1 - beta*gamma); the
     off-diagonal 2x2 blocks are proportional to beta (rows 1-2) and gamma
     (rows 3-4), which is what makes the transmission phase-independent.
     """
+    bg = _mixing(p)
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
-    bg = beta * gamma
-    if abs(1.0 - bg) < MIXING_TOL:
-        raise IllConditionedError(
-            f"1 - beta*gamma = {1.0 - bg:.3e}: closed elements undefined"
-        )
     cm, sm = cmath.cosh(am * lam), cmath.sinh(am * lam)
     cp, sp = cmath.cosh(ap * lam), cmath.sinh(ap * lam)
     rmp = am / ap  # alpha_minus / alpha_plus
@@ -149,4 +134,4 @@ def transfer_closed(p: WaveParams, lam: float) -> TransferMatrix:
         ],
         dtype=complex,
     )
-    return TransferMatrix(w * m)
+    return w * m

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, wave_params
+from .barrier import AdimensionalBarrier, require_finite, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .ode_oracle import oracle_amplitudes
@@ -92,8 +92,8 @@ def check_transfer_agreement(points) -> CheckReport:
     worst = 0.0
     for eps, b in points:
         p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam).m
-        numeric = transfer_numeric(p, b.lam).m
+        closed = transfer_closed(p, b.lam)
+        numeric = transfer_numeric(p, b.lam)
         scale = max(1.0, float(np.abs(numeric).max()))
         worst = max(worst, float(np.abs(closed - numeric).max()) / scale)
     return CheckReport("transfer-agreement", worst < 1e-10, worst, 1e-10, len(points))
@@ -140,6 +140,7 @@ def check_series_asymptotics() -> CheckReport:
 
 def run_all(seed: int, samples: int) -> list[CheckReport]:
     """Run the five check classes on a seeded grid."""
+    require_finite("samples", samples, 1)
     rng = np.random.default_rng(seed)
     points = sample_points(rng, samples)
     theta_points = points[: min(len(points), max(1, samples // 5))]

@@ -309,8 +309,8 @@ def test_criterion_06_closed_elements_vs_similarity_product(grid500):
     small_points = 0
     for eps, b in grid500[:200]:
         p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam).m
-        numeric = transfer_numeric(p, b.lam).m
+        closed = transfer_closed(p, b.lam)
+        numeric = transfer_numeric(p, b.lam)
         scale = float(np.abs(numeric).max())
         diff = float(np.abs(closed - numeric).max())
         worst_scaled = max(worst_scaled, diff / max(1.0, scale))
@@ -439,7 +439,7 @@ def _grid_local_maxima(xs, ys):
 
 
 def test_criterion_11_figure_data(tmp_path):
-    potentials = tuple((vc, vq, 0.0) for vc, vq in STANDARD_POTENTIALS)
+    potentials = tuple(AdimensionalBarrier(vc, vq) for vc, vq in STANDARD_POTENTIALS)
     checks = []
 
     energy_rows = run_sweep(SweepConfig("energy", 3.0 * PI, 1.001, 1.5, 1e-3, potentials))

@@ -12,10 +12,26 @@ from qbarrier import (
     BarrierSpec,
     DegenerateEnergyError,
     adimensionalize,
+    asymptotic_moduli,
+    complex_resonance_energies,
+    complex_resonance_widths,
+    critical_complex,
+    critical_quaternionic,
+    min_transmission,
+    oracle_amplitudes,
+    propagate,
+    scan_peaks,
+    split_ode,
+    transmission,
+    transmission_complex,
+    transmission_probability_complex,
     wave_params,
 )
+from qbarrier.cli import SweepConfig
+from qbarrier.verify import run_all
 
 SQRT2 = math.sqrt(2.0)
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestAdimensionalize:
@@ -53,6 +69,12 @@ class TestAdimensionalize:
             dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=-1.0, hbar=1.0, energy=1.0),
             dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=1.0, hbar=0.0, energy=1.0),
             dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=1.0, hbar=1.0, energy=0.0),
+            dict(v1=math.nan, v2=0.0, v3=0.0, length=1.0, mass=1.0, hbar=1.0, energy=1.0),
+            dict(v1=1.0, v2=0.0, v3=math.inf, length=1.0, mass=1.0, hbar=1.0, energy=1.0),
+            dict(v1=1.0, v2=0.0, v3=0.0, length=math.nan, mass=1.0, hbar=1.0, energy=1.0),
+            dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=math.inf, hbar=1.0, energy=1.0),
+            dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=1.0, hbar=-math.inf, energy=1.0),
+            dict(v1=1.0, v2=0.0, v3=0.0, length=1.0, mass=1.0, hbar=1.0, energy=math.nan),
         ],
     )
     def test_invalid_physical_data(self, kwargs):
@@ -62,12 +84,15 @@ class TestAdimensionalize:
 
 class TestAdimensionalBarrier:
     def test_rejects_off_circle(self):
-        with pytest.raises(ValueError):
-            AdimensionalBarrier(vc=0.5, vq=0.5, theta=0.0, lam=1.0)
+        for vc, vq in ((0.5, 0.5), (math.nan, 1.0), (1.0, math.nan), (-math.inf, 0.0),
+                       (1.0 + 1e-11, 0.0)):
+            with pytest.raises(ValueError):
+                AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=1.0)
 
     def test_rejects_negative_width(self):
-        with pytest.raises(ValueError):
-            AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=-1.0)
+        for lam in (-1.0, *NON_FINITE):
+            with pytest.raises(ValueError):
+                AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
 
     def test_from_vc(self):
         b = AdimensionalBarrier.from_vc(0.6, theta=0.1, lam=2.0)
@@ -123,8 +148,9 @@ class TestWaveParams:
 
     def test_rejects_nonpositive_eps(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
-        with pytest.raises(ValueError):
-            wave_params(0.0, b)
+        for eps in (0.0, *NON_FINITE):
+            with pytest.raises(ValueError):
+                wave_params(eps, b)
 
 
 @given(
@@ -167,3 +193,42 @@ def test_theta_only_rotates_beta_gamma(eps, vc, theta1, theta2):
     rot = cmath.exp(1j * (theta2 - theta1))
     assert p2.beta == pytest.approx(p1.beta * rot, abs=1e-13)
     assert p2.gamma == pytest.approx(p1.gamma / rot, abs=1e-13)
+
+
+B = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.3, lam=2.0)
+
+#: every entry point that validates a real input, as a function of that input
+VALIDATED_INPUTS = {
+    "barrier theta": lambda x: AdimensionalBarrier(vc=1.0, vq=0.0, theta=x, lam=1.0),
+    "transmission eps": lambda x: transmission(x, B),
+    "oracle_amplitudes eps": lambda x: oracle_amplitudes(x, B),
+    "split_ode eps": lambda x: split_ode(B, x),
+    "propagate length": lambda x: propagate(split_ode(B, 1.4), x),
+    "transmission_complex eps": lambda x: transmission_complex(x, 2.0),
+    "transmission_complex lam": lambda x: transmission_complex(1.4, x),
+    "transmission_probability_complex eps": lambda x: transmission_probability_complex(x, 2.0),
+    "transmission_probability_complex lam": lambda x: transmission_probability_complex(1.4, x),
+    "critical_complex lam": lambda x: critical_complex(x),
+    "critical_quaternionic lam": lambda x: critical_quaternionic(x),
+    "critical_quaternionic theta": lambda x: critical_quaternionic(2.0, x),
+    "asymptotic_moduli lam": lambda x: asymptotic_moduli(x, "thin", "complex"),
+    "complex_resonance_energies lambda0": lambda x: complex_resonance_energies(x, 3),
+    "complex_resonance_widths eps0": lambda x: complex_resonance_widths(x, 3),
+    "min_transmission": lambda x: min_transmission(x),
+    "scan_peaks lo": lambda x: scan_peaks(B, "energy", x, 1.5),
+    "scan_peaks hi": lambda x: scan_peaks(B, "energy", 1.1, x),
+    "scan_peaks coarse_step": lambda x: scan_peaks(B, "energy", 1.1, 1.5, coarse_step=x),
+    "sweep fixed (energy)": lambda x: SweepConfig("energy", x, 1.1, 1.2, 0.05, (B,)),
+    "sweep fixed (width)": lambda x: SweepConfig("width", x, 1.1, 1.2, 0.05, (B,)),
+    "sweep start": lambda x: SweepConfig("energy", 2.0, x, 1.2, 0.05, (B,)),
+    "sweep stop": lambda x: SweepConfig("energy", 2.0, 1.1, x, 0.05, (B,)),
+    "sweep step": lambda x: SweepConfig("energy", 2.0, 1.1, 1.2, x, (B,)),
+    "verify samples": lambda x: run_all(42, x),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=("nan", "+inf", "-inf"))
+@pytest.mark.parametrize("entry", sorted(VALIDATED_INPUTS))
+def test_non_finite_input_rejected(entry, value):
+    with pytest.raises(ValueError):
+        VALIDATED_INPUTS[entry](value)

@@ -222,6 +222,34 @@ class TestCritical:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1.2",
+          "--step", "0.05", "--potentials", "nan,1"], "vc"),
+        (["sweep", "--mode", "energy", "--fixed", "nan", "--start", "1.1", "--stop", "1.2",
+          "--step", "0.05", "--potentials", "0,1"], "fixed"),
+        (["sweep", "--mode", "width", "--fixed", "1.4", "--start", "2", "--stop", "inf",
+          "--step", "0.1", "--potentials", "1,0"], "stop"),
+        (["sweep", "--mode", "width", "--fixed", "1.4", "--start", "2", "--stop", "2",
+          "--step", "0.1", "--potentials", "0.866025404,0.5"], "vc**2 + vq**2"),
+        (["resonances", "--lambda-pi", "3", "--potentials", "nan,1"], "vc"),
+        (["resonances", "--eps0", "nan", "--potentials", "1,0"], "eps0"),
+        (["resonances", "--lambda-pi", "3", "--potentials", "1.0000000001,0"], "vc**2 + vq**2"),
+        (["critical", "--case", "c", "--lambda", "inf"], "lam"),
+        (["critical", "--case", "q", "--lambda", "nan"], "lam"),
+        (["point", "--vc", "0", "--vq", "1", "--eps", "nan", "--lambda", "3"], "eps"),
+        (["point", "--vc", "0", "--vq", "1", "--eps", "nan", "--lambda", "0"], "eps"),
+        (["point", "--physical", "1", "0", "0", "nan", "1", "1", "2"], "length"),
+    ],
+)
+def test_invalid_input_exits_2_naming_it(args, named, capsys):
+    code, out, err = run(args, capsys)  # an uncaught exception would fail here
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
 def test_verify_small_run_exits_zero(capsys):
     code, out, _ = run(["verify", "--samples", "40", "--seed", "7"], capsys)
     assert code == 0

@@ -43,8 +43,7 @@ def interior_state(p, coeffs, xi):
 
 def test_complex_barrier_decouples():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
-    system = split_ode(b, 1.4)
-    a = system.a_matrix
+    a = split_ode(b, 1.4)
     assert a[1, 2] == 0.0 and a[3, 0] == 0.0
     assert a[1, 0] == pytest.approx(1.0 - 1.4**2)
     assert a[3, 2] == pytest.approx(1.0 + 1.4**2)
@@ -54,12 +53,12 @@ def test_exponential_solution_satisfies_split_system():
     rng = np.random.default_rng(11)
     for eps, b in random_points(seed=12, n=10, lam_max=3.0):
         p = wave_params(eps, b)
-        system = split_ode(b, eps)
+        a = split_ode(b, eps)
         coeffs = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
         for _ in range(10):
             xi = float(rng.uniform(0.0, b.lam))
             y, dy = interior_state(p, coeffs, xi)
-            assert np.abs(system.a_matrix @ y - dy).max() < 1e-9 * max(1.0, np.abs(dy).max())
+            assert np.abs(a @ y - dy).max() < 1e-9 * max(1.0, np.abs(dy).max())
 
 
 def test_threshold_polynomial_solution_satisfies_split_system():
@@ -68,7 +67,7 @@ def test_threshold_polynomial_solution_satisfies_split_system():
     amps = critical_quaternionic(1.5, theta)
     z2 = amps.zone2
     b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=theta, lam=1.5)
-    system = split_ode(b, 1.0)
+    a = split_ode(b, 1.0)
     phase = -1j * cmath.exp(-1j * theta)
     for xi in (0.2, 0.75, 1.3):
         phi = z2.a * xi**3 + z2.b * xi**2 + z2.c * xi + z2.d
@@ -79,7 +78,7 @@ def test_threshold_polynomial_solution_satisfies_split_system():
         ddq = 6 * z2.a * xi + 2 * z2.b
         y = np.array([phi, dphi, phase * q, phase * dq], dtype=complex)
         dy = np.array([dphi, ddphi, phase * dq, phase * ddq], dtype=complex)
-        assert np.abs(system.a_matrix @ y - dy).max() < 1e-12
+        assert np.abs(a @ y - dy).max() < 1e-12
 
 
 def test_propagation_map_determinant_modulus_one():
@@ -88,9 +87,9 @@ def test_propagation_map_determinant_modulus_one():
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, abs=1e-8)
 
 
-def rk4_loop_map(system, length, steps):
+def rk4_loop_map(a, length, steps):
     """Reference map: the RK4 step matrix applied `steps` times, one product each."""
-    ha = (length / steps) * system.a_matrix
+    ha = (length / steps) * a
     step = np.eye(4, dtype=complex)
     term = np.eye(4, dtype=complex)
     for k in (1.0, 2.0, 3.0, 4.0):
@@ -106,15 +105,15 @@ def test_propagation_map_matches_stepwise_loop():
     # powering reorders the products, so agreement is to rounding, not exact
     segment_counts = set()
     for eps, b in random_points(seed=15, n=8):
-        system = split_ode(b, eps)
-        segments = _segment_count(system, b.lam)
+        a = split_ode(b, eps)
+        segments = _segment_count(a, b.lam)
         segment_counts.add(segments)
         # the oracle's own segment map: ceil(4096/3) = 1366 steps for 3 segments
         seg_steps = -(-DEFAULT_STEPS // segments)
         for length, steps in ((b.lam, DEFAULT_STEPS), (b.lam, MIN_STEPS),
                               (b.lam / segments, seg_steps)):
-            ref = rk4_loop_map(system, length, steps)
-            m = _propagation_matrix(system, length, steps)
+            ref = rk4_loop_map(a, length, steps)
+            m = _propagation_matrix(a, length, steps)
             assert np.abs(m - ref).max() / np.abs(ref).max() <= 1e-12
     assert 3 in segment_counts and max(segment_counts) > 3
 

@@ -27,7 +27,7 @@ def params(vc, vq, theta, eps):
 def test_block_structure_without_mixing():
     # beta = gamma = 0 leaves G block-diagonal with [[1,1],[1,-1]]-shaped blocks
     p = params(1.0, 0.0, 0.0, 1.3)
-    _, g, _ = build_factors(p, 1.0)
+    g, _ = build_factors(p, 1.0)
     assert np.allclose(g[0:2, 2:4], 0.0)
     assert np.allclose(g[2:4, 0:2], 0.0)
     assert np.allclose(g[0:2, 0:2], [[1, 1], [1, -1]])
@@ -37,29 +37,29 @@ def test_block_structure_without_mixing():
 
 def test_zero_width_gives_identity():
     p = params(0.5, math.sqrt(3.0) / 2.0, 0.4, 1.7)
-    _, _, delta = build_factors(p, 0.0)
+    _, delta = build_factors(p, 0.0)
     assert np.allclose(delta, np.eye(4))
-    assert np.allclose(transfer_closed(p, 0.0).m, np.eye(4), atol=1e-14)
-    assert np.allclose(transfer_numeric(p, 0.0).m, np.eye(4), atol=1e-14)
+    assert np.allclose(transfer_closed(p, 0.0), np.eye(4), atol=1e-14)
+    assert np.allclose(transfer_numeric(p, 0.0), np.eye(4), atol=1e-14)
 
 
 def test_g_inverse_residual():
     p = params(0.0, 1.0, 0.0, 1.2)
-    _, g, _ = build_factors(p, 1.0)
+    g, _ = build_factors(p, 1.0)
     assert np.abs(g @ np.linalg.inv(g) - np.eye(4)).max() < 1e-12
 
 
 def test_closed_matches_numeric_at_reference_point():
     p = params(1.0 / SQRT2, 1.0 / SQRT2, 0.7, 1.3)
-    closed = transfer_closed(p, 2.0).m
-    numeric = transfer_numeric(p, 2.0).m
+    closed = transfer_closed(p, 2.0)
+    numeric = transfer_numeric(p, 2.0)
     assert np.abs(closed - numeric).max() < 1e-10
 
 
 def test_complex_limit_elements():
     eps, lam = 1.3, 1.5
     p = params(1.0, 0.0, 0.0, eps)
-    m = transfer_closed(p, lam).m
+    m = transfer_closed(p, lam)
     am = cmath.sqrt(complex(1.0 - eps * eps, 0.0))
     ap = cmath.sqrt(complex(1.0 + eps * eps, 0.0))
     # off-diagonal blocks vanish
@@ -81,8 +81,8 @@ def test_closed_matches_numeric_on_randomized_grid():
     worst = 0.0
     for eps, b in random_points(seed=52, n=60):
         p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam).m
-        numeric = transfer_numeric(p, b.lam).m
+        closed = transfer_closed(p, b.lam)
+        numeric = transfer_numeric(p, b.lam)
         scale = max(1.0, float(np.abs(numeric).max()))
         worst = max(worst, float(np.abs(closed - numeric).max()) / scale)
     assert worst < 1e-10
@@ -91,17 +91,17 @@ def test_closed_matches_numeric_on_randomized_grid():
 def test_absolute_agreement_where_entries_are_small():
     for eps, b in random_points(seed=53, n=120, lam_max=2.0):
         p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam).m
-        numeric = transfer_numeric(p, b.lam).m
+        closed = transfer_closed(p, b.lam)
+        numeric = transfer_numeric(p, b.lam)
         if np.abs(numeric).max() <= 1e3:
             assert np.abs(closed - numeric).max() < 1e-10
 
 
 def test_composition_in_width():
     p = params(0.3, math.sqrt(1.0 - 0.09), 1.1, 1.4)
-    m1 = transfer_closed(p, 0.8).m
-    m2 = transfer_closed(p, 1.3).m
-    m12 = transfer_closed(p, 2.1).m
+    m1 = transfer_closed(p, 0.8)
+    m2 = transfer_closed(p, 1.3)
+    m12 = transfer_closed(p, 2.1)
     assert np.abs(m1 @ m2 - m12).max() < 1e-10
     assert np.abs(m1 @ m2 - m2 @ m1).max() < 1e-12  # same basis: they commute
 
@@ -109,8 +109,8 @@ def test_composition_in_width():
 def test_determinant_is_one_on_tame_grid():
     for eps, b in random_points(seed=54, n=60, lam_max=2.0):
         p = wave_params(eps, b)
-        assert abs(transfer_numeric(p, b.lam).det() - 1.0) < 1e-10
-        assert abs(transfer_closed(p, b.lam).det() - 1.0) < 1e-10
+        assert abs(np.linalg.det(transfer_numeric(p, b.lam)) - 1.0) < 1e-10
+        assert abs(np.linalg.det(transfer_closed(p, b.lam)) - 1.0) < 1e-10
 
 
 def test_theta_enters_only_through_block_phases():
@@ -118,8 +118,8 @@ def test_theta_enters_only_through_block_phases():
     vc = 0.4
     vq = math.sqrt(1.0 - vc * vc)
     delta = 0.9
-    m0 = transfer_closed(wave_params(eps, AdimensionalBarrier(vc, vq, 0.0, lam)), lam).m
-    m1 = transfer_closed(wave_params(eps, AdimensionalBarrier(vc, vq, delta, lam)), lam).m
+    m0 = transfer_closed(wave_params(eps, AdimensionalBarrier(vc, vq, 0.0, lam)), lam)
+    m1 = transfer_closed(wave_params(eps, AdimensionalBarrier(vc, vq, delta, lam)), lam)
     rot = cmath.exp(1j * delta)
     assert np.abs(m1[0:2, 0:2] - m0[0:2, 0:2]).max() < 1e-12
     assert np.abs(m1[2:4, 2:4] - m0[2:4, 2:4]).max() < 1e-12
