@@ -34,6 +34,12 @@ ALPHA_MINUS_TOL = 1e-10
 #: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
 UNIT_CIRCLE_TOL = 1e-12
 
+#: most points a uniform grid may hold (the default width-table scan has ~11k)
+MAX_GRID_POINTS = 1_000_000
+
+#: message suffix naming an exact eps = 1 solution, filled with (function, --case value)
+_EXACT = "; the exact eps = 1 amplitudes are {} (qbarrier critical --case {})"
+
 
 def require_finite(name: str, value: float, lower: float = -math.inf, strict: bool = False) -> None:
     """The package's one input rule: value is finite and >= lower (> lower if strict).
@@ -47,6 +53,21 @@ def require_finite(name: str, value: float, lower: float = -math.inf, strict: bo
     if not (math.isfinite(value) and (value > lower if strict else value >= lower)):
         bound = "" if lower == -math.inf else f" and {'>' if strict else '>='} {lower!r}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def uniform_grid(start: float, stop: float, step: float) -> list[float]:
+    """The points start + k*step, k = 0, 1, ..., up to stop (with 1e-9 steps of slack).
+
+    Raises:
+        ValueError: naming start, stop and step, above MAX_GRID_POINTS points.
+    """
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid start={start!r}, stop={stop!r}, step={step!r} has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return [start + k * step for k in range(int(math.floor(span)) + 1)]
 
 
 @dataclass(frozen=True)
@@ -106,12 +127,15 @@ class WaveParams:
 
 
 def adimensionalize(spec: BarrierSpec) -> tuple[AdimensionalBarrier, float]:
-    """Reduce a physical barrier to adimensional form; returns (barrier, eps)."""
-    v0 = math.sqrt(spec.v1**2 + spec.v2**2 + spec.v3**2)
-    scale = math.sqrt(2.0 * spec.mass * v0 / spec.hbar**2)
+    """Reduce a physical barrier to adimensional form; returns (barrier, eps).
+
+    No square of an input is formed, so huge finite data cannot overflow.
+    """
+    v0 = math.hypot(spec.v1, spec.v2, spec.v3)
+    scale = math.sqrt(2.0 * spec.mass * v0) / spec.hbar
     barrier = AdimensionalBarrier(
         vc=spec.v1 / v0,
-        vq=math.sqrt(spec.v2**2 + spec.v3**2) / v0,
+        vq=math.hypot(spec.v2, spec.v3) / v0,
         theta=math.atan2(spec.v3, spec.v2),
         lam=scale * spec.length,
     )
@@ -121,39 +145,44 @@ def adimensionalize(spec: BarrierSpec) -> tuple[AdimensionalBarrier, float]:
 def wave_params(eps: float, b: AdimensionalBarrier) -> WaveParams:
     """Wave numbers alpha_pm and mixing coefficients beta, gamma.
 
+    The one singular-point rule: no route can build the basis without it.
+
     Raises:
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
+        ThresholdEnergyError: from `checked_alpha_minus`.
     """
     require_finite("eps", eps, 0.0, strict=True)
     disc = eps**4 - b.vq**2
     if abs(disc) <= DEGENERACY_TOL:
+        exact = _EXACT.format("critical_quaternionic", "q") if (b.vc, b.vq) == (0.0, 1.0) else ""
         raise DegenerateEnergyError(
             f"eps**4 - vq**2 = {disc:.3e} is inside the degeneracy band "
-            f"(eps={eps!r}, vq={b.vq!r}); for vq=1, eps=1 use the critical module"
+            f"(eps={eps!r}, vq={b.vq!r}): the exponential basis collapses{exact}"
         )
     root = cmath.sqrt(complex(disc, 0.0))
     denom = eps**2 + root
     return WaveParams(
         eps=eps,
-        alpha_minus=cmath.sqrt(complex(b.vc, 0.0) - root),
+        alpha_minus=checked_alpha_minus(eps, b.vc, b.vq, root),
         alpha_plus=cmath.sqrt(complex(b.vc, 0.0) + root),
         beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
         gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
     )
 
 
-def require_off_threshold(p: WaveParams) -> None:
-    """Reject the diffusion/tunneling threshold, where alpha_minus ~ 0.
-
-    Both the closed formula and the continuity system divide by
-    alpha_minus there.
+def checked_alpha_minus(eps: float, vc: float, vq: float, root: complex) -> complex:
+    """alpha_minus = sqrt(vc - root), with root = sqrt(eps**4 - vq**2).
 
     Raises:
-        ThresholdEnergyError: if |alpha_minus| <= ALPHA_MINUS_TOL.
+        ThresholdEnergyError: if |alpha_minus| <= ALPHA_MINUS_TOL (eps at the
+            threshold), where every route through the exponential basis fails.
     """
-    if abs(p.alpha_minus) <= ALPHA_MINUS_TOL:
+    am = cmath.sqrt(complex(vc, 0.0) - root)
+    if abs(am) <= ALPHA_MINUS_TOL:
+        exact = _EXACT.format("critical_complex", "c") if vq == 0.0 else ""
         raise ThresholdEnergyError(
-            f"alpha_minus = {p.alpha_minus!r} at eps={p.eps!r}: "
-            "exponential basis singular at the diffusion/tunneling threshold"
+            f"alpha_minus = {am!r} at eps={eps!r}: "
+            f"exponential basis singular at the diffusion/tunneling threshold{exact}"
         )
+    return am

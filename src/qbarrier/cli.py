@@ -11,7 +11,8 @@ Subcommands:
 Adimensional inputs are primary; `point --physical` accepts the raw
 barrier data (V1 V2 V3 L mass hbar energy) instead.  Widths may be given
 in units of pi with --lambda-pi.  Exit codes: 2 invalid parameters,
-3 degenerate/threshold point, 4 unwritable output path.
+3 degenerate/threshold point (naming the exact `critical` case, if any),
+4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite
+from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
 from .closed_form import TransmissionResult, transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, ThresholdEnergyError
@@ -186,8 +187,7 @@ class SweepConfig:
     def grid(self) -> list[float]:
         if self.stop <= self.start:
             return []
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return uniform_grid(self.start, self.stop, self.step)
 
 
 def run_sweep(config: SweepConfig) -> list[tuple]:
@@ -199,7 +199,8 @@ def run_sweep(config: SweepConfig) -> list[tuple]:
             b = replace(b, lam=config.fixed)
             results = [transmission(v, b) for v in grid]
         else:
-            results = [transmission(config.fixed, replace(b, lam=v)) for v in grid]
+            results = [transmission(config.fixed, AdimensionalBarrier(b.vc, b.vq, b.theta, v))
+                       for v in grid]
         rows.extend((v, b.vc, b.vq, r.prob, r.t.real, r.t.imag, r.phase)
                     for v, r in zip(grid, results))
     return rows
@@ -223,38 +224,30 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- resonances
 
-def _energy_table(lam0: float, potentials, n_peaks: int) -> list[dict]:
+def _peak_locations(potentials, n_peaks: int, closed, scan) -> list[list[float]]:
+    """Peak locations per potential: the closed forms for vq = 0, `scan(b)` otherwise."""
+    return [[row[0] for row in closed] if b.vq == 0.0 else [x for x, _ in scan(b).peaks[:n_peaks]]
+            for b in potentials]
+
+
+def _energy_table(lam0: float, potentials, n_peaks: int) -> list[list[float]]:
     closed = complex_resonance_energies(lam0, n_peaks)
     eps1_complex = closed[0][0]
     hi = math.sqrt(1.0 + ((n_peaks + 0.5) * math.pi / lam0) ** 2)
     lo = 1.0 + min(1e-3, (eps1_complex - 1.0) / 10.0)
     step = min(1e-3, (eps1_complex - 1.0) / 20.0)
-    out = []
-    for b in potentials:
-        if b.vq == 0.0:
-            locs = [e for e, _, _ in closed]
-        else:
-            scan = scan_peaks(replace(b, lam=lam0), "energy", lo, hi, coarse_step=step)
-            locs = [x for x, _ in scan.peaks[:n_peaks]]
-        out.append({"vc": b.vc, "vq": b.vq, "locations": locs})
-    return out
+    return _peak_locations(potentials, n_peaks, closed, lambda b: scan_peaks(
+        replace(b, lam=lam0), "energy", lo, hi, coarse_step=step))
 
 
-def _width_table(eps0: float, potentials, n_peaks: int) -> list[dict]:
+def _width_table(eps0: float, potentials, n_peaks: int) -> list[list[float]]:
     closed = complex_resonance_widths(eps0, n_peaks)
     spacing = closed[0][1]
     # scan from the fundamental (one spacing) upward: sub-fundamental peaks
     # are not tabulated
     lo, hi = spacing, closed[-1][0] + 0.6 * spacing
-    out = []
-    for b in potentials:
-        if b.vq == 0.0:
-            locs = [l for l, _, _ in closed]
-        else:
-            scan = scan_peaks(b, "width", lo, hi, eps0=eps0)
-            locs = [x for x, _ in scan.peaks[:n_peaks]]
-        out.append({"vc": b.vc, "vq": b.vq, "locations": locs})
-    return out
+    return _peak_locations(potentials, n_peaks, closed,
+                           lambda b: scan_peaks(b, "width", lo, hi, eps0=eps0))
 
 
 def cmd_resonances(args) -> int:
@@ -274,14 +267,10 @@ def cmd_resonances(args) -> int:
 
     lines = ["vc       vq       " + "  ".join(f"{h:>9}" for h in head)]
     payload = []
-    for row in table:
-        locs = [x / unit for x in row["locations"]]
-        flat = _table_order(locs)
-        payload.append({"vc": row["vc"], "vq": row["vq"], "values": flat})
-        lines.append(
-            f"{row['vc']:<8.6f} {row['vq']:<8.6f} "
-            + "  ".join(f"{v:>9.3f}" for v in flat)
-        )
+    for b, locs in zip(potentials, table):
+        flat = _table_order([x / unit for x in locs])
+        payload.append({"vc": b.vc, "vq": b.vq, "values": flat})
+        lines.append(f"{b.vc:<8.6f} {b.vq:<8.6f} " + "  ".join(f"{v:>9.3f}" for v in flat))
     if args.format == "json":
         return _emit(json.dumps({"meta": {"tool": "qbarrier", "version": __version__},
                                  "rows": payload}, sort_keys=True, indent=1) + "\n", args.out)
@@ -350,10 +339,9 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("text", "csv", "json"), default=None)
+def _add_output(sub, formats: tuple[str, str]) -> None:
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    sub.add_argument("--seed", type=int, default=42)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--lambda-pi", dest="lam_pi", type=float)
     p.add_argument("--physical", nargs=7, type=float, metavar=("V1", "V2", "V3", "L", "M", "HBAR", "E"))
-    _add_common(p)
+    _add_output(p, ("text", "json"))
     p.set_defaults(func=cmd_point)
 
     p = subs.add_parser("sweep", help="transmission over an energy or width grid")
@@ -383,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--potentials", default="table")
-    _add_common(p)
+    _add_output(p, ("csv", "json"))
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("resonances", help="peak locations and spacings")
@@ -392,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps0", type=float)
     p.add_argument("--n", type=int, default=3, help="number of peaks per row")
     p.add_argument("--potentials", default="table")
-    _add_common(p)
+    _add_output(p, ("text", "json"))
     p.set_defaults(func=cmd_resonances)
 
     p = subs.add_parser("critical", help="exact threshold (eps=1) amplitudes")
@@ -401,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-pi", dest="lam_pi", type=float)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--series", action="store_true")
-    _add_common(p)
+    _add_output(p, ("text", "json"))
     p.set_defaults(func=cmd_critical)
 
     p = subs.add_parser("verify", help="run the self-check suite")
     p.add_argument("--samples", type=int, default=500)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -415,22 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = "csv" if args.command == "sweep" else "text"
     try:
         return args.func(args)
-    except (DegenerateEnergyError, ThresholdEnergyError) as exc:
-        remedy = ""
-        vc = getattr(args, "vc", None)
-        vq = getattr(args, "vq", None)
-        if vc is not None and vq is not None and (abs(vc - 1.0) < 1e-9 or abs(vq - 1.0) < 1e-9):
-            case = "c" if abs(vc - 1.0) < 1e-9 else "q"
-            remedy = f"; the 'critical' command (--case {case}) handles this point exactly"
-        print(f"error: {exc}{remedy}", file=sys.stderr)
-        return 3
     except (ValueError, QBarrierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (DegenerateEnergyError, ThresholdEnergyError)) else 2
 
 
 if __name__ == "__main__":

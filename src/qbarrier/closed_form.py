@@ -27,11 +27,11 @@ import numpy as np
 from .barrier import (
     AdimensionalBarrier,
     WaveParams,
+    checked_alpha_minus,
     require_finite,
-    require_off_threshold,
     wave_params,
 )
-from .errors import SingularDenominatorError, ThresholdEnergyError
+from .errors import SingularDenominatorError
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,9 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
     precision when exp(alpha_plus*lam) is large.
 
     Raises:
-        DegenerateEnergyError: inside the eps**4 ~ vq**2 degeneracy band.
-        ThresholdEnergyError: when alpha_minus ~ 0 (eps at the threshold);
-            for vc=1 or vq=1 the critical module has the exact answer.
+        DegenerateEnergyError, ThresholdEnergyError: from `wave_params`.
     """
     p = wave_params(eps, b)
-    require_off_threshold(p)
     d = denominator_factored(p, b.lam)
     return TransmissionResult.from_amplitude(2.0 * cmath.exp(-1j * eps * b.lam) / d)
 
@@ -139,23 +136,21 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
     to the familiar cos/sin form for eps > 1.
 
     Raises:
-        ThresholdEnergyError: at eps = 1 (use critical_complex instead).
+        ThresholdEnergyError: where a = alpha_minus vanishes, by the rule of
+            `wave_params` (the message names critical_complex).
     """
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    if abs(eps - 1.0) < 1e-12:
-        raise ThresholdEnergyError("eps = 1: use critical_complex for the exact limit")
-    a = cmath.sqrt(complex(1.0 - eps * eps, 0.0))
+    a = checked_alpha_minus(eps, 1.0, 0.0, complex(eps * eps, 0.0))
     den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps * a) * cmath.sinh(a * lam)
     return TransmissionResult.from_amplitude(cmath.exp(-1j * eps * lam) / den)
 
 
 def transmission_probability_complex(eps: float, lam: float) -> float:
-    """|T|**2 for the complex barrier, written in the two textbook real forms."""
+    """|T|**2 for the complex barrier in two textbook real forms; raises as transmission_complex."""
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    if abs(eps - 1.0) < 1e-12:
-        raise ThresholdEnergyError("eps = 1: use critical_complex for the exact limit")
+    checked_alpha_minus(eps, 1.0, 0.0, complex(eps * eps, 0.0))
     if eps > 1.0:
         k = math.sqrt(eps * eps - 1.0)
         return 1.0 / (1.0 + math.sin(k * lam) ** 2 / (4.0 * eps * eps * (eps * eps - 1.0)))

@@ -92,11 +92,17 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     """
     require_finite("lam", lam, 0.0)
     require_finite("theta", theta)
-    den = 24.0 + 24.0 * (1.0 - 1j) * lam - 18j * lam**2 - 4.0 * (1.0 + 1j) * lam**3 - lam**4
+    if lam <= 1.0:
+        den = 24.0 + 24.0 * (1.0 - 1j) * lam - 18j * lam**2 - 4.0 * (1.0 + 1j) * lam**3 - lam**4
+        r = -1j * lam**2 * (6.0 + 4.0 * lam + lam**2) / den
+        t = 2.0 * cmath.exp(-1j * lam) * (12.0 + 12.0 * lam + 6.0 * lam**2 + lam**3) / den
+    else:  # the same forms divided by lam**4 (|den|/lam**4 >= 1), so no power can overflow
+        s = 1.0 / lam
+        den = 24.0 * s**4 + 24.0 * (1.0 - 1j) * s**3 - 18j * s**2 - 4.0 * (1.0 + 1j) * s - 1.0
+        r = -1j * (6.0 * s**2 + 4.0 * s + 1.0) / den
+        t = 2.0 * cmath.exp(-1j * lam) * (12.0 * s**4 + 12.0 * s**3 + 6.0 * s**2 + s) / den
     if abs(den) < 1.0:
         raise QBarrierError(f"rational denominator unexpectedly small at lam={lam!r}")
-    r = -1j * lam**2 * (6.0 + 4.0 * lam + lam**2) / den
-    t = 2.0 * cmath.exp(-1j * lam) * (12.0 + 12.0 * lam + 6.0 * lam**2 + lam**3) / den
 
     if lam == 0.0:
         # Limit of the continuity solve as the barrier shrinks to a point.
@@ -112,9 +118,10 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     t_edge = t * cmath.exp(1j * lam)
     p = t_edge - c * lam - d
     q = 1j * t_edge - c
-    det = -(lam**4)  # det of [[lam**3, lam**2], [3*lam**2, 2*lam]]
-    a = (2.0 * lam * p - lam**2 * q) / det
-    b = (lam**3 * q - 3.0 * lam**2 * p) / det
+    # solution of [[lam**3, lam**2], [3*lam**2, 2*lam]] @ (a, b) = (p, q)
+    u = p / lam
+    a = (q - 2.0 * u) / (lam * lam)
+    b = (3.0 * u - q) / lam
 
     phase = -1j * cmath.exp(-1j * theta)
     # Both value and slope of the pure part at xi = 0 must yield the same rt.
@@ -126,8 +133,6 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
             f"evanescent amplitude recovery inconsistent at lam={lam!r}: "
             f"{rt_value!r} vs {rt_slope!r}"
         )
-    poly_val = a * lam**3 + b * lam**2 + (6.0 * a + c) * lam + 2.0 * b + d
-    poly_slope = 3.0 * a * lam**2 + 2.0 * b * lam + 6.0 * a + c
     try:
         grow = math.exp(lam)
     except OverflowError:
@@ -135,6 +140,8 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     if grow is None:
         tt_value = None
     else:
+        poly_val = a * lam**3 + b * lam**2 + (6.0 * a + c) * lam + 2.0 * b + d
+        poly_slope = 3.0 * a * lam**2 + 2.0 * b * lam + 6.0 * a + c
         tt_value = phase * poly_val * grow
         tt_slope = -phase * poly_slope * grow
         scale = max(1.0, abs(tt_value), abs(tt_slope))

@@ -9,18 +9,17 @@ class DegenerateEnergyError(QBarrierError):
     """eps**4 is too close to vq**2: the two exponential wave numbers collapse.
 
     The exponential basis inside the barrier degenerates, so the factor
-    matrix G and the continuity system become singular.  The pure
-    quaternionic (vq=1) and pure complex (vc=1) barriers at eps=1 have
-    exact replacements in :mod:`qbarrier.critical`.
+    matrix G and the continuity system become singular.  For vc=0, vq=1
+    this is eps = 1, and the message names `critical_quaternionic`.
     """
 
 
 class ThresholdEnergyError(QBarrierError):
     """alpha_minus is numerically zero (eps at the diffusion/tunneling threshold).
 
-    The closed transmission formula divides by alpha_minus.  For vc=1 or
-    vq=1 use :mod:`qbarrier.critical`; mixed potentials at the threshold
-    have no analytic treatment here.
+    Every route through the exponential basis divides by alpha_minus.  For
+    vq=0 the message names `critical_complex`; mixed potentials at the
+    threshold have no analytic treatment here.
     """
 
 

@@ -44,10 +44,6 @@ class Quaternion:
         """Real components (a, b, c, d) of a + b*i + c*j + d*k."""
         return (self.z.real, self.z.imag, self.w.real, -self.w.imag)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "Quaternion":
-        return cls(complex(z), 0j)
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.z.conjugate(), -self.w)
 

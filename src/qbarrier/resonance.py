@@ -11,10 +11,10 @@ numerically by a coarse grid pass followed by golden-section refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
-from .barrier import AdimensionalBarrier, require_finite
+from .barrier import AdimensionalBarrier, require_finite, uniform_grid
 from .closed_form import transmission
 
 #: golden-section shrink factor
@@ -54,26 +54,22 @@ def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, 
     return out
 
 
-def complex_resonance_widths(
-    eps0: float, n_max: int, *, include_fundamental: bool = False
-) -> list[tuple[float, float, float]]:
+def complex_resonance_widths(eps0: float, n_max: int) -> list[tuple[float, float, float]]:
     """(lam_n, peak spacing, minimum offset) at fixed eps0 > 1, tabulated order.
 
     Full transparency occurs at every lam = n*pi/sqrt(eps0**2 - 1); the
     spacing pi/sqrt(eps0**2 - 1) is independent of n and the minima sit
     halfway.  Width tables conventionally start one spacing above zero:
     the fundamental (n = 1) equals the spacing itself and serves as the
-    scan origin, so the default sequence begins at n = 2 (at eps0 =
-    sqrt(2) that is 2*pi, 3*pi, 4*pi, ...).  Pass include_fundamental=True
-    to start at n = 1.
+    scan origin, so the sequence begins at n = 2 (at eps0 = sqrt(2) that
+    is 2*pi, 3*pi, 4*pi, ...).
     """
     require_finite("eps0", eps0, 1.0, strict=True)  # no oscillatory regime below threshold
     require_finite("n_max", n_max, 1)
     k = math.sqrt(eps0 * eps0 - 1.0)
-    start = 1 if include_fundamental else 2
     return [
         (n * math.pi / k, math.pi / k, math.pi / (2.0 * k))
-        for n in range(start, start + n_max)
+        for n in range(2, 2 + n_max)
     ]
 
 
@@ -119,7 +115,8 @@ def scan_peaks(
     variable "energy" scans eps in [lo, hi] at the barrier's own width;
     variable "width" scans lam in [lo, hi] at the given eps0.  A coarse
     grid pass brackets each interior extremum, then golden-section search
-    refines its location to refine_tol.  An empty result is not an error.
+    refines its location to refine_tol.  An empty result is not an error;
+    a coarse grid above MAX_GRID_POINTS is (see `uniform_grid`).
     """
     if variable == "energy":
         fixed = b.lam
@@ -133,7 +130,7 @@ def scan_peaks(
         fixed = eps0
 
         def prob(x: float) -> float:
-            return transmission(eps0, replace(b, lam=x)).prob
+            return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
 
     else:
         raise ValueError(f"unknown scan variable {variable!r}")
@@ -141,13 +138,12 @@ def scan_peaks(
     require_finite("hi", hi, lo, strict=True)
     require_finite("coarse_step", coarse_step, 0.0, strict=True)
 
-    n = int(math.floor((hi - lo) / coarse_step + 1e-9)) + 1
-    xs = [lo + i * coarse_step for i in range(n)]
+    xs = uniform_grid(lo, hi, coarse_step)
     ys = [prob(x) for x in xs]
 
     peaks: list[tuple[float, float]] = []
     valleys: list[tuple[float, float]] = []
-    for i in range(1, n - 1):
+    for i in range(1, len(xs) - 1):
         if ys[i - 1] < ys[i] >= ys[i + 1]:
             x = _golden_section(prob, xs[i - 1], xs[i + 1], refine_tol)
             peaks.append((x, prob(x)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, require_off_threshold, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, wave_params
 from .quaternion import I as QI, Quaternion, qconj, qmul
 
 #: max-norm residual above which one refinement pass is applied
@@ -100,11 +100,9 @@ def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
     """Solve the eight-equation continuity system.
 
     Raises:
-        DegenerateEnergyError: inside the degeneracy band (singular system).
-        ThresholdEnergyError: when alpha_minus ~ 0.
+        DegenerateEnergyError, ThresholdEnergyError: from `wave_params`.
     """
     p = wave_params(eps, b)
-    require_off_threshold(p)
     mat, rhs = _assemble(p, b.lam)
     x = np.linalg.solve(mat, rhs)
     resid = float(np.abs(mat @ x - rhs).max())

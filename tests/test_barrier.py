@@ -11,6 +11,7 @@ from qbarrier import (
     AdimensionalBarrier,
     BarrierSpec,
     DegenerateEnergyError,
+    ThresholdEnergyError,
     adimensionalize,
     asymptotic_moduli,
     complex_resonance_energies,
@@ -27,6 +28,7 @@ from qbarrier import (
     transmission_probability_complex,
     wave_params,
 )
+from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid
 from qbarrier.cli import SweepConfig
 from qbarrier.verify import run_all
 
@@ -60,6 +62,23 @@ class TestAdimensionalize:
         b, _ = adimensionalize(BarrierSpec(v1=0.3, v2=-1.2, v3=0.7, length=2.0,
                                            mass=0.5, hbar=2.0, energy=1.0))
         assert b.vc**2 + b.vq**2 == pytest.approx(1.0, abs=1e-14)
+
+    def test_huge_finite_data_do_not_overflow(self):
+        b, eps = adimensionalize(BarrierSpec(v1=1e200, v2=0.0, v3=0.0, length=1.0,
+                                             mass=1.0, hbar=1.0, energy=1.0))
+        assert (b.vc, b.vq) == (1.0, 0.0)
+        assert b.lam == pytest.approx(math.sqrt(2.0) * 1e100) and eps == pytest.approx(1e-100)
+        b, _ = adimensionalize(BarrierSpec(v1=0.0, v2=3e200, v3=4e200, length=1.0,
+                                           mass=1.0, hbar=1.0, energy=1.0))
+        assert b.vq == pytest.approx(1.0, abs=1e-15)
+        b, eps = adimensionalize(BarrierSpec(v1=1.0, v2=0.0, v3=0.0, length=1.0,
+                                             mass=1.0, hbar=1e200, energy=1.0))
+        assert b.lam == pytest.approx(math.sqrt(2.0) * 1e-200) and eps == 1.0
+
+    def test_non_finite_reduced_width_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            adimensionalize(BarrierSpec(v1=1.0, v2=0.0, v3=0.0, length=1e300,
+                                        mass=1e300, hbar=1.0, energy=1.0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -141,16 +160,34 @@ class TestWaveParams:
 
     def test_degenerate_band_rejected(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        with pytest.raises(DegenerateEnergyError):
+        with pytest.raises(DegenerateEnergyError, match="critical_quaternionic"):
             wave_params(1.0, b)
         # just outside the band is fine
         wave_params(1.0 + 1e-4, b)
+        # a mixed degenerate point has no exact replacement to name
+        with pytest.raises(DegenerateEnergyError) as exc:
+            wave_params(0.8 ** 0.5, AdimensionalBarrier(vc=0.6, vq=0.8))
+        assert "critical" not in str(exc.value)
+
+    def test_threshold_names_no_replacement_for_mixed_potential(self):
+        with pytest.raises(ThresholdEnergyError) as exc:
+            wave_params(1.0, AdimensionalBarrier(vc=0.8, vq=0.6))  # alpha_minus == 0 exactly
+        assert "critical" not in str(exc.value)
 
     def test_rejects_nonpositive_eps(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
         for eps in (0.0, *NON_FINITE):
             with pytest.raises(ValueError):
                 wave_params(eps, b)
+
+
+def wave_params_off_threshold(eps, b):
+    """wave_params, or None at the threshold, which must be eps = 1."""
+    try:
+        return wave_params(eps, b)
+    except ThresholdEnergyError:
+        assert abs(eps - 1.0) < 1e-12
+        return None
 
 
 @given(
@@ -163,8 +200,9 @@ def test_alpha_sum_and_product_identities(eps, vc, theta):
     vq = math.sqrt(max(0.0, 1.0 - vc * vc))
     if abs(eps**4 - vq**2) <= 1e-6:
         return
-    b = AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0)
-    p = wave_params(eps, b)
+    p = wave_params_off_threshold(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0))
+    if p is None:
+        return
     s2 = p.alpha_plus**2 + p.alpha_minus**2
     p2 = p.alpha_plus**2 * p.alpha_minus**2
     assert s2 == pytest.approx(2.0 * vc, abs=1e-11)
@@ -185,7 +223,9 @@ def test_theta_only_rotates_beta_gamma(eps, vc, theta1, theta2):
     vq = math.sqrt(max(0.0, 1.0 - vc * vc))
     if abs(eps**4 - vq**2) <= 1e-6:
         return
-    p1 = wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta1, lam=1.0))
+    p1 = wave_params_off_threshold(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta1, lam=1.0))
+    if p1 is None:
+        return
     p2 = wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta2, lam=1.0))
     assert p1.alpha_minus == p2.alpha_minus
     assert p1.alpha_plus == p2.alpha_plus
@@ -232,3 +272,27 @@ VALIDATED_INPUTS = {
 def test_non_finite_input_rejected(entry, value):
     with pytest.raises(ValueError):
         VALIDATED_INPUTS[entry](value)
+
+
+class TestUniformGrid:
+    def test_count_formula(self):
+        assert uniform_grid(1.0, 1.1, 0.05) == [1.0, 1.05, 1.1]
+        assert len(uniform_grid(3.14, 14.5, 0.003)) == int(math.floor((14.5 - 3.14) / 0.003 + 1e-9)) + 1
+        assert uniform_grid(2.0, 2.0, 0.1) == [2.0]
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (1.1, 1e300, 1e-300),  # infinite count
+        (1.1, 1e9, 1e-9),  # finite, ~1e18 points
+        (0.0, float(MAX_GRID_POINTS), 1.0),  # one point over the limit
+        (0.0, 1.0, math.nan),
+    ])
+    def test_oversized_grid_rejected_naming_its_inputs(self, start, stop, step):
+        with pytest.raises(ValueError, match="start=.*stop=.*step="):
+            uniform_grid(start, stop, step)
+
+    def test_scan_and_sweep_grids_are_bounded(self):
+        for stop, step in ((1e300, 1e-300), (1e9, 1e-9)):
+            with pytest.raises(ValueError, match="more than"):
+                scan_peaks(B, "energy", 1.1, stop, coarse_step=step)
+            with pytest.raises(ValueError, match="more than"):
+                SweepConfig("energy", 2.0, 1.1, stop, step, (B,)).grid()

@@ -241,6 +241,10 @@ class TestCritical:
         (["point", "--vc", "0", "--vq", "1", "--eps", "nan", "--lambda", "3"], "eps"),
         (["point", "--vc", "0", "--vq", "1", "--eps", "nan", "--lambda", "0"], "eps"),
         (["point", "--physical", "1", "0", "0", "nan", "1", "1", "2"], "length"),
+        (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1e300",
+          "--step", "1e-300", "--potentials", "1,0"], "step=1e-300"),
+        (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1e9",
+          "--step", "1e-9", "--potentials", "1,0"], "step=1e-09"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):
@@ -248,6 +252,61 @@ def test_invalid_input_exits_2_naming_it(args, named, capsys):
     assert code == 2
     assert err.startswith("error: ") and named in err
     assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["point", "--physical", "1e200", "0", "0", "1", "1", "1", "1"], 3),
+        (["point", "--physical", "1", "0", "0", "1", "1", "1e200", "1"], 3),
+        (["critical", "--case", "q", "--lambda", "1e100"], 0),
+    ],
+)
+def test_huge_finite_input_ends_finite_or_typed(args, code, capsys):
+    assert run(args, capsys)[0] == code  # an uncaught OverflowError would fail here
+    assert run(args + ["--format", "json"], capsys)[0] == code
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "args, case",
+    [
+        (["point", "--physical", "0", "1", "0", "1", "1", "1", "1"], "--case q"),
+        (["point", "--physical", "1", "0", "0", "1", "1", "1", "1"], "--case c"),
+        (["sweep", "--mode", "energy", "--fixed", "1", "--start", "0.9", "--stop", "1.1",
+          "--step", "0.1", "--potentials", "1,0"], "--case c"),
+        (["point", "--vc", "0.6", "--vq", "0.8", "--eps", "0.8944271909999159",
+          "--lambda", "2"], None),
+    ],
+)
+def test_singular_point_exits_3_naming_its_exact_case(args, case, capsys):
+    code, _, err = run(args, capsys)
+    assert code == 3
+    if case is None:
+        assert "critical" not in err
+    else:
+        assert case in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--samples", "5", "--out", "x.txt"],
+        ["verify", "--samples", "5", "--format", "json"],
+        ["point", "--vc", "1", "--vq", "0", "--eps", "2", "--lambda", "1", "--seed", "3"],
+        ["point", "--vc", "1", "--vq", "0", "--eps", "2", "--lambda", "1", "--format", "csv"],
+        ["critical", "--case", "c", "--lambda", "1", "--format", "csv"],
+        ["resonances", "--lambda", "3", "--potentials", "1,0", "--format", "csv"],
+        ["sweep", "--mode", "energy", "--fixed", "1", "--start", "2", "--stop", "2",
+         "--step", "1", "--format", "text"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
 
 
 def test_verify_small_run_exits_zero(capsys):

@@ -9,6 +9,7 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     ThresholdEnergyError,
+    critical_complex,
     denominator,
     solve,
     transfer_closed,
@@ -84,6 +85,9 @@ def test_threshold_rejected_for_complex_barrier():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
     with pytest.raises(ThresholdEnergyError):
         transmission(1.0, b)
+    # the rule lives in wave_params, so no consumer of WaveParams can miss it
+    with pytest.raises(ThresholdEnergyError, match="critical_complex"):
+        wave_params(1.0, AdimensionalBarrier(1.0, 0.0))
 
 
 def test_threshold_neighbourhood_is_still_continuous():
@@ -120,6 +124,16 @@ class TestComplexBarrierFormula:
             transmission_complex(1.0, 2.0)
         with pytest.raises(ThresholdEnergyError):
             transmission_probability_complex(1.0, 2.0)
+
+    def test_threshold_neighbourhood_matches_critical(self):
+        # one |alpha_minus| rule: only eps = 1 itself is singular
+        exact = critical_complex(2.0).t
+        b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
+        for eps in (1.0 - 1e-13, 1.0 + 1e-13):
+            special = transmission_complex(eps, 2.0)
+            assert abs(special.t - transmission(eps, b).t) < 1e-10
+            assert abs(special.t - exact) < 1e-10
+            assert transmission_probability_complex(eps, 2.0) == pytest.approx(abs(exact) ** 2, abs=1e-10)
 
     def test_agrees_with_general_formula(self):
         for eps, b in random_points(seed=78, n=100):

@@ -48,11 +48,6 @@ class TestClosedForms:
             assert d_lam == pytest.approx(PI, abs=1e-12)
             assert d_tilde == pytest.approx(PI / 2.0, abs=1e-12)
 
-    def test_fundamental_width_on_request(self):
-        rows = complex_resonance_widths(SQRT2, 2, include_fundamental=True)
-        assert rows[0][0] == pytest.approx(PI, abs=1e-12)
-        assert rows[1][0] == pytest.approx(2.0 * PI, abs=1e-12)
-
     def test_width_spacing_diverges_at_threshold(self):
         rows = complex_resonance_widths(1.0 + 1e-6, 1)
         assert rows[0][0] > 1e3
