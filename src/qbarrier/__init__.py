@@ -28,6 +28,7 @@ from .closed_form import (
     denominator,
     transmission,
     transmission_complex,
+    transmission_grid,
     transmission_probability_complex,
 )
 from .critical import (
@@ -106,6 +107,7 @@ __all__ = [
     "transfer_numeric",
     "transmission",
     "transmission_complex",
+    "transmission_grid",
     "transmission_probability_complex",
     "wave_params",
     "wavefunction",

@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateEnergyError, ThresholdEnergyError
 
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
@@ -117,7 +119,7 @@ class AdimensionalBarrier:
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Derived complex quantities for one (eps, barrier) pair."""
+    """Derived complex quantities for one (eps, barrier) pair, or ndarrays over an eps grid."""
 
     eps: float
     alpha_minus: complex
@@ -142,43 +144,62 @@ def adimensionalize(spec: BarrierSpec) -> tuple[AdimensionalBarrier, float]:
     return barrier, math.sqrt(spec.energy / v0)
 
 
-def wave_params(eps: float, b: AdimensionalBarrier) -> WaveParams:
+def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     """Wave numbers alpha_pm and mixing coefficients beta, gamma.
 
-    The one singular-point rule: no route can build the basis without it.
+    eps is a float or a float ndarray; one body serves both, with square
+    roots from cmath for a float and from numpy for an array.  The one
+    singular-point rule: no route can build the basis without it.  A float
+    eps that breaks it raises; an array holds NaN in alpha_minus at each
+    element that would raise, for the caller to replay as a float (see
+    `closed_form.transmission_grid`).
 
-    Raises:
+    Raises (float eps):
+        ValueError: unless eps is finite and > 0.
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
         ThresholdEnergyError: from `checked_alpha_minus`.
     """
-    require_finite("eps", eps, 0.0, strict=True)
-    disc = eps**4 - b.vq**2
-    if abs(disc) <= DEGENERACY_TOL:
+    xp = np if isinstance(eps, np.ndarray) else cmath
+    # numpy's ** differs from libm pow in the last bit, which eps**4 - vq**2
+    # amplifies near the degeneracy band; float_power is libm pow
+    power = np.float_power if xp is np else pow
+    if xp is cmath:
+        require_finite("eps", eps, 0.0, strict=True)
+    disc = power(eps, 4) - b.vq**2
+    if xp is cmath and abs(disc) <= DEGENERACY_TOL:
         exact = _EXACT.format("critical_quaternionic", "q") if (b.vc, b.vq) == (0.0, 1.0) else ""
         raise DegenerateEnergyError(
             f"eps**4 - vq**2 = {disc:.3e} is inside the degeneracy band "
             f"(eps={eps!r}, vq={b.vq!r}): the exponential basis collapses{exact}"
         )
-    root = cmath.sqrt(complex(disc, 0.0))
-    denom = eps**2 + root
+    root = xp.sqrt(disc + 0j)
+    if xp is np:
+        root = np.where(np.isfinite(eps) & (eps > 0.0) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
+    denom = power(eps, 2) + root
     return WaveParams(
         eps=eps,
         alpha_minus=checked_alpha_minus(eps, b.vc, b.vq, root),
-        alpha_plus=cmath.sqrt(complex(b.vc, 0.0) + root),
+        alpha_plus=xp.sqrt(b.vc + root),
         beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
         gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
     )
 
 
-def checked_alpha_minus(eps: float, vc: float, vq: float, root: complex) -> complex:
+def checked_alpha_minus(eps, vc: float, vq: float, root):
     """alpha_minus = sqrt(vc - root), with root = sqrt(eps**4 - vq**2).
 
-    Raises:
+    Takes floats or ndarrays as `wave_params` does: an array holds NaN where
+    a float would raise.
+
+    Raises (float root):
         ThresholdEnergyError: if |alpha_minus| <= ALPHA_MINUS_TOL (eps at the
             threshold), where every route through the exponential basis fails.
     """
-    am = cmath.sqrt(complex(vc, 0.0) - root)
+    xp = np if isinstance(root, np.ndarray) else cmath
+    am = xp.sqrt(vc - root)
+    if xp is np:
+        return np.where(abs(am) <= ALPHA_MINUS_TOL, np.nan, am)
     if abs(am) <= ALPHA_MINUS_TOL:
         exact = _EXACT.format("critical_complex", "c") if vq == 0.0 else ""
         raise ThresholdEnergyError(

@@ -23,9 +23,11 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__
 from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
-from .closed_form import TransmissionResult, transmission
+from .closed_form import TransmissionResult, transmission, transmission_grid
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, ThresholdEnergyError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
@@ -191,18 +193,21 @@ class SweepConfig:
 
 
 def run_sweep(config: SweepConfig) -> list[tuple]:
-    """Evaluate |T|^2 rows over the grid; potential-major, grid-ascending order."""
+    """Evaluate |T|^2 rows over the grid; potential-major, grid-ascending order.
+
+    One `transmission_grid` call per potential.
+    """
     rows = []
     grid = config.grid()
+    axis = np.asarray(grid)
     for b in config.potentials:
         if config.mode == "energy":
-            b = replace(b, lam=config.fixed)
-            results = [transmission(v, b) for v in grid]
+            t = transmission_grid(axis, config.fixed, b)
         else:
-            results = [transmission(config.fixed, AdimensionalBarrier(b.vc, b.vq, b.theta, v))
-                       for v in grid]
-        rows.extend((v, b.vc, b.vq, r.prob, r.t.real, r.t.imag, r.phase)
-                    for v, r in zip(grid, results))
+            t = transmission_grid(config.fixed, axis, b)
+        n = len(grid)
+        rows.extend(zip(grid, [b.vc] * n, [b.vq] * n, (np.abs(t) ** 2).tolist(),
+                        t.real.tolist(), t.imag.tolist(), np.angle(t).tolist()))
     return rows
 
 

@@ -67,7 +67,7 @@ def denominator(m: np.ndarray, eps: float, alpha_minus: complex) -> complex:
     return complex(lead - upper * lower_num / lower_den)
 
 
-def denominator_factored(p: WaveParams, lam: float) -> complex:
+def denominator_factored(p: WaveParams, lam):
     """D in a regrouped form that is stable against the growing interior mode.
 
     Expanding the element combination of `denominator` and cancelling the
@@ -88,13 +88,20 @@ def denominator_factored(p: WaveParams, lam: float) -> complex:
     to an O(exp(ap*L)) result, losing |beta*gamma|*exp(ap*L)*ulp of
     absolute accuracy; here every surviving product mixes the two modes,
     so the evaluation stays at machine precision for any width.
+
+    Like `wave_params`, one body serves floats (cmath) and ndarrays
+    (numpy, broadcast against lam); an array is returned unchecked.
+
+    Raises (floats):
+        SingularDenominatorError: if the numerator of D vanishes.
     """
     eps = p.eps
     am, ap = p.alpha_minus, p.alpha_plus
+    xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
     u = p.beta * p.gamma
     e2 = eps * eps
-    cm, sm = cmath.cosh(am * lam), cmath.sinh(am * lam)
-    cp, sp = cmath.cosh(ap * lam), cmath.sinh(ap * lam)
+    cm, sm = xp.cosh(am * lam), xp.sinh(am * lam)
+    cp, sp = xp.cosh(ap * lam), xp.sinh(ap * lam)
     dm = 2.0 * cm + 1j * (am * am - e2) / (eps * am) * sm
     dp = 2.0 * cp + 1j * (ap * ap - e2) / (eps * ap) * sp
     em = 2.0 * cm + (e2 + am * am) / (eps * am) * sm
@@ -103,11 +110,19 @@ def denominator_factored(p: WaveParams, lam: float) -> complex:
     pp = (1.0 + 1j) * cp + (e2 + 1j * ap * ap) / (eps * ap) * sp
     num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
     den = (1.0 - u) * (ep - u * em)
+    if xp is np:
+        return num / den
     if abs(num) == 0.0:
         raise SingularDenominatorError(
             f"factored denominator vanished at eps={eps!r}, lam={lam!r}"
         )
     return complex(num / den)
+
+
+def _amplitude(eps, lam, b: AdimensionalBarrier):
+    """T = 2*exp(-i*eps*lam)/D, for floats or for broadcast ndarrays eps and lam."""
+    xp = np if isinstance(eps, np.ndarray) else cmath
+    return 2.0 * xp.exp(-1j * eps * lam) / denominator_factored(wave_params(eps, b), lam)
 
 
 def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
@@ -120,9 +135,28 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
     Raises:
         DegenerateEnergyError, ThresholdEnergyError: from `wave_params`.
     """
-    p = wave_params(eps, b)
-    d = denominator_factored(p, b.lam)
-    return TransmissionResult.from_amplitude(2.0 * cmath.exp(-1j * eps * b.lam) / d)
+    return TransmissionResult.from_amplitude(_amplitude(eps, b.lam, b))
+
+
+def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
+    """Complex T over a grid: eps and lam broadcast together, vc, vq, theta from b.
+
+    One numpy evaluation of the body that `transmission` runs with cmath;
+    the two agree to ~1e-15 (numpy's and cmath's complex functions differ
+    in the last bits).  b's own width is ignored.  Errors are the scalar ones:
+    every element whose T comes out non-finite, or whose lam is not finite
+    and >= 0, is replayed through `transmission` in C order, so the first
+    element on which `transmission` raises makes the grid raise the same
+    error, and an element that replays without raising takes its value.
+    """
+    eps, lam = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(lam, dtype=float))
+    with np.errstate(all="ignore"):
+        t = np.asarray(_amplitude(eps, lam, b))
+        replay = np.flatnonzero(~(np.isfinite(t) & (lam >= 0.0)))
+    for i in replay:
+        x, width = float(eps.flat[i]), float(lam.flat[i])
+        t.flat[i] = transmission(x, AdimensionalBarrier(b.vc, b.vq, b.theta, width)).t
+    return t
 
 
 def transmission_complex(eps: float, lam: float) -> TransmissionResult:

@@ -5,7 +5,8 @@ exactly when sqrt(eps**2 - 1)*lam = n*pi, which gives closed expressions
 for the resonance energies at fixed width and resonance widths at fixed
 energy, together with their spacings and the interleaved minima.  For
 quaternionic barriers the peaks shift and flatten; they are located
-numerically by a coarse grid pass followed by golden-section refinement.
+numerically by one array evaluation over a coarse grid followed by
+scalar golden-section refinement.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .barrier import AdimensionalBarrier, require_finite, uniform_grid
-from .closed_form import transmission
+from .closed_form import transmission, transmission_grid
 
 #: golden-section shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -113,8 +116,9 @@ def scan_peaks(
     """Locate local maxima and minima of |T|**2 along one variable.
 
     variable "energy" scans eps in [lo, hi] at the barrier's own width;
-    variable "width" scans lam in [lo, hi] at the given eps0.  A coarse
-    grid pass brackets each interior extremum, then golden-section search
+    variable "width" scans lam in [lo, hi] at the given eps0.  One
+    `transmission_grid` call over a coarse grid brackets each interior
+    extremum, then golden-section search over scalar `transmission` calls
     refines its location to refine_tol.  An empty result is not an error;
     a coarse grid above MAX_GRID_POINTS is (see `uniform_grid`).
     """
@@ -139,15 +143,21 @@ def scan_peaks(
     require_finite("coarse_step", coarse_step, 0.0, strict=True)
 
     xs = uniform_grid(lo, hi, coarse_step)
-    ys = [prob(x) for x in xs]
+    grid = np.asarray(xs)
+    t = transmission_grid(grid, b.lam, b) if variable == "energy" else transmission_grid(eps0, grid, b)
+    ys = np.abs(t) ** 2
+    left, mid, right = ys[:-2], ys[1:-1], ys[2:]
+    is_peak = (left < mid) & (mid >= right)
+    is_valley = (left > mid) & (mid <= right)
 
     peaks: list[tuple[float, float]] = []
     valleys: list[tuple[float, float]] = []
-    for i in range(1, len(xs) - 1):
-        if ys[i - 1] < ys[i] >= ys[i + 1]:
-            x = _golden_section(prob, xs[i - 1], xs[i + 1], refine_tol)
+    for i in np.flatnonzero(is_peak | is_valley).tolist():
+        a, c = xs[i], xs[i + 2]
+        if is_peak[i]:
+            x = _golden_section(prob, a, c, refine_tol)
             peaks.append((x, prob(x)))
-        elif ys[i - 1] > ys[i] <= ys[i + 1]:
-            x = _golden_section(lambda u: -prob(u), xs[i - 1], xs[i + 1], refine_tol)
+        else:
+            x = _golden_section(lambda u: -prob(u), a, c, refine_tol)
             valleys.append((x, prob(x)))
     return ResonanceScan(variable=variable, fixed=fixed, peaks=peaks, valleys=valleys)

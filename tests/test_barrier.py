@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,22 @@ class TestWaveParams:
         for eps in (0.0, *NON_FINITE):
             with pytest.raises(ValueError):
                 wave_params(eps, b)
+
+    @pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.8, 0.6), (0.0, 1.0)])
+    def test_array_holds_nan_exactly_where_a_float_raises(self, vc, vq):
+        b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.7)
+        eps = np.array([0.3, 1.0, 1.0 + 1e-12, 1.7, 0.0, -0.5, math.nan, math.inf])
+        with np.errstate(all="ignore"):
+            grid = wave_params(eps, b)
+        fields = ("alpha_minus", "alpha_plus", "beta", "gamma")
+        for i, x in enumerate(eps.tolist()):
+            try:
+                p = wave_params(x, b)
+            except (ValueError, DegenerateEnergyError, ThresholdEnergyError):
+                assert cmath.isnan(grid.alpha_minus[i]), x
+            else:
+                for f in fields:
+                    assert abs(getattr(grid, f)[i] - getattr(p, f)) <= 1e-15 * max(1.0, abs(getattr(p, f)))
 
 
 def wave_params_off_threshold(eps, b):

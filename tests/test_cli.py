@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -252,6 +253,16 @@ def test_invalid_input_exits_2_naming_it(args, named, capsys):
     assert code == 2
     assert err.startswith("error: ") and named in err
     assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+def test_negative_width_grid_exits_2_naming_lam(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["sweep", "--mode", "width", "--fixed", "1.2", "--start", "-1",
+                              "--stop", "1", "--step", "0.5", "--potentials", "0,1"], capsys)
+    assert code == 2
+    assert err == "error: lam must be finite and >= 0.0, got -1.0\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize(

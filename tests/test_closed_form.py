@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
+    DegenerateEnergyError,
     ThresholdEnergyError,
     critical_complex,
     denominator,
@@ -18,9 +20,9 @@ from qbarrier import (
     transmission_probability_complex,
     wave_params,
 )
-from qbarrier.closed_form import denominator_factored
+from qbarrier.closed_form import denominator_factored, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
-from tests.conftest import random_points
+from tests.conftest import FIVE_POTENTIALS, random_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,3 +166,91 @@ def test_closed_form_agrees_with_solver_everywhere():
     for eps, b in random_points(seed=81, n=150):
         worst = max(worst, abs(transmission(eps, b).t - solve(eps, b).t))
     assert worst < 1e-9
+
+
+# ---------------------------------------------------------------- grids
+
+
+@pytest.fixture
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def scalar_t(eps: float, lam: float, b: AdimensionalBarrier) -> complex:
+    return transmission(eps, AdimensionalBarrier(b.vc, b.vq, b.theta, lam)).t
+
+
+def grid_points(eps, lam):
+    """The (eps, lam) floats of a broadcast grid, in C order."""
+    return zip(*(a.ravel().tolist() for a in np.broadcast_arrays(eps, lam)))
+
+
+@pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS)
+def test_grid_matches_scalar_in_both_broadcast_directions(vc, vq):
+    rng = np.random.default_rng(606)
+    b = AdimensionalBarrier(vc, vq, theta=rng.uniform(0.1, 2.0 * math.pi))
+    eps = rng.uniform(0.2, 3.0, 300)
+    eps = eps[np.abs(eps**4 - vq**2) >= 1e-6]
+    lam = rng.uniform(0.0, 20.0, 300)
+    for grid_eps, grid_lam in [(eps, x) for x in lam[:4]] + [(x, lam) for x in eps[:4]]:
+        t = transmission_grid(grid_eps, grid_lam, b)
+        for got, (e, w) in zip(t.tolist(), grid_points(grid_eps, grid_lam)):
+            want = scalar_t(e, w, b)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_empty_grid_gives_empty_array():
+    b = AdimensionalBarrier(0.0, 1.0, 0.3)
+    for eps, lam in [(np.array([]), 2.0), (1.2, np.array([]))]:
+        t = transmission_grid(eps, lam, b)
+        assert t.shape == (0,) and t.dtype == complex
+
+
+QUATERNIONIC = AdimensionalBarrier(0.0, 1.0, 0.4)
+
+
+@pytest.mark.parametrize(
+    "eps, lam, b, kind, message",
+    [
+        ([1.2, math.nan], 2.0, QUATERNIONIC, ValueError, "eps must be finite and > 0.0, got nan"),
+        ([1.2, math.inf], 2.0, QUATERNIONIC, ValueError, "eps must be finite and > 0.0, got inf"),
+        ([1.2, -1.0, 0.0], 2.0, QUATERNIONIC, ValueError, "got -1.0"),
+        ([1.2, 0.0, -1.0], 2.0, QUATERNIONIC, ValueError, "got 0.0"),
+        ([1.2, 1.0 + 1e-12], 2.0, QUATERNIONIC, DegenerateEnergyError, "critical_quaternionic"),
+        ([1.2, 1.0], 2.0, AdimensionalBarrier(1.0, 0.0), ThresholdEnergyError, "critical_complex"),
+        ([1.2, 1.0], 2.0, AdimensionalBarrier(0.8, 0.6), ThresholdEnergyError, "threshold"),
+        (1.2, [1.0, 800.0], QUATERNIONIC, OverflowError, "math range error"),
+        ([0.5, 1.2], 800.0, QUATERNIONIC, OverflowError, "math range error"),
+        (1.2, [1.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got -1.0"),
+        (1.2, [1.0, math.nan], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got nan"),
+        (1.2, [1.0, math.inf], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got inf"),
+        # C order decides between a bad width and a singular energy
+        ([[1.2], [1.0]], [2.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite"),
+        ([[1.0], [1.2]], [2.0, -1.0], QUATERNIONIC, DegenerateEnergyError, "degeneracy band"),
+    ],
+)
+def test_grid_raises_what_the_scalar_path_raises_first(eps, lam, b, kind, message,
+                                                       warnings_are_errors):
+    eps, lam = np.asarray(eps, dtype=float), np.asarray(lam, dtype=float)
+    first = None
+    for e, w in grid_points(eps, lam):
+        try:
+            scalar_t(e, w, b)
+        except Exception as exc:  # noqa: BLE001 - the scalar outcome is the reference
+            first = exc
+            break
+    assert type(first) is kind and message in str(first)
+    with pytest.raises(kind) as caught:
+        transmission_grid(eps, lam, b)
+    assert type(caught.value) is kind and str(caught.value) == str(first)
+
+
+def test_grid_keeps_the_scalar_value_where_it_is_not_finite(warnings_are_errors):
+    # at eps = 0.5, lam = 800 the scalar route returns NaN without raising
+    lam = np.array([1.0, 800.0])
+    t = transmission_grid(0.5, lam, QUATERNIONIC)
+    want = [scalar_t(0.5, w, QUATERNIONIC) for w in lam.tolist()]
+    assert cmath.isnan(want[1]) and cmath.isnan(t[1])
+    assert abs(t[0] - want[0]) <= 1e-14

@@ -1,0 +1,54 @@
+"""Byte identity of the README commands: the sha256 of what each one writes.
+
+A change that moves any printed digit fails here.  Where a change moves
+digits on purpose, CHANGES.md lists the old and the new hash and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from qbarrier.cli import main
+
+README_COMMANDS = [
+    pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3"],
+                 "fed07ca4ab73057aa793666652f60520f873a50b25d797512c3c030301ea4206", id="point"),
+    pytest.param(["point", "--physical", "1", "0", "0", "9.42477796", "1", "1", "2"],
+                 "2504d016c154d0aead17ee1e1d3e7878d4fb8944b5b6fc7ce3a24ab9a2be6369", id="point-physical"),
+    pytest.param(["sweep", "--mode", "energy", "--fixed-pi", "3", "--start", "1.001", "--stop", "1.5",
+                  "--step", "0.001"],
+                 "cc049b2ec88ef5dcf4cebf8362975a5965a4eca9341ffbba0b7f30747ef3b1ec", id="sweep-energy"),
+    pytest.param(["resonances", "--lambda-pi", "3", "--potentials", "table"],
+                 "2dbfd7befb8f84eb7951e19aac00c4adf068521ae9cc81b01c774443490ce154", id="resonances-energy"),
+    pytest.param(["resonances", "--eps0", "1.41421356", "--potentials", "table"],
+                 "e01ff48c1289968f93c45725a476ed88f07eb9cbc6114bb1e8a76492b8c7328d", id="resonances-width"),
+    pytest.param(["critical", "--case", "q", "--lambda", "2", "--theta", "0.4"],
+                 "57b766f323341f818301f3e2d41038f0f6149f2df5b1b90615b8905cbdd5a794", id="critical-q"),
+    pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
+                 "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
+    pytest.param(["verify", "--seed", "42", "--samples", "500"],
+                 "cd953c05dc32823c42d31a1004bdd6e6be9b6b42d03b42638ce998105f5242b7", id="verify"),
+]
+
+#: the README width sweep writes its JSON to a file and nothing to stdout
+WIDTH_SWEEP = ["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14",
+               "--stop", "14.5", "--step", "0.003", "--potentials", "1,0;0,1", "--format", "json"]
+WIDTHS_JSON = "77f9b7e3e8ec6c916c2925613890aa53cf54a7542a2c0c7701a42f0c83f0cb10"
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", README_COMMANDS)
+def test_readme_command_stdout_is_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_readme_width_sweep_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "widths.json"
+    assert main(WIDTH_SWEEP + ["--out", str(out)]) == 0
+    assert sha256(capsys.readouterr().out) == EMPTY
+    assert sha256(out.read_text(encoding="utf-8")) == WIDTHS_JSON

@@ -10,8 +10,11 @@ from qbarrier import (
     complex_resonance_widths,
     min_transmission,
     scan_peaks,
+    transmission,
     transmission_complex,
 )
+from qbarrier.barrier import uniform_grid
+from qbarrier.resonance import _golden_section
 from tests.conftest import FIVE_POTENTIALS
 
 SQRT2 = math.sqrt(2.0)
@@ -175,3 +178,40 @@ def test_peak_monotonicity_across_unit_circle():
     for prev, cur in zip(table, table[1:]):
         assert all(c < p for p, c in zip(prev, cur))
         assert (cur[1] - cur[0]) < (prev[1] - prev[0])
+
+
+def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3, refine_tol=1e-6):
+    """(peaks, valleys) by the scan's former coarse pass: one scalar transmission per grid point."""
+    if variable == "energy":
+        def prob(x):
+            return transmission(x, b).prob
+    else:
+        def prob(x):
+            return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
+    xs = uniform_grid(lo, hi, coarse_step)
+    ys = [prob(x) for x in xs]
+    peaks, valleys = [], []
+    for i in range(1, len(xs) - 1):
+        if ys[i - 1] < ys[i] >= ys[i + 1]:
+            x = _golden_section(prob, xs[i - 1], xs[i + 1], refine_tol)
+            peaks.append((x, prob(x)))
+        elif ys[i - 1] > ys[i] <= ys[i + 1]:
+            x = _golden_section(lambda u: -prob(u), xs[i - 1], xs[i + 1], refine_tol)
+            valleys.append((x, prob(x)))
+    return peaks, valleys
+
+
+@pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS)
+def test_grid_scan_is_bit_identical_to_per_point_scan(vc, vq):
+    # the table scans of `qbarrier resonances`: energy at lam = 3*pi, width at eps0 = sqrt2
+    lam0, n = 3.0 * PI, 3
+    eps1 = complex_resonance_energies(lam0, n)[0][0]
+    energy = (AdimensionalBarrier(vc, vq, 0.0, lam0), "energy",
+              1.0 + min(1e-3, (eps1 - 1.0) / 10.0), math.sqrt(1.0 + ((n + 0.5) * PI / lam0) ** 2),
+              None, min(1e-3, (eps1 - 1.0) / 20.0))
+    spacing = complex_resonance_widths(SQRT2, n)[0][1]
+    width = (AdimensionalBarrier(vc, vq), "width", spacing, (n + 1.6) * spacing, SQRT2, 1e-3)
+    for b, variable, lo, hi, eps0, step in (energy, width):
+        scan = scan_peaks(b, variable, lo, hi, eps0=eps0, coarse_step=step)
+        assert scan.peaks and scan.valleys
+        assert (scan.peaks, scan.valleys) == per_point_scan(b, variable, lo, hi, eps0, step)
