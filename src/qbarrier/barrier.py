@@ -30,8 +30,8 @@ from .errors import DegenerateEnergyError, ThresholdEnergyError
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
 DEGENERACY_TOL = 1e-10
 
-#: below this |alpha_minus| the exponential basis is singular (eps at threshold)
-ALPHA_MINUS_TOL = 1e-10
+#: below this |alpha_minus| or |alpha_plus| the exponential basis is singular (eps at threshold)
+ALPHA_TOL = 1e-10
 
 #: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
 UNIT_CIRCLE_TOL = 1e-12
@@ -150,15 +150,15 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     eps is a float or a float ndarray; one body serves both, with square
     roots from cmath for a float and from numpy for an array.  The one
     singular-point rule: no route can build the basis without it.  A float
-    eps that breaks it raises; an array holds NaN in alpha_minus at each
-    element that would raise, for the caller to replay as a float (see
-    `closed_form.transmission_grid`).
+    eps that breaks it raises; an array holds NaN in alpha_minus and
+    alpha_plus at each element that would raise, for the caller to replay
+    as a float (see `closed_form.transmission_grid`).
 
     Raises (float eps):
         ValueError: unless eps is finite and > 0.
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
-        ThresholdEnergyError: from `checked_alpha_minus`.
+        ThresholdEnergyError: from `checked_wave_numbers`.
     """
     xp = np if isinstance(eps, np.ndarray) else cmath
     # numpy's ** differs from libm pow in the last bit, which eps**4 - vq**2
@@ -177,33 +177,39 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     if xp is np:
         root = np.where(np.isfinite(eps) & (eps > 0.0) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
     denom = power(eps, 2) + root
+    am, ap = checked_wave_numbers(eps, b.vc, b.vq, root)
     return WaveParams(
         eps=eps,
-        alpha_minus=checked_alpha_minus(eps, b.vc, b.vq, root),
-        alpha_plus=xp.sqrt(b.vc + root),
+        alpha_minus=am,
+        alpha_plus=ap,
         beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
         gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
     )
 
 
-def checked_alpha_minus(eps, vc: float, vq: float, root):
-    """alpha_minus = sqrt(vc - root), with root = sqrt(eps**4 - vq**2).
+def checked_wave_numbers(eps, vc: float, vq: float, root):
+    """(alpha_minus, alpha_plus) = sqrt(vc -/+ root), with root = sqrt(eps**4 - vq**2).
 
-    Takes floats or ndarrays as `wave_params` does: an array holds NaN where
-    a float would raise.
+    At eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a well (vc < 0)
+    alpha_plus = 0.  Takes floats or ndarrays as `wave_params` does: an
+    array holds NaN in both where a float would raise.
 
     Raises (float root):
-        ThresholdEnergyError: if |alpha_minus| <= ALPHA_MINUS_TOL (eps at the
-            threshold), where every route through the exponential basis fails.
+        ThresholdEnergyError: if |alpha_minus| or |alpha_plus| <= ALPHA_TOL
+            (eps at the threshold), where every route through the
+            exponential basis fails; it names the vanishing wave number.
     """
     xp = np if isinstance(root, np.ndarray) else cmath
-    am = xp.sqrt(vc - root)
+    am, ap = xp.sqrt(vc - root), xp.sqrt(vc + root)
     if xp is np:
-        return np.where(abs(am) <= ALPHA_MINUS_TOL, np.nan, am)
-    if abs(am) <= ALPHA_MINUS_TOL:
-        exact = _EXACT.format("critical_complex", "c") if vq == 0.0 else ""
+        off = (abs(am) > ALPHA_TOL) & (abs(ap) > ALPHA_TOL)
+        return np.where(off, am, np.nan), np.where(off, ap, np.nan)
+    if min(abs(am), abs(ap)) <= ALPHA_TOL:
+        name, alpha = ("alpha_minus", am) if abs(am) <= ALPHA_TOL else ("alpha_plus", ap)
+        # critical_complex is the vc = +1 barrier; a well (vc = -1) has no exact case
+        exact = _EXACT.format("critical_complex", "c") if vq == 0.0 and vc > 0.0 else ""
         raise ThresholdEnergyError(
-            f"alpha_minus = {am!r} at eps={eps!r}: "
+            f"{name} = {alpha!r} at eps={eps!r}: "
             f"exponential basis singular at the diffusion/tunneling threshold{exact}"
         )
-    return am
+    return am, ap

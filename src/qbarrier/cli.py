@@ -315,7 +315,7 @@ def cmd_critical(args) -> int:
         "re_t": amps.t.real, "im_t": amps.t.imag, "abs_t": abs(amps.t),
         "balance": 1.0 - abs(amps.r) ** 2 - abs(amps.t) ** 2,
     }
-    if amps.rt is not None and amps.tt is not None:
+    if amps.tt is not None:
         report.update({"re_rt": amps.rt.real, "im_rt": amps.rt.imag,
                        "re_tt": amps.tt.real, "im_tt": amps.tt.imag})
     if args.series:

@@ -27,7 +27,7 @@ import numpy as np
 from .barrier import (
     AdimensionalBarrier,
     WaveParams,
-    checked_alpha_minus,
+    checked_wave_numbers,
     require_finite,
     wave_params,
 )
@@ -175,7 +175,7 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
     """
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    a = checked_alpha_minus(eps, 1.0, 0.0, complex(eps * eps, 0.0))
+    a = checked_wave_numbers(eps, 1.0, 0.0, complex(eps * eps, 0.0))[0]
     den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps * a) * cmath.sinh(a * lam)
     return TransmissionResult.from_amplitude(cmath.exp(-1j * eps * lam) / den)
 
@@ -184,7 +184,7 @@ def transmission_probability_complex(eps: float, lam: float) -> float:
     """|T|**2 for the complex barrier in two textbook real forms; raises as transmission_complex."""
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    checked_alpha_minus(eps, 1.0, 0.0, complex(eps * eps, 0.0))
+    checked_wave_numbers(eps, 1.0, 0.0, complex(eps * eps, 0.0))
     if eps > 1.0:
         k = math.sqrt(eps * eps - 1.0)
         return 1.0 / (1.0 + math.sin(k * lam) ** 2 / (4.0 * eps * eps * (eps * eps - 1.0)))

@@ -17,9 +17,15 @@ Both satisfy |R|**2 + |T|**2 = 1 identically.  den(lam) has no real root
 for lam >= 0 (its modulus stays above 24 on [0, 100] and grows like
 lam**4 beyond), so the rational forms are globally safe.
 
-The evanescent amplitudes rt, tt are not part of the rational forms; they
-are recovered by re-imposing continuity on the interior solution, with a
-consistency residual as the guard.
+Continuity of the interior cubic with the free zones makes the rest of
+the pure quaternionic solution rational over the same den(lam), with
+phase = -i*exp(-i*theta):
+    a  = (-4i - (2 + 4i)*lam - (1 + i)*lam**2) / den(lam)
+    b  = (-12 + (-6 + 12i)*lam + (3 + 9i)*lam**2 + (2 + 2i)*lam**3) / den(lam)
+    c  = i*(1 - R),   d = 1 + R
+    Rt = phase*lam*(12 + (6 - 6i)*lam - 4i*lam**2 - (1 + i)*lam**3) / den(lam)
+    Tt = phase*exp(lam)*lam*(12 + (6 - 6i)*lam - 2i*lam**2) / den(lam).
+At lam = 0 they give a = -i/6, b = -1/2, c = i, d = 1 and Rt = Tt = 0.
 """
 
 from __future__ import annotations
@@ -33,8 +39,14 @@ from .barrier import require_finite
 from .errors import QBarrierError
 from .quaternion import Quaternion
 
-#: relative consistency tolerance for the recovered evanescent amplitudes
-_RECOVERY_TOL = 1e-8
+#: numerators over den(lam) of the pure quaternionic case, ascending powers of lam
+_DEN = (24, 24 - 24j, -18j, -4 - 4j, -1)
+_R = (0, 0, -6j, -4j, -1j)  # r
+_T = (24, 24, 12, 2)  # t*exp(i*lam)
+_A = (-4j, -2 - 4j, -1 - 1j)  # cubic coefficient a
+_B = (-12, -6 + 12j, 3 + 9j, 2 + 2j)  # cubic coefficient b
+_RT = (0, 12, 6 - 6j, -4j, -1 - 1j)  # rt/phase, phase = -i*exp(-i*theta)
+_TT = (0, 12, 6 - 6j, -2j)  # tt/(phase*exp(lam))
 
 
 @dataclass(frozen=True)
@@ -60,15 +72,15 @@ class CriticalZone2:
 class CriticalAmplitudes:
     """Threshold amplitudes; the complex case has rt = tt = 0 exactly.
 
-    rt and tt are None when exp(lam) overflows the recovery (lam > ~700);
-    r and t stay exact at any width.
+    tt is None where exp(lam) overflows (lam > ~709.78); r, t and rt stay
+    finite at any width.
     """
 
     case: str
     lam: float
     r: complex
     t: complex
-    rt: complex | None
+    rt: complex
     tt: complex | None
     zone2: CriticalZone2
 
@@ -83,76 +95,48 @@ def critical_complex(lam: float) -> CriticalAmplitudes:
     return CriticalAmplitudes(case="complex", lam=lam, r=r, t=t, rt=0j, tt=0j, zone2=zone2)
 
 
+def _over_lam4(coeffs: tuple, lam: float) -> complex:
+    """p(lam) for lam <= 1 and p(lam)/lam**4 above, p given in ascending powers (degree <= 4).
+
+    Horner's rule in lam or in 1/lam, so no power of lam can overflow.
+    """
+    if lam <= 1.0:
+        x, seq = lam, coeffs[::-1]
+    else:
+        x, seq = 1.0 / lam, coeffs + (0,) * (5 - len(coeffs))
+    acc = 0j
+    for c in seq:
+        acc = acc * x + c
+    return acc
+
+
 def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     """Threshold amplitudes for the pure quaternionic barrier (vq=1).
 
-    r and t come from the exact rational forms; rt and tt are recovered
-    from the interior cubic through the continuity conditions.  |t| is
-    independent of theta; rt and tt carry the phase exp(-i*theta).
+    Every amplitude and cubic coefficient is one of the rational forms of
+    the module docstring.  |t| is independent of theta; rt and tt carry the
+    phase exp(-i*theta).
     """
     require_finite("lam", lam, 0.0)
     require_finite("theta", theta)
-    if lam <= 1.0:
-        den = 24.0 + 24.0 * (1.0 - 1j) * lam - 18j * lam**2 - 4.0 * (1.0 + 1j) * lam**3 - lam**4
-        r = -1j * lam**2 * (6.0 + 4.0 * lam + lam**2) / den
-        t = 2.0 * cmath.exp(-1j * lam) * (12.0 + 12.0 * lam + 6.0 * lam**2 + lam**3) / den
-    else:  # the same forms divided by lam**4 (|den|/lam**4 >= 1), so no power can overflow
-        s = 1.0 / lam
-        den = 24.0 * s**4 + 24.0 * (1.0 - 1j) * s**3 - 18j * s**2 - 4.0 * (1.0 + 1j) * s - 1.0
-        r = -1j * (6.0 * s**2 + 4.0 * s + 1.0) / den
-        t = 2.0 * cmath.exp(-1j * lam) * (12.0 * s**4 + 12.0 * s**3 + 6.0 * s**2 + s) / den
+    den = _over_lam4(_DEN, lam)
     if abs(den) < 1.0:
         raise QBarrierError(f"rational denominator unexpectedly small at lam={lam!r}")
-
-    if lam == 0.0:
-        # Limit of the continuity solve as the barrier shrinks to a point.
-        zone2 = CriticalZone2(case="pure_quaternionic", a=-1j / 6.0, b=-0.5, c=1j, d=1.0, theta=theta)
-        return CriticalAmplitudes(
-            case="pure_quaternionic", lam=lam, r=0j, t=1.0 + 0j, rt=0j, tt=0j, zone2=zone2
-        )
-
-    # Continuity of the complex part fixes the cubic: value/slope at 0 give
-    # d and c, value/slope at lam give a 2x2 system for a and b.
-    d = 1.0 + r
-    c = 1j * (1.0 - r)
-    t_edge = t * cmath.exp(1j * lam)
-    p = t_edge - c * lam - d
-    q = 1j * t_edge - c
-    # solution of [[lam**3, lam**2], [3*lam**2, 2*lam]] @ (a, b) = (p, q)
-    u = p / lam
-    a = (q - 2.0 * u) / (lam * lam)
-    b = (3.0 * u - q) / lam
-
+    r = _over_lam4(_R, lam) / den
+    t = _over_lam4(_T, lam) / den * cmath.exp(-1j * lam)
+    a = _over_lam4(_A, lam) / den
+    b = _over_lam4(_B, lam) / den
     phase = -1j * cmath.exp(-1j * theta)
-    # Both value and slope of the pure part at xi = 0 must yield the same rt.
-    rt_value = phase * (2.0 * b + d)
-    rt_slope = phase * (6.0 * a + c)
-    scale = max(1.0, abs(rt_value), abs(rt_slope))
-    if abs(rt_value - rt_slope) > _RECOVERY_TOL * scale:
-        raise QBarrierError(
-            f"evanescent amplitude recovery inconsistent at lam={lam!r}: "
-            f"{rt_value!r} vs {rt_slope!r}"
-        )
+    rt = phase * (_over_lam4(_RT, lam) / den)
     try:
-        grow = math.exp(lam)
+        tt = phase * (_over_lam4(_TT, lam) / den) * math.exp(lam)
     except OverflowError:
-        grow = None
-    if grow is None:
-        tt_value = None
-    else:
-        poly_val = a * lam**3 + b * lam**2 + (6.0 * a + c) * lam + 2.0 * b + d
-        poly_slope = 3.0 * a * lam**2 + 2.0 * b * lam + 6.0 * a + c
-        tt_value = phase * poly_val * grow
-        tt_slope = -phase * poly_slope * grow
-        scale = max(1.0, abs(tt_value), abs(tt_slope))
-        if abs(tt_value - tt_slope) > _RECOVERY_TOL * scale:
-            raise QBarrierError(
-                f"evanescent amplitude recovery inconsistent at lam={lam!r}: "
-                f"{tt_value!r} vs {tt_slope!r}"
-            )
-    zone2 = CriticalZone2(case="pure_quaternionic", a=a, b=b, c=c, d=d, theta=theta)
+        tt = None
+    zone2 = CriticalZone2(
+        case="pure_quaternionic", a=a, b=b, c=1j * (1.0 - r), d=1.0 + r, theta=theta
+    )
     return CriticalAmplitudes(
-        case="pure_quaternionic", lam=lam, r=r, t=t, rt=rt_value, tt=tt_value, zone2=zone2
+        case="pure_quaternionic", lam=lam, r=r, t=t, rt=rt, tt=tt, zone2=zone2
     )
 
 

@@ -15,11 +15,13 @@ class DegenerateEnergyError(QBarrierError):
 
 
 class ThresholdEnergyError(QBarrierError):
-    """alpha_minus is numerically zero (eps at the diffusion/tunneling threshold).
+    """A wave number is numerically zero (eps at the diffusion/tunneling threshold).
 
-    Every route through the exponential basis divides by alpha_minus.  For
-    vq=0 the message names `critical_complex`; mixed potentials at the
-    threshold have no analytic treatment here.
+    At eps = 1 alpha_minus vanishes for a barrier (vc > 0) and alpha_plus
+    for a well (vc < 0); every route through the exponential basis divides
+    by both.  For the complex barrier (vc=1) the message names
+    `critical_complex`; other potentials at the threshold have no analytic
+    treatment here.
     """
 
 

@@ -175,13 +175,21 @@ class TestWaveParams:
             wave_params(1.0, AdimensionalBarrier(vc=0.8, vq=0.6))  # alpha_minus == 0 exactly
         assert "critical" not in str(exc.value)
 
+    @pytest.mark.parametrize("vc, vq", [(-1.0, 0.0), (-0.8, 0.6)])
+    def test_threshold_of_a_well_names_alpha_plus(self, vc, vq):
+        # a well's alpha_plus vanishes at eps = 1; critical_complex is the vc = +1 barrier
+        with pytest.raises(ThresholdEnergyError) as exc:
+            wave_params(1.0, AdimensionalBarrier(vc=vc, vq=vq))
+        assert str(exc.value).startswith("alpha_plus = 0j at eps=1.0")
+        assert "critical" not in str(exc.value)
+
     def test_rejects_nonpositive_eps(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
         for eps in (0.0, *NON_FINITE):
             with pytest.raises(ValueError):
                 wave_params(eps, b)
 
-    @pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.8, 0.6), (0.0, 1.0)])
+    @pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.8, 0.6), (0.0, 1.0), (-1.0, 0.0)])
     def test_array_holds_nan_exactly_where_a_float_raises(self, vc, vq):
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.7)
         eps = np.array([0.3, 1.0, 1.0 + 1e-12, 1.7, 0.0, -0.5, math.nan, math.inf])
@@ -192,7 +200,7 @@ class TestWaveParams:
             try:
                 p = wave_params(x, b)
             except (ValueError, DegenerateEnergyError, ThresholdEnergyError):
-                assert cmath.isnan(grid.alpha_minus[i]), x
+                assert cmath.isnan(grid.alpha_minus[i]) and cmath.isnan(grid.alpha_plus[i]), x
             else:
                 for f in fields:
                     assert abs(getattr(grid, f)[i] - getattr(p, f)) <= 1e-15 * max(1.0, abs(getattr(p, f)))

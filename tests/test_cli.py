@@ -271,6 +271,7 @@ def test_negative_width_grid_exits_2_naming_lam(capsys):
         (["point", "--physical", "1e200", "0", "0", "1", "1", "1", "1"], 3),
         (["point", "--physical", "1", "0", "0", "1", "1", "1e200", "1"], 3),
         (["critical", "--case", "q", "--lambda", "1e100"], 0),
+        (["critical", "--case", "q", "--lambda", "0.003"], 0),
     ],
 )
 def test_huge_finite_input_ends_finite_or_typed(args, code, capsys):
@@ -298,6 +299,21 @@ def test_singular_point_exits_3_naming_its_exact_case(args, case, capsys):
         assert "critical" not in err
     else:
         assert case in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["point", "--vc", "-1", "--vq", "0", "--eps", "1", "--lambda", "2"],
+        ["sweep", "--mode", "energy", "--fixed", "2", "--start", "0.999", "--stop", "1.001",
+         "--step", "0.001", "--potentials=-1,0"],
+    ],
+)
+def test_threshold_of_a_well_exits_3_naming_alpha_plus(args, capsys):
+    code, out, err = run(args, capsys)  # an uncaught ZeroDivisionError would fail here
+    assert code == 3
+    assert err.startswith("error: alpha_plus") and "critical" not in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
 @pytest.mark.parametrize(

@@ -229,6 +229,8 @@ QUATERNIONIC = AdimensionalBarrier(0.0, 1.0, 0.4)
         # C order decides between a bad width and a singular energy
         ([[1.2], [1.0]], [2.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite"),
         ([[1.0], [1.2]], [2.0, -1.0], QUATERNIONIC, DegenerateEnergyError, "degeneracy band"),
+        # a well's alpha_plus vanishes at the threshold
+        ([1.2, 1.0], 2.0, AdimensionalBarrier(-1.0, 0.0), ThresholdEnergyError, "alpha_plus"),
     ],
 )
 def test_grid_raises_what_the_scalar_path_raises_first(eps, lam, b, kind, message,

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -57,6 +58,8 @@ class TestCriticalQuaternionic:
         assert amps.r == 0.0
         assert amps.t == pytest.approx(1.0 + 0j, abs=1e-15)
         assert amps.rt == 0j and amps.tt == 0j
+        z = amps.zone2
+        assert (z.a, z.b, z.c, z.d) == (-1j / 6.0, -0.5, 1j, 1.0)
 
     def test_thin_series_value(self):
         # |R| ~ lam**2/4 - lam**3/12 = 0.00241667 at lam = 0.1
@@ -90,13 +93,84 @@ class TestCriticalQuaternionic:
         assert a1.tt == pytest.approx(a0.tt * rot, abs=1e-13)
 
     def test_evanescent_amplitudes_match_integrator(self):
-        barrier = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.4, lam=1.0)
-        numeric = oracle_amplitudes(1.0, barrier)
-        closed = critical_quaternionic(1.0, 0.4)
-        assert abs(closed.r - numeric.r) < 1e-6
-        assert abs(closed.t - numeric.t) < 1e-6
-        assert abs(closed.rt - numeric.rt) < 1e-6
-        assert abs(closed.tt - numeric.tt) < 1e-6
+        for lam in (1.0, 0.003, 1e-5):
+            barrier = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.4, lam=lam)
+            numeric = oracle_amplitudes(1.0, barrier)
+            closed = critical_quaternionic(lam, 0.4)
+            # relative, above the integrator's ~1e-16 absolute floor (|r| ~ lam**2/4)
+            for name in ("r", "t", "rt", "tt"):
+                want = getattr(closed, name)
+                assert abs(want - getattr(numeric, name)) <= 1e-9 * abs(want) + 1e-15, (name, lam)
+
+
+def _zone2_edges(amps):
+    """(phi, phi', psi, psi') of the interior solution at xi = 0 and xi = lam.
+
+    Each value comes with the largest modulus among the terms summed to
+    form it, the scale of its rounding error.
+    """
+    z = amps.zone2
+    a, b, c, d, lam = z.a, z.b, z.c, z.d, amps.lam
+    phase = -1j * cmath.exp(-1j * z.theta)
+
+    def edge(xi):
+        pure = (a * xi**3, b * xi**2, 6.0 * a * xi, c * xi, 2.0 * b, d)
+        pure_slope = (3.0 * a * xi**2, 2.0 * b * xi, 6.0 * a, c)
+        terms = (
+            (a * xi**3, b * xi**2, c * xi, d),
+            (3.0 * a * xi**2, 2.0 * b * xi, c),
+            tuple(phase * x for x in pure),
+            tuple(phase * x for x in pure_slope),
+        )
+        return [(sum(ts), max(abs(x) for x in ts)) for ts in terms]
+
+    return edge(0.0), edge(lam)
+
+
+class TestRationalForms:
+    """critical_quaternionic's amplitudes and cubic from the exact rational forms."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-5, 1e-3, 3e-3, 0.1, 2.0, 40.0, 700.0])
+    def test_continuity_at_both_edges(self, lam):
+        amps = critical_quaternionic(lam, 0.7)
+        left, right = _zone2_edges(amps)
+        grow_back = math.exp(-lam)  # tt*exp(-lam) is psi at the right edge
+        free_left = (1.0 + amps.r, 1j * (1.0 - amps.r), amps.rt, amps.rt)
+        edge_t = amps.t * cmath.exp(1j * lam)
+        free_right = (edge_t, 1j * edge_t, amps.tt * grow_back, -amps.tt * grow_back)
+        for (got, scale), want in zip(left + right, free_left + free_right):
+            assert abs(got - want) <= 1e-12 * max(scale, abs(want)), (got, want)
+
+    def test_agree_with_50_digit_evaluation(self):
+        theta = 0.4
+        widths = np.concatenate([np.geomspace(1e-6, 1e6, 1500), np.linspace(0.01, 30, 1500)])
+        lams = np.random.default_rng(8).choice(widths, 200, replace=False)
+        with mp.workdps(50):
+            for lam in lams.tolist():
+                amps = critical_quaternionic(lam, theta)
+                for name, want in zip(("r", "t", "rt", "tt"), _rational_forms_mp(lam, theta)):
+                    got = getattr(amps, name)
+                    if got is None:  # tt where exp(lam) overflows
+                        assert name == "tt" and lam > 709.0
+                        continue
+                    assert abs(mp.mpc(got) - want) <= 1e-15 * abs(want), (name, lam)
+
+
+def _rational_forms_mp(lam, theta):
+    """(r, t, rt, tt) of the pure quaternionic case at mpmath's working precision."""
+    L, i = mp.mpf(lam), mp.mpc(0, 1)
+
+    def poly(coeffs):
+        return sum(mp.mpc(c) * L**k for k, c in enumerate(coeffs))
+
+    den = poly((24, 24 - 24j, -18j, -4 - 4j, -1))
+    phase = -i * mp.exp(-i * mp.mpf(theta))
+    return (
+        poly((0, 0, -6j, -4j, -1j)) / den,
+        poly((24, 24, 12, 2)) / den * mp.exp(-i * L),
+        phase * poly((0, 12, 6 - 6j, -4j, -1 - 1j)) / den,
+        phase * poly((0, 12, 6 - 6j, -2j)) / den * mp.exp(L),
+    )
 
 
 class TestZoneTwoSolutions:

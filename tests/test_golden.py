@@ -23,7 +23,7 @@ README_COMMANDS = [
     pytest.param(["resonances", "--eps0", "1.41421356", "--potentials", "table"],
                  "e01ff48c1289968f93c45725a476ed88f07eb9cbc6114bb1e8a76492b8c7328d", id="resonances-width"),
     pytest.param(["critical", "--case", "q", "--lambda", "2", "--theta", "0.4"],
-                 "57b766f323341f818301f3e2d41038f0f6149f2df5b1b90615b8905cbdd5a794", id="critical-q"),
+                 "51fa18c34f4970258bfff4ee30be466340c3eb402298e2c5d0f0ee094a5775eb", id="critical-q"),
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
