@@ -45,7 +45,6 @@ from .errors import (
     IllConditionedError,
     QBarrierError,
     SingularDenominatorError,
-    ThresholdEnergyError,
 )
 from .ode_oracle import oracle_amplitudes, propagate, split_ode
 from .quaternion import Quaternion, qconj, qmul, qnorm
@@ -79,7 +78,6 @@ __all__ = [
     "ResonanceScan",
     "ScatteringAmplitudes",
     "SingularDenominatorError",
-    "ThresholdEnergyError",
     "TransmissionResult",
     "WaveParams",
     "ZoneWavefunction",

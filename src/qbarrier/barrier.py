@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnergyError, ThresholdEnergyError
+from .errors import DegenerateEnergyError
 
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
 DEGENERACY_TOL = 1e-10
-
-#: below this |alpha_minus| or |alpha_plus| the exponential basis is singular (eps at threshold)
-ALPHA_TOL = 1e-10
 
 #: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
 UNIT_CIRCLE_TOL = 1e-12
@@ -39,8 +36,8 @@ UNIT_CIRCLE_TOL = 1e-12
 #: most points a uniform grid may hold (the default width-table scan has ~11k)
 MAX_GRID_POINTS = 1_000_000
 
-#: message suffix naming an exact eps = 1 solution, filled with (function, --case value)
-_EXACT = "; the exact eps = 1 amplitudes are {} (qbarrier critical --case {})"
+#: below this |a*x| `shc` sums its Taylor series instead of dividing sinh(a*x) by a
+SHC_SERIES_BELOW = 1e-3
 
 
 def require_finite(name: str, value: float, lower: float = -math.inf, strict: bool = False) -> None:
@@ -144,6 +141,23 @@ def adimensionalize(spec: BarrierSpec) -> tuple[AdimensionalBarrier, float]:
     return barrier, math.sqrt(spec.energy / v0)
 
 
+def shc(a, x):
+    """sinh(a*x)/a, an entire function of a**2 that equals x at a = 0.
+
+    Below |a*x| = SHC_SERIES_BELOW it sums x*(1 + z**2/6*(1 + z**2/20)),
+    z = a*x, whose first omitted term is z**6/5040 of x.  Like `wave_params`,
+    one body serves floats (cmath) and ndarrays (numpy, broadcast).
+    """
+    z = a * x
+    small = abs(z) < SHC_SERIES_BELOW
+    if not isinstance(z, np.ndarray) and not small:
+        return cmath.sinh(z) / a
+    series = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
+    if isinstance(z, np.ndarray):
+        return np.where(small, series, np.sinh(z) / np.where(small, 1.0, a))
+    return series
+
+
 def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     """Wave numbers alpha_pm and mixing coefficients beta, gamma.
 
@@ -154,11 +168,14 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     alpha_plus at each element that would raise, for the caller to replay
     as a float (see `closed_form.transmission_grid`).
 
+    At the threshold eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a
+    well (vc < 0) alpha_plus = 0.  That is a regular point: every route
+    enters a wave number through cosh(a*x) and `shc`, both entire in a**2.
+
     Raises (float eps):
         ValueError: unless eps is finite and > 0.
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
-        ThresholdEnergyError: from `checked_wave_numbers`.
     """
     xp = np if isinstance(eps, np.ndarray) else cmath
     # numpy's ** differs from libm pow in the last bit, which eps**4 - vq**2
@@ -168,7 +185,10 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
         require_finite("eps", eps, 0.0, strict=True)
     disc = power(eps, 4) - b.vq**2
     if xp is cmath and abs(disc) <= DEGENERACY_TOL:
-        exact = _EXACT.format("critical_quaternionic", "q") if (b.vc, b.vq) == (0.0, 1.0) else ""
+        exact = (
+            "; the exact eps = 1 amplitudes are critical_quaternionic (qbarrier critical --case q)"
+            if (b.vc, b.vq) == (0.0, 1.0) else ""
+        )
         raise DegenerateEnergyError(
             f"eps**4 - vq**2 = {disc:.3e} is inside the degeneracy band "
             f"(eps={eps!r}, vq={b.vq!r}): the exponential basis collapses{exact}"
@@ -177,39 +197,10 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     if xp is np:
         root = np.where(np.isfinite(eps) & (eps > 0.0) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
     denom = power(eps, 2) + root
-    am, ap = checked_wave_numbers(eps, b.vc, b.vq, root)
     return WaveParams(
         eps=eps,
-        alpha_minus=am,
-        alpha_plus=ap,
+        alpha_minus=xp.sqrt(b.vc - root),
+        alpha_plus=xp.sqrt(b.vc + root),
         beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
         gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
     )
-
-
-def checked_wave_numbers(eps, vc: float, vq: float, root):
-    """(alpha_minus, alpha_plus) = sqrt(vc -/+ root), with root = sqrt(eps**4 - vq**2).
-
-    At eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a well (vc < 0)
-    alpha_plus = 0.  Takes floats or ndarrays as `wave_params` does: an
-    array holds NaN in both where a float would raise.
-
-    Raises (float root):
-        ThresholdEnergyError: if |alpha_minus| or |alpha_plus| <= ALPHA_TOL
-            (eps at the threshold), where every route through the
-            exponential basis fails; it names the vanishing wave number.
-    """
-    xp = np if isinstance(root, np.ndarray) else cmath
-    am, ap = xp.sqrt(vc - root), xp.sqrt(vc + root)
-    if xp is np:
-        off = (abs(am) > ALPHA_TOL) & (abs(ap) > ALPHA_TOL)
-        return np.where(off, am, np.nan), np.where(off, ap, np.nan)
-    if min(abs(am), abs(ap)) <= ALPHA_TOL:
-        name, alpha = ("alpha_minus", am) if abs(am) <= ALPHA_TOL else ("alpha_plus", ap)
-        # critical_complex is the vc = +1 barrier; a well (vc = -1) has no exact case
-        exact = _EXACT.format("critical_complex", "c") if vq == 0.0 and vc > 0.0 else ""
-        raise ThresholdEnergyError(
-            f"{name} = {alpha!r} at eps={eps!r}: "
-            f"exponential basis singular at the diffusion/tunneling threshold{exact}"
-        )
-    return am, ap

@@ -11,8 +11,8 @@ Subcommands:
 Adimensional inputs are primary; `point --physical` accepts the raw
 barrier data (V1 V2 V3 L mass hbar energy) instead.  Widths may be given
 in units of pi with --lambda-pi.  Exit codes: 2 invalid parameters,
-3 degenerate/threshold point (naming the exact `critical` case, if any),
-4 unwritable output path.
+3 a point in the degeneracy band eps**4 ~ vq**2 (naming the exact
+`critical` case, if any), 4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import __version__
 from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
 from .closed_form import TransmissionResult, transmission, transmission_grid
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
-from .errors import DegenerateEnergyError, QBarrierError, ThresholdEnergyError
+from .errors import DegenerateEnergyError, QBarrierError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
 from .solver import ScatteringAmplitudes, probability_balance, solve
 from .verify import run_all
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, QBarrierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (DegenerateEnergyError, ThresholdEnergyError)) else 2
+        return 3 if isinstance(exc, DegenerateEnergyError) else 2
 
 
 if __name__ == "__main__":

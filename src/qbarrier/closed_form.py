@@ -19,18 +19,11 @@ integrator (:mod:`qbarrier.ode_oracle`).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import (
-    AdimensionalBarrier,
-    WaveParams,
-    checked_wave_numbers,
-    require_finite,
-    wave_params,
-)
+from .barrier import AdimensionalBarrier, WaveParams, require_finite, shc, wave_params
 from .errors import SingularDenominatorError
 
 
@@ -77,12 +70,15 @@ def denominator_factored(p: WaveParams, lam):
 
     with u = beta*gamma, hyperbolic one-mode factors
 
-        Dm = 2*cosh(am*L) + i*(am**2-e2)/(e*am)*sinh(am*L)
-        Dp = 2*cosh(ap*L) + i*(ap**2-e2)/(e*ap)*sinh(ap*L)
-        Em = 2*cosh(am*L) +   (e2+am**2)/(e*am)*sinh(am*L)
-        Ep = 2*cosh(ap*L) +   (e2+ap**2)/(e*ap)*sinh(ap*L)
-        P  = (1+i)*cosh(am*L) + (e2+i*am**2)/(e*am)*sinh(am*L)
-        Q  = (1+i)*cosh(ap*L) + (e2+i*ap**2)/(e*ap)*sinh(ap*L).
+        Dm = 2*cosh(am*L) + i*(am**2-e2)/e*shc(am, L)
+        Dp = 2*cosh(ap*L) + i*(ap**2-e2)/e*shc(ap, L)
+        Em = 2*cosh(am*L) +   (e2+am**2)/e*shc(am, L)
+        Ep = 2*cosh(ap*L) +   (e2+ap**2)/e*shc(ap, L)
+        P  = (1+i)*cosh(am*L) + (e2+i*am**2)/e*shc(am, L)
+        Q  = (1+i)*cosh(ap*L) + (e2+i*ap**2)/e*shc(ap, L),
+
+    where shc(a, L) = sinh(a*L)/a.  Each factor is entire in a**2, so D is
+    regular at the threshold eps = 1, where am (barrier) or ap (well) is 0.
 
     The raw element combination subtracts exp(2*ap*L)-sized products down
     to an O(exp(ap*L)) result, losing |beta*gamma|*exp(ap*L)*ulp of
@@ -100,14 +96,14 @@ def denominator_factored(p: WaveParams, lam):
     xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
     u = p.beta * p.gamma
     e2 = eps * eps
-    cm, sm = xp.cosh(am * lam), xp.sinh(am * lam)
-    cp, sp = xp.cosh(ap * lam), xp.sinh(ap * lam)
-    dm = 2.0 * cm + 1j * (am * am - e2) / (eps * am) * sm
-    dp = 2.0 * cp + 1j * (ap * ap - e2) / (eps * ap) * sp
-    em = 2.0 * cm + (e2 + am * am) / (eps * am) * sm
-    ep = 2.0 * cp + (e2 + ap * ap) / (eps * ap) * sp
-    pm = (1.0 + 1j) * cm + (e2 + 1j * am * am) / (eps * am) * sm
-    pp = (1.0 + 1j) * cp + (e2 + 1j * ap * ap) / (eps * ap) * sp
+    cm, sm = xp.cosh(am * lam), shc(am, lam) / eps
+    cp, sp = xp.cosh(ap * lam), shc(ap, lam) / eps
+    dm = 2.0 * cm + 1j * (am * am - e2) * sm
+    dp = 2.0 * cp + 1j * (ap * ap - e2) * sp
+    em = 2.0 * cm + (e2 + am * am) * sm
+    ep = 2.0 * cp + (e2 + ap * ap) * sp
+    pm = (1.0 + 1j) * cm + (e2 + 1j * am * am) * sm
+    pp = (1.0 + 1j) * cp + (e2 + 1j * ap * ap) * sp
     num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
     den = (1.0 - u) * (ep - u * em)
     if xp is np:
@@ -133,7 +129,7 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
     precision when exp(alpha_plus*lam) is large.
 
     Raises:
-        DegenerateEnergyError, ThresholdEnergyError: from `wave_params`.
+        DegenerateEnergyError: from `wave_params`.
     """
     return TransmissionResult.from_amplitude(_amplitude(eps, b.lam, b))
 
@@ -164,29 +160,27 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
 
     Uses the single analytic expression
 
-        T = exp(-i*eps*lam) / [cosh(a*lam) + i*(1-2*eps**2)/(2*eps*a) * sinh(a*lam)]
+        T = exp(-i*eps*lam) / [cosh(a*lam) + i*(1-2*eps**2)/(2*eps) * shc(a, lam)]
 
     with a = sqrt(1 - eps**2) taken on the principal branch, which reduces
-    to the familiar cos/sin form for eps > 1.
-
-    Raises:
-        ThresholdEnergyError: where a = alpha_minus vanishes, by the rule of
-            `wave_params` (the message names critical_complex).
+    to the familiar cos/sin form for eps > 1, and shc(a, lam) = sinh(a*lam)/a.
+    At eps = 1 it is critical_complex's T = 2*exp(-i*lam)/(2 - i*lam).
     """
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    a = checked_wave_numbers(eps, 1.0, 0.0, complex(eps * eps, 0.0))[0]
-    den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps * a) * cmath.sinh(a * lam)
+    a = cmath.sqrt(1.0 - eps * eps)
+    den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps) * shc(a, lam)
     return TransmissionResult.from_amplitude(cmath.exp(-1j * eps * lam) / den)
 
 
 def transmission_probability_complex(eps: float, lam: float) -> float:
-    """|T|**2 for the complex barrier in two textbook real forms; raises as transmission_complex."""
+    """|T|**2 for the complex barrier in its two textbook real forms.
+
+    1/(1 + s**2/(4*eps**2)) with s = shc(sqrt(1 - eps**2), lam), which is
+    sinh(k*lam)/k below the threshold and sin(k*lam)/k above it,
+    k = sqrt(|1 - eps**2|), and lam at eps = 1.
+    """
     require_finite("eps", eps, 0.0, strict=True)
     require_finite("lam", lam, 0.0)
-    checked_wave_numbers(eps, 1.0, 0.0, complex(eps * eps, 0.0))
-    if eps > 1.0:
-        k = math.sqrt(eps * eps - 1.0)
-        return 1.0 / (1.0 + math.sin(k * lam) ** 2 / (4.0 * eps * eps * (eps * eps - 1.0)))
-    k = math.sqrt(1.0 - eps * eps)
-    return 1.0 / (1.0 + math.sinh(k * lam) ** 2 / (4.0 * eps * eps * (1.0 - eps * eps)))
+    s = shc(cmath.sqrt(1.0 - eps * eps), lam).real
+    return 1.0 / (1.0 + s * s / (4.0 * eps * eps))

@@ -1,11 +1,13 @@
 """Exact amplitudes at the diffusion/tunneling threshold eps = 1.
 
-At eps = 1 the general closed formula degenerates (alpha_minus = 0), but
-the two extreme barriers admit exact elementary solutions:
+At eps = 1 a barrier's alpha_minus vanishes.  The general routes answer
+there (see `barrier.shc`) unless the point is also degenerate, as it is
+for vq = 1.  The two extreme barriers admit exact elementary solutions:
 
   * complex barrier (vc=1, vq=0): the interior complex part is linear in
     xi and the amplitudes are rational in lam,
-        R = -i*lam/(2 - i*lam),   T = 2*exp(-i*lam)/(2 - i*lam);
+        R = -i*lam/(2 - i*lam),   T = 2*exp(-i*lam)/(2 - i*lam),
+    which the general routes reproduce;
 
   * pure quaternionic barrier (vq=1): the interior solution is a cubic
     polynomial and the amplitudes are rational of degree four,

@@ -14,19 +14,8 @@ class DegenerateEnergyError(QBarrierError):
     """
 
 
-class ThresholdEnergyError(QBarrierError):
-    """A wave number is numerically zero (eps at the diffusion/tunneling threshold).
-
-    At eps = 1 alpha_minus vanishes for a barrier (vc > 0) and alpha_plus
-    for a well (vc < 0); every route through the exponential basis divides
-    by both.  For the complex barrier (vc=1) the message names
-    `critical_complex`; other potentials at the threshold have no analytic
-    treatment here.
-    """
-
-
 class IllConditionedError(QBarrierError):
-    """A matrix inversion cannot be trusted (1 - beta*gamma underflows)."""
+    """A matrix inversion cannot be trusted (1 - beta*gamma underflows, or eps = 1)."""
 
 
 class SingularDenominatorError(QBarrierError):

@@ -4,15 +4,19 @@ The wavefunction in the three zones (xi in units of the inverse barrier
 wave number, width lam):
 
     zone I   (xi < 0):        exp(i*eps*xi) + exp(-i*eps*xi)*R + j*exp(eps*xi)*Rt
-    zone II  (0 <= xi <= lam): (1 + j*gamma)*(A*e(am*xi) + B*e(-am*xi))
-                               + (beta + j)*(At*e(ap*xi) + Bt*e(-ap*xi))
+    zone II  (0 <= xi <= lam): (1 + j*gamma)*(A*cosh(am*s) + B*shc(am, s))
+                               + (beta + j)*(At*cosh(ap*s) + Bt*shc(ap, s))
     zone III (xi > lam):      exp(i*eps*xi)*T + j*exp(-eps*xi)*Tt
 
-Continuity of value and derivative at xi = 0 and xi = lam, split into the
-complex and the pure quaternionic part, gives eight complex equations for
-the eight unknowns (R, Rt, T, Tt, A, B, At, Bt).  This module assembles
-and solves that system directly - deliberately not through the transfer
-matrix - so the closed formula has an independent in-repo check.
+with s = xi - lam/2 and shc(a, s) = sinh(a*s)/a.  The basis is entire in
+am**2 and ap**2, so the threshold eps = 1, where am or ap vanishes, is a
+regular point; centring it on the barrier splits the growth of the fast
+pair evenly between the two edges.  Continuity of value and derivative at
+xi = 0 and xi = lam, split into the complex and the pure quaternionic
+part, gives eight complex equations for the eight unknowns
+(R, Rt, T, Tt, A, B, At, Bt).  This module assembles and solves that
+system directly - deliberately not through the transfer matrix - so the
+closed formula has an independent in-repo check.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, shc, wave_params
 from .quaternion import I as QI, Quaternion, qconj, qmul
 
 #: max-norm residual above which one refinement pass is applied
@@ -33,8 +37,9 @@ RESIDUAL_TOL = 1e-9
 class ScatteringAmplitudes:
     """Outer amplitudes (r, rt, t, tt) and interior coefficients (a, b, at, bt).
 
-    The interior coefficients are None when produced by a route that does
-    not construct the exponential basis (the brute-force integrator).
+    a, b, at, bt multiply cosh(am*s), shc(am, s), cosh(ap*s) and shc(ap, s),
+    s = xi - lam/2 (module docstring).  They are None when produced by a
+    route that does not construct that basis (the brute-force integrator).
     """
 
     r: complex
@@ -61,55 +66,56 @@ class ZoneWavefunction:
 def _assemble(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and right-hand side of the continuity system.
 
-    Unknown order: (R, Rt, T, Tt, A, B, At, Bt).
+    Unknown order: (R, Rt, T, Tt, A, B, At, Bt).  At the edges s = -+lam/2,
+    where cosh(a*s) = c and shc(a, s) = -+h, with derivatives -+a**2*h and c.
     """
     eps = p.eps
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
-    r = ap / am
-    ie = 1j * eps / am
-    e1p, e1m = cmath.exp(am * lam), cmath.exp(-am * lam)
-    e2p, e2m = cmath.exp(ap * lam), cmath.exp(-ap * lam)
-    phase = cmath.exp(1j * eps * lam)
+    half = 0.5 * lam
+    cm, hm = cmath.cosh(am * half), shc(am, half)
+    cp, hp = cmath.cosh(ap * half), shc(ap, half)
+    dm, dp = am * am * hm, ap * ap * hp
+    ie = 1j * eps
+    phase = cmath.exp(ie * lam)
     decay = cmath.exp(-eps * lam)
-
-    mat = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-    # value of the complex part at xi = 0
-    mat[0] = [-1, 0, 0, 0, 1, 1, beta, beta]
-    rhs[0] = 1.0
-    # derivative of the complex part at xi = 0
-    mat[1] = [ie, 0, 0, 0, 1, -1, r * beta, -r * beta]
-    rhs[1] = ie
-    # value of the pure quaternionic part at xi = 0
-    mat[2] = [0, -1, 0, 0, gamma, gamma, 1, 1]
-    # derivative of the pure quaternionic part at xi = 0
-    mat[3] = [0, -eps / am, 0, 0, gamma, -gamma, r, -r]
-    # value of the complex part at xi = lam
-    mat[4] = [0, 0, -phase, 0, e1p, e1m, beta * e2p, beta * e2m]
-    # derivative of the complex part at xi = lam
-    mat[5] = [0, 0, -ie * phase, 0, e1p, -e1m, r * beta * e2p, -r * beta * e2m]
-    # value of the pure quaternionic part at xi = lam
-    mat[6] = [0, 0, 0, -decay, gamma * e1p, gamma * e1m, e2p, e2m]
-    # derivative of the pure quaternionic part at xi = lam
-    mat[7] = [0, 0, 0, eps / am * decay, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m]
+    mat = np.array([
+        # value and derivative of the complex part at xi = 0
+        [-1, 0, 0, 0, cm, -hm, beta * cp, -beta * hp],
+        [ie, 0, 0, 0, -dm, cm, -beta * dp, beta * cp],
+        # value and derivative of the pure quaternionic part at xi = 0
+        [0, -1, 0, 0, gamma * cm, -gamma * hm, cp, -hp],
+        [0, -eps, 0, 0, -gamma * dm, gamma * cm, -dp, cp],
+        # value and derivative of the complex part at xi = lam
+        [0, 0, -phase, 0, cm, hm, beta * cp, beta * hp],
+        [0, 0, -ie * phase, 0, dm, cm, beta * dp, beta * cp],
+        # value and derivative of the pure quaternionic part at xi = lam
+        [0, 0, 0, -decay, gamma * cm, gamma * hm, cp, hp],
+        [0, 0, 0, eps * decay, gamma * dm, gamma * cm, dp, cp],
+    ], dtype=complex)
+    rhs = np.array([1, ie, 0, 0, 0, 0, 0, 0], dtype=complex)
     return mat, rhs
 
 
 def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
     """Solve the eight-equation continuity system.
 
+    The matrix is factorized once: its inverse gives the solution, the one
+    refinement step (when the residual exceeds RESIDUAL_TOL) and the
+    max-norm condition estimate.
+
     Raises:
-        DegenerateEnergyError, ThresholdEnergyError: from `wave_params`.
+        DegenerateEnergyError: from `wave_params`.
     """
     p = wave_params(eps, b)
     mat, rhs = _assemble(p, b.lam)
-    x = np.linalg.solve(mat, rhs)
+    inv = np.linalg.inv(mat)
+    x = inv @ rhs
     resid = float(np.abs(mat @ x - rhs).max())
     if resid > RESIDUAL_TOL:
-        x = x + np.linalg.solve(mat, rhs - mat @ x)
+        x = x + inv @ (rhs - mat @ x)
         resid = float(np.abs(mat @ x - rhs).max())
-    cond = float(np.abs(mat).max() * np.abs(np.linalg.inv(mat)).max())
+    cond = float(np.abs(mat).max() * np.abs(inv).max())
     return ScatteringAmplitudes(
         r=complex(x[0]),
         rt=complex(x[1]),
@@ -153,10 +159,13 @@ def wavefunction(
         if amps.a is None:
             raise ValueError("interior coefficients are required inside the barrier")
         am, ap = p.alpha_minus, p.alpha_plus
-        low = amps.a * cmath.exp(am * xi) + amps.b * cmath.exp(-am * xi)
-        dlow = am * (amps.a * cmath.exp(am * xi) - amps.b * cmath.exp(-am * xi))
-        high = amps.at * cmath.exp(ap * xi) + amps.bt * cmath.exp(-ap * xi)
-        dhigh = ap * (amps.at * cmath.exp(ap * xi) - amps.bt * cmath.exp(-ap * xi))
+        s = xi - 0.5 * b.lam
+        cm, hm = cmath.cosh(am * s), shc(am, s)
+        cp, hp = cmath.cosh(ap * s), shc(ap, s)
+        low = amps.a * cm + amps.b * hm
+        dlow = amps.a * am * am * hm + amps.b * cm
+        high = amps.at * cp + amps.bt * hp
+        dhigh = amps.at * ap * ap * hp + amps.bt * cp
         phi = low + p.beta * high
         dphi = dlow + p.beta * dhigh
         psi = p.gamma * low + high

@@ -33,12 +33,19 @@ def _mixing(p: WaveParams) -> complex:
     """beta*gamma, kept away from 1 where G and the closed elements are singular.
 
     Raises:
-        IllConditionedError: if |1 - beta*gamma| < MIXING_TOL.
+        IllConditionedError: if |1 - beta*gamma| < MIXING_TOL, or if
+            alpha_minus or alpha_plus is 0 (eps at the threshold), where the
+            boundary data, scaled by alpha_minus, and G's columns are singular.
     """
     bg = p.beta * p.gamma
     if abs(1.0 - bg) < MIXING_TOL:
         raise IllConditionedError(
             f"1 - beta*gamma = {1.0 - bg:.3e}: factor matrix G is singular"
+        )
+    if p.alpha_minus == 0 or p.alpha_plus == 0:
+        raise IllConditionedError(
+            f"alpha_minus = {p.alpha_minus!r}, alpha_plus = {p.alpha_plus!r}: "
+            "the exponential basis of G is singular at the threshold"
         )
     return bg
 
@@ -50,7 +57,7 @@ def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
     interior coefficients across the width.
 
     Raises:
-        IllConditionedError: if |1 - beta*gamma| < MIXING_TOL (G is singular).
+        IllConditionedError: from `_mixing` (G is singular).
     """
     _mixing(p)
     am, ap = p.alpha_minus, p.alpha_plus

@@ -1,0 +1,52 @@
+"""Test-only reference amplitudes: the exponential-basis 8x8 solved in mpmath.
+
+The unknowns and equations are those of `qbarrier.solver` in its original
+exponential basis,
+
+    zone II: (1 + j*gamma)*(A*exp(am*xi) + B*exp(-am*xi))
+             + (beta + j)*(At*exp(ap*xi) + Bt*exp(-ap*xi)),
+
+assembled from the defining formulas of `qbarrier.barrier` and solved by
+mpmath's LU at 30 + 2*Re(alpha)*lam/ln(10) digits, never fewer than 50.
+The growth term pays for the cancellation between the exp(+-alpha*lam)
+columns, so about 30 digits survive at any width.  The basis is singular
+where alpha_minus or alpha_plus vanishes, at eps = 1; there the reference
+is taken at eps = 1 + 1e-30, where T differs from its eps = 1 value by
+about 1e-30.
+"""
+
+import cmath
+import math
+
+import mpmath as mp
+
+#: where eps = 1 is replaced by its neighbour
+THRESHOLD_OFFSET = mp.mpf("1e-30")
+
+
+def reference_amplitudes(eps: float, vc: float, vq: float, theta: float, lam: float):
+    """(r, rt, t, tt) as Python complex numbers, from the mpmath solve."""
+    root = cmath.sqrt(eps**4 - vq**2 + 0j)
+    growth = max(cmath.sqrt(vc - root).real, cmath.sqrt(vc + root).real) * lam
+    with mp.workdps(max(50, 30 + math.ceil(2.0 * growth / math.log(10.0)))):
+        e = mp.mpf(eps) + (THRESHOLD_OFFSET if eps == 1.0 else 0)
+        vc, vq, theta, lam = (mp.mpf(x) for x in (vc, vq, theta, lam))
+        root = mp.sqrt(mp.mpc(e**4 - vq**2))
+        am, ap = mp.sqrt(vc - root), mp.sqrt(vc + root)
+        beta = 1j * vq * mp.expj(theta) / (e**2 + root)
+        gamma = -1j * vq * mp.expj(-theta) / (e**2 + root)
+        r, ie = ap / am, 1j * e / am
+        e1p, e1m, e2p, e2m = mp.exp(am * lam), mp.exp(-am * lam), mp.exp(ap * lam), mp.exp(-ap * lam)
+        phase, decay = mp.expj(e * lam), mp.exp(-e * lam)
+        mat = mp.matrix([
+            [-1, 0, 0, 0, 1, 1, beta, beta],
+            [ie, 0, 0, 0, 1, -1, r * beta, -r * beta],
+            [0, -1, 0, 0, gamma, gamma, 1, 1],
+            [0, -e / am, 0, 0, gamma, -gamma, r, -r],
+            [0, 0, -phase, 0, e1p, e1m, beta * e2p, beta * e2m],
+            [0, 0, -ie * phase, 0, e1p, -e1m, r * beta * e2p, -r * beta * e2m],
+            [0, 0, 0, -decay, gamma * e1p, gamma * e1m, e2p, e2m],
+            [0, 0, 0, e / am * decay, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m],
+        ])
+        x = mp.lu_solve(mat, mp.matrix([1, ie, 0, 0, 0, 0, 0, 0]))
+        return tuple(complex(x[i]) for i in range(4))

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from qbarrier import (
     AdimensionalBarrier,
     BarrierSpec,
     DegenerateEnergyError,
-    ThresholdEnergyError,
     adimensionalize,
     asymptotic_moduli,
     complex_resonance_energies,
@@ -29,7 +29,7 @@ from qbarrier import (
     transmission_probability_complex,
     wave_params,
 )
-from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid
+from qbarrier.barrier import MAX_GRID_POINTS, shc, uniform_grid
 from qbarrier.cli import SweepConfig
 from qbarrier.verify import run_all
 
@@ -170,18 +170,19 @@ class TestWaveParams:
             wave_params(0.8 ** 0.5, AdimensionalBarrier(vc=0.6, vq=0.8))
         assert "critical" not in str(exc.value)
 
-    def test_threshold_names_no_replacement_for_mixed_potential(self):
-        with pytest.raises(ThresholdEnergyError) as exc:
-            wave_params(1.0, AdimensionalBarrier(vc=0.8, vq=0.6))  # alpha_minus == 0 exactly
-        assert "critical" not in str(exc.value)
+    @pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.8, 0.6)])
+    def test_threshold_of_a_barrier_zeroes_alpha_minus(self, vc, vq):
+        # a regular point: the routes take am through cosh and shc
+        p = wave_params(1.0, AdimensionalBarrier(vc=vc, vq=vq))
+        assert p.alpha_minus == 0j
+        assert p.alpha_plus == pytest.approx(cmath.sqrt(2.0 * vc), abs=1e-15)
 
     @pytest.mark.parametrize("vc, vq", [(-1.0, 0.0), (-0.8, 0.6)])
     def test_threshold_of_a_well_names_alpha_plus(self, vc, vq):
-        # a well's alpha_plus vanishes at eps = 1; critical_complex is the vc = +1 barrier
-        with pytest.raises(ThresholdEnergyError) as exc:
-            wave_params(1.0, AdimensionalBarrier(vc=vc, vq=vq))
-        assert str(exc.value).startswith("alpha_plus = 0j at eps=1.0")
-        assert "critical" not in str(exc.value)
+        # a well's alpha_plus is the wave number that vanishes at eps = 1
+        p = wave_params(1.0, AdimensionalBarrier(vc=vc, vq=vq))
+        assert p.alpha_plus == 0j
+        assert p.alpha_minus == pytest.approx(cmath.sqrt(2.0 * vc), abs=1e-15)
 
     def test_rejects_nonpositive_eps(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
@@ -199,20 +200,29 @@ class TestWaveParams:
         for i, x in enumerate(eps.tolist()):
             try:
                 p = wave_params(x, b)
-            except (ValueError, DegenerateEnergyError, ThresholdEnergyError):
+            except (ValueError, DegenerateEnergyError):
                 assert cmath.isnan(grid.alpha_minus[i]) and cmath.isnan(grid.alpha_plus[i]), x
             else:
                 for f in fields:
                     assert abs(getattr(grid, f)[i] - getattr(p, f)) <= 1e-15 * max(1.0, abs(getattr(p, f)))
 
 
-def wave_params_off_threshold(eps, b):
-    """wave_params, or None at the threshold, which must be eps = 1."""
-    try:
-        return wave_params(eps, b)
-    except ThresholdEnergyError:
-        assert abs(eps - 1.0) < 1e-12
-        return None
+class TestShc:
+    def test_zero_wave_number_gives_the_width(self):
+        assert shc(0j, 2.5) == 2.5
+        assert shc(np.zeros(3, dtype=complex), np.array([0.0, 1e-8, 40.0])).tolist() == [0.0, 1e-8, 40.0]
+
+    def test_series_and_sinh_meet_at_the_switch(self):
+        # both sides of |a*x| = 1e-3, against 50-digit sinh(a*x)/a
+        for phase in (0.0, 0.5 * math.pi, 0.3):
+            for z in (3e-4, 9.99e-4, 1e-3, 1.01e-3, 3e-3):
+                a, x = 0.7 * cmath.exp(1j * phase), z / 0.7
+                with mp.workdps(50):
+                    want = complex(mp.sinh(mp.mpc(a) * x) / mp.mpc(a))
+                got = shc(a, x)
+                assert abs(got - want) <= 4e-16 * abs(want), (phase, z)
+                grid = shc(np.array([a, a]), np.array([x, 2.0 * x]))
+                assert abs(grid[0] - got) <= 4e-16 * abs(got)  # numpy's and cmath's last bits
 
 
 @given(
@@ -225,9 +235,7 @@ def test_alpha_sum_and_product_identities(eps, vc, theta):
     vq = math.sqrt(max(0.0, 1.0 - vc * vc))
     if abs(eps**4 - vq**2) <= 1e-6:
         return
-    p = wave_params_off_threshold(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0))
-    if p is None:
-        return
+    p = wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0))
     s2 = p.alpha_plus**2 + p.alpha_minus**2
     p2 = p.alpha_plus**2 * p.alpha_minus**2
     assert s2 == pytest.approx(2.0 * vc, abs=1e-11)
@@ -248,9 +256,7 @@ def test_theta_only_rotates_beta_gamma(eps, vc, theta1, theta2):
     vq = math.sqrt(max(0.0, 1.0 - vc * vc))
     if abs(eps**4 - vq**2) <= 1e-6:
         return
-    p1 = wave_params_off_threshold(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta1, lam=1.0))
-    if p1 is None:
-        return
+    p1 = wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta1, lam=1.0))
     p2 = wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta2, lam=1.0))
     assert p1.alpha_minus == p2.alpha_minus
     assert p1.alpha_plus == p2.alpha_plus

@@ -7,7 +7,9 @@ import warnings
 
 import pytest
 
+from qbarrier import critical_complex
 from qbarrier.cli import main
+from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -96,14 +98,6 @@ class TestPoint:
         assert code == 3
         assert "critical" in err
 
-    def test_threshold_point_complex_exits_3(self, capsys):
-        code, _, err = run(
-            ["point", "--vc", "1", "--vq", "0", "--eps", "1", "--lambda", "2"],
-            capsys,
-        )
-        assert code == 3
-        assert "--case c" in err
-
 
 class TestSweep:
     ARGS = ["sweep", "--mode", "energy", "--fixed", str(3 * PI),
@@ -157,9 +151,10 @@ class TestSweep:
         assert "cannot write" in err
 
     def test_width_mode_threshold_grid_point_exits_3(self, capsys):
+        # for vq = 1 the threshold is also the degenerate point
         code, _, _ = run(
             ["sweep", "--mode", "energy", "--fixed", "2.0", "--start", "1.0",
-             "--stop", "1.1", "--step", "0.05", "--potentials", "1,0"],
+             "--stop", "1.1", "--step", "0.05", "--potentials", "0,1"],
             capsys,
         )
         assert code == 3
@@ -269,7 +264,7 @@ def test_negative_width_grid_exits_2_naming_lam(capsys):
     "args, code",
     [
         (["point", "--physical", "1e200", "0", "0", "1", "1", "1", "1"], 3),
-        (["point", "--physical", "1", "0", "0", "1", "1", "1e200", "1"], 3),
+        (["point", "--physical", "0", "1", "0", "1", "1", "1e200", "1"], 3),
         (["critical", "--case", "q", "--lambda", "1e100"], 0),
         (["critical", "--case", "q", "--lambda", "0.003"], 0),
     ],
@@ -285,9 +280,8 @@ def test_huge_finite_input_ends_finite_or_typed(args, code, capsys):
     "args, case",
     [
         (["point", "--physical", "0", "1", "0", "1", "1", "1", "1"], "--case q"),
-        (["point", "--physical", "1", "0", "0", "1", "1", "1", "1"], "--case c"),
-        (["sweep", "--mode", "energy", "--fixed", "1", "--start", "0.9", "--stop", "1.1",
-          "--step", "0.1", "--potentials", "1,0"], "--case c"),
+        (["point", "--vc", "0", "--vq", "1", "--eps", "1", "--lambda", "3"], "--case q"),
+        (["point", "--physical", "0", "0", "1", "1", "1", "1", "1"], "--case q"),
         (["point", "--vc", "0.6", "--vq", "0.8", "--eps", "0.8944271909999159",
           "--lambda", "2"], None),
     ],
@@ -301,6 +295,37 @@ def test_singular_point_exits_3_naming_its_exact_case(args, case, capsys):
         assert case in err
 
 
+def threshold_row(out):
+    """(lam, T, R or None) at eps = 1 from a point or a sweep JSON report."""
+    report = json.loads(out)
+    if "rows" not in report:
+        return report["lambda"], complex(report["re_t"], report["im_t"]), complex(report["re_r"], report["im_r"])
+    row = next(r for r in report["rows"] if r[0] == 1.0)
+    return float(report["meta"]["fixed"]), complex(row[4], row[5]), None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["point", "--vc", "1", "--vq", "0", "--eps", "1", "--lambda", "2"],
+        ["point", "--physical", "1", "0", "0", "1", "1", "1", "1"],
+        ["point", "--physical", "1", "0", "0", "1", "1", "1e200", "1"],
+        ["sweep", "--mode", "energy", "--fixed", "1", "--start", "0.9", "--stop", "1.1",
+         "--step", "0.1", "--potentials", "1,0"],
+        ["sweep", "--mode", "energy", "--fixed", "2.0", "--start", "1.0",
+         "--stop", "1.1", "--step", "0.05", "--potentials", "1,0"],
+    ],
+    ids=["point", "physical", "physical-huge-hbar", "sweep-across", "sweep-from"],
+)
+def test_complex_threshold_prints_critical_values(args, capsys):
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    assert code == 0
+    lam, t, r = threshold_row(out)
+    exact = critical_complex(lam)
+    assert abs(t - exact.t) <= 1e-15
+    assert r is None or abs(r - exact.r) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -309,11 +334,11 @@ def test_singular_point_exits_3_naming_its_exact_case(args, case, capsys):
          "--step", "0.001", "--potentials=-1,0"],
     ],
 )
-def test_threshold_of_a_well_exits_3_naming_alpha_plus(args, capsys):
-    code, out, err = run(args, capsys)  # an uncaught ZeroDivisionError would fail here
-    assert code == 3
-    assert err.startswith("error: alpha_plus") and "critical" not in err
-    assert "nan" not in out.lower() and "inf" not in out.lower()
+def test_threshold_of_a_well_answers(args, capsys):
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    assert code == 0
+    lam, t, _ = threshold_row(out)
+    assert abs(t - reference_amplitudes(1.0, -1.0, 0.0, 0.0, lam)[2]) <= 1e-13
 
 
 @pytest.mark.parametrize(

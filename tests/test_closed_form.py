@@ -10,11 +10,12 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    ThresholdEnergyError,
+    IllConditionedError,
     critical_complex,
     denominator,
     solve,
     transfer_closed,
+    transfer_numeric,
     transmission,
     transmission_complex,
     transmission_probability_complex,
@@ -83,13 +84,14 @@ def test_pure_quaternionic_local_maximum():
 
 
 def test_threshold_rejected_for_complex_barrier():
-    # alpha_minus is exactly zero at eps=1 for vc=1
-    b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
-    with pytest.raises(ThresholdEnergyError):
-        transmission(1.0, b)
-    # the rule lives in wave_params, so no consumer of WaveParams can miss it
-    with pytest.raises(ThresholdEnergyError, match="critical_complex"):
-        wave_params(1.0, AdimensionalBarrier(1.0, 0.0))
+    # alpha_minus is exactly zero at eps=1 for vc=1: the closed form answers,
+    # the exponential-basis transfer matrices reject the point as typed errors
+    b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
+    assert abs(transmission(1.0, b).t - critical_complex(2.0).t) <= 1e-15
+    p = wave_params(1.0, b)
+    for transfer in (transfer_closed, transfer_numeric):
+        with pytest.raises(IllConditionedError, match="alpha_minus = 0j"):
+            transfer(p, b.lam)
 
 
 def test_threshold_neighbourhood_is_still_continuous():
@@ -122,16 +124,15 @@ class TestComplexBarrierFormula:
             )
 
     def test_threshold_redirects(self):
-        with pytest.raises(ThresholdEnergyError):
-            transmission_complex(1.0, 2.0)
-        with pytest.raises(ThresholdEnergyError):
-            transmission_probability_complex(1.0, 2.0)
+        # at eps = 1 both formulas land on the exact threshold amplitude
+        exact = critical_complex(2.0).t
+        assert abs(transmission_complex(1.0, 2.0).t - exact) <= 1e-15
+        assert abs(transmission_probability_complex(1.0, 2.0) - 0.5) <= 1e-15
 
     def test_threshold_neighbourhood_matches_critical(self):
-        # one |alpha_minus| rule: only eps = 1 itself is singular
         exact = critical_complex(2.0).t
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
-        for eps in (1.0 - 1e-13, 1.0 + 1e-13):
+        for eps in (1.0 - 1e-13, 1.0, 1.0 + 1e-13):
             special = transmission_complex(eps, 2.0)
             assert abs(special.t - transmission(eps, b).t) < 1e-10
             assert abs(special.t - exact) < 1e-10
@@ -209,6 +210,7 @@ def test_empty_grid_gives_empty_array():
 
 
 QUATERNIONIC = AdimensionalBarrier(0.0, 1.0, 0.4)
+COLLAPSE = "vq=0.8): the exponential basis collapses"
 
 
 @pytest.mark.parametrize(
@@ -219,8 +221,9 @@ QUATERNIONIC = AdimensionalBarrier(0.0, 1.0, 0.4)
         ([1.2, -1.0, 0.0], 2.0, QUATERNIONIC, ValueError, "got -1.0"),
         ([1.2, 0.0, -1.0], 2.0, QUATERNIONIC, ValueError, "got 0.0"),
         ([1.2, 1.0 + 1e-12], 2.0, QUATERNIONIC, DegenerateEnergyError, "critical_quaternionic"),
-        ([1.2, 1.0], 2.0, AdimensionalBarrier(1.0, 0.0), ThresholdEnergyError, "critical_complex"),
-        ([1.2, 1.0], 2.0, AdimensionalBarrier(0.8, 0.6), ThresholdEnergyError, "threshold"),
+        # a mixed barrier's and a well's degenerate points name no exact case
+        ([1.2, 0.8**0.5], 2.0, AdimensionalBarrier(0.6, 0.8), DegenerateEnergyError, COLLAPSE),
+        ([1.2, 0.8**0.5], 2.0, AdimensionalBarrier(-0.6, 0.8), DegenerateEnergyError, COLLAPSE),
         (1.2, [1.0, 800.0], QUATERNIONIC, OverflowError, "math range error"),
         ([0.5, 1.2], 800.0, QUATERNIONIC, OverflowError, "math range error"),
         (1.2, [1.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got -1.0"),
@@ -229,8 +232,6 @@ QUATERNIONIC = AdimensionalBarrier(0.0, 1.0, 0.4)
         # C order decides between a bad width and a singular energy
         ([[1.2], [1.0]], [2.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite"),
         ([[1.0], [1.2]], [2.0, -1.0], QUATERNIONIC, DegenerateEnergyError, "degeneracy band"),
-        # a well's alpha_plus vanishes at the threshold
-        ([1.2, 1.0], 2.0, AdimensionalBarrier(-1.0, 0.0), ThresholdEnergyError, "alpha_plus"),
     ],
 )
 def test_grid_raises_what_the_scalar_path_raises_first(eps, lam, b, kind, message,

@@ -12,12 +12,12 @@ from qbarrier.cli import main
 
 README_COMMANDS = [
     pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3"],
-                 "fed07ca4ab73057aa793666652f60520f873a50b25d797512c3c030301ea4206", id="point"),
+                 "f5687fab38b659e7359cb618609a1b99605c1465fb267fc64c1f6b516662f1c1", id="point"),
     pytest.param(["point", "--physical", "1", "0", "0", "9.42477796", "1", "1", "2"],
-                 "2504d016c154d0aead17ee1e1d3e7878d4fb8944b5b6fc7ce3a24ab9a2be6369", id="point-physical"),
+                 "f2689b2899eb595febfb277b2604bcd2a4dec3c3b44fcbb4d98031a34e4ff910", id="point-physical"),
     pytest.param(["sweep", "--mode", "energy", "--fixed-pi", "3", "--start", "1.001", "--stop", "1.5",
                   "--step", "0.001"],
-                 "cc049b2ec88ef5dcf4cebf8362975a5965a4eca9341ffbba0b7f30747ef3b1ec", id="sweep-energy"),
+                 "3cf37595e3b8ad6f58ca499610c91e4cbccba306aa9b05f075a65d8fd0d2c7da", id="sweep-energy"),
     pytest.param(["resonances", "--lambda-pi", "3", "--potentials", "table"],
                  "2dbfd7befb8f84eb7951e19aac00c4adf068521ae9cc81b01c774443490ce154", id="resonances-energy"),
     pytest.param(["resonances", "--eps0", "1.41421356", "--potentials", "table"],
@@ -27,13 +27,13 @@ README_COMMANDS = [
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
-                 "cd953c05dc32823c42d31a1004bdd6e6be9b6b42d03b42638ce998105f5242b7", id="verify"),
+                 "f73487d8b6da38579b5e18bfb3b13d1f24cfa98cd0b91760d83fbd3570494261", id="verify"),
 ]
 
 #: the README width sweep writes its JSON to a file and nothing to stdout
 WIDTH_SWEEP = ["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14",
                "--stop", "14.5", "--step", "0.003", "--potentials", "1,0;0,1", "--format", "json"]
-WIDTHS_JSON = "77f9b7e3e8ec6c916c2925613890aa53cf54a7542a2c0c7701a42f0c83f0cb10"
+WIDTHS_JSON = "d2bef3d7d7f69e9349e761cc88d84bedbd5f0535f699fb4b7d0aa6adc619ccb6"
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
-    ThresholdEnergyError,
+    DegenerateEnergyError,
     current_density,
     probability_balance,
     solve,
@@ -23,25 +23,36 @@ SQRT2 = math.sqrt(2.0)
 
 
 def residuals(eps, b, amps):
-    """Re-evaluate all eight continuity equations from their defining forms."""
+    """Re-evaluate all eight continuity equations from their defining forms.
+
+    Zone II is the centred basis cosh(a*s), sinh(a*s)/a with s = xi - lam/2;
+    the wave numbers here are off the threshold, so plain sinh serves.
+    """
     p = wave_params(eps, b)
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
     lam = b.lam
     A, B, At, Bt = amps.a, amps.b, amps.at, amps.bt
-    e1p, e1m = cmath.exp(am * lam), cmath.exp(-am * lam)
-    e2p, e2m = cmath.exp(ap * lam), cmath.exp(-ap * lam)
+
+    def interior(s):
+        """(value, derivative) of the slow and of the fast pair at s."""
+        cm, sm = cmath.cosh(am * s), cmath.sinh(am * s)
+        cp, sp = cmath.cosh(ap * s), cmath.sinh(ap * s)
+        return ((A * cm + B * sm / am, A * am * sm + B * cm),
+                (At * cp + Bt * sp / ap, At * ap * sp + Bt * cp))
+
+    (lo0, dlo0), (hi0, dhi0) = interior(-lam / 2.0)
+    (lo1, dlo1), (hi1, dhi1) = interior(lam / 2.0)
+    phase, decay = cmath.exp(1j * eps * lam), cmath.exp(-eps * lam)
     out = [
-        (1.0 + amps.r) - (A + B + beta * (At + Bt)),
-        1j * (eps / am) * (1.0 - amps.r) - (A - B + (ap / am) * beta * (At - Bt)),
-        amps.rt - (gamma * (A + B) + At + Bt),
-        (eps / am) * amps.rt - (gamma * (A - B) + (ap / am) * (At - Bt)),
-        amps.t * cmath.exp(1j * eps * lam) - (A * e1p + B * e1m + beta * (At * e2p + Bt * e2m)),
-        1j * (eps / am) * amps.t * cmath.exp(1j * eps * lam)
-        - (A * e1p - B * e1m + (ap / am) * beta * (At * e2p - Bt * e2m)),
-        amps.tt * cmath.exp(-eps * lam) - (gamma * (A * e1p + B * e1m) + At * e2p + Bt * e2m),
-        -(eps / am) * amps.tt * cmath.exp(-eps * lam)
-        - (gamma * (A * e1p - B * e1m) + (ap / am) * (At * e2p - Bt * e2m)),
+        (1.0 + amps.r) - (lo0 + beta * hi0),
+        1j * eps * (1.0 - amps.r) - (dlo0 + beta * dhi0),
+        amps.rt - (gamma * lo0 + hi0),
+        eps * amps.rt - (gamma * dlo0 + dhi0),
+        amps.t * phase - (lo1 + beta * hi1),
+        1j * eps * amps.t * phase - (dlo1 + beta * dhi1),
+        amps.tt * decay - (gamma * lo1 + hi1),
+        -eps * amps.tt * decay - (gamma * dlo1 + dhi1),
     ]
     return max(abs(v) for v in out)
 
@@ -75,8 +86,10 @@ def test_continuity_residuals_below_tolerance():
 
 
 def test_threshold_rejected():
-    with pytest.raises(ThresholdEnergyError):
-        solve(1.0, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0))
+    # only where the threshold is also degenerate: vq = 1, whose exact
+    # amplitudes are critical_quaternionic (the others: tests/test_threshold.py)
+    with pytest.raises(DegenerateEnergyError, match="critical_quaternionic"):
+        solve(1.0, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0))
 
 
 class TestProbabilityBalance:
