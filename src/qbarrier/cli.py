@@ -95,18 +95,26 @@ def _csv_text(meta: dict, rows: list[tuple]) -> str:
     for key, value in meta.items():
         lines.append(f"# {key}={value}")
     lines.append(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    row_format = ",".join(["{:.12g}"] * len(SWEEP_COLUMNS)).format
+    lines.extend(row_format(*row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _json_text(meta: dict, rows: list[tuple]) -> str:
-    payload = {
-        "meta": {"tool": "qbarrier", "version": __version__, **meta,
-                 "columns": list(SWEEP_COLUMNS)},
-        "rows": [list(row) for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=1)` plus a newline.
+
+    The indent encoder is pure Python, so the rows go through the C encoder in
+    compact form and two replaces lay them out: each row is a flat list of
+    numbers, and no number's token contains '], [' or ', '.
+    """
+    head = json.dumps({"meta": {"tool": "qbarrier", "version": __version__, **meta,
+                                "columns": list(SWEEP_COLUMNS)},
+                       "rows": []}, sort_keys=True, indent=1)
+    if not rows:
+        return head + "\n"
+    # "rows" sorts last, so the head ends with its empty list
+    body = json.dumps(rows)[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
+    return head[:-len("[]\n}")] + "[\n  [\n   " + body + "\n  ]\n ]\n}\n"
 
 
 # ---------------------------------------------------------------- point

@@ -1,5 +1,7 @@
 """Byte identity of the README commands: the sha256 of what each one writes.
 
+Two sweeps beyond the README pin the other format of each sweep mode.
+
 A change that moves any printed digit fails here.  Where a change moves
 digits on purpose, CHANGES.md lists the old and the new hash and says why.
 """
@@ -30,6 +32,16 @@ README_COMMANDS = [
                  "f73487d8b6da38579b5e18bfb3b13d1f24cfa98cd0b91760d83fbd3570494261", id="verify"),
 ]
 
+#: each sweep mode in the format its README command does not use
+SWEEP_FORMATS = [
+    pytest.param(["sweep", "--mode", "energy", "--fixed-pi", "3", "--start", "1.001", "--stop", "1.5",
+                  "--step", "0.001", "--format", "json"],
+                 "3fd0f7ac63cd7d0b8e79e2eeb8dad8a3549d20742756b4bb32b111388a2d416a", id="sweep-energy-json"),
+    pytest.param(["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14", "--stop", "14.5",
+                  "--step", "0.003", "--potentials", "1,0;0,1"],
+                 "45ff945f8fe05287c32acc1059bfeeaebbd6478945ab399207095aa1afccb946", id="sweep-width-csv"),
+]
+
 #: the README width sweep writes its JSON to a file and nothing to stdout
 WIDTH_SWEEP = ["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14",
                "--stop", "14.5", "--step", "0.003", "--potentials", "1,0;0,1", "--format", "json"]
@@ -41,7 +53,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, digest", README_COMMANDS)
+@pytest.mark.parametrize("argv, digest", README_COMMANDS + SWEEP_FORMATS)
 def test_readme_command_stdout_is_pinned(argv, digest, capsys):
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == digest

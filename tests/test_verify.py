@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from qbarrier.solver import solve
 from qbarrier.verify import (
     CheckReport,
     check_norm_conservation,
@@ -28,9 +29,9 @@ def test_sample_points_respects_bounds_and_band():
 def test_individual_checks_pass_on_seeded_grid():
     rng = np.random.default_rng(8)
     pts = sample_points(rng, 30)
-    for check in (check_norm_conservation, check_theta_invariance,
-                  check_transfer_agreement, check_transmission_cross):
-        result = check(pts)
+    amps = [solve(eps, b) for eps, b in pts]
+    for result in (check_norm_conservation(pts, amps), check_theta_invariance(pts),
+                   check_transfer_agreement(pts), check_transmission_cross(pts, amps)):
         assert result.passed, result.line()
     assert check_series_asymptotics().passed
 
