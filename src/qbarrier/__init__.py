@@ -40,16 +40,14 @@ from .critical import (
     critical_zone2,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateEnergyError,
     IllConditionedError,
     QBarrierError,
     SingularDenominatorError,
 )
 from .ode_oracle import oracle_amplitudes, propagate, split_ode
-from .quaternion import Quaternion, qconj, qmul, qnorm
+from .quaternion import Quaternion
 from .resonance import (
-    ResonanceScan,
     complex_resonance_energies,
     complex_resonance_widths,
     min_transmission,
@@ -68,14 +66,12 @@ from .transfer import build_factors, transfer_closed, transfer_numeric
 __all__ = [
     "AdimensionalBarrier",
     "BarrierSpec",
-    "ConvergenceError",
     "CriticalAmplitudes",
     "CriticalZone2",
     "DegenerateEnergyError",
     "IllConditionedError",
     "QBarrierError",
     "Quaternion",
-    "ResonanceScan",
     "ScatteringAmplitudes",
     "SingularDenominatorError",
     "TransmissionResult",
@@ -95,9 +91,6 @@ __all__ = [
     "oracle_amplitudes",
     "probability_balance",
     "propagate",
-    "qconj",
-    "qmul",
-    "qnorm",
     "scan_peaks",
     "solve",
     "split_ode",

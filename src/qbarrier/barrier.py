@@ -33,7 +33,8 @@ DEGENERACY_TOL = 1e-10
 #: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
 UNIT_CIRCLE_TOL = 1e-12
 
-#: most points a uniform grid may hold (the default width-table scan has ~11k)
+#: most points a uniform grid may hold (the default width-table scan has ~11k),
+#: and most rows or samples a resonance table or `verify` run may hold
 MAX_GRID_POINTS = 1_000_000
 
 #: below this |a*x| `shc` sums its Taylor series instead of dividing sinh(a*x) by a
@@ -52,6 +53,17 @@ def require_finite(name: str, value: float, lower: float = -math.inf, strict: bo
     if not (math.isfinite(value) and (value > lower if strict else value >= lower)):
         bound = "" if lower == -math.inf else f" and {'>' if strict else '>='} {lower!r}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def require_count(name: str, value: int) -> None:
+    """value counts table rows or samples: from 1 to MAX_GRID_POINTS, checked before any is built.
+
+    Raises:
+        ValueError: naming the input and its bound.
+    """
+    require_finite(name, value, 1)
+    if value > MAX_GRID_POINTS:
+        raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {value!r}")
 
 
 def uniform_grid(start: float, stop: float, step: float) -> list[float]:
@@ -107,11 +119,6 @@ class AdimensionalBarrier:
         norm = self.vc * self.vc + self.vq * self.vq
         if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"vc**2 + vq**2 must equal 1, got {norm!r}")
-
-    @classmethod
-    def from_vc(cls, vc: float, theta: float = 0.0, lam: float = 1.0) -> "AdimensionalBarrier":
-        """Build from vc alone, with vq = sqrt(1 - vc**2); |vc| > 1 fails the unit-circle rule."""
-        return cls(vc=vc, vq=math.sqrt(max(0.0, 1.0 - vc * vc)), theta=theta, lam=lam)
 
 
 @dataclass(frozen=True)

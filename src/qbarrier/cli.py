@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
 from .closed_form import TransmissionResult, transmission, transmission_grid
-from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
+from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
 from .solver import ScatteringAmplitudes, probability_balance, solve
@@ -239,7 +239,7 @@ def cmd_sweep(args) -> int:
 
 def _peak_locations(potentials, n_peaks: int, closed, scan) -> list[list[float]]:
     """Peak locations per potential: the closed forms for vq = 0, `scan(b)` otherwise."""
-    return [[row[0] for row in closed] if b.vq == 0.0 else [x for x, _ in scan(b).peaks[:n_peaks]]
+    return [[row[0] for row in closed] if b.vq == 0.0 else [x for x, _ in scan(b)[:n_peaks]]
             for b in potentials]
 
 
@@ -327,11 +327,11 @@ def cmd_critical(args) -> int:
         report.update({"re_rt": amps.rt.real, "im_rt": amps.rt.imag,
                        "re_tt": amps.tt.real, "im_tt": amps.tt.imag})
     if args.series:
-        regime = "thin" if lam < 0.3 else ("thick" if lam > 10.0 else None)
-        if regime is None:
-            report["series"] = "no regime applies for 0.3 <= lambda <= 10"
+        series = asymptotic_moduli(lam, amps.case)
+        if series is None:
+            report["series"] = f"no regime applies for {THIN_LIMIT:g} <= lambda <= {THICK_LIMIT:g}"
         else:
-            sr, st = asymptotic_moduli(lam, regime, amps.case)
+            regime, sr, st = series
             report.update({"series_regime": regime, "series_abs_r": sr, "series_abs_t": st})
     if args.format == "json":
         return _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)

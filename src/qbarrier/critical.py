@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 from .barrier import require_finite
@@ -159,45 +158,36 @@ def critical_zone2(xi: float, coeffs: CriticalZone2) -> Quaternion:
     return Quaternion(phi, psi)
 
 
-_THIN_LIMIT = 0.3
-_THICK_LIMIT = 10.0
+#: the thin series applies below THIN_LIMIT, the thick series above THICK_LIMIT
+THIN_LIMIT = 0.3
+THICK_LIMIT = 10.0
 
 
-def asymptotic_moduli(lam: float, regime: str, case: str) -> tuple[float, float]:
-    """Truncated series for (|R|, |T|) in the thin or thick barrier regime.
+def asymptotic_moduli(lam: float, case: str) -> tuple[str, float, float] | None:
+    """Truncated series (regime, |R|, |T|) in the regime lam lies in, or None.
 
-    thin (lam << 1):
+    thin (lam < THIN_LIMIT):
         complex:            lam/2 - lam**3/16,        1 - lam**2/8 + 3*lam**4/128
         pure quaternionic:  lam**2/4 - lam**3/12,     1 - lam**4/32
-    thick (lam >> 1):
+    thick (lam > THICK_LIMIT):
         complex:            1 - 2/lam**2 + 6/lam**4,  2/lam - 4/lam**3
         pure quaternionic:  1 - 2/lam**2 - 8/lam**3 + 6/lam**4,
                             2/lam + 4/lam**2 - 8/lam**3 - 8/lam**4
+    No regime applies from THIN_LIMIT to THICK_LIMIT.
     """
     require_finite("lam", lam, 0.0)
     if case not in ("complex", "pure_quaternionic"):
         raise ValueError(f"unknown case {case!r}")
-    if regime == "thin":
-        if lam >= _THIN_LIMIT:
-            warnings.warn(
-                f"thin-barrier series used at lam={lam!r} (>= {_THIN_LIMIT})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    if lam < THIN_LIMIT:
         if case == "complex":
-            return (lam / 2.0 - lam**3 / 16.0, 1.0 - lam**2 / 8.0 + 3.0 * lam**4 / 128.0)
-        return (lam**2 / 4.0 - lam**3 / 12.0, 1.0 - lam**4 / 32.0)
-    if regime == "thick":
-        if lam <= _THICK_LIMIT:
-            warnings.warn(
-                f"thick-barrier series used at lam={lam!r} (<= {_THICK_LIMIT})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            return ("thin", lam / 2.0 - lam**3 / 16.0, 1.0 - lam**2 / 8.0 + 3.0 * lam**4 / 128.0)
+        return ("thin", lam**2 / 4.0 - lam**3 / 12.0, 1.0 - lam**4 / 32.0)
+    if lam > THICK_LIMIT:
         if case == "complex":
-            return (1.0 - 2.0 / lam**2 + 6.0 / lam**4, 2.0 / lam - 4.0 / lam**3)
+            return ("thick", 1.0 - 2.0 / lam**2 + 6.0 / lam**4, 2.0 / lam - 4.0 / lam**3)
         return (
+            "thick",
             1.0 - 2.0 / lam**2 - 8.0 / lam**3 + 6.0 / lam**4,
             2.0 / lam + 4.0 / lam**2 - 8.0 / lam**3 - 8.0 / lam**4,
         )
-    raise ValueError(f"unknown regime {regime!r}")
+    return None

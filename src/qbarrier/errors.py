@@ -20,7 +20,3 @@ class IllConditionedError(QBarrierError):
 
 class SingularDenominatorError(QBarrierError):
     """The inner denominator of the closed transmission formula vanished."""
-
-
-class ConvergenceError(QBarrierError):
-    """A fixed-step integration did not meet its self-consistency target."""

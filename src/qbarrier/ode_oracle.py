@@ -28,7 +28,6 @@ import cmath
 import numpy as np
 
 from .barrier import AdimensionalBarrier, require_finite
-from .errors import ConvergenceError
 from .solver import ScatteringAmplitudes
 
 #: growing interior mode overflows long before this; hyperbolic closed forms
@@ -92,13 +91,13 @@ def propagate(a: np.ndarray, length: float, steps: int = DEFAULT_STEPS) -> np.nd
 _SEGMENT_GROWTH = 4.0
 
 
-def oracle_amplitudes(
-    eps: float,
-    b: AdimensionalBarrier,
-    steps: int = DEFAULT_STEPS,
-    *,
-    check_convergence: bool = False,
-) -> ScatteringAmplitudes:
+def _segment_count(a: np.ndarray, lam: float) -> int:
+    rates = np.linalg.eigvals(a)
+    growth = float(np.max(rates.real)) * lam
+    return max(1, int(np.ceil(growth / _SEGMENT_GROWTH)))
+
+
+def oracle_amplitudes(eps: float, b: AdimensionalBarrier, steps: int = DEFAULT_STEPS) -> ScatteringAmplitudes:
     """Scattering amplitudes with no closed formula anywhere in the path.
 
     The interval is split into segments short enough that each segment's
@@ -108,28 +107,7 @@ def oracle_amplitudes(
     end-to-end map would concentrate the full exp(alpha_plus*lam) growth
     into one matrix and lose the transmitted amplitude in its rounding.
     Interior coefficients are not produced.
-
-    Raises:
-        ConvergenceError: with check_convergence=True, if doubling the step
-            count moves T by 1e-7 or more.
     """
-    amps = _oracle_once(eps, b, steps)
-    if check_convergence:
-        finer = _oracle_once(eps, b, 2 * steps)
-        if abs(amps.t - finer.t) >= 1e-7:
-            raise ConvergenceError(
-                f"T moved by {abs(amps.t - finer.t):.3e} when doubling {steps} steps"
-            )
-    return amps
-
-
-def _segment_count(a: np.ndarray, lam: float) -> int:
-    rates = np.linalg.eigvals(a)
-    growth = float(np.max(rates.real)) * lam
-    return max(1, int(np.ceil(growth / _SEGMENT_GROWTH)))
-
-
-def _oracle_once(eps: float, b: AdimensionalBarrier, steps: int) -> ScatteringAmplitudes:
     _require_integrable(b.lam, steps)
     a = split_ode(b, eps)
     segments = _segment_count(a, b.lam)

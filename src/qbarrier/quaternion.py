@@ -12,9 +12,9 @@ closes the pair representation under the Hamilton product:
 
 The sign convention is pinned by i*j = +k (see the unit constants below).
 
->>> qmul(I, J) == K
+>>> I * J == K
 True
->>> qmul(Quaternion(1, 1), Quaternion(1, -1))
+>>> Quaternion(1, 1) * Quaternion(1, -1)
 Quaternion(z=(2+0j), w=0j)
 """
 
@@ -91,21 +91,6 @@ def _promote(value) -> Quaternion:
     if isinstance(value, (int, float, complex)):
         return Quaternion(complex(value), 0j)
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")
-
-
-def qmul(q1: Quaternion, q2: Quaternion) -> Quaternion:
-    """Hamilton product in the pair representation (i*j = +k convention)."""
-    return q1 * q2
-
-
-def qconj(q: Quaternion) -> Quaternion:
-    """Quaternionic conjugate: negates the i, j and k parts."""
-    return q.conjugate()
-
-
-def qnorm(q: Quaternion) -> float:
-    """Euclidean norm; satisfies qnorm(q)**2 == qmul(qconj(q), q).z exactly in math."""
-    return q.norm()
 
 
 ONE = Quaternion(1.0, 0j)

@@ -12,30 +12,18 @@ scalar golden-section refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_finite, uniform_grid
+from .barrier import AdimensionalBarrier, require_count, require_finite, uniform_grid
 from .closed_form import transmission, transmission_grid
 
 #: golden-section shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class ResonanceScan:
-    """Extrema of |T|**2 found along one scan variable.
-
-    peaks and valleys are lists of (location, probability), strictly
-    increasing in location and interleaved.
-    """
-
-    variable: str  # "energy" or "width"
-    fixed: float  # lam for an energy scan, eps for a width scan
-    peaks: list[tuple[float, float]]
-    valleys: list[tuple[float, float]]
+#: width of the bracket around each refined peak location
+REFINE_TOL = 1e-6
 
 
 def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, float, float]]:
@@ -45,7 +33,7 @@ def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, 
     n+1 sits at the half-integer condition.
     """
     require_finite("lambda0", lambda0, 0.0, strict=True)
-    require_finite("n_max", n_max, 1)
+    require_count("n_max", n_max)
 
     def eps_at(n: float) -> float:
         return math.sqrt(1.0 + (n * math.pi / lambda0) ** 2)
@@ -68,7 +56,7 @@ def complex_resonance_widths(eps0: float, n_max: int) -> list[tuple[float, float
     is 2*pi, 3*pi, 4*pi, ...).
     """
     require_finite("eps0", eps0, 1.0, strict=True)  # no oscillatory regime below threshold
-    require_finite("n_max", n_max, 1)
+    require_count("n_max", n_max)
     k = math.sqrt(eps0 * eps0 - 1.0)
     return [
         (n * math.pi / k, math.pi / k, math.pi / (2.0 * k))
@@ -111,19 +99,17 @@ def scan_peaks(
     *,
     eps0: float | None = None,
     coarse_step: float = 1e-3,
-    refine_tol: float = 1e-6,
-) -> ResonanceScan:
-    """Locate local maxima and minima of |T|**2 along one variable.
+) -> list[tuple[float, float]]:
+    """Local maxima (location, |T|**2) of |T|**2 along one variable, in increasing location.
 
     variable "energy" scans eps in [lo, hi] at the barrier's own width;
     variable "width" scans lam in [lo, hi] at the given eps0.  One
     `transmission_grid` call over a coarse grid brackets each interior
-    extremum, then golden-section search over scalar `transmission` calls
-    refines its location to refine_tol.  An empty result is not an error;
+    peak, then golden-section search over scalar `transmission` calls
+    refines its location to REFINE_TOL.  An empty result is not an error;
     a coarse grid above MAX_GRID_POINTS is (see `uniform_grid`).
     """
     if variable == "energy":
-        fixed = b.lam
 
         def prob(x: float) -> float:
             return transmission(x, b).prob
@@ -131,7 +117,6 @@ def scan_peaks(
     elif variable == "width":
         if eps0 is None:
             raise ValueError("width scans need eps0")
-        fixed = eps0
 
         def prob(x: float) -> float:
             return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
@@ -146,18 +131,10 @@ def scan_peaks(
     grid = np.asarray(xs)
     t = transmission_grid(grid, b.lam, b) if variable == "energy" else transmission_grid(eps0, grid, b)
     ys = np.abs(t) ** 2
-    left, mid, right = ys[:-2], ys[1:-1], ys[2:]
-    is_peak = (left < mid) & (mid >= right)
-    is_valley = (left > mid) & (mid <= right)
+    is_peak = (ys[:-2] < ys[1:-1]) & (ys[1:-1] >= ys[2:])
 
-    peaks: list[tuple[float, float]] = []
-    valleys: list[tuple[float, float]] = []
-    for i in np.flatnonzero(is_peak | is_valley).tolist():
-        a, c = xs[i], xs[i + 2]
-        if is_peak[i]:
-            x = _golden_section(prob, a, c, refine_tol)
-            peaks.append((x, prob(x)))
-        else:
-            x = _golden_section(lambda u: -prob(u), a, c, refine_tol)
-            valleys.append((x, prob(x)))
-    return ResonanceScan(variable=variable, fixed=fixed, peaks=peaks, valleys=valleys)
+    peaks = []
+    for i in np.flatnonzero(is_peak).tolist():
+        x = _golden_section(prob, xs[i], xs[i + 2], REFINE_TOL)
+        peaks.append((x, prob(x)))
+    return peaks

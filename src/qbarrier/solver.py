@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import AdimensionalBarrier, WaveParams, shc, wave_params
-from .quaternion import I as QI, Quaternion, qconj, qmul
+from .quaternion import I as QI, Quaternion
 
 #: max-norm residual above which one refinement pass is applied
 RESIDUAL_TOL = 1e-9
@@ -180,5 +180,5 @@ def wavefunction(
 
 def current_density(state: ZoneWavefunction) -> float:
     """Probability current conj(Phi)*i*Phi' + h.c., constant across all zones."""
-    flow = qmul(qmul(qconj(state.value), QI), state.derivative)
+    flow = state.value.conjugate() * QI * state.derivative
     return 2.0 * flow.scalar_part()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_finite, wave_params
+from .barrier import AdimensionalBarrier, require_count, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .ode_oracle import oracle_amplitudes
@@ -53,12 +53,7 @@ class CheckReport:
         )
 
 
-def sample_points(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    lam_max: float = LAM_RANGE[1],
-) -> list[tuple[float, AdimensionalBarrier]]:
+def sample_points(rng: np.random.Generator, n: int) -> list[tuple[float, AdimensionalBarrier]]:
     """Draw (eps, barrier) pairs, rejecting the degeneracy band."""
     out: list[tuple[float, AdimensionalBarrier]] = []
     while len(out) < n:
@@ -66,7 +61,7 @@ def sample_points(
         vc = rng.uniform(0.0, 1.0)
         vq = math.sqrt(max(0.0, 1.0 - vc * vc))
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        lam = rng.uniform(0.0, lam_max)
+        lam = rng.uniform(*LAM_RANGE)
         if lam <= 0.0:
             continue
         if abs(eps**4 - vq**2) < DEGENERACY_BAND:
@@ -131,10 +126,10 @@ def check_series_asymptotics() -> CheckReport:
         ("pure_quaternionic", critical_quaternionic),
     ):
         amps = exact(thin)
-        sr, st = asymptotic_moduli(thin, "thin", case)
+        _, sr, st = asymptotic_moduli(thin, case)
         worst = max(worst, abs(abs(amps.r) - sr) / thin**5, abs(abs(amps.t) - st) / thin**5)
         amps = exact(thick)
-        sr, st = asymptotic_moduli(thick, "thick", case)
+        _, sr, st = asymptotic_moduli(thick, case)
         budget = 50.0 / thick**5
         worst = max(worst, abs(abs(amps.r) - sr) / budget, abs(abs(amps.t) - st) / budget)
     return CheckReport("series-asymptotics", worst < 1.0, worst, 1, 8, detail="normalized")
@@ -142,7 +137,7 @@ def check_series_asymptotics() -> CheckReport:
 
 def run_all(seed: int, samples: int) -> list[CheckReport]:
     """Run the five check classes on a seeded grid; each point is solved once."""
-    require_finite("samples", samples, 1)
+    require_count("samples", samples)
     rng = np.random.default_rng(seed)
     points = sample_points(rng, samples)
     amps = [solve(eps, b) for eps, b in points]

@@ -9,10 +9,14 @@ exponential basis,
 assembled from the defining formulas of `qbarrier.barrier` and solved by
 mpmath's LU at 30 + 2*Re(alpha)*lam/ln(10) digits, never fewer than 50.
 The growth term pays for the cancellation between the exp(+-alpha*lam)
-columns, so about 30 digits survive at any width.  The basis is singular
-where alpha_minus or alpha_plus vanishes, at eps = 1; there the reference
-is taken at eps = 1 + 1e-30, where T differs from its eps = 1 value by
-about 1e-30.
+columns, so about 30 digits survive at any width.  The Tt column is
+solved for Tt*exp(-eps*lam) and divided back afterwards: unscaled, its
+exp(-eps*lam) entries make LU call thick wells numerically singular.  Tt
+itself overflows to inf beyond lam*eps ~ 709.
+
+The basis is singular where alpha_minus or alpha_plus vanishes, at
+eps = 1; there the reference is taken at eps = 1 + 1e-30, where T differs
+from its eps = 1 value by about 1e-30.
 """
 
 import cmath
@@ -45,8 +49,8 @@ def reference_amplitudes(eps: float, vc: float, vq: float, theta: float, lam: fl
             [0, -e / am, 0, 0, gamma, -gamma, r, -r],
             [0, 0, -phase, 0, e1p, e1m, beta * e2p, beta * e2m],
             [0, 0, -ie * phase, 0, e1p, -e1m, r * beta * e2p, -r * beta * e2m],
-            [0, 0, 0, -decay, gamma * e1p, gamma * e1m, e2p, e2m],
-            [0, 0, 0, e / am * decay, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m],
+            [0, 0, 0, -1, gamma * e1p, gamma * e1m, e2p, e2m],
+            [0, 0, 0, e / am, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m],
         ])
         x = mp.lu_solve(mat, mp.matrix([1, ie, 0, 0, 0, 0, 0, 0]))
-        return tuple(complex(x[i]) for i in range(4))
+        return complex(x[0]), complex(x[1]), complex(x[2]), complex(x[3] / decay)

@@ -111,8 +111,8 @@ def _scan_energy_table():
     out = {}
     for (vc, vq) in TABLE_ENERGY:
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=3.0 * PI)
-        scan = scan_peaks(b, "energy", 1.001, 1.5)
-        out[(vc, vq)] = spaced([x for x, _ in scan.peaks])
+        peaks = scan_peaks(b, "energy", 1.001, 1.5)
+        out[(vc, vq)] = spaced([x for x, _ in peaks])
     return out
 
 
@@ -120,8 +120,8 @@ def _scan_width_table():
     out = {}
     for (vc, vq) in TABLE_WIDTH:
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=1.0)
-        scan = scan_peaks(b, "width", PI, 4.6 * PI, eps0=SQRT2)
-        out[(vc, vq)] = spaced([x / PI for x, _ in scan.peaks])
+        peaks = scan_peaks(b, "width", PI, 4.6 * PI, eps0=SQRT2)
+        out[(vc, vq)] = spaced([x / PI for x, _ in peaks])
     return out
 
 
@@ -387,8 +387,7 @@ def test_criterion_09_asymptotic_series():
                         ("pure_quaternionic", critical_quaternionic)):
         errs = {}
         for lam in (thin, thin / 2.0, thick, thick * 2.0):
-            regime = "thin" if lam < 1.0 else "thick"
-            sr, st = asymptotic_moduli(lam, regime, case)
+            _, sr, st = asymptotic_moduli(lam, case)
             amps = exact(lam)
             errs[lam] = (abs(abs(amps.r) - sr), abs(abs(amps.t) - st))
         worst_thin = max(worst_thin, *errs[thin])

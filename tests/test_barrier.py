@@ -114,12 +114,6 @@ class TestAdimensionalBarrier:
             with pytest.raises(ValueError):
                 AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
 
-    def test_from_vc(self):
-        b = AdimensionalBarrier.from_vc(0.6, theta=0.1, lam=2.0)
-        assert b.vq == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            AdimensionalBarrier.from_vc(1.5)
-
 
 class TestWaveParams:
     def test_complex_limit_values(self):
@@ -282,7 +276,7 @@ VALIDATED_INPUTS = {
     "critical_complex lam": lambda x: critical_complex(x),
     "critical_quaternionic lam": lambda x: critical_quaternionic(x),
     "critical_quaternionic theta": lambda x: critical_quaternionic(2.0, x),
-    "asymptotic_moduli lam": lambda x: asymptotic_moduli(x, "thin", "complex"),
+    "asymptotic_moduli lam": lambda x: asymptotic_moduli(x, "complex"),
     "complex_resonance_energies lambda0": lambda x: complex_resonance_energies(x, 3),
     "complex_resonance_widths eps0": lambda x: complex_resonance_widths(x, 3),
     "min_transmission": lambda x: min_transmission(x),

@@ -8,11 +8,14 @@ import warnings
 import pytest
 
 from qbarrier import critical_complex
+from qbarrier.barrier import MAX_GRID_POINTS
 from qbarrier.cli import main
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
+#: one more table row or sample than any command builds; rejected before allocation
+TOO_MANY = str(MAX_GRID_POINTS + 1)
 
 
 def run(args, capsys):
@@ -241,6 +244,9 @@ class TestCritical:
           "--step", "1e-300", "--potentials", "1,0"], "step=1e-300"),
         (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1e9",
           "--step", "1e-9", "--potentials", "1,0"], "step=1e-09"),
+        (["resonances", "--lambda-pi", "3", "--potentials", "1,0", "--n", TOO_MANY], "n_max"),
+        (["resonances", "--eps0", "1.5", "--potentials", "1,0", "--n", TOO_MANY], "n_max"),
+        (["verify", "--samples", TOO_MANY], "samples"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):

@@ -15,7 +15,6 @@ from qbarrier import (
     critical_quaternionic,
     critical_zone2,
     oracle_amplitudes,
-    qmul,
     transmission,
 )
 from qbarrier.quaternion import I as QI, J as QJ
@@ -194,8 +193,8 @@ class TestZoneTwoSolutions:
         xi, h = 1.0, 1e-2
         second = self.fd_second(amps.zone2, xi, h)
         value = critical_zone2(xi, amps.zone2)
-        lhs = qmul(QI, second)
-        rhs = qmul(QI, value) - qmul(value, QI)
+        lhs = QI * second
+        rhs = QI * value - value * QI
         assert abs(lhs.z - rhs.z) < 1e-9
         assert abs(lhs.w - rhs.w) < 1e-9
 
@@ -207,9 +206,9 @@ class TestZoneTwoSolutions:
         for h, tol in ((1e-2, 1e-9), (1e-3, 1e-7)):
             second = self.fd_second(amps.zone2, xi, h)
             value = critical_zone2(xi, amps.zone2)
-            lhs = qmul(QI, second)
-            coupling = qmul(qmul(QJ, Quaternion(cmath.exp(-1j * theta))), value)
-            rhs = coupling - qmul(value, QI)
+            lhs = QI * second
+            coupling = QJ * Quaternion(cmath.exp(-1j * theta)) * value
+            rhs = coupling - value * QI
             assert abs(lhs.z - rhs.z) < tol
             assert abs(lhs.w - rhs.w) < tol
 
@@ -262,7 +261,8 @@ class TestAsymptoticSeries:
                             ("pure_quaternionic", critical_quaternionic)):
             errs = {}
             for lam in (0.05, 0.025):
-                sr, st = asymptotic_moduli(lam, "thin", case)
+                regime, sr, st = asymptotic_moduli(lam, case)
+                assert regime == "thin"
                 amps = exact(lam)
                 errs[lam] = (abs(abs(amps.r) - sr), abs(abs(amps.t) - st))
                 assert errs[lam][0] < lam**5
@@ -280,7 +280,8 @@ class TestAsymptoticSeries:
                             ("pure_quaternionic", critical_quaternionic)):
             errs = {}
             for lam in (40.0, 80.0):
-                sr, st = asymptotic_moduli(lam, "thick", case)
+                regime, sr, st = asymptotic_moduli(lam, case)
+                assert regime == "thick"
                 amps = exact(lam)
                 errs[lam] = (abs(abs(amps.r) - sr), abs(abs(amps.t) - st))
             assert errs[40.0][0] < 50.0 / 40.0**5
@@ -289,16 +290,16 @@ class TestAsymptoticSeries:
                 if errs[80.0][i] > 0.0:
                     assert errs[40.0][i] / errs[80.0][i] >= 16.0
 
-    def test_out_of_regime_warns(self):
-        with pytest.warns(RuntimeWarning):
-            asymptotic_moduli(1.0, "thin", "complex")
-        with pytest.warns(RuntimeWarning):
-            asymptotic_moduli(1.0, "thick", "complex")
+    def test_regime_follows_lam(self):
+        # thin below 0.3, thick above 10, no series from 0.3 to 10 inclusive
+        for case in ("complex", "pure_quaternionic"):
+            assert asymptotic_moduli(math.nextafter(0.3, 0.0), case)[0] == "thin"
+            for lam in (0.3, 1.0, 10.0):
+                assert asymptotic_moduli(lam, case) is None
+            assert asymptotic_moduli(math.nextafter(10.0, 11.0), case)[0] == "thick"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            asymptotic_moduli(1.0, "medium", "complex")
+            asymptotic_moduli(1.0, "octonionic")
         with pytest.raises(ValueError):
-            asymptotic_moduli(1.0, "thin", "octonionic")
-        with pytest.raises(ValueError):
-            asymptotic_moduli(-1.0, "thin", "complex")
+            asymptotic_moduli(-1.0, "complex")

@@ -1,6 +1,7 @@
 """Byte identity of the README commands: the sha256 of what each one writes.
 
-Two sweeps beyond the README pin the other format of each sweep mode.
+Two sweeps beyond the README pin the other format of each sweep mode, and
+four `critical --series` commands pin the series regime limits.
 
 A change that moves any printed digit fails here.  Where a change moves
 digits on purpose, CHANGES.md lists the old and the new hash and says why.
@@ -42,6 +43,18 @@ SWEEP_FORMATS = [
                  "45ff945f8fe05287c32acc1059bfeeaebbd6478945ab399207095aa1afccb946", id="sweep-width-csv"),
 ]
 
+#: the series line on each side of both regime limits (thin below 0.3, thick above 10)
+SERIES_REGIMES = [
+    pytest.param(["critical", "--case", "c", "--lambda", "2", "--series"],
+                 "1d258dce694a0a8adf80c07733c3f35f90af919d6fd66243b637203d497c4559", id="series-c-2"),
+    pytest.param(["critical", "--case", "c", "--lambda", "0.3", "--series"],
+                 "bccbce9db057e3d8ec7245a157ed472fb9d3547b549e5ef13293f5baf63e96f0", id="series-c-0.3"),
+    pytest.param(["critical", "--case", "q", "--lambda", "10", "--series"],
+                 "8609dc1678d25c69550a46d2df78f5491680784194aaa89503099c687d6bba84", id="series-q-10"),
+    pytest.param(["critical", "--case", "q", "--lambda", "40", "--series"],
+                 "298190bdb8f722f19a504150ea5aeb25a894085b5f05bd0be7c8aca2aaff636a", id="series-q-40"),
+]
+
 #: the README width sweep writes its JSON to a file and nothing to stdout
 WIDTH_SWEEP = ["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14",
                "--stop", "14.5", "--step", "0.003", "--potentials", "1,0;0,1", "--format", "json"]
@@ -53,7 +66,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, digest", README_COMMANDS + SWEEP_FORMATS)
+@pytest.mark.parametrize("argv, digest", README_COMMANDS + SWEEP_FORMATS + SERIES_REGIMES)
 def test_readme_command_stdout_is_pinned(argv, digest, capsys):
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == digest

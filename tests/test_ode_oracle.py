@@ -8,7 +8,6 @@ import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
-    ConvergenceError,
     critical_quaternionic,
     oracle_amplitudes,
     propagate,
@@ -157,15 +156,6 @@ def test_agreement_with_closed_form_on_grid():
     for eps, b in random_points(seed=14, n=60):
         worst = max(worst, abs(oracle_amplitudes(eps, b).t - transmission(eps, b).t))
     assert worst < 1e-6
-
-
-def test_convergence_check_passes_and_fires():
-    b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
-    oracle_amplitudes(1.4, b, check_convergence=True)
-    # a coarse grid over a wide fast barrier has visible truncation
-    wide = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=25.0)
-    with pytest.raises(ConvergenceError):
-        oracle_amplitudes(2.9, wide, steps=1000, check_convergence=True)
 
 
 def test_input_guards():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbarrier.quaternion import I, J, K, ONE, Quaternion, qconj, qmul, qnorm
+from qbarrier.quaternion import I, J, K, ONE, Quaternion
 
 
 def hamilton_components(p, q):
@@ -29,13 +29,13 @@ quaternions = st.builds(Quaternion.from_components, finite, finite, finite, fini
 
 
 def test_unit_table():
-    assert qmul(I, I) == -ONE
-    assert qmul(J, J) == -ONE
-    assert qmul(K, K) == -ONE
-    assert qmul(I, J) == K
-    assert qmul(J, K) == I
-    assert qmul(K, I) == J
-    assert qmul(qmul(I, J), K) == -ONE
+    assert I * I == -ONE
+    assert J * J == -ONE
+    assert K * K == -ONE
+    assert I * J == K
+    assert J * K == I
+    assert K * I == J
+    assert I * J * K == -ONE
 
 
 def test_component_mapping_roundtrip():
@@ -48,14 +48,14 @@ def test_component_mapping_roundtrip():
 
 def test_one_plus_j_times_one_minus_j():
     # (1 + j)(1 - j) = 1 - j*j = 2
-    prod = qmul(Quaternion(1.0, 1.0), Quaternion(1.0, -1.0))
+    prod = Quaternion(1.0, 1.0) * Quaternion(1.0, -1.0)
     assert prod == Quaternion(2.0, 0.0)
 
 
 def test_conjugate_and_norm_values():
-    assert qconj(I) == -I
-    assert qconj(J) == -J
-    assert qnorm(Quaternion(3.0, 4.0)) == pytest.approx(5.0)  # 3 + 4j
+    assert I.conjugate() == -I
+    assert J.conjugate() == -J
+    assert Quaternion(3.0, 4.0).norm() == pytest.approx(5.0)  # 3 + 4j
 
 
 def test_product_matches_component_oracle_and_associates():
@@ -65,33 +65,33 @@ def test_product_matches_component_oracle_and_associates():
         q1, q2, q3 = (Quaternion.from_components(*t) for t in (t1, t2, t3))
         # agreement with the 4-component oracle
         oracle = Quaternion.from_components(*hamilton_components(t1, t2))
-        assert close(qmul(q1, q2), oracle, tol=1e-15)
+        assert close(q1 * q2, oracle, tol=1e-15)
         # associativity
-        assert close(qmul(qmul(q1, q2), q3), qmul(q1, qmul(q2, q3)), tol=1e-14)
+        assert close((q1 * q2) * q3, q1 * (q2 * q3), tol=1e-14)
 
 
 @given(quaternions, quaternions)
 @settings(max_examples=200, deadline=None)
 def test_norm_multiplicative(q1, q2):
-    assert qnorm(qmul(q1, q2)) == pytest.approx(qnorm(q1) * qnorm(q2), abs=1e-12)
+    assert (q1 * q2).norm() == pytest.approx(q1.norm() * q2.norm(), abs=1e-12)
 
 
 @given(quaternions)
 @settings(max_examples=200, deadline=None)
 def test_conjugate_norm_identity(q):
-    # qconj(q) * q is the real scalar qnorm(q)**2
-    prod = qmul(qconj(q), q)
+    # conj(q) * q is the real scalar |q|**2
+    prod = q.conjugate() * q
     assert prod.z.imag == pytest.approx(0.0, abs=1e-15)
     assert abs(prod.w) == pytest.approx(0.0, abs=1e-15)
-    assert prod.z.real == pytest.approx(qnorm(q) ** 2, abs=1e-12)
-    assert qnorm(qmul(q, q)) == pytest.approx(qnorm(q) ** 2, abs=1e-12)
+    assert prod.z.real == pytest.approx(q.norm() ** 2, abs=1e-12)
+    assert (q * q).norm() == pytest.approx(q.norm() ** 2, abs=1e-12)
 
 
 @given(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)
 def test_symplectic_commutation(z):
     # j * z == conj(z) * j for every complex z
-    assert close(qmul(J, Quaternion(z)), qmul(Quaternion(z.conjugate()), J), tol=1e-13)
+    assert close(J * Quaternion(z), Quaternion(z.conjugate()) * J, tol=1e-13)
 
 
 @given(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
@@ -99,7 +99,7 @@ def test_symplectic_commutation(z):
 @settings(max_examples=200, deadline=None)
 def test_left_multiplication_by_i_splits(z, w):
     # i * (z + j*w) = i*z + j*(-i*w): the rule behind the two-equation split
-    out = qmul(I, Quaternion(z, w))
+    out = I * Quaternion(z, w)
     assert close(out, Quaternion(1j * z, -1j * w), tol=1e-13)
 
 
@@ -108,8 +108,8 @@ def test_scalar_promotion_and_noncommutativity():
     assert close(2 * q, Quaternion(1.0 + 0.5j, -2.0 + 4.0j))
     left = 1j * q  # complex scalar multiplies from the left
     right = q * 1j
-    assert close(left, qmul(I, q))
-    assert close(right, qmul(q, I))
+    assert close(left, I * q)
+    assert close(right, q * I)
     assert not close(left, right, tol=1e-3)  # generic q: i does not commute
 
 

@@ -1,4 +1,4 @@
-"""Resonance closed forms and the peak/valley scanner."""
+"""Resonance closed forms and the peak scanner."""
 
 import math
 
@@ -13,8 +13,8 @@ from qbarrier import (
     transmission,
     transmission_complex,
 )
-from qbarrier.barrier import uniform_grid
-from qbarrier.resonance import _golden_section
+from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid
+from qbarrier.resonance import REFINE_TOL, _golden_section
 from tests.conftest import FIVE_POTENTIALS
 
 SQRT2 = math.sqrt(2.0)
@@ -60,6 +60,11 @@ class TestClosedForms:
             complex_resonance_widths(0.9, 2)
         with pytest.raises(ValueError):
             complex_resonance_energies(-1.0, 2)
+        # the table size is bounded before any row is built
+        with pytest.raises(ValueError, match="n_max"):
+            complex_resonance_energies(3.0 * PI, MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match="n_max"):
+            complex_resonance_widths(SQRT2, MAX_GRID_POINTS + 1)
         with pytest.raises(ValueError):
             min_transmission(1.0)
 
@@ -97,62 +102,55 @@ class TestMinTransmission:
 class TestScanPeaks:
     def test_complex_energy_scan_matches_closed_form(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=3.0 * PI)
-        scan = scan_peaks(b, "energy", 1.001, 1.5)
+        peaks = scan_peaks(b, "energy", 1.001, 1.5)
         closed = [r[0] for r in complex_resonance_energies(3.0 * PI, 3)]
-        assert len(scan.peaks) >= 3
-        for (found, prob), expected in zip(scan.peaks, closed):
+        assert len(peaks) >= 3
+        for (found, prob), expected in zip(peaks, closed):
             assert found == pytest.approx(expected, abs=5e-6)
             assert prob == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_quaternionic_energy_scan(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=3.0 * PI)
-        scan = scan_peaks(b, "energy", 1.001, 1.3)
-        locs = [x for x, _ in scan.peaks]
+        peaks = scan_peaks(b, "energy", 1.001, 1.3)
+        locs = [x for x, _ in peaks]
         assert locs[0] == pytest.approx(1.011, abs=5e-4)
         assert locs[1] == pytest.approx(1.077, abs=5e-4)
         assert locs[2] == pytest.approx(1.246, abs=5e-4)
-        assert all(prob <= 1.0 + 1e-12 for _, prob in scan.peaks)
+        assert all(prob <= 1.0 + 1e-12 for _, prob in peaks)
 
     def test_pure_quaternionic_width_scan(self):
         # tabulated peaks are the ones above the fundamental spacing (pi here)
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        scan = scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)
-        locs = [x / PI for x, _ in scan.peaks]
+        locs = [x / PI for x, _ in scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)]
         assert locs[0] == pytest.approx(1.718, abs=5e-4)
         assert locs[1] == pytest.approx(2.478, abs=5e-4)
         assert locs[2] == pytest.approx(3.238, abs=5e-4)
 
     def test_sub_fundamental_peak_exists_but_is_not_tabulated(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        scan = scan_peaks(b, "width", 0.5, 3.5 * PI, eps0=SQRT2)
-        locs = [x / PI for x, _ in scan.peaks]
+        locs = [x / PI for x, _ in scan_peaks(b, "width", 0.5, 3.5 * PI, eps0=SQRT2)]
         assert locs[0] < 1.0  # a real peak below the fundamental
         assert locs[1] == pytest.approx(1.718, abs=5e-4)
 
     def test_scan_invariants(self):
         b = AdimensionalBarrier(vc=0.5, vq=math.sqrt(3.0) / 2.0, theta=0.9, lam=3.0 * PI)
-        scan = scan_peaks(b, "energy", 1.001, 1.5)
-        locs_p = [x for x, _ in scan.peaks]
-        locs_v = [x for x, _ in scan.valleys]
-        assert locs_p == sorted(locs_p)
-        assert locs_v == sorted(locs_v)
-        # interleave: between consecutive peaks there is exactly one valley
-        for (x1, p1), (x2, p2) in zip(scan.peaks, scan.peaks[1:]):
-            inside = [(v, pv) for v, pv in scan.valleys if x1 < v < x2]
-            assert len(inside) == 1
-            assert inside[0][1] <= p1 and inside[0][1] <= p2
+        peaks = scan_peaks(b, "energy", 1.001, 1.5)
+        locs = [x for x, _ in peaks]
+        assert len(locs) >= 3
+        assert all(x1 < x2 for x1, x2 in zip(locs, locs[1:]))
+        # between consecutive peaks |T|**2 dips below both
+        for (x1, p1), (x2, p2) in zip(peaks, peaks[1:]):
+            assert transmission(0.5 * (x1 + x2), b).prob < min(p1, p2)
 
     def test_quaternionic_width_spacing_constant(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        scan = scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)
-        locs = [x for x, _ in scan.peaks]
+        locs = [x for x, _ in scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)]
         gaps = [y - x for x, y in zip(locs, locs[1:])]
         assert abs(gaps[1] - gaps[0]) < 5e-4 * PI
 
     def test_empty_range_is_not_an_error(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=0.5)
-        scan = scan_peaks(b, "energy", 1.05, 1.10)  # narrow barrier: no peak here
-        assert scan.peaks == []
+        assert scan_peaks(b, "energy", 1.05, 1.10) == []  # narrow barrier: no peak here
 
     def test_bad_arguments(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
@@ -173,15 +171,15 @@ def test_peak_monotonicity_across_unit_circle():
             locs = [r[0] for r in complex_resonance_energies(lam0, 3)]
         else:
             b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=lam0)
-            locs = [x for x, _ in scan_peaks(b, "energy", 1.001, 1.5).peaks[:3]]
+            locs = [x for x, _ in scan_peaks(b, "energy", 1.001, 1.5)[:3]]
         table.append(locs)
     for prev, cur in zip(table, table[1:]):
         assert all(c < p for p, c in zip(prev, cur))
         assert (cur[1] - cur[0]) < (prev[1] - prev[0])
 
 
-def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3, refine_tol=1e-6):
-    """(peaks, valleys) by the scan's former coarse pass: one scalar transmission per grid point."""
+def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3):
+    """Peaks by the scan's former coarse pass: one scalar transmission per grid point."""
     if variable == "energy":
         def prob(x):
             return transmission(x, b).prob
@@ -190,15 +188,12 @@ def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3, refine_tol=
             return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
     xs = uniform_grid(lo, hi, coarse_step)
     ys = [prob(x) for x in xs]
-    peaks, valleys = [], []
+    peaks = []
     for i in range(1, len(xs) - 1):
         if ys[i - 1] < ys[i] >= ys[i + 1]:
-            x = _golden_section(prob, xs[i - 1], xs[i + 1], refine_tol)
+            x = _golden_section(prob, xs[i - 1], xs[i + 1], REFINE_TOL)
             peaks.append((x, prob(x)))
-        elif ys[i - 1] > ys[i] <= ys[i + 1]:
-            x = _golden_section(lambda u: -prob(u), xs[i - 1], xs[i + 1], refine_tol)
-            valleys.append((x, prob(x)))
-    return peaks, valleys
+    return peaks
 
 
 @pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS)
@@ -212,6 +207,6 @@ def test_grid_scan_is_bit_identical_to_per_point_scan(vc, vq):
     spacing = complex_resonance_widths(SQRT2, n)[0][1]
     width = (AdimensionalBarrier(vc, vq), "width", spacing, (n + 1.6) * spacing, SQRT2, 1e-3)
     for b, variable, lo, hi, eps0, step in (energy, width):
-        scan = scan_peaks(b, variable, lo, hi, eps0=eps0, coarse_step=step)
-        assert scan.peaks and scan.valleys
-        assert (scan.peaks, scan.valleys) == per_point_scan(b, variable, lo, hi, eps0, step)
+        peaks = scan_peaks(b, variable, lo, hi, eps0=eps0, coarse_step=step)
+        assert peaks
+        assert peaks == per_point_scan(b, variable, lo, hi, eps0, step)

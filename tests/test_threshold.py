@@ -97,7 +97,8 @@ def test_wavefunction_is_continuous_and_conserves_current(vc, vq):
 )
 @settings(max_examples=300, deadline=None)
 def test_closed_form_and_solve_agree_at_and_around_the_threshold(vc, well, eps, theta, lam):
-    b = AdimensionalBarrier.from_vc(-vc if well else vc, theta, lam)
+    vc = -vc if well else vc
+    b = AdimensionalBarrier(vc, math.sqrt(1.0 - vc * vc), theta, lam)
     amps = solve(eps, b)
     assert abs(transmission(eps, b).t - amps.t) <= 1e-12
     assert abs(probability_balance(amps)) <= 1e-12
