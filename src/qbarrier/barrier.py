@@ -66,8 +66,11 @@ def require_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {value!r}")
 
 
-def uniform_grid(start: float, stop: float, step: float) -> list[float]:
+def uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
     """The points start + k*step, k = 0, 1, ..., up to stop (with 1e-9 steps of slack).
+
+    A float ndarray, each point from the same two IEEE operations as the
+    float expression start + k*step.
 
     Raises:
         ValueError: naming start, stop and step, above MAX_GRID_POINTS points.
@@ -78,7 +81,7 @@ def uniform_grid(start: float, stop: float, step: float) -> list[float]:
             f"grid start={start!r}, stop={stop!r}, step={step!r} has more than "
             f"{MAX_GRID_POINTS} points"
         )
-    return [start + k * step for k in range(int(math.floor(span)) + 1)]
+    return start + step * np.arange(int(math.floor(span)) + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,16 +156,21 @@ def shc(a, x):
 
     Below |a*x| = SHC_SERIES_BELOW it sums x*(1 + z**2/6*(1 + z**2/20)),
     z = a*x, whose first omitted term is z**6/5040 of x.  Like `wave_params`,
-    one body serves floats (cmath) and ndarrays (numpy, broadcast).
+    one body serves floats (cmath) and ndarrays (numpy, broadcast); on an
+    ndarray the series is summed only at the elements below the switch.
     """
     z = a * x
     small = abs(z) < SHC_SERIES_BELOW
-    if not isinstance(z, np.ndarray) and not small:
-        return cmath.sinh(z) / a
-    series = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
-    if isinstance(z, np.ndarray):
-        return np.where(small, series, np.sinh(z) / np.where(small, 1.0, a))
-    return series
+    if not isinstance(z, np.ndarray):
+        return _shc_series(z, x) if small else cmath.sinh(z) / a
+    with np.errstate(all="ignore"):  # 0/0 at a = 0, overwritten by the series
+        out = np.sinh(z) / a
+    out[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
+    return out
+
+
+def _shc_series(z, x):
+    return x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
 
 
 def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:

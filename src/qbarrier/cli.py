@@ -197,7 +197,7 @@ class SweepConfig:
     def grid(self) -> list[float]:
         if self.stop <= self.start:
             return []
-        return uniform_grid(self.start, self.stop, self.step)
+        return uniform_grid(self.start, self.stop, self.step).tolist()
 
 
 def run_sweep(config: SweepConfig) -> list[tuple]:

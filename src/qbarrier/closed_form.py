@@ -115,10 +115,10 @@ def denominator_factored(p: WaveParams, lam):
     return complex(num / den)
 
 
-def _amplitude(eps, lam, b: AdimensionalBarrier):
-    """T = 2*exp(-i*eps*lam)/D, for floats or for broadcast ndarrays eps and lam."""
-    xp = np if isinstance(eps, np.ndarray) else cmath
-    return 2.0 * xp.exp(-1j * eps * lam) / denominator_factored(wave_params(eps, b), lam)
+def _amplitude(p: WaveParams, lam):
+    """T = 2*exp(-i*eps*lam)/D at p.eps, for floats or for ndarrays p.eps and lam that broadcast."""
+    xp = np if isinstance(p.eps, np.ndarray) else cmath
+    return 2.0 * xp.exp(-1j * p.eps * lam) / denominator_factored(p, lam)
 
 
 def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
@@ -131,7 +131,7 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
     Raises:
         DegenerateEnergyError: from `wave_params`.
     """
-    return TransmissionResult.from_amplitude(_amplitude(eps, b.lam, b))
+    return TransmissionResult.from_amplitude(_amplitude(wave_params(eps, b), b.lam))
 
 
 def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
@@ -139,20 +139,25 @@ def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
 
     One numpy evaluation of the body that `transmission` runs with cmath;
     the two agree to ~1e-15 (numpy's and cmath's complex functions differ
-    in the last bits).  b's own width is ignored.  Errors are the scalar ones:
-    every element whose T comes out non-finite, or whose lam is not finite
-    and >= 0, is replayed through `transmission` in C order, so the first
-    element on which `transmission` raises makes the grid raise the same
-    error, and an element that replays without raising takes its value.
+    in the last bits).  b's own width is ignored.  eps and lam broadcast
+    only at the kernel's first mixed operation, so a fixed eps gets its wave
+    parameters once.  Errors are the scalar ones: every element whose T
+    comes out non-finite, or whose lam is not finite and >= 0, is replayed
+    through `transmission` in C order, so the first element on which
+    `transmission` raises makes the grid raise the same error, and an
+    element that replays without raising takes its value.
     """
-    eps, lam = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(lam, dtype=float))
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(lam))
+    # a scalar becomes shape (1,), not 0-d: numpy scalar math may differ from its loops
+    eps, lam = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (eps, lam))
     with np.errstate(all="ignore"):
-        t = np.asarray(_amplitude(eps, lam, b))
+        t = _amplitude(wave_params(eps, b), lam)
+        eps, lam = np.broadcast_arrays(eps, lam)  # views, indexed like t
         replay = np.flatnonzero(~(np.isfinite(t) & (lam >= 0.0)))
     for i in replay:
         x, width = float(eps.flat[i]), float(lam.flat[i])
         t.flat[i] = transmission(x, AdimensionalBarrier(b.vc, b.vq, b.theta, width)).t
-    return t
+    return t.reshape(shape)
 
 
 def transmission_complex(eps: float, lam: float) -> TransmissionResult:

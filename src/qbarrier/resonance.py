@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_count, require_finite, uniform_grid
-from .closed_form import transmission, transmission_grid
+from .barrier import AdimensionalBarrier, require_count, require_finite, uniform_grid, wave_params
+from .closed_form import _amplitude, transmission, transmission_grid
 
 #: golden-section shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,36 +105,40 @@ def scan_peaks(
     variable "energy" scans eps in [lo, hi] at the barrier's own width;
     variable "width" scans lam in [lo, hi] at the given eps0.  One
     `transmission_grid` call over a coarse grid brackets each interior
-    peak, then golden-section search over scalar `transmission` calls
-    refines its location to REFINE_TOL.  An empty result is not an error;
-    a coarse grid above MAX_GRID_POINTS is (see `uniform_grid`).
+    peak, then golden-section search over scalar evaluations of the closed
+    form refines its location to REFINE_TOL: `transmission` calls for an
+    energy scan, and for a width scan the kernel on wave parameters computed
+    once at eps0.  An empty result is not an error; a coarse grid above
+    MAX_GRID_POINTS is (see `uniform_grid`).
     """
-    if variable == "energy":
-
-        def prob(x: float) -> float:
-            return transmission(x, b).prob
-
-    elif variable == "width":
-        if eps0 is None:
-            raise ValueError("width scans need eps0")
-
-        def prob(x: float) -> float:
-            return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
-
-    else:
+    if variable not in ("energy", "width"):
         raise ValueError(f"unknown scan variable {variable!r}")
+    if variable == "width" and eps0 is None:
+        raise ValueError("width scans need eps0")
     require_finite("lo", lo)
     require_finite("hi", hi, lo, strict=True)
     require_finite("coarse_step", coarse_step, 0.0, strict=True)
 
-    xs = uniform_grid(lo, hi, coarse_step)
-    grid = np.asarray(xs)
-    t = transmission_grid(grid, b.lam, b) if variable == "energy" else transmission_grid(eps0, grid, b)
+    grid = uniform_grid(lo, hi, coarse_step)
+    if variable == "energy":
+        t = transmission_grid(grid, b.lam, b)
+
+        def prob(x: float) -> float:
+            return transmission(x, b).prob
+
+    else:
+        t = transmission_grid(eps0, grid, b)
+        p = wave_params(eps0, b)  # the grid has raised any error this could
+
+        def prob(x: float) -> float:
+            return abs(_amplitude(p, x)) ** 2
+
     ys = np.abs(t) ** 2
     is_peak = (ys[:-2] < ys[1:-1]) & (ys[1:-1] >= ys[2:])
 
     peaks = []
     for i in np.flatnonzero(is_peak).tolist():
-        x = _golden_section(prob, xs[i], xs[i + 2], REFINE_TOL)
+        # float brackets: from an np.float64 the probe would take numpy's pow, not libm's
+        x = _golden_section(prob, float(grid[i]), float(grid[i + 2]), REFINE_TOL)
         peaks.append((x, prob(x)))
     return peaks

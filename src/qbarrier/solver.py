@@ -115,7 +115,8 @@ def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
     if resid > RESIDUAL_TOL:
         x = x + inv @ (rhs - mat @ x)
         resid = float(np.abs(mat @ x - rhs).max())
-    cond = float(np.abs(mat).max() * np.abs(inv).max())
+    # a product of Python floats: inf, without an overflow warning, once out of range
+    cond = float(np.abs(mat).max()) * float(np.abs(inv).max())
     return ScatteringAmplitudes(
         r=complex(x[0]),
         rt=complex(x[1]),

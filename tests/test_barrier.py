@@ -301,9 +301,20 @@ def test_non_finite_input_rejected(entry, value):
 
 class TestUniformGrid:
     def test_count_formula(self):
-        assert uniform_grid(1.0, 1.1, 0.05) == [1.0, 1.05, 1.1]
+        assert uniform_grid(1.0, 1.1, 0.05).tolist() == [1.0, 1.05, 1.1]
         assert len(uniform_grid(3.14, 14.5, 0.003)) == int(math.floor((14.5 - 3.14) / 0.003 + 1e-9)) + 1
-        assert uniform_grid(2.0, 2.0, 0.1) == [2.0]
+        assert uniform_grid(2.0, 2.0, 0.1).tolist() == [2.0]
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (1.001, 1.5, 0.001),  # README energy sweep
+        (3.14, 14.5, 0.003),  # README width sweep
+        (math.pi / math.sqrt(1.41421356**2 - 1.0), 4.6 * math.pi / math.sqrt(1.41421356**2 - 1.0),
+         1e-3),  # `resonances --eps0 1.41421356` scan
+    ])
+    def test_points_are_the_float_expression_bit_for_bit(self, start, stop, step):
+        grid = uniform_grid(start, stop, step)
+        want = [start + k * step for k in range(grid.size)]
+        assert np.array_equal(grid.view(np.uint64), np.array(want).view(np.uint64))
 
     @pytest.mark.parametrize("start, stop, step", [
         (1.1, 1e300, 1e-300),  # infinite count

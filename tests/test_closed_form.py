@@ -21,6 +21,7 @@ from qbarrier import (
     transmission_probability_complex,
     wave_params,
 )
+from qbarrier.barrier import SHC_SERIES_BELOW, shc
 from qbarrier.closed_form import denominator_factored, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.conftest import FIVE_POTENTIALS, random_points
@@ -188,7 +189,12 @@ def grid_points(eps, lam):
     return zip(*(a.ravel().tolist() for a in np.broadcast_arrays(eps, lam)))
 
 
-@pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS)
+def bits(t: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(t).view(np.uint64)
+
+
+# beyond the five: a barrier with am = 0 and a well with ap = 0 at eps = 1
+@pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS + ((0.6, 0.8), (-0.6, 0.8)))
 def test_grid_matches_scalar_in_both_broadcast_directions(vc, vq):
     rng = np.random.default_rng(606)
     b = AdimensionalBarrier(vc, vq, theta=rng.uniform(0.1, 2.0 * math.pi))
@@ -200,6 +206,30 @@ def test_grid_matches_scalar_in_both_broadcast_directions(vc, vq):
         for got, (e, w) in zip(t.tolist(), grid_points(grid_eps, grid_lam)):
             want = scalar_t(e, w, b)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    # a fixed operand kept scalar gives the bits of the same operand broadcast in full,
+    # also at the threshold and at widths whose shc elements take the series
+    threshold = [1.0] if vq != 1.0 else []
+    eps = np.concatenate([eps, threshold])
+    lam = np.concatenate([lam, [0.0, 1e-7, 1e-4]])
+    for x in eps[:4].tolist() + threshold:
+        want = transmission_grid(np.full(lam.shape, x), lam, b)
+        assert np.array_equal(bits(transmission_grid(x, lam, b)), bits(want))
+    for x in lam[:4].tolist() + [0.0, 1e-7, 1e-4]:
+        want = transmission_grid(eps, np.full(eps.shape, x), b)
+        assert np.array_equal(bits(transmission_grid(eps, x, b)), bits(want))
+
+
+def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
+    # small, large and zero a, against the formula that sums the series everywhere
+    a = np.array([0.0, 1e-9, 2e-4 + 3e-4j, 4e-4j, 0.3, 2.0 - 1.0j, 1e-3, 25.0j, 0.0])
+    x = np.array([[0.0], [0.7], [2.5]])
+    z = a * x
+    small = abs(z) < SHC_SERIES_BELOW
+    series = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
+    want = np.where(small, series, np.sinh(z) / np.where(small, 1.0, a))
+    assert small.any() and not small.all()
+    assert np.array_equal(bits(shc(a, x)), bits(want))
 
 
 def test_empty_grid_gives_empty_array():

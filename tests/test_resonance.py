@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qbarrier import (
@@ -13,7 +14,9 @@ from qbarrier import (
     transmission,
     transmission_complex,
 )
-from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid
+from qbarrier import closed_form, resonance
+from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid, wave_params
+from qbarrier.closed_form import transmission_grid
 from qbarrier.resonance import REFINE_TOL, _golden_section
 from tests.conftest import FIVE_POTENTIALS
 
@@ -186,7 +189,7 @@ def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3):
     else:
         def prob(x):
             return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
-    xs = uniform_grid(lo, hi, coarse_step)
+    xs = uniform_grid(lo, hi, coarse_step).tolist()
     ys = [prob(x) for x in xs]
     peaks = []
     for i in range(1, len(xs) - 1):
@@ -210,3 +213,26 @@ def test_grid_scan_is_bit_identical_to_per_point_scan(vc, vq):
         peaks = scan_peaks(b, variable, lo, hi, eps0=eps0, coarse_step=step)
         assert peaks
         assert peaks == per_point_scan(b, variable, lo, hi, eps0, step)
+
+
+def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):
+    # the `resonances --eps0 1.41421356` scan: one call for the grid, one for every probe
+    sizes = []
+
+    def spy(eps, b):
+        sizes.append(np.size(eps))
+        return wave_params(eps, b)
+
+    for module in (closed_form, resonance):
+        monkeypatch.setattr(module, "wave_params", spy, raising=False)
+    eps0 = 1.41421356
+    spacing = complex_resonance_widths(eps0, 3)[0][1]
+    lo, hi = spacing, 4.6 * spacing
+    b = AdimensionalBarrier(0.5, math.sqrt(3.0) / 2.0)
+    widths = uniform_grid(lo, hi, 1e-3)
+    assert len(widths) == 11_310
+    transmission_grid(eps0, widths, b)
+    assert sizes == [1]
+    sizes.clear()
+    assert len(scan_peaks(b, "width", lo, hi, eps0=eps0)) == 4
+    assert sizes == [1, 1]

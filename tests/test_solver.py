@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_continuity_residuals_below_tolerance():
         amps = solve(eps, b)
         assert residuals(eps, b, amps) < 1e-9
         assert amps.residual is not None and amps.residual < 1e-9
+
+
+def test_out_of_range_condition_is_inf_without_a_warning():
+    # at lam = 400 the growing mode's entries times the inverse's exceed the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps = solve(1.2, AdimensionalBarrier(0.6, 0.8, 0.0, 400.0))
+    assert amps.condition == math.inf
+    assert cmath.isfinite(amps.t)
+    assert abs(probability_balance(amps)) <= 1e-12
 
 
 def test_threshold_rejected():
