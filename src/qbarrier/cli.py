@@ -60,8 +60,6 @@ def _parse_potentials(text: str) -> list[AdimensionalBarrier]:
         if len(parts) not in (2, 3):
             raise ValueError(f"potential {chunk!r}: expected 'vc,vq[,theta]'")
         rows.append(AdimensionalBarrier(*map(float, parts)))
-    if not rows:
-        raise ValueError("empty potential list")
     return rows
 
 
@@ -250,7 +248,7 @@ def _energy_table(lam0: float, potentials, n_peaks: int) -> list[list[float]]:
     lo = 1.0 + min(1e-3, (eps1_complex - 1.0) / 10.0)
     step = min(1e-3, (eps1_complex - 1.0) / 20.0)
     return _peak_locations(potentials, n_peaks, closed, lambda b: scan_peaks(
-        replace(b, lam=lam0), "energy", lo, hi, coarse_step=step))
+        replace(b, lam=lam0), lo, hi, coarse_step=step))
 
 
 def _width_table(eps0: float, potentials, n_peaks: int) -> list[list[float]]:
@@ -260,7 +258,7 @@ def _width_table(eps0: float, potentials, n_peaks: int) -> list[list[float]]:
     # are not tabulated
     lo, hi = spacing, closed[-1][0] + 0.6 * spacing
     return _peak_locations(potentials, n_peaks, closed,
-                           lambda b: scan_peaks(b, "width", lo, hi, eps0=eps0))
+                           lambda b: scan_peaks(b, lo, hi, eps0=eps0))
 
 
 def cmd_resonances(args) -> int:

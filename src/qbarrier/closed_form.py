@@ -68,17 +68,14 @@ def denominator_factored(p: WaveParams, lam):
 
         D = [Dm*Ep + u**2*Dp*Em + 2i*u*P*Q - 4u] / [(1-u)*(Ep - u*Em)]
 
-    with u = beta*gamma, hyperbolic one-mode factors
+    with u = beta*gamma and one expression for each mode's three hyperbolic
+    factors, (Dm, Em, P) = F(am) and (Dp, Ep, Q) = F(ap), where
 
-        Dm = 2*cosh(am*L) + i*(am**2-e2)/e*shc(am, L)
-        Dp = 2*cosh(ap*L) + i*(ap**2-e2)/e*shc(ap, L)
-        Em = 2*cosh(am*L) +   (e2+am**2)/e*shc(am, L)
-        Ep = 2*cosh(ap*L) +   (e2+ap**2)/e*shc(ap, L)
-        P  = (1+i)*cosh(am*L) + (e2+i*am**2)/e*shc(am, L)
-        Q  = (1+i)*cosh(ap*L) + (e2+i*ap**2)/e*shc(ap, L),
+        F(a) = (2*c + i*(a**2-e2)*s, 2*c + (e2+a**2)*s, (1+i)*c + (e2+i*a**2)*s)
 
-    where shc(a, L) = sinh(a*L)/a.  Each factor is entire in a**2, so D is
-    regular at the threshold eps = 1, where am (barrier) or ap (well) is 0.
+    with c = cosh(a*L), s = shc(a, L)/e and shc(a, L) = sinh(a*L)/a.  Each
+    factor is entire in a**2, so D is regular at the threshold eps = 1,
+    where am (barrier) or ap (well) is 0.
 
     The raw element combination subtracts exp(2*ap*L)-sized products down
     to an O(exp(ap*L)) result, losing |beta*gamma|*exp(ap*L)*ulp of
@@ -98,12 +95,13 @@ def denominator_factored(p: WaveParams, lam):
     e2 = eps * eps
     cm, sm = xp.cosh(am * lam), shc(am, lam) / eps
     cp, sp = xp.cosh(ap * lam), shc(ap, lam) / eps
-    dm = 2.0 * cm + 1j * (am * am - e2) * sm
-    dp = 2.0 * cp + 1j * (ap * ap - e2) * sp
-    em = 2.0 * cm + (e2 + am * am) * sm
-    ep = 2.0 * cp + (e2 + ap * ap) * sp
-    pm = (1.0 + 1j) * cm + (e2 + 1j * am * am) * sm
-    pp = (1.0 + 1j) * cp + (e2 + 1j * ap * ap) * sp
+
+    def factors(a, c, s):
+        return (2.0 * c + 1j * (a * a - e2) * s, 2.0 * c + (e2 + a * a) * s,
+                (1.0 + 1j) * c + (e2 + 1j * a * a) * s)
+
+    dm, em, pm = factors(am, cm, sm)
+    dp, ep, pp = factors(ap, cp, sp)
     num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
     den = (1.0 - u) * (ep - u * em)
     if xp is np:

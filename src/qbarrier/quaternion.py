@@ -54,9 +54,6 @@ class Quaternion:
         """Real (1-component) part: (q + conj(q)) / 2."""
         return self.z.real
 
-    def __abs__(self) -> float:
-        return self.norm()
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         other = _promote(other)
         return Quaternion(self.z + other.z, self.w + other.w)
@@ -66,9 +63,6 @@ class Quaternion:
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         other = _promote(other)
         return Quaternion(self.z - other.z, self.w - other.w)
-
-    def __rsub__(self, other) -> "Quaternion":
-        return _promote(other) - self
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.z, -self.w)

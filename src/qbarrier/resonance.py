@@ -93,7 +93,6 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float)
 
 def scan_peaks(
     b: AdimensionalBarrier,
-    variable: str,
     lo: float,
     hi: float,
     *,
@@ -102,8 +101,8 @@ def scan_peaks(
 ) -> list[tuple[float, float]]:
     """Local maxima (location, |T|**2) of |T|**2 along one variable, in increasing location.
 
-    variable "energy" scans eps in [lo, hi] at the barrier's own width;
-    variable "width" scans lam in [lo, hi] at the given eps0.  One
+    Without eps0 the scan runs over eps in [lo, hi] at the barrier's own
+    width; with eps0 it runs over lam in [lo, hi] at that energy.  One
     `transmission_grid` call over a coarse grid brackets each interior
     peak, then golden-section search over scalar evaluations of the closed
     form refines its location to REFINE_TOL: `transmission` calls for an
@@ -111,16 +110,12 @@ def scan_peaks(
     once at eps0.  An empty result is not an error; a coarse grid above
     MAX_GRID_POINTS is (see `uniform_grid`).
     """
-    if variable not in ("energy", "width"):
-        raise ValueError(f"unknown scan variable {variable!r}")
-    if variable == "width" and eps0 is None:
-        raise ValueError("width scans need eps0")
     require_finite("lo", lo)
     require_finite("hi", hi, lo, strict=True)
     require_finite("coarse_step", coarse_step, 0.0, strict=True)
 
     grid = uniform_grid(lo, hi, coarse_step)
-    if variable == "energy":
+    if eps0 is None:
         t = transmission_grid(grid, b.lam, b)
 
         def prob(x: float) -> float:

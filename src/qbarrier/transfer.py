@@ -7,9 +7,18 @@ at the two barrier edges is related by the 4x4 complex matrix
 
 where G collects the four interior basis solutions and Delta holds their
 exponential growth over the width lam.  `transfer_numeric` performs that
-product directly and is the in-repo oracle for `transfer_closed`, which
-evaluates the sixteen hyperbolic closed-form elements.  Both must agree
-elementwise (relative to the matrix scale) wherever G is invertible.
+product directly and is the in-repo oracle for `transfer_closed`; both
+must agree elementwise (relative to the matrix scale) wherever G is
+invertible.  The paper's sixteen closed-form elements, each times
+1/(1 - bg), with bg = beta*gamma, r = am/ap, cm, sm = cosh, sinh(am*lam)
+and cp, sp = cosh, sinh(ap*lam):
+
+    M11 = M22 = cm - bg*cp          M33 = M44 = cp - bg*cm
+    M12 = -sm + bg*r*sp             M34 = bg*sm - r*sp
+    M21 = -sm + bg*sp/r             M43 = bg*sm - sp/r
+    M13 = M24 = -beta*(cm - cp)     M31 = M42 = gamma*(cm - cp)
+    M14 = beta*(sm - r*sp)          M32 = -gamma*(sm - r*sp)
+    M23 = beta*(sm - sp/r)          M41 = -gamma*(sm - sp/r)
 """
 
 from __future__ import annotations
@@ -98,47 +107,22 @@ def transfer_numeric(p: WaveParams, lam: float) -> np.ndarray:
 
 
 def transfer_closed(p: WaveParams, lam: float) -> np.ndarray:
-    """Transfer matrix from the sixteen hyperbolic closed-form elements.
+    """The element table of the module docstring, from the two modes' 2x2 blocks.
 
-    Every element carries the common factor 1/(1 - beta*gamma); the
-    off-diagonal 2x2 blocks are proportional to beta (rows 1-2) and gamma
-    (rows 3-4), which is what makes the transmission phase-independent.
+    beta and gamma mix the blocks xm (alpha_minus) and xp (alpha_plus) into
+    M = [[xm - bg*xp, -beta*d], [gamma*d, xp - bg*xm]] / (1 - bg), d = xm - xp;
+    the off-diagonal blocks carry beta and gamma, whose product bg has no theta.
     """
     bg = _mixing(p)
     am, ap = p.alpha_minus, p.alpha_plus
-    beta, gamma = p.beta, p.gamma
     cm, sm = cmath.cosh(am * lam), cmath.sinh(am * lam)
     cp, sp = cmath.cosh(ap * lam), cmath.sinh(ap * lam)
-    rmp = am / ap  # alpha_minus / alpha_plus
-    rpm = ap / am  # alpha_plus / alpha_minus
-    w = 1.0 / (1.0 - bg)
-    m = np.array(
-        [
-            [
-                cm - bg * cp,
-                -sm + rmp * bg * sp,
-                -beta * (cm - cp),
-                beta * (sm - rmp * sp),
-            ],
-            [
-                -sm + rpm * bg * sp,
-                cm - bg * cp,
-                beta * (sm - rpm * sp),
-                -beta * (cm - cp),
-            ],
-            [
-                gamma * (cm - cp),
-                -gamma * (sm - rmp * sp),
-                -bg * cm + cp,
-                bg * sm - rmp * sp,
-            ],
-            [
-                -gamma * (sm - rpm * sp),
-                gamma * (cm - cp),
-                bg * sm - rpm * sp,
-                -bg * cm + cp,
-            ],
-        ],
-        dtype=complex,
-    )
-    return w * m
+    xm = np.array([[cm, -sm], [-sm, cm]])
+    xp = np.array([[cp, -(am / ap) * sp], [-(ap / am) * sp, cp]])
+    d = xm - xp
+    m = np.empty((4, 4), dtype=complex)
+    m[:2, :2] = xm - bg * xp
+    m[:2, 2:] = -p.beta * d
+    m[2:, :2] = p.gamma * d
+    m[2:, 2:] = xp - bg * xm
+    return m * (1.0 / (1.0 - bg))

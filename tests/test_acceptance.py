@@ -111,7 +111,7 @@ def _scan_energy_table():
     out = {}
     for (vc, vq) in TABLE_ENERGY:
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=3.0 * PI)
-        peaks = scan_peaks(b, "energy", 1.001, 1.5)
+        peaks = scan_peaks(b, 1.001, 1.5)
         out[(vc, vq)] = spaced([x for x, _ in peaks])
     return out
 
@@ -120,7 +120,7 @@ def _scan_width_table():
     out = {}
     for (vc, vq) in TABLE_WIDTH:
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=1.0)
-        peaks = scan_peaks(b, "width", PI, 4.6 * PI, eps0=SQRT2)
+        peaks = scan_peaks(b, PI, 4.6 * PI, eps0=SQRT2)
         out[(vc, vq)] = spaced([x / PI for x, _ in peaks])
     return out
 

@@ -280,9 +280,10 @@ VALIDATED_INPUTS = {
     "complex_resonance_energies lambda0": lambda x: complex_resonance_energies(x, 3),
     "complex_resonance_widths eps0": lambda x: complex_resonance_widths(x, 3),
     "min_transmission": lambda x: min_transmission(x),
-    "scan_peaks lo": lambda x: scan_peaks(B, "energy", x, 1.5),
-    "scan_peaks hi": lambda x: scan_peaks(B, "energy", 1.1, x),
-    "scan_peaks coarse_step": lambda x: scan_peaks(B, "energy", 1.1, 1.5, coarse_step=x),
+    "scan_peaks lo": lambda x: scan_peaks(B, x, 1.5),
+    "scan_peaks hi": lambda x: scan_peaks(B, 1.1, x),
+    "scan_peaks coarse_step": lambda x: scan_peaks(B, 1.1, 1.5, coarse_step=x),
+    "sweep mode": lambda x: SweepConfig("frequency", x, 1.1, 1.2, 0.05, (B,)),
     "sweep fixed (energy)": lambda x: SweepConfig("energy", x, 1.1, 1.2, 0.05, (B,)),
     "sweep fixed (width)": lambda x: SweepConfig("width", x, 1.1, 1.2, 0.05, (B,)),
     "sweep start": lambda x: SweepConfig("energy", 2.0, x, 1.2, 0.05, (B,)),
@@ -329,6 +330,6 @@ class TestUniformGrid:
     def test_scan_and_sweep_grids_are_bounded(self):
         for stop, step in ((1e300, 1e-300), (1e9, 1e-9)):
             with pytest.raises(ValueError, match="more than"):
-                scan_peaks(B, "energy", 1.1, stop, coarse_step=step)
+                scan_peaks(B, 1.1, stop, coarse_step=step)
             with pytest.raises(ValueError, match="more than"):
                 SweepConfig("energy", 2.0, 1.1, stop, step, (B,)).grid()

@@ -247,6 +247,14 @@ class TestCritical:
         (["resonances", "--lambda-pi", "3", "--potentials", "1,0", "--n", TOO_MANY], "n_max"),
         (["resonances", "--eps0", "1.5", "--potentials", "1,0", "--n", TOO_MANY], "n_max"),
         (["verify", "--samples", TOO_MANY], "samples"),
+        (["resonances", "--lambda-pi", "3", "--potentials", ""], "vc,vq[,theta]"),
+        (["resonances", "--lambda-pi", "3", "--potentials", ";"], "vc,vq[,theta]"),
+        (["resonances", "--lambda-pi", "3", "--potentials", "1"], "expected"),
+        (["resonances", "--lambda-pi", "3", "--potentials", "1,0,0,0"], "expected"),
+        (["point", "--vc", "0", "--vq", "1", "--eps", "1.2", "--lambda", "3", "--lambda-pi", "1"],
+         "not both"),
+        (["critical", "--case", "q"], "is required"),
+        (["point", "--vq", "1", "--eps", "1.2", "--lambda", "3"], "point needs --vc"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):

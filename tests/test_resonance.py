@@ -105,7 +105,7 @@ class TestMinTransmission:
 class TestScanPeaks:
     def test_complex_energy_scan_matches_closed_form(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=3.0 * PI)
-        peaks = scan_peaks(b, "energy", 1.001, 1.5)
+        peaks = scan_peaks(b, 1.001, 1.5)
         closed = [r[0] for r in complex_resonance_energies(3.0 * PI, 3)]
         assert len(peaks) >= 3
         for (found, prob), expected in zip(peaks, closed):
@@ -114,7 +114,7 @@ class TestScanPeaks:
 
     def test_pure_quaternionic_energy_scan(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=3.0 * PI)
-        peaks = scan_peaks(b, "energy", 1.001, 1.3)
+        peaks = scan_peaks(b, 1.001, 1.3)
         locs = [x for x, _ in peaks]
         assert locs[0] == pytest.approx(1.011, abs=5e-4)
         assert locs[1] == pytest.approx(1.077, abs=5e-4)
@@ -124,20 +124,20 @@ class TestScanPeaks:
     def test_pure_quaternionic_width_scan(self):
         # tabulated peaks are the ones above the fundamental spacing (pi here)
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        locs = [x / PI for x, _ in scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)]
+        locs = [x / PI for x, _ in scan_peaks(b, PI, 3.5 * PI, eps0=SQRT2)]
         assert locs[0] == pytest.approx(1.718, abs=5e-4)
         assert locs[1] == pytest.approx(2.478, abs=5e-4)
         assert locs[2] == pytest.approx(3.238, abs=5e-4)
 
     def test_sub_fundamental_peak_exists_but_is_not_tabulated(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        locs = [x / PI for x, _ in scan_peaks(b, "width", 0.5, 3.5 * PI, eps0=SQRT2)]
+        locs = [x / PI for x, _ in scan_peaks(b, 0.5, 3.5 * PI, eps0=SQRT2)]
         assert locs[0] < 1.0  # a real peak below the fundamental
         assert locs[1] == pytest.approx(1.718, abs=5e-4)
 
     def test_scan_invariants(self):
         b = AdimensionalBarrier(vc=0.5, vq=math.sqrt(3.0) / 2.0, theta=0.9, lam=3.0 * PI)
-        peaks = scan_peaks(b, "energy", 1.001, 1.5)
+        peaks = scan_peaks(b, 1.001, 1.5)
         locs = [x for x, _ in peaks]
         assert len(locs) >= 3
         assert all(x1 < x2 for x1, x2 in zip(locs, locs[1:]))
@@ -147,22 +147,18 @@ class TestScanPeaks:
 
     def test_quaternionic_width_spacing_constant(self):
         b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=1.0)
-        locs = [x for x, _ in scan_peaks(b, "width", PI, 3.5 * PI, eps0=SQRT2)]
+        locs = [x for x, _ in scan_peaks(b, PI, 3.5 * PI, eps0=SQRT2)]
         gaps = [y - x for x, y in zip(locs, locs[1:])]
         assert abs(gaps[1] - gaps[0]) < 5e-4 * PI
 
     def test_empty_range_is_not_an_error(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=0.5)
-        assert scan_peaks(b, "energy", 1.05, 1.10) == []  # narrow barrier: no peak here
+        assert scan_peaks(b, 1.05, 1.10) == []  # narrow barrier: no peak here
 
     def test_bad_arguments(self):
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
         with pytest.raises(ValueError):
-            scan_peaks(b, "width", 0.5, 2.0)  # missing eps0
-        with pytest.raises(ValueError):
-            scan_peaks(b, "frequency", 0.5, 2.0)
-        with pytest.raises(ValueError):
-            scan_peaks(b, "energy", 2.0, 1.0)
+            scan_peaks(b, 2.0, 1.0)
 
 
 def test_peak_monotonicity_across_unit_circle():
@@ -174,16 +170,16 @@ def test_peak_monotonicity_across_unit_circle():
             locs = [r[0] for r in complex_resonance_energies(lam0, 3)]
         else:
             b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.0, lam=lam0)
-            locs = [x for x, _ in scan_peaks(b, "energy", 1.001, 1.5)[:3]]
+            locs = [x for x, _ in scan_peaks(b, 1.001, 1.5)[:3]]
         table.append(locs)
     for prev, cur in zip(table, table[1:]):
         assert all(c < p for p, c in zip(prev, cur))
         assert (cur[1] - cur[0]) < (prev[1] - prev[0])
 
 
-def per_point_scan(b, variable, lo, hi, eps0=None, coarse_step=1e-3):
+def per_point_scan(b, lo, hi, eps0=None, coarse_step=1e-3):
     """Peaks by the scan's former coarse pass: one scalar transmission per grid point."""
-    if variable == "energy":
+    if eps0 is None:
         def prob(x):
             return transmission(x, b).prob
     else:
@@ -204,15 +200,15 @@ def test_grid_scan_is_bit_identical_to_per_point_scan(vc, vq):
     # the table scans of `qbarrier resonances`: energy at lam = 3*pi, width at eps0 = sqrt2
     lam0, n = 3.0 * PI, 3
     eps1 = complex_resonance_energies(lam0, n)[0][0]
-    energy = (AdimensionalBarrier(vc, vq, 0.0, lam0), "energy",
+    energy = (AdimensionalBarrier(vc, vq, 0.0, lam0),
               1.0 + min(1e-3, (eps1 - 1.0) / 10.0), math.sqrt(1.0 + ((n + 0.5) * PI / lam0) ** 2),
               None, min(1e-3, (eps1 - 1.0) / 20.0))
     spacing = complex_resonance_widths(SQRT2, n)[0][1]
-    width = (AdimensionalBarrier(vc, vq), "width", spacing, (n + 1.6) * spacing, SQRT2, 1e-3)
-    for b, variable, lo, hi, eps0, step in (energy, width):
-        peaks = scan_peaks(b, variable, lo, hi, eps0=eps0, coarse_step=step)
+    width = (AdimensionalBarrier(vc, vq), spacing, (n + 1.6) * spacing, SQRT2, 1e-3)
+    for b, lo, hi, eps0, step in (energy, width):
+        peaks = scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)
         assert peaks
-        assert peaks == per_point_scan(b, variable, lo, hi, eps0, step)
+        assert peaks == per_point_scan(b, lo, hi, eps0, step)
 
 
 def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):
@@ -234,5 +230,5 @@ def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):
     transmission_grid(eps0, widths, b)
     assert sizes == [1]
     sizes.clear()
-    assert len(scan_peaks(b, "width", lo, hi, eps0=eps0)) == 4
+    assert len(scan_peaks(b, lo, hi, eps0=eps0)) == 4
     assert sizes == [1, 1]
