@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 from .barrier import require_finite
-from .errors import QBarrierError
 from .quaternion import Quaternion
 
 #: numerators over den(lam) of the pure quaternionic case, ascending powers of lam
@@ -121,8 +120,6 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     require_finite("lam", lam, 0.0)
     require_finite("theta", theta)
     den = _over_lam4(_DEN, lam)
-    if abs(den) < 1.0:
-        raise QBarrierError(f"rational denominator unexpectedly small at lam={lam!r}")
     r = _over_lam4(_R, lam) / den
     t = _over_lam4(_T, lam) / den * cmath.exp(-1j * lam)
     a = _over_lam4(_A, lam) / den

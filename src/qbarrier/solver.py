@@ -29,9 +29,6 @@ import numpy as np
 from .barrier import AdimensionalBarrier, WaveParams, shc, wave_params
 from .quaternion import I as QI, Quaternion
 
-#: max-norm residual above which one refinement pass is applied
-RESIDUAL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
@@ -100,9 +97,8 @@ def _assemble(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
 def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
     """Solve the eight-equation continuity system.
 
-    The matrix is factorized once: its inverse gives the solution, the one
-    refinement step (when the residual exceeds RESIDUAL_TOL) and the
-    max-norm condition estimate.
+    The matrix is inverted once: the inverse gives both the solution and
+    the max-norm condition estimate, with no refinement step.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
@@ -112,23 +108,10 @@ def solve(eps: float, b: AdimensionalBarrier) -> ScatteringAmplitudes:
     inv = np.linalg.inv(mat)
     x = inv @ rhs
     resid = float(np.abs(mat @ x - rhs).max())
-    if resid > RESIDUAL_TOL:
-        x = x + inv @ (rhs - mat @ x)
-        resid = float(np.abs(mat @ x - rhs).max())
     # a product of Python floats: inf, without an overflow warning, once out of range
     cond = float(np.abs(mat).max()) * float(np.abs(inv).max())
-    return ScatteringAmplitudes(
-        r=complex(x[0]),
-        rt=complex(x[1]),
-        t=complex(x[2]),
-        tt=complex(x[3]),
-        a=complex(x[4]),
-        b=complex(x[5]),
-        at=complex(x[6]),
-        bt=complex(x[7]),
-        residual=resid,
-        condition=cond,
-    )
+    # the unknowns are ordered as the fields: (R, Rt, T, Tt, A, B, At, Bt)
+    return ScatteringAmplitudes(*x.tolist(), residual=resid, condition=cond)
 
 
 def probability_balance(amps: ScatteringAmplitudes) -> float:

@@ -62,8 +62,6 @@ def sample_points(rng: np.random.Generator, n: int) -> list[tuple[float, Adimens
         vq = math.sqrt(max(0.0, 1.0 - vc * vc))
         theta = rng.uniform(0.0, 2.0 * math.pi)
         lam = rng.uniform(*LAM_RANGE)
-        if lam <= 0.0:
-            continue
         if abs(eps**4 - vq**2) < DEGENERACY_BAND:
             continue
         out.append((eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=lam)))

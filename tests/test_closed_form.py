@@ -11,6 +11,8 @@ from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
     IllConditionedError,
+    SingularDenominatorError,
+    WaveParams,
     critical_complex,
     denominator,
     solve,
@@ -60,6 +62,15 @@ def test_denominator_against_solver_route():
     d = denominator(transfer_closed(p, lam), eps, p.alpha_minus)
     t_solver = solve(eps, b).t
     assert d == pytest.approx(2.0 * cmath.exp(-1j * eps * lam) / t_solver, abs=1e-9)
+
+
+def test_vanishing_denominators_are_typed_errors():
+    with pytest.raises(SingularDenominatorError, match="eps=1.2"):
+        denominator(np.zeros((4, 4), dtype=complex), 1.2, 0.5 + 0j)
+    # beta*gamma = 1 at lam = 0: the numerator 4 + 4 - 4 - 4 cancels exactly
+    p = WaveParams(1.2, 0.3 + 0j, 0.9 + 0j, 1 + 0j, 1 + 0j)
+    with pytest.raises(SingularDenominatorError, match="lam=0.0"):
+        denominator_factored(p, 0.0)
 
 
 def test_factored_denominator_equals_element_form():

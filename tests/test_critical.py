@@ -9,6 +9,7 @@ import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
+    CriticalZone2,
     Quaternion,
     asymptotic_moduli,
     critical_complex,
@@ -222,6 +223,10 @@ class TestZoneTwoSolutions:
                 z2.a * xi**3 + z2.b * xi**2 + (6.0 * z2.a + z2.c) * xi + 2.0 * z2.b + z2.d
             )
             assert got == pytest.approx(expected, abs=1e-13)
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(ValueError, match="unknown case"):
+            critical_zone2(0.5, CriticalZone2("other", 0j, 0j, 0j, 0j))
 
     def test_boundary_values_match_free_zones(self):
         amps = critical_quaternionic(2.0, 0.0)

@@ -2,8 +2,12 @@
 
 import ast
 import inspect
+import re
+from pathlib import Path
 
 import qbarrier
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -25,3 +29,10 @@ def test_all_is_exactly_the_public_names_init_binds():
         elif isinstance(node, ast.Assign):
             bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
     assert set(qbarrier.__all__) == {name for name in bound if not name.startswith("_")}
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    section = text[text.index("## Library example"):]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

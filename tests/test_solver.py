@@ -11,6 +11,7 @@ from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
     current_density,
+    oracle_amplitudes,
     probability_balance,
     solve,
     transmission,
@@ -79,9 +80,29 @@ def test_matches_closed_form():
     assert abs(solve(1.2, b).t - transmission(1.2, b).t) < 1e-9
 
 
+def thick_solves(seed, n):
+    """(eps, b, solve(eps, b)) at seeded widths in [10, 400] where `solve` is finite.
+
+    There the matrix entries are largest; the points where the matrix is
+    singular to working precision or an amplitude is not finite are left out.
+    """
+    out = []
+    for eps, b in random_points(seed=seed, n=n, lam_min=10.0, lam_max=400.0):
+        try:
+            amps = solve(eps, b)
+        except np.linalg.LinAlgError:
+            continue
+        values = (amps.r, amps.rt, amps.t, amps.tt, amps.a, amps.b, amps.at, amps.bt)
+        if all(cmath.isfinite(v) for v in values):
+            out.append((eps, b, amps))
+    return out
+
+
 def test_continuity_residuals_below_tolerance():
-    for eps, b in random_points(seed=101, n=80):
-        amps = solve(eps, b)
+    thick = thick_solves(seed=104, n=70)
+    assert len(thick) >= 55
+    thin = [(eps, b, solve(eps, b)) for eps, b in random_points(seed=101, n=80)]
+    for eps, b, amps in thin + thick:
         assert residuals(eps, b, amps) < 1e-9
         assert amps.residual is not None and amps.residual < 1e-9
 
@@ -177,6 +198,14 @@ class TestWavefunction:
         # also constant through the interior
         mid = current_density(wavefunction(self.b.lam / 3.0, self.amps, self.p, self.b))
         assert mid == pytest.approx(left, abs=1e-9)
+
+
+def test_interior_needs_the_interior_coefficients():
+    # the integrator's amplitudes carry no interior basis coefficients
+    b = AdimensionalBarrier(0.6, 0.8, 0.3, 2.0)
+    amps = oracle_amplitudes(1.3, b)
+    with pytest.raises(ValueError, match="interior coefficients"):
+        wavefunction(1.0, amps, wave_params(1.3, b), b)
 
 
 def test_current_density_randomized():

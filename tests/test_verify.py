@@ -26,6 +26,24 @@ def test_sample_points_respects_bounds_and_band():
         assert abs(b.vc**2 + b.vq**2 - 1.0) < 1e-12
 
 
+class ScriptedRng:
+    """Stand-in generator: `uniform` returns the scripted draws in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high):
+        return next(self.draws)
+
+
+def test_sample_points_skips_the_degenerate_draw():
+    # per draw: eps, vc, theta, lam; eps = 1 with vc = 0 (so vq = 1) is degenerate
+    rng = ScriptedRng([1.0, 0.0, 0.4, 2.0, 1.5, 0.6, 0.4, 2.0])
+    [(eps, b)] = sample_points(rng, 1)
+    assert eps == 1.5
+    assert (b.vc, b.theta, b.lam) == (0.6, 0.4, 2.0)
+
+
 def test_individual_checks_pass_on_seeded_grid():
     rng = np.random.default_rng(8)
     pts = sample_points(rng, 30)
