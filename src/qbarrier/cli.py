@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
-from .closed_form import TransmissionResult, transmission, transmission_grid
+from .closed_form import transmission, transmission_grid
 from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
-from .solver import ScatteringAmplitudes, probability_balance, solve
+from .solver import probability_balance, solve
 from .verify import run_all
 
 #: the five reference potentials used throughout: pure complex to pure quaternionic
@@ -115,15 +115,18 @@ def _json_text(meta: dict, rows: list[tuple]) -> str:
     return head[:-len("[]\n}")] + "[\n  [\n   " + body + "\n  ]\n ]\n}\n"
 
 
+def _report(args, payload, lines: list[str]) -> int:
+    """Write `payload` as indented JSON or `lines` as text, as --format asks."""
+    if args.format == "json":
+        return _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
+    return _emit("\n".join(lines) + "\n", args.out)
+
+
 # ---------------------------------------------------------------- point
 
 def cmd_point(args) -> int:
     if args.physical is not None:
-        v1, v2, v3, length, mass, hbar, energy = args.physical
-        barrier, eps = adimensionalize(
-            BarrierSpec(v1=v1, v2=v2, v3=v3, length=length, mass=mass,
-                        hbar=hbar, energy=energy)
-        )
+        barrier, eps = adimensionalize(BarrierSpec(*args.physical))
     else:
         if args.vc is None or args.vq is None or args.eps is None:
             raise ValueError("point needs --vc, --vq and --eps (or --physical)")
@@ -134,24 +137,19 @@ def cmd_point(args) -> int:
     if barrier.lam == 0.0:
         # no barrier: the free particle passes, and no route checks eps
         require_finite("eps", eps, 0.0, strict=True)
-        result = TransmissionResult.from_amplitude(1.0 + 0j)
-        amps = ScatteringAmplitudes(r=0j, rt=0j, t=result.t, tt=0j)
+        t, t_sq, phase, r, rt, tt, balance = 1 + 0j, 1.0, 0.0, 0j, 0j, 0j, 0.0
     else:
         result = transmission(eps, barrier)
         amps = solve(eps, barrier)
+        t, t_sq, phase, balance = result.t, result.prob, result.phase, probability_balance(amps)
+        r, rt, tt = amps.r, amps.rt, amps.tt
     report = {
         "eps": eps, "vc": barrier.vc, "vq": barrier.vq,
         "theta": barrier.theta, "lambda": barrier.lam,
-        "re_t": result.t.real, "im_t": result.t.imag,
-        "t_sq": result.prob, "phase": result.phase,
-        "re_r": amps.r.real, "im_r": amps.r.imag,
-        "re_rt": amps.rt.real, "im_rt": amps.rt.imag,
-        "re_tt": amps.tt.real, "im_tt": amps.tt.imag,
-        "balance": probability_balance(amps),
+        "re_t": t.real, "im_t": t.imag, "t_sq": t_sq, "phase": phase,
+        "re_r": r.real, "im_r": r.imag, "re_rt": rt.real, "im_rt": rt.imag,
+        "re_tt": tt.real, "im_tt": tt.imag, "balance": balance,
     }
-
-    if args.format == "json":
-        return _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
     lines = [
         f"eps     = {_fmt(report['eps'])}",
         f"vc, vq  = {_fmt(report['vc'])}, {_fmt(report['vq'])}",
@@ -165,7 +163,7 @@ def cmd_point(args) -> int:
         f"T~      = {_fmt(report['re_tt'])} {_fmt(report['im_tt'])}j",
         f"1-|R|^2-|T|^2 = {report['balance']:.3e}",
     ]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _report(args, report, lines)
 
 
 # ---------------------------------------------------------------- sweep
@@ -235,32 +233,6 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- resonances
 
-def _peak_locations(potentials, n_peaks: int, closed, scan) -> list[list[float]]:
-    """Peak locations per potential: the closed forms for vq = 0, `scan(b)` otherwise."""
-    return [[row[0] for row in closed] if b.vq == 0.0 else [x for x, _ in scan(b)[:n_peaks]]
-            for b in potentials]
-
-
-def _energy_table(lam0: float, potentials, n_peaks: int) -> list[list[float]]:
-    closed = complex_resonance_energies(lam0, n_peaks)
-    eps1_complex = closed[0][0]
-    hi = math.sqrt(1.0 + ((n_peaks + 0.5) * math.pi / lam0) ** 2)
-    lo = 1.0 + min(1e-3, (eps1_complex - 1.0) / 10.0)
-    step = min(1e-3, (eps1_complex - 1.0) / 20.0)
-    return _peak_locations(potentials, n_peaks, closed, lambda b: scan_peaks(
-        replace(b, lam=lam0), lo, hi, coarse_step=step))
-
-
-def _width_table(eps0: float, potentials, n_peaks: int) -> list[list[float]]:
-    closed = complex_resonance_widths(eps0, n_peaks)
-    spacing = closed[0][1]
-    # scan from the fundamental (one spacing) upward: sub-fundamental peaks
-    # are not tabulated
-    lo, hi = spacing, closed[-1][0] + 0.6 * spacing
-    return _peak_locations(potentials, n_peaks, closed,
-                           lambda b: scan_peaks(b, lo, hi, eps0=eps0))
-
-
 def cmd_resonances(args) -> int:
     potentials = _parse_potentials(args.potentials)
     n_peaks = args.n
@@ -268,24 +240,40 @@ def cmd_resonances(args) -> int:
     if (lam0 is None) == (args.eps0 is None):
         raise ValueError("give exactly one of --lambda/--lambda-pi or --eps0")
     if lam0 is not None:
-        table = _energy_table(lam0, potentials, n_peaks)
-        unit = 1.0
-        head = _table_headers("eps", "", n_peaks)
-    else:
-        table = _width_table(args.eps0, potentials, n_peaks)
-        unit = math.pi
-        head = _table_headers("lam", "_pi", n_peaks)
+        closed = complex_resonance_energies(lam0, n_peaks)
+        lo = 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0)
+        hi = math.sqrt(1.0 + ((n_peaks + 0.5) * math.pi / lam0) ** 2)
+        step = min(1e-3, (closed[0][0] - 1.0) / 20.0)
 
-    lines = ["vc       vq       " + "  ".join(f"{h:>9}" for h in head)]
+        def scan(b):
+            return scan_peaks(replace(b, lam=lam0), lo, hi, coarse_step=step)
+
+        axis, suffix, unit = "eps", "", 1.0
+    else:
+        closed = complex_resonance_widths(args.eps0, n_peaks)
+        # scan from the fundamental (one spacing) upward: sub-fundamental peaks
+        # are not tabulated
+        lo, hi = closed[0][1], closed[-1][0] + 0.6 * closed[0][1]
+
+        def scan(b):
+            return scan_peaks(b, lo, hi, eps0=args.eps0)
+
+        axis, suffix, unit = "lam", "_pi", math.pi
+
+    lines = ["vc       vq       " + "  ".join(f"{h:>9}" for h in _table_headers(axis, suffix, n_peaks))]
     payload = []
-    for b, locs in zip(potentials, table):
+    for b in potentials:
+        if b.vq == 0.0 and b.vc > 0.0:
+            locs = [row[0] for row in closed]
+        else:
+            locs = [x for x, _ in scan(b)[:n_peaks]]
+            if len(locs) < n_peaks:
+                raise ValueError(f"potential vc={b.vc:g}, vq={b.vq:g}: {len(locs)} of --n {n_peaks} "
+                                 f"peaks found for {axis} in [{lo:.6g}, {hi:.6g}]")
         flat = _table_order([x / unit for x in locs])
         payload.append({"vc": b.vc, "vq": b.vq, "values": flat})
         lines.append(f"{b.vc:<8.6f} {b.vq:<8.6f} " + "  ".join(f"{v:>9.3f}" for v in flat))
-    if args.format == "json":
-        return _emit(json.dumps({"meta": {"tool": "qbarrier", "version": __version__},
-                                 "rows": payload}, sort_keys=True, indent=1) + "\n", args.out)
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _report(args, {"meta": {"tool": "qbarrier", "version": __version__}, "rows": payload}, lines)
 
 
 def _table_order(locs: list[float]) -> list[float]:
@@ -319,7 +307,7 @@ def cmd_critical(args) -> int:
         "case": amps.case, "lambda": lam,
         "re_r": amps.r.real, "im_r": amps.r.imag, "abs_r": abs(amps.r),
         "re_t": amps.t.real, "im_t": amps.t.imag, "abs_t": abs(amps.t),
-        "balance": 1.0 - abs(amps.r) ** 2 - abs(amps.t) ** 2,
+        "balance": probability_balance(amps),
     }
     if amps.tt is not None:
         report.update({"re_rt": amps.rt.real, "im_rt": amps.rt.imag,
@@ -331,10 +319,7 @@ def cmd_critical(args) -> int:
         else:
             regime, sr, st = series
             report.update({"series_regime": regime, "series_abs_r": sr, "series_abs_t": st})
-    if args.format == "json":
-        return _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
-    lines = [f"{k} = {v}" for k, v in report.items()]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _report(args, report, [f"{k} = {v}" for k, v in report.items()])
 
 
 # ---------------------------------------------------------------- verify

@@ -188,6 +188,47 @@ class TestResonances:
         assert row["values"][0] == pytest.approx(1.718, abs=5e-4)
         assert row["values"][1] == pytest.approx(2.478, abs=5e-4)
 
+    def test_width_table_well_row_is_scanned(self, capsys):
+        # a well's inner wave number is sqrt(eps0**2 + 1): peaks at lam = n*pi/sqrt(3)
+        code, out, _ = run(
+            ["resonances", "--eps0", str(SQRT2), "--potentials=-1,0", "--format", "json"], capsys)
+        assert code == 0
+        lam2, lam3, _, lam4, _ = json.loads(out)["rows"][0]["values"]
+        assert [lam2, lam3, lam4] == pytest.approx([n / math.sqrt(3.0) for n in (2, 3, 4)], abs=1e-6)
+
+    def test_scanned_row_with_n_peaks_keeps_all_values(self, capsys):
+        code, out, _ = run(
+            ["resonances", "--eps0", "1.41421356", "--potentials=-0.6,0.8", "--format", "json"],
+            capsys)
+        assert code == 0
+        assert len(json.loads(out)["rows"][0]["values"]) == 5
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--lambda", "60", "--potentials=-0.6,0.8"], "vc=-0.6, vq=0.8: 0 of --n 3"),
+            (["--lambda-pi", "3", "--potentials=-1,0"], "vc=-1, vq=0: 1 of --n 3"),
+            (["--lambda-pi", "3", "--potentials=-0.6,0.8"], "vc=-0.6, vq=0.8: 2 of --n 3"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_row_with_fewer_than_n_peaks_exits_2_naming_it(self, args, named, fmt, capsys):
+        code, out, err = run(["resonances", *args, "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mode",
+        [["--lambda-pi", "3"], ["--eps0", "1.41421356"], ["--lambda", "1"], ["--lambda", "10"],
+         ["--eps0", "1.1"], ["--eps0", "3"]],
+        ids=lambda m: "".join(m),
+    )
+    def test_standard_table_has_n_peaks_in_every_row(self, mode, capsys):
+        for n in (1, 3, 5, 8):
+            code, out, _ = run(["resonances", *mode, "--n", str(n), "--format", "json"], capsys)
+            assert code == 0
+            assert [len(r["values"]) for r in json.loads(out)["rows"]] == [2 * n - 1] * 5
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(["resonances", "--potentials", "1,0"], capsys)
         assert code == 2

@@ -1,7 +1,8 @@
 """Byte identity of the README commands: the sha256 of what each one writes.
 
-Two sweeps beyond the README pin the other format of each sweep mode, and
-four `critical --series` commands pin the series regime limits.
+Two sweeps beyond the README pin the other format of each sweep mode,
+four `critical --series` commands pin the series regime limits, and five
+JSON reports pin the other format of `point`, `resonances` and `critical`.
 
 A change that moves any printed digit fails here.  Where a change moves
 digits on purpose, CHANGES.md lists the old and the new hash and says why.
@@ -55,6 +56,24 @@ SERIES_REGIMES = [
                  "298190bdb8f722f19a504150ea5aeb25a894085b5f05bd0be7c8aca2aaff636a", id="series-q-40"),
 ]
 
+#: the JSON form of the commands whose report the text form lays out
+JSON_REPORTS = [
+    pytest.param(["resonances", "--lambda-pi", "3", "--potentials", "table", "--format", "json"],
+                 "747a5dcb28cf77bf5247c27b8411e296fabd573daef4743f1131c51845e8cd25",
+                 id="resonances-energy-json"),
+    pytest.param(["resonances", "--eps0", "1.41421356", "--potentials", "table", "--format", "json"],
+                 "c0943ab2e030a1ec0d1ba44798fc3daf1f0a375df054b9c722080662d8256c4a",
+                 id="resonances-width-json"),
+    pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3",
+                  "--format", "json"],
+                 "7c63cf45083cdfc4c50e0f4b280c5cdf4b45ca4b8fd0e9c6f1516fad9011e257", id="point-json"),
+    pytest.param(["point", "--vc", "0", "--vq", "1", "--eps", "1.2", "--lambda", "0", "--format", "json"],
+                 "4e2946f30c83a652789b40823109b957c25d3486263d32f07cc60205539a718d",
+                 id="point-free-json"),
+    pytest.param(["critical", "--case", "q", "--lambda", "2", "--theta", "0.4", "--format", "json"],
+                 "aece01b2dd633a21daca09951e7762522e8119ac09d62a954705f650d9233ba1", id="critical-q-json"),
+]
+
 #: the README width sweep writes its JSON to a file and nothing to stdout
 WIDTH_SWEEP = ["sweep", "--mode", "width", "--fixed", "1.41421356", "--start", "3.14",
                "--stop", "14.5", "--step", "0.003", "--potentials", "1,0;0,1", "--format", "json"]
@@ -66,7 +85,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, digest", README_COMMANDS + SWEEP_FORMATS + SERIES_REGIMES)
+@pytest.mark.parametrize("argv, digest", README_COMMANDS + SWEEP_FORMATS + SERIES_REGIMES + JSON_REPORTS)
 def test_readme_command_stdout_is_pinned(argv, digest, capsys):
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == digest

@@ -39,8 +39,9 @@ ROWS = {
     "empty": [],
     "one": [(3.14, 1.0, 0.0, 0.5, 0.25, -0.75, 1.25)],
     "specials": [tuple(SPECIAL), tuple(reversed(SPECIAL)), (1.0, 2.0, 3.0, *SPECIAL[:4])],
-    # thick widths where the closed form still gives NaN
-    "nan-sweep": sweep_rows(0.5, 798.0, 802.0, 1.0, (0.0, 1.0)),
+    # width-sweep rows whose amplitude columns are NaN, as a non-finite closed form writes them
+    "nan-sweep": [(lam, 0.0, 1.0, math.nan, math.nan, math.nan, math.nan)
+                  for lam in (798.0, 799.0, 800.0, 801.0, 802.0)],
     "readme-width-sweep": sweep_rows(1.41421356, 3.14, 14.5, 0.003, (1.0, 0.0), (0.0, 1.0)),
 }
 
