@@ -45,7 +45,7 @@ from .errors import (
     QBarrierError,
     SingularDenominatorError,
 )
-from .ode_oracle import oracle_amplitudes, propagate, split_ode
+from .ode_oracle import oracle_amplitudes, split_ode
 from .quaternion import Quaternion
 from .resonance import (
     complex_resonance_energies,
@@ -90,7 +90,6 @@ __all__ = [
     "min_transmission",
     "oracle_amplitudes",
     "probability_balance",
-    "propagate",
     "scan_peaks",
     "solve",
     "split_ode",

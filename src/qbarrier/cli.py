@@ -18,6 +18,7 @@ in units of pi with --lambda-pi.  Exit codes: 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -340,6 +341,7 @@ def _add_output(sub, formats: tuple[str, str]) -> None:
     sub.add_argument("--out", default=None, help="output path ('-' for stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbarrier",
@@ -397,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, QBarrierError) as exc:

@@ -83,10 +83,8 @@ def denominator_factored(p: WaveParams, lam):
     so the evaluation stays at machine precision for any width.
 
     Like `wave_params`, one body serves floats (cmath) and ndarrays
-    (numpy, broadcast against lam); an array is returned unchecked.
-
-    Raises (floats):
-        SingularDenominatorError: if the numerator of D vanishes.
+    (numpy, broadcast against lam).  D is unchecked: D = 0 would mean |T| = inf,
+    and 1 - u = 2*root/(eps**2 + root) != 0 by `wave_params`.
     """
     eps = p.eps
     am, ap = p.alpha_minus, p.alpha_plus
@@ -104,13 +102,7 @@ def denominator_factored(p: WaveParams, lam):
     dp, ep, pp = factors(ap, cp, sp)
     num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
     den = (1.0 - u) * (ep - u * em)
-    if xp is np:
-        return num / den
-    if abs(num) == 0.0:
-        raise SingularDenominatorError(
-            f"factored denominator vanished at eps={eps!r}, lam={lam!r}"
-        )
-    return complex(num / den)
+    return num / den
 
 
 def _amplitude(p: WaveParams, lam):

@@ -15,7 +15,7 @@ class DegenerateEnergyError(QBarrierError):
 
 
 class IllConditionedError(QBarrierError):
-    """A matrix inversion cannot be trusted (1 - beta*gamma underflows, or eps = 1)."""
+    """eps = 1: alpha_minus or alpha_plus is 0, so the transfer matrices' basis is singular."""
 
 
 class SingularDenominatorError(QBarrierError):

@@ -56,16 +56,12 @@ def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
     )
 
 
-def _require_integrable(length: float, steps: int) -> None:
-    """Reject widths beyond the integrator cap and too-coarse step counts."""
-    require_finite("length", length, 0.0)
-    if length > MAX_WIDTH:
-        raise ValueError(f"width {length!r} exceeds the integrator cap {MAX_WIDTH}")
-    require_finite("steps", steps, MIN_STEPS)
-
-
 def _propagation_matrix(a: np.ndarray, length: float, steps: int) -> np.ndarray:
-    """`steps` classical fourth-order steps as one 4x4 map, S**steps."""
+    """`steps` classical fourth-order steps from xi=0 to xi=length as one 4x4 map, S**steps.
+
+    Its columns carry unit initial data (phi, phi', psi, psi'); the system is
+    trace-free, so the map has determinant 1 up to integration error.
+    """
     h = length / steps
     ha = h * a
     step = np.eye(4, dtype=complex)
@@ -74,17 +70,6 @@ def _propagation_matrix(a: np.ndarray, length: float, steps: int) -> np.ndarray:
         term = term @ ha / k
         step = step + term
     return np.linalg.matrix_power(step, steps)
-
-
-def propagate(a: np.ndarray, length: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Map sending interior data (phi, phi', psi, psi') at xi=0 to xi=length.
-
-    Columns are the four fundamental solutions for canonical unit initial
-    data.  The system is trace-free, so the map has determinant 1 up to
-    integration error.
-    """
-    _require_integrable(length, steps)
-    return _propagation_matrix(a, length, steps)
 
 
 #: per-segment exponential growth budget for the boundary matching
@@ -106,9 +91,12 @@ def oracle_amplitudes(eps: float, b: AdimensionalBarrier, steps: int = DEFAULT_S
     assembled into one block linear system (multiple shooting).  A single
     end-to-end map would concentrate the full exp(alpha_plus*lam) growth
     into one matrix and lose the transmitted amplitude in its rounding.
-    Interior coefficients are not produced.
+    Interior coefficients are not produced.  A width above MAX_WIDTH or
+    fewer than MIN_STEPS steps raises ValueError.
     """
-    _require_integrable(b.lam, steps)
+    if b.lam > MAX_WIDTH:
+        raise ValueError(f"width {b.lam!r} exceeds the integrator cap {MAX_WIDTH}")
+    require_finite("steps", steps, MIN_STEPS)
     a = split_ode(b, eps)
     segments = _segment_count(a, b.lam)
     seg_len = b.lam / segments

@@ -31,32 +31,26 @@ import numpy as np
 from .barrier import WaveParams
 from .errors import IllConditionedError
 
-#: below this |1 - beta*gamma| the similarity transform is meaningless
-MIXING_TOL = 1e-12
-
 #: max-norm condition estimate of G above which a warning is emitted
 CONDITION_WARN = 1e8
 
 
 def _mixing(p: WaveParams) -> complex:
-    """beta*gamma, kept away from 1 where G and the closed elements are singular.
+    """beta*gamma, the mixing of the two modes in G and the closed elements.
+
+    Only the threshold is checked: 1 - beta*gamma = 2*root/(eps**2 + root) != 0
+    by `wave_params`, root = sqrt(eps**4 - vq**2).
 
     Raises:
-        IllConditionedError: if |1 - beta*gamma| < MIXING_TOL, or if
-            alpha_minus or alpha_plus is 0 (eps at the threshold), where the
-            boundary data, scaled by alpha_minus, and G's columns are singular.
+        IllConditionedError: if alpha_minus or alpha_plus is 0 (eps = 1), where
+            G's columns and the boundary data, scaled by alpha_minus, are singular.
     """
-    bg = p.beta * p.gamma
-    if abs(1.0 - bg) < MIXING_TOL:
-        raise IllConditionedError(
-            f"1 - beta*gamma = {1.0 - bg:.3e}: factor matrix G is singular"
-        )
     if p.alpha_minus == 0 or p.alpha_plus == 0:
         raise IllConditionedError(
             f"alpha_minus = {p.alpha_minus!r}, alpha_plus = {p.alpha_plus!r}: "
             "the exponential basis of G is singular at the threshold"
         )
-    return bg
+    return p.beta * p.gamma
 
 
 def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:

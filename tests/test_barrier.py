@@ -21,7 +21,6 @@ from qbarrier import (
     critical_quaternionic,
     min_transmission,
     oracle_amplitudes,
-    propagate,
     scan_peaks,
     split_ode,
     transmission,
@@ -268,7 +267,6 @@ VALIDATED_INPUTS = {
     "transmission eps": lambda x: transmission(x, B),
     "oracle_amplitudes eps": lambda x: oracle_amplitudes(x, B),
     "split_ode eps": lambda x: split_ode(B, x),
-    "propagate length": lambda x: propagate(split_ode(B, 1.4), x),
     "transmission_complex eps": lambda x: transmission_complex(x, 2.0),
     "transmission_complex lam": lambda x: transmission_complex(1.4, x),
     "transmission_probability_complex eps": lambda x: transmission_probability_complex(x, 2.0),

@@ -9,7 +9,7 @@ import pytest
 
 from qbarrier import critical_complex
 from qbarrier.barrier import MAX_GRID_POINTS
-from qbarrier.cli import main
+from qbarrier.cli import build_parser, main
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -35,6 +35,18 @@ class TestPoint:
         report = json.loads(out)
         assert report["t_sq"] == pytest.approx(1.0, abs=1e-7)
         assert report["balance"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_thick_point_with_overflowing_intermediate_is_finite(self, capsys):
+        # |numerator of D| overflows on the way to a finite T of about 3e-154
+        code, out, err = run(
+            ["point", "--vc", "0.32675730030820205", "--vq", "0.9451082830529502",
+             "--theta", "2.5480667791765845", "--eps", "0.2966144203374993",
+             "--lambda", "434.58721422425265"],
+            capsys,
+        )
+        assert code == 0
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+        assert "Traceback" not in err
 
     def test_zero_width(self, capsys):
         code, out, _ = run(
@@ -421,6 +433,10 @@ def test_verify_small_run_exits_zero(capsys):
     assert code == 0
     assert "norm-conservation" in out
     assert "5/5 check classes passed" in out
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_version_flag(capsys):

@@ -10,7 +10,6 @@ from qbarrier import (
     AdimensionalBarrier,
     critical_quaternionic,
     oracle_amplitudes,
-    propagate,
     split_ode,
     transmission,
     wave_params,
@@ -82,7 +81,7 @@ def test_threshold_polynomial_solution_satisfies_split_system():
 
 def test_propagation_map_determinant_modulus_one():
     for eps, b in random_points(seed=13, n=25, lam_max=2.0):
-        m = propagate(split_ode(b, eps), b.lam, steps=2048)
+        m = _propagation_matrix(split_ode(b, eps), b.lam, 2048)
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -164,8 +163,6 @@ def test_input_guards():
         oracle_amplitudes(1.4, b, steps=100)
     with pytest.raises(ValueError):
         oracle_amplitudes(1.4, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=40.0))
-    with pytest.raises(ValueError):
-        propagate(split_ode(b, 1.4), 2.0, steps=10)
     with pytest.raises(ValueError):
         split_ode(b, -1.0)
 

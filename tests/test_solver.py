@@ -18,7 +18,7 @@ from qbarrier import (
     wave_params,
     wavefunction,
 )
-from qbarrier.ode_oracle import propagate, split_ode
+from qbarrier.ode_oracle import _propagation_matrix, split_ode
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -104,15 +104,13 @@ def test_continuity_residuals_below_tolerance():
     thin = [(eps, b, solve(eps, b)) for eps, b in random_points(seed=101, n=80)]
     for eps, b, amps in thin + thick:
         assert residuals(eps, b, amps) < 1e-9
-        assert amps.residual is not None and amps.residual < 1e-9
 
 
-def test_out_of_range_condition_is_inf_without_a_warning():
-    # at lam = 400 the growing mode's entries times the inverse's exceed the float range
+def test_thick_solve_is_finite_and_balanced_without_a_warning():
+    # at lam = 400 the matrix holds entries near 1e116 and its inverse near 1e208
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         amps = solve(1.2, AdimensionalBarrier(0.6, 0.8, 0.0, 400.0))
-    assert amps.condition == math.inf
     assert cmath.isfinite(amps.t)
     assert abs(probability_balance(amps)) <= 1e-12
 
@@ -183,7 +181,7 @@ class TestWavefunction:
             [start.value.z, start.derivative.z, start.value.w, start.derivative.w],
             dtype=complex,
         )
-        y_mid = propagate(split_ode(self.b, self.eps), xi, steps=4096) @ y0
+        y_mid = _propagation_matrix(split_ode(self.b, self.eps), xi, 4096) @ y0
         probe = wavefunction(xi, self.amps, self.p, self.b)
         expected = np.array(
             [probe.value.z, probe.derivative.z, probe.value.w, probe.derivative.w],

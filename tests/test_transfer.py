@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbarrier import (
     AdimensionalBarrier,
-    IllConditionedError,
+    DegenerateEnergyError,
     WaveParams,
     build_factors,
     transfer_closed,
@@ -127,12 +129,34 @@ def test_theta_enters_only_through_block_phases():
     assert np.abs(m1[2:4, 0:2] - m0[2:4, 0:2] / rot).max() < 1e-12
 
 
-def test_singular_mixing_raises():
-    p = WaveParams(eps=1.0, alpha_minus=0.5, alpha_plus=1.5, beta=1.0 + 0j, gamma=1.0 + 0j)
-    with pytest.raises(IllConditionedError):
-        build_factors(p, 1.0)
-    with pytest.raises(IllConditionedError):
-        transfer_closed(p, 1.0)
+@st.composite
+def mixing_points(draw):
+    """(eps, barrier) over eps in (0, 3] and the whole unit circle, often near eps**4 = vq**2."""
+    angle = draw(st.floats(min_value=0.0, max_value=math.pi))
+    vc, vq = math.cos(angle), math.sin(angle)
+    if vq > 0.0 and draw(st.booleans()):
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        shift = sign * 10.0 ** draw(st.floats(min_value=-11.0, max_value=-1.0))
+        eps = math.sqrt(vq) * (1.0 + shift)
+    else:
+        eps = draw(st.floats(min_value=1e-6, max_value=3.0))
+    theta = draw(st.floats(min_value=-10.0, max_value=10.0))
+    return eps, AdimensionalBarrier(vc, vq, theta, 1.0)
+
+
+@given(mixing_points())
+@settings(max_examples=500, deadline=None)
+def test_one_minus_beta_gamma_is_bounded_away_from_zero(point):
+    # 1 - beta*gamma = 2*root/(eps**2 + root): the degeneracy band keeps it from 0
+    eps, b = point
+    try:
+        p = wave_params(eps, b)
+    except DegenerateEnergyError:
+        return
+    root = cmath.sqrt(eps**4 - b.vq**2)
+    mixing = 1.0 - p.beta * p.gamma
+    assert abs(mixing) >= 1e-5
+    assert mixing == pytest.approx(2.0 * root / (eps**2 + root), rel=1e-9)
 
 
 def test_condition_warning_near_degeneracy():
