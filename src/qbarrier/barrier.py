@@ -70,11 +70,16 @@ def uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
     """The points start + k*step, k = 0, 1, ..., up to stop (with 1e-9 steps of slack).
 
     A float ndarray, each point from the same two IEEE operations as the
-    float expression start + k*step.
+    float expression start + k*step; equal ends give [start].  Every sweep
+    and peak scan grid is built, and checked, here.
 
     Raises:
-        ValueError: naming start, stop and step, above MAX_GRID_POINTS points.
+        ValueError: naming the input unless start is finite, stop finite and
+            >= start and step finite and > 0; above MAX_GRID_POINTS points.
     """
+    require_finite("start", start)
+    require_finite("stop", stop, start)
+    require_finite("step", step, 0.0, strict=True)
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:
         raise ValueError(

@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -169,48 +169,19 @@ def cmd_point(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One transmission sweep: variable, fixed parameter, grid, potentials.
+def run_sweep(mode: str, fixed: float, grid: list[float],
+              potentials: list[AdimensionalBarrier]) -> list[tuple]:
+    """|T|^2 rows over the grid; potential-major, grid-ascending order.
 
-    The potentials' own widths are ignored: the sweep sets lam.
-    """
-
-    mode: str  # "energy" or "width"
-    fixed: float  # lam for energy mode, eps for width mode
-    start: float
-    stop: float
-    step: float
-    potentials: tuple[AdimensionalBarrier, ...]
-
-    def __post_init__(self):
-        if self.mode not in ("energy", "width"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        require_finite("fixed", self.fixed, 0.0, strict=self.mode == "width")
-        require_finite("step", self.step, 0.0, strict=True)
-        require_finite("start", self.start)
-        require_finite("stop", self.stop, self.start)
-
-    def grid(self) -> list[float]:
-        if self.stop <= self.start:
-            return []
-        return uniform_grid(self.start, self.stop, self.step).tolist()
-
-
-def run_sweep(config: SweepConfig) -> list[tuple]:
-    """Evaluate |T|^2 rows over the grid; potential-major, grid-ascending order.
-
-    One `transmission_grid` call per potential.
+    Mode "energy" sweeps eps at lam = fixed and "width" sweeps lam at eps =
+    fixed, ignoring the potentials' own widths: one `transmission_grid` call,
+    with its errors, per potential.
     """
     rows = []
-    grid = config.grid()
     axis = np.asarray(grid)
-    for b in config.potentials:
-        if config.mode == "energy":
-            t = transmission_grid(axis, config.fixed, b)
-        else:
-            t = transmission_grid(config.fixed, axis, b)
-        n = len(grid)
+    n = len(grid)
+    for b in potentials:
+        t = transmission_grid(axis, fixed, b) if mode == "energy" else transmission_grid(fixed, axis, b)
         rows.extend(zip(grid, [b.vc] * n, [b.vq] * n, (np.abs(t) ** 2).tolist(),
                         t.real.tolist(), t.imag.tolist(), np.angle(t).tolist()))
     return rows
@@ -219,12 +190,12 @@ def run_sweep(config: SweepConfig) -> list[tuple]:
 def cmd_sweep(args) -> int:
     potentials = _parse_potentials(args.potentials)
     fixed = _pi_flag(args.fixed, args.fixed_pi, "--fixed")
-    config = SweepConfig(mode=args.mode, fixed=fixed, start=args.start,
-                         stop=args.stop, step=args.step, potentials=tuple(potentials))
-    rows = run_sweep(config)
+    require_finite("fixed", fixed, 0.0, strict=args.mode == "width")
+    grid = uniform_grid(args.start, args.stop, args.step).tolist()
+    rows = run_sweep(args.mode, fixed, grid, potentials)
     meta = {
-        "command": "sweep", "mode": config.mode, "fixed": _fmt(config.fixed),
-        "start": _fmt(config.start), "stop": _fmt(config.stop), "step": _fmt(config.step),
+        "command": "sweep", "mode": args.mode, "fixed": _fmt(fixed),
+        "start": _fmt(args.start), "stop": _fmt(args.stop), "step": _fmt(args.step),
         "potentials": ";".join(f"{b.vc:.9g},{b.vq:.9g},{b.theta:.9g}" for b in potentials),
     }
     if args.format == "json":
@@ -243,7 +214,7 @@ def cmd_resonances(args) -> int:
     if lam0 is not None:
         closed = complex_resonance_energies(lam0, n_peaks)
         lo = 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0)
-        hi = math.sqrt(1.0 + ((n_peaks + 0.5) * math.pi / lam0) ** 2)
+        hi = closed[-1][0] + closed[-1][2]  # the minimum after the last tabulated peak
         step = min(1e-3, (closed[0][0] - 1.0) / 20.0)
 
         def scan(b):
@@ -261,7 +232,9 @@ def cmd_resonances(args) -> int:
 
         axis, suffix, unit = "lam", "_pi", math.pi
 
-    lines = ["vc       vq       " + "  ".join(f"{h:>9}" for h in _table_headers(axis, suffix, n_peaks))]
+    names = _interleave([f"{axis}{i}{suffix}" for i in range(1, n_peaks + 1)],
+                        lambda name, prev: f"d_{prev}")
+    lines = ["vc       vq       " + "  ".join(f"{h:>9}" for h in names)]
     payload = []
     for b in potentials:
         if b.vq == 0.0 and b.vc > 0.0:
@@ -271,27 +244,18 @@ def cmd_resonances(args) -> int:
             if len(locs) < n_peaks:
                 raise ValueError(f"potential vc={b.vc:g}, vq={b.vq:g}: {len(locs)} of --n {n_peaks} "
                                  f"peaks found for {axis} in [{lo:.6g}, {hi:.6g}]")
-        flat = _table_order([x / unit for x in locs])
+        flat = _interleave([x / unit for x in locs], lambda x, prev: x - prev)
         payload.append({"vc": b.vc, "vq": b.vq, "values": flat})
         lines.append(f"{b.vc:<8.6f} {b.vq:<8.6f} " + "  ".join(f"{v:>9.3f}" for v in flat))
     return _report(args, {"meta": {"tool": "qbarrier", "version": __version__}, "rows": payload}, lines)
 
 
-def _table_order(locs: list[float]) -> list[float]:
-    """Interleave locations and spacings: loc1, loc2, loc2-loc1, loc3, loc3-loc2, ..."""
-    flat = [locs[0]]
-    for i in range(1, len(locs)):
-        flat.append(locs[i])
-        flat.append(locs[i] - locs[i - 1])
-    return flat
-
-
-def _table_headers(stem: str, suffix: str, n_peaks: int) -> list[str]:
-    head = [f"{stem}1{suffix}"]
-    for i in range(2, n_peaks + 1):
-        head.append(f"{stem}{i}{suffix}")
-        head.append(f"d_{stem}{i - 1}{suffix}")
-    return head
+def _interleave(items: list, gap) -> list:
+    """A table row's column order: x1, x2, gap(x2, x1), x3, gap(x3, x2), ..."""
+    out = items[:1]
+    for prev, item in zip(items, items[1:]):
+        out += [item, gap(item, prev)]
+    return out
 
 
 # ---------------------------------------------------------------- critical

@@ -159,6 +159,10 @@ def critical_zone2(xi: float, coeffs: CriticalZone2) -> Quaternion:
 THIN_LIMIT = 0.3
 THICK_LIMIT = 10.0
 
+#: the thick series of |R| and |T| times lam**4, ascending powers of lam (see `_over_lam4`)
+_THICK_COMPLEX = ((6, 0, -2, 0, 1), (0, -4, 0, 2))
+_THICK_QUATERNIONIC = ((6, -8, -2, 0, 1), (-8, -8, 4, 2))
+
 
 def asymptotic_moduli(lam: float, case: str) -> tuple[str, float, float] | None:
     """Truncated series (regime, |R|, |T|) in the regime lam lies in, or None.
@@ -180,11 +184,6 @@ def asymptotic_moduli(lam: float, case: str) -> tuple[str, float, float] | None:
             return ("thin", lam / 2.0 - lam**3 / 16.0, 1.0 - lam**2 / 8.0 + 3.0 * lam**4 / 128.0)
         return ("thin", lam**2 / 4.0 - lam**3 / 12.0, 1.0 - lam**4 / 32.0)
     if lam > THICK_LIMIT:
-        if case == "complex":
-            return ("thick", 1.0 - 2.0 / lam**2 + 6.0 / lam**4, 2.0 / lam - 4.0 / lam**3)
-        return (
-            "thick",
-            1.0 - 2.0 / lam**2 - 8.0 / lam**3 + 6.0 / lam**4,
-            2.0 / lam + 4.0 / lam**2 - 8.0 / lam**3 - 8.0 / lam**4,
-        )
+        r, t = _THICK_COMPLEX if case == "complex" else _THICK_QUATERNIONIC
+        return ("thick", _over_lam4(r, lam).real, _over_lam4(t, lam).real)
     return None

@@ -29,11 +29,14 @@ REFINE_TOL = 1e-6
 def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, float, float]]:
     """(eps_n, spacing to the next peak, offset of the following minimum) for n = 1..n_max.
 
-    eps_n = sqrt(1 + n**2*pi**2/lambda0**2); the minimum between peaks n and
+    eps_n = sqrt(1 + n**2*pi**2/lambda0**2), a ValueError naming lambda0 where
+    its square overflows at n = n_max + 1; the minimum between peaks n and
     n+1 sits at the half-integer condition.
     """
     require_finite("lambda0", lambda0, 0.0, strict=True)
     require_count("n_max", n_max)
+    top = (n_max + 1) * math.pi / lambda0
+    require_finite(f"({n_max + 1}*pi/lambda0)**2", top * top)
 
     def eps_at(n: float) -> float:
         return math.sqrt(1.0 + (n * math.pi / lambda0) ** 2)
@@ -53,9 +56,10 @@ def complex_resonance_widths(eps0: float, n_max: int) -> list[tuple[float, float
     halfway.  Width tables conventionally start one spacing above zero:
     the fundamental (n = 1) equals the spacing itself and serves as the
     scan origin, so the sequence begins at n = 2 (at eps0 = sqrt(2) that
-    is 2*pi, 3*pi, 4*pi, ...).
+    is 2*pi, 3*pi, 4*pi, ...).  An eps0 whose square overflows is a ValueError.
     """
     require_finite("eps0", eps0, 1.0, strict=True)  # no oscillatory regime below threshold
+    require_finite("eps0**2", eps0 * eps0)
     require_count("n_max", n_max)
     k = math.sqrt(eps0 * eps0 - 1.0)
     return [
@@ -107,13 +111,9 @@ def scan_peaks(
     peak, then golden-section search over scalar evaluations of the closed
     form refines its location to REFINE_TOL: `transmission` calls for an
     energy scan, and for a width scan the kernel on wave parameters computed
-    once at eps0.  An empty result is not an error; a coarse grid above
-    MAX_GRID_POINTS is (see `uniform_grid`).
+    once at eps0.  An empty result is not an error; `uniform_grid` checks
+    lo, hi and coarse_step as its start, stop and step.
     """
-    require_finite("lo", lo)
-    require_finite("hi", hi, lo, strict=True)
-    require_finite("coarse_step", coarse_step, 0.0, strict=True)
-
     grid = uniform_grid(lo, hi, coarse_step)
     if eps0 is None:
         t = transmission_grid(grid, b.lam, b)

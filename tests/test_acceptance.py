@@ -29,7 +29,8 @@ from qbarrier import (
     transmission_probability_complex,
     wave_params,
 )
-from qbarrier.cli import STANDARD_POTENTIALS, SweepConfig, _csv_text, run_sweep
+from qbarrier.barrier import uniform_grid
+from qbarrier.cli import STANDARD_POTENTIALS, _csv_text, run_sweep
 from tests.conftest import random_points
 
 PI = math.pi
@@ -441,8 +442,8 @@ def test_criterion_11_figure_data(tmp_path):
     potentials = tuple(AdimensionalBarrier(vc, vq) for vc, vq in STANDARD_POTENTIALS)
     checks = []
 
-    energy_rows = run_sweep(SweepConfig("energy", 3.0 * PI, 1.001, 1.5, 1e-3, potentials))
-    width_rows = run_sweep(SweepConfig("width", SQRT2, PI, 4.6 * PI, PI * 1e-3, potentials))
+    energy_rows = run_sweep("energy", 3.0 * PI, uniform_grid(1.001, 1.5, 1e-3).tolist(), potentials)
+    width_rows = run_sweep("width", SQRT2, uniform_grid(PI, 4.6 * PI, PI * 1e-3).tolist(), potentials)
     for tag, rows, table, unit in (
         ("energy", energy_rows, TABLE_ENERGY, 1.0),
         ("width", width_rows, TABLE_WIDTH, PI),

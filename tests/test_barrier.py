@@ -29,7 +29,7 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier.barrier import MAX_GRID_POINTS, shc, uniform_grid
-from qbarrier.cli import SweepConfig
+from qbarrier.cli import run_sweep
 from qbarrier.verify import run_all
 
 SQRT2 = math.sqrt(2.0)
@@ -281,12 +281,12 @@ VALIDATED_INPUTS = {
     "scan_peaks lo": lambda x: scan_peaks(B, x, 1.5),
     "scan_peaks hi": lambda x: scan_peaks(B, 1.1, x),
     "scan_peaks coarse_step": lambda x: scan_peaks(B, 1.1, 1.5, coarse_step=x),
-    "sweep mode": lambda x: SweepConfig("frequency", x, 1.1, 1.2, 0.05, (B,)),
-    "sweep fixed (energy)": lambda x: SweepConfig("energy", x, 1.1, 1.2, 0.05, (B,)),
-    "sweep fixed (width)": lambda x: SweepConfig("width", x, 1.1, 1.2, 0.05, (B,)),
-    "sweep start": lambda x: SweepConfig("energy", 2.0, x, 1.2, 0.05, (B,)),
-    "sweep stop": lambda x: SweepConfig("energy", 2.0, 1.1, x, 0.05, (B,)),
-    "sweep step": lambda x: SweepConfig("energy", 2.0, 1.1, 1.2, x, (B,)),
+    "sweep fixed (energy)": lambda x: run_sweep("energy", x, [1.1, 1.15, 1.2], (B,)),
+    "sweep fixed (width)": lambda x: run_sweep("width", x, [1.1, 1.15, 1.2], (B,)),
+    # a sweep's grid, as `cmd_sweep` builds it
+    "sweep start": lambda x: uniform_grid(x, 1.2, 0.05),
+    "sweep stop": lambda x: uniform_grid(1.1, x, 0.05),
+    "sweep step": lambda x: uniform_grid(1.1, 1.2, x),
     "verify samples": lambda x: run_all(42, x),
 }
 
@@ -319,15 +319,24 @@ class TestUniformGrid:
         (1.1, 1e300, 1e-300),  # infinite count
         (1.1, 1e9, 1e-9),  # finite, ~1e18 points
         (0.0, float(MAX_GRID_POINTS), 1.0),  # one point over the limit
-        (0.0, 1.0, math.nan),
     ])
     def test_oversized_grid_rejected_naming_its_inputs(self, start, stop, step):
         with pytest.raises(ValueError, match="start=.*stop=.*step="):
             uniform_grid(start, stop, step)
 
+    @pytest.mark.parametrize("start, stop, step, message", [
+        (1.0, 2.0, 0.0, "step must be finite and > 0.0, got 0.0"),
+        (1.0, 2.0, -0.1, "step must be finite and > 0.0, got -0.1"),
+        (2.0, 1.0, 0.1, "stop must be finite and >= 2.0, got 1.0"),
+        (0.0, 1.0, math.nan, "step must be finite and > 0.0, got nan"),
+    ])
+    def test_bad_grid_rejected_naming_the_input(self, start, stop, step, message):
+        with pytest.raises(ValueError) as exc:
+            uniform_grid(start, stop, step)
+        assert str(exc.value) == message
+
     def test_scan_and_sweep_grids_are_bounded(self):
+        # a sweep's grid is uniform_grid's (test_cli runs both through the CLI)
         for stop, step in ((1e300, 1e-300), (1e9, 1e-9)):
             with pytest.raises(ValueError, match="more than"):
                 scan_peaks(B, 1.1, stop, coarse_step=step)
-            with pytest.raises(ValueError, match="more than"):
-                SweepConfig("energy", 2.0, 1.1, stop, step, (B,)).grid()

@@ -141,15 +141,23 @@ class TestSweep:
         run(self.ARGS + ["--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_empty_range_gives_header_only(self, capsys):
+    def test_equal_ends_give_one_row_per_potential(self, capsys):
         code, out, _ = run(
             ["sweep", "--mode", "width", "--fixed", "1.4", "--start", "2.0",
-             "--stop", "2.0", "--step", "0.1", "--potentials", "1,0"],
+             "--stop", "2.0", "--step", "0.1", "--potentials", "1,0;0,1"],
             capsys,
         )
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
-        assert rows == ["variable,vc,vq,t_sq,re_t,im_t,phase"]
+        assert rows[0] == "variable,vc,vq,t_sq,re_t,im_t,phase"
+        assert [r.split(",")[:3] for r in rows[1:]] == [["2", "1", "0"], ["2", "0", "1"]]
+
+    def test_unknown_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--mode", "frequency", "--fixed", "1", "--start", "1", "--stop", "2",
+                  "--step", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frequency'" in capsys.readouterr().err
 
     def test_json_structure(self, capsys):
         code, out, _ = run(self.ARGS + ["--format", "json"], capsys)
@@ -308,6 +316,10 @@ class TestCritical:
          "not both"),
         (["critical", "--case", "q"], "is required"),
         (["point", "--vq", "1", "--eps", "1.2", "--lambda", "3"], "point needs --vc"),
+        (["resonances", "--eps0", "1e200", "--potentials", "1,0"], "eps0**2"),
+        (["resonances", "--lambda", "1e-300", "--potentials", "1,0"], "(4*pi/lambda0)**2"),
+        (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1.2",
+          "--step", "nan", "--potentials", "1,0"], "step must be finite and > 0.0"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):
@@ -334,6 +346,10 @@ def test_negative_width_grid_exits_2_naming_lam(capsys):
         (["point", "--physical", "0", "1", "0", "1", "1", "1e200", "1"], 3),
         (["critical", "--case", "q", "--lambda", "1e100"], 0),
         (["critical", "--case", "q", "--lambda", "0.003"], 0),
+        (["critical", "--case", "c", "--lambda", "1e100", "--series"], 0),
+        (["critical", "--case", "q", "--lambda", "1e100", "--series"], 0),
+        (["resonances", "--lambda", "1e-300", "--potentials", "1,0"], 2),
+        (["resonances", "--eps0", "1e200", "--potentials", "1,0"], 2),
     ],
 )
 def test_huge_finite_input_ends_finite_or_typed(args, code, capsys):

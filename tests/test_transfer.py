@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    WaveParams,
     build_factors,
     transfer_closed,
     transfer_numeric,
@@ -159,8 +158,10 @@ def test_one_minus_beta_gamma_is_bounded_away_from_zero(point):
     assert mixing == pytest.approx(2.0 * root / (eps**2 + root), rel=1e-9)
 
 
-def test_condition_warning_near_degeneracy():
-    p = WaveParams(eps=1.0, alpha_minus=0.5, alpha_plus=1.5,
-                   beta=1.0 + 0j, gamma=1.0 - 1e-10 + 0j)
-    with pytest.warns(RuntimeWarning):
-        transfer_numeric(p, 1.0)
+def test_condition_warning_next_to_the_threshold():
+    # one ulp above eps = 1, alpha_minus ~ 6e-9 makes G's condition estimate 1.9e8
+    p = params(0.1, 0.9949874371066204, 0.0, 1.0000000000000002)
+    with pytest.warns(RuntimeWarning, match="condition estimate 1.91e[+]08"):
+        numeric = transfer_numeric(p, 1.0)
+    closed = transfer_closed(p, 1.0)
+    assert np.abs(numeric - closed).max() <= 1e-15 * np.abs(closed).max()

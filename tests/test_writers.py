@@ -6,8 +6,8 @@ import math
 import pytest
 
 from qbarrier import __version__
-from qbarrier.barrier import AdimensionalBarrier
-from qbarrier.cli import SWEEP_COLUMNS, SweepConfig, _csv_text, _fmt, _json_text, run_sweep
+from qbarrier.barrier import AdimensionalBarrier, uniform_grid
+from qbarrier.cli import SWEEP_COLUMNS, _csv_text, _fmt, _json_text, run_sweep
 
 META = {"command": "sweep", "mode": "width", "fixed": "1.41421356", "start": "3.14",
         "stop": "14.5", "step": "0.003", "potentials": "1,0,0;0,1,0"}
@@ -29,8 +29,8 @@ def reference_csv(meta, rows):
 
 
 def sweep_rows(fixed, start, stop, step, *potentials):
-    return run_sweep(SweepConfig(mode="width", fixed=fixed, start=start, stop=stop, step=step,
-                                 potentials=tuple(AdimensionalBarrier(vc, vq) for vc, vq in potentials)))
+    return run_sweep("width", fixed, uniform_grid(start, stop, step).tolist(),
+                     [AdimensionalBarrier(vc, vq) for vc, vq in potentials])
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
