@@ -33,7 +33,6 @@ from .closed_form import (
 )
 from .critical import (
     CriticalAmplitudes,
-    CriticalZone2,
     asymptotic_moduli,
     critical_complex,
     critical_quaternionic,
@@ -67,7 +66,6 @@ __all__ = [
     "AdimensionalBarrier",
     "BarrierSpec",
     "CriticalAmplitudes",
-    "CriticalZone2",
     "DegenerateEnergyError",
     "IllConditionedError",
     "QBarrierError",

@@ -45,12 +45,14 @@ def require_finite(name: str, value: float, lower: float = -math.inf, strict: bo
     """The package's one input rule: value is finite and >= lower (> lower if strict).
 
     Written as a negated conjunction so that NaN, which fails every
-    comparison, is rejected along with +-inf.
+    comparison, is rejected along with +-inf.  An int is finite at any
+    size, where math.isfinite would overflow converting it to a float.
 
     Raises:
         ValueError: naming the input and its bound.
     """
-    if not (math.isfinite(value) and (value > lower if strict else value >= lower)):
+    finite = isinstance(value, int) or math.isfinite(value)
+    if not (finite and (value > lower if strict else value >= lower)):
         bound = "" if lower == -math.inf else f" and {'>' if strict else '>='} {lower!r}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 

@@ -104,13 +104,12 @@ def _json_text(meta: dict, rows: list[tuple]) -> str:
 
     The indent encoder is pure Python, so the rows go through the C encoder in
     compact form and two replaces lay them out: each row is a flat list of
-    numbers, and no number's token contains '], [' or ', '.
+    numbers, and no number's token contains '], [' or ', '.  rows is never
+    empty: every grid has a point and every sweep a potential.
     """
     head = json.dumps({"meta": {"tool": "qbarrier", "version": __version__, **meta,
                                 "columns": list(SWEEP_COLUMNS)},
                        "rows": []}, sort_keys=True, indent=1)
-    if not rows:
-        return head + "\n"
     # "rows" sorts last, so the head ends with its empty list
     body = json.dumps(rows)[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
     return head[:-len("[]\n}")] + "[\n  [\n   " + body + "\n  ]\n ]\n}\n"

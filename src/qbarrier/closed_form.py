@@ -29,15 +29,17 @@ from .errors import SingularDenominatorError
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Transmission amplitude t, probability |t|**2 and principal phase."""
+    """Transmission amplitude t, with its probability |t|**2 and principal phase."""
 
     t: complex
-    prob: float
-    phase: float
 
-    @classmethod
-    def from_amplitude(cls, t: complex) -> "TransmissionResult":
-        return cls(t=t, prob=abs(t) ** 2, phase=cmath.phase(t))
+    @property
+    def prob(self) -> float:
+        return abs(self.t) ** 2
+
+    @property
+    def phase(self) -> float:
+        return cmath.phase(self.t)
 
 
 def denominator(m: np.ndarray, eps: float, alpha_minus: complex) -> complex:
@@ -121,7 +123,7 @@ def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
     Raises:
         DegenerateEnergyError: from `wave_params`.
     """
-    return TransmissionResult.from_amplitude(_amplitude(wave_params(eps, b), b.lam))
+    return TransmissionResult(_amplitude(wave_params(eps, b), b.lam))
 
 
 def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
@@ -165,7 +167,7 @@ def transmission_complex(eps: float, lam: float) -> TransmissionResult:
     require_finite("lam", lam, 0.0)
     a = cmath.sqrt(1.0 - eps * eps)
     den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps) * shc(a, lam)
-    return TransmissionResult.from_amplitude(cmath.exp(-1j * eps * lam) / den)
+    return TransmissionResult(cmath.exp(-1j * eps * lam) / den)
 
 
 def transmission_probability_complex(eps: float, lam: float) -> float:

@@ -2,15 +2,21 @@
 
 At eps = 1 a barrier's alpha_minus vanishes.  The general routes answer
 there (see `barrier.shc`) unless the point is also degenerate, as it is
-for vq = 1.  The two extreme barriers admit exact elementary solutions:
+for vq = 1.  The two extreme barriers admit exact elementary solutions,
+and in both the interior complex part is one cubic in xi,
+    phi(xi) = a*xi**3 + b*xi**2 + c*xi + d,   c = i*(1 - R),   d = 1 + R,
+fixed at xi = 0 by continuity with the free zone (R is the reflection
+amplitude):
 
-  * complex barrier (vc=1, vq=0): the interior complex part is linear in
-    xi and the amplitudes are rational in lam,
+  * complex barrier (vc=1, vq=0): a = b = 0, so phi is linear, the pure
+    part vanishes and the amplitudes are rational in lam,
         R = -i*lam/(2 - i*lam),   T = 2*exp(-i*lam)/(2 - i*lam),
     which the general routes reproduce;
 
-  * pure quaternionic barrier (vq=1): the interior solution is a cubic
-    polynomial and the amplitudes are rational of degree four,
+  * pure quaternionic barrier (vq=1): phi is a full cubic, the pure part
+    is the paired cubic
+        psi(xi) = -i*exp(-i*theta)*(a*xi**3 + b*xi**2 + (6a + c)*xi + 2b + d),
+    and the amplitudes are rational of degree four,
         R = -i*lam**2*(6 + 4*lam + lam**2) / den(lam)
         T = 2*exp(-i*lam)*(12 + 12*lam + 6*lam**2 + lam**3) / den(lam)
         den(lam) = 24 + 24*(1-i)*lam - 18i*lam**2 - 4*(1+i)*lam**3 - lam**4.
@@ -19,12 +25,11 @@ Both satisfy |R|**2 + |T|**2 = 1 identically.  den(lam) has no real root
 for lam >= 0 (its modulus stays above 24 on [0, 100] and grows like
 lam**4 beyond), so the rational forms are globally safe.
 
-Continuity of the interior cubic with the free zones makes the rest of
-the pure quaternionic solution rational over the same den(lam), with
+Continuity of the cubic with the free zones makes the rest of the pure
+quaternionic solution rational over the same den(lam), with
 phase = -i*exp(-i*theta):
     a  = (-4i - (2 + 4i)*lam - (1 + i)*lam**2) / den(lam)
     b  = (-12 + (-6 + 12i)*lam + (3 + 9i)*lam**2 + (2 + 2i)*lam**3) / den(lam)
-    c  = i*(1 - R),   d = 1 + R
     Rt = phase*lam*(12 + (6 - 6i)*lam - 4i*lam**2 - (1 + i)*lam**3) / den(lam)
     Tt = phase*exp(lam)*lam*(12 + (6 - 6i)*lam - 2i*lam**2) / den(lam).
 At lam = 0 they give a = -i/6, b = -1/2, c = i, d = 1 and Rt = Tt = 0.
@@ -50,39 +55,24 @@ _TT = (0, 12, 6 - 6j, -2j)  # tt/(phase*exp(lam))
 
 
 @dataclass(frozen=True)
-class CriticalZone2:
-    """Interior solution coefficients at eps = 1.
+class CriticalAmplitudes:
+    """Threshold amplitudes and the interior cubic's a and b, with theta.
 
-    For the complex case the complex part is a*xi + b and the pure part is
-    c*exp(sqrt(2)*xi) + d*exp(-sqrt(2)*xi) (c = d = 0 for scattering
-    boundary data).  For the pure quaternionic case the complex part is
-    the cubic a*xi**3 + b*xi**2 + c*xi + d and the pure part is the paired
-    cubic -i*exp(-i*theta)*(a*xi**3 + b*xi**2 + (6a + c)*xi + 2b + d).
+    The cubic's c = i*(1 - r) and d = 1 + r follow from r (see the module
+    docstring and `critical_zone2`).  The complex case has a = b = 0 and
+    rt = tt = 0 exactly.  tt is None where exp(lam) overflows
+    (lam > ~709.78); r, t and rt stay finite at any width.
     """
 
     case: str  # "complex" or "pure_quaternionic"
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class CriticalAmplitudes:
-    """Threshold amplitudes; the complex case has rt = tt = 0 exactly.
-
-    tt is None where exp(lam) overflows (lam > ~709.78); r, t and rt stay
-    finite at any width.
-    """
-
-    case: str
     lam: float
     r: complex
     t: complex
     rt: complex
     tt: complex | None
-    zone2: CriticalZone2
+    a: complex
+    b: complex
+    theta: float
 
 
 def critical_complex(lam: float) -> CriticalAmplitudes:
@@ -91,8 +81,7 @@ def critical_complex(lam: float) -> CriticalAmplitudes:
     den = 2.0 - 1j * lam
     r = -1j * lam / den
     t = 2.0 * cmath.exp(-1j * lam) / den
-    zone2 = CriticalZone2(case="complex", a=1j * (1.0 - r), b=1.0 + r, c=0j, d=0j)
-    return CriticalAmplitudes(case="complex", lam=lam, r=r, t=t, rt=0j, tt=0j, zone2=zone2)
+    return CriticalAmplitudes("complex", lam, r, t, rt=0j, tt=0j, a=0j, b=0j, theta=0.0)
 
 
 def _over_lam4(coeffs: tuple, lam: float) -> complex:
@@ -130,29 +119,23 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
         tt = phase * (_over_lam4(_TT, lam) / den) * math.exp(lam)
     except OverflowError:
         tt = None
-    zone2 = CriticalZone2(
-        case="pure_quaternionic", a=a, b=b, c=1j * (1.0 - r), d=1.0 + r, theta=theta
-    )
-    return CriticalAmplitudes(
-        case="pure_quaternionic", lam=lam, r=r, t=t, rt=rt, tt=tt, zone2=zone2
-    )
+    return CriticalAmplitudes("pure_quaternionic", lam, r, t, rt, tt, a, b, theta)
 
 
-def critical_zone2(xi: float, coeffs: CriticalZone2) -> Quaternion:
-    """Interior wavefunction value phi + j*psi at xi for a threshold solution."""
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    if coeffs.case == "complex":
-        phi = a * xi + b
-        root2 = math.sqrt(2.0)
-        psi = c * cmath.exp(root2 * xi) + d * cmath.exp(-root2 * xi)
-    elif coeffs.case == "pure_quaternionic":
-        phi = a * xi**3 + b * xi**2 + c * xi + d
-        psi = -1j * cmath.exp(-1j * coeffs.theta) * (
-            a * xi**3 + b * xi**2 + (6.0 * a + c) * xi + 2.0 * b + d
-        )
-    else:
-        raise ValueError(f"unknown case {coeffs.case!r}")
-    return Quaternion(phi, psi)
+def critical_zone2(xi: float, amps: CriticalAmplitudes) -> Quaternion:
+    """Interior wavefunction value phi + j*psi at xi for a threshold solution.
+
+    phi is the cubic a*xi**3 + b*xi**2 + c*xi + d with c = i*(1 - r) and
+    d = 1 + r; psi is its paired cubic in the pure quaternionic case and 0
+    in the complex case.
+    """
+    a, b, c, d = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
+    phi = a * xi**3 + b * xi**2 + c * xi + d
+    if amps.case == "complex":
+        return Quaternion(phi)
+    return Quaternion(phi, -1j * cmath.exp(-1j * amps.theta) * (
+        a * xi**3 + b * xi**2 + (6.0 * a + c) * xi + 2.0 * b + d
+    ))
 
 
 #: the thin series applies below THIN_LIMIT, the thick series above THICK_LIMIT

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_count, wave_params
+from .barrier import AdimensionalBarrier, require_count, require_finite, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .ode_oracle import oracle_amplitudes
@@ -136,6 +136,7 @@ def check_series_asymptotics() -> CheckReport:
 def run_all(seed: int, samples: int) -> list[CheckReport]:
     """Run the five check classes on a seeded grid; each point is solved once."""
     require_count("samples", samples)
+    require_finite("seed", seed, 0)
     rng = np.random.default_rng(seed)
     points = sample_points(rng, samples)
     amps = [solve(eps, b) for eps, b in points]

@@ -320,6 +320,8 @@ class TestCritical:
         (["resonances", "--lambda", "1e-300", "--potentials", "1,0"], "(4*pi/lambda0)**2"),
         (["sweep", "--mode", "energy", "--fixed", "3", "--start", "1.1", "--stop", "1.2",
           "--step", "nan", "--potentials", "1,0"], "step must be finite and > 0.0"),
+        (["verify", "--seed", "-1", "--samples", "3"], "seed"),
+        (["verify", "--samples", "1" + "0" * 400], "samples"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):

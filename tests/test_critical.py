@@ -9,7 +9,6 @@ import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
-    CriticalZone2,
     Quaternion,
     asymptotic_moduli,
     critical_complex,
@@ -58,8 +57,8 @@ class TestCriticalQuaternionic:
         assert amps.r == 0.0
         assert amps.t == pytest.approx(1.0 + 0j, abs=1e-15)
         assert amps.rt == 0j and amps.tt == 0j
-        z = amps.zone2
-        assert (z.a, z.b, z.c, z.d) == (-1j / 6.0, -0.5, 1j, 1.0)
+        cubic = (amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r)
+        assert cubic == (-1j / 6.0, -0.5, 1j, 1.0)
 
     def test_thin_series_value(self):
         # |R| ~ lam**2/4 - lam**3/12 = 0.00241667 at lam = 0.1
@@ -107,11 +106,11 @@ def _zone2_edges(amps):
     """(phi, phi', psi, psi') of the interior solution at xi = 0 and xi = lam.
 
     Each value comes with the largest modulus among the terms summed to
-    form it, the scale of its rounding error.
+    form it, the scale of its rounding error.  The complex case's pure
+    part is 0.
     """
-    z = amps.zone2
-    a, b, c, d, lam = z.a, z.b, z.c, z.d, amps.lam
-    phase = -1j * cmath.exp(-1j * z.theta)
+    a, b, c, d, lam = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r, amps.lam
+    phase = 0j if amps.case == "complex" else -1j * cmath.exp(-1j * amps.theta)
 
     def edge(xi):
         pure = (a * xi**3, b * xi**2, 6.0 * a * xi, c * xi, 2.0 * b, d)
@@ -128,18 +127,18 @@ def _zone2_edges(amps):
 
 
 class TestRationalForms:
-    """critical_quaternionic's amplitudes and cubic from the exact rational forms."""
+    """The threshold amplitudes and cubic from the exact rational forms."""
 
     @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-5, 1e-3, 3e-3, 0.1, 2.0, 40.0, 700.0])
     def test_continuity_at_both_edges(self, lam):
-        amps = critical_quaternionic(lam, 0.7)
-        left, right = _zone2_edges(amps)
-        grow_back = math.exp(-lam)  # tt*exp(-lam) is psi at the right edge
-        free_left = (1.0 + amps.r, 1j * (1.0 - amps.r), amps.rt, amps.rt)
-        edge_t = amps.t * cmath.exp(1j * lam)
-        free_right = (edge_t, 1j * edge_t, amps.tt * grow_back, -amps.tt * grow_back)
-        for (got, scale), want in zip(left + right, free_left + free_right):
-            assert abs(got - want) <= 1e-12 * max(scale, abs(want)), (got, want)
+        for amps in (critical_quaternionic(lam, 0.7), critical_complex(lam)):
+            left, right = _zone2_edges(amps)
+            grow_back = math.exp(-lam)  # tt*exp(-lam) is psi at the right edge
+            free_left = (1.0 + amps.r, 1j * (1.0 - amps.r), amps.rt, amps.rt)
+            edge_t = amps.t * cmath.exp(1j * lam)
+            free_right = (edge_t, 1j * edge_t, amps.tt * grow_back, -amps.tt * grow_back)
+            for (got, scale), want in zip(left + right, free_left + free_right):
+                assert abs(got - want) <= 1e-12 * max(scale, abs(want)), (amps.case, got, want)
 
     def test_agree_with_50_digit_evaluation(self):
         theta = 0.4
@@ -174,10 +173,10 @@ def _rational_forms_mp(lam, theta):
 
 
 class TestZoneTwoSolutions:
-    def fd_second(self, coeffs, xi, h):
-        lo = critical_zone2(xi - h, coeffs)
-        mid = critical_zone2(xi, coeffs)
-        hi = critical_zone2(xi + h, coeffs)
+    def fd_second(self, amps, xi, h):
+        lo = critical_zone2(xi - h, amps)
+        mid = critical_zone2(xi, amps)
+        hi = critical_zone2(xi + h, amps)
         return Quaternion(
             (lo.z - 2.0 * mid.z + hi.z) / h**2,
             (lo.w - 2.0 * mid.w + hi.w) / h**2,
@@ -186,14 +185,14 @@ class TestZoneTwoSolutions:
     def test_complex_case_pure_part_vanishes(self):
         amps = critical_complex(2.0)
         for xi in (0.0, 0.7, 1.9):
-            assert critical_zone2(xi, amps.zone2).w == 0j
+            assert critical_zone2(xi, amps).w == 0j
 
     def test_complex_case_interior_equation(self):
         # i*Phi'' = i*Phi - Phi*i pointwise, via second differences
         amps = critical_complex(2.0)
         xi, h = 1.0, 1e-2
-        second = self.fd_second(amps.zone2, xi, h)
-        value = critical_zone2(xi, amps.zone2)
+        second = self.fd_second(amps, xi, h)
+        value = critical_zone2(xi, amps)
         lhs = QI * second
         rhs = QI * value - value * QI
         assert abs(lhs.z - rhs.z) < 1e-9
@@ -205,8 +204,8 @@ class TestZoneTwoSolutions:
         amps = critical_quaternionic(2.0, theta)
         xi = amps.lam / 2.0
         for h, tol in ((1e-2, 1e-9), (1e-3, 1e-7)):
-            second = self.fd_second(amps.zone2, xi, h)
-            value = critical_zone2(xi, amps.zone2)
+            second = self.fd_second(amps, xi, h)
+            value = critical_zone2(xi, amps)
             lhs = QI * second
             coupling = QJ * Quaternion(cmath.exp(-1j * theta)) * value
             rhs = coupling - value * QI
@@ -216,24 +215,20 @@ class TestZoneTwoSolutions:
     def test_pure_part_pairs_with_the_complex_cubic(self):
         theta = 0.25
         amps = critical_quaternionic(1.5, theta)
-        z2 = amps.zone2
+        a, b, c, d = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
         for xi in (0.1, 0.8, 1.4):
-            got = critical_zone2(xi, z2).w
+            got = critical_zone2(xi, amps).w
             expected = -1j * cmath.exp(-1j * theta) * (
-                z2.a * xi**3 + z2.b * xi**2 + (6.0 * z2.a + z2.c) * xi + 2.0 * z2.b + z2.d
+                a * xi**3 + b * xi**2 + (6.0 * a + c) * xi + 2.0 * b + d
             )
             assert got == pytest.approx(expected, abs=1e-13)
 
-    def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError, match="unknown case"):
-            critical_zone2(0.5, CriticalZone2("other", 0j, 0j, 0j, 0j))
-
     def test_boundary_values_match_free_zones(self):
         amps = critical_quaternionic(2.0, 0.0)
-        left = critical_zone2(0.0, amps.zone2)
+        left = critical_zone2(0.0, amps)
         assert left.z == pytest.approx(1.0 + amps.r, abs=1e-12)
         assert left.w == pytest.approx(amps.rt, abs=1e-12)
-        right = critical_zone2(amps.lam, amps.zone2)
+        right = critical_zone2(amps.lam, amps)
         assert right.z == pytest.approx(amps.t * cmath.exp(1j * amps.lam), abs=1e-12)
         assert right.w == pytest.approx(amps.tt * cmath.exp(-amps.lam), abs=1e-12)
 

@@ -63,17 +63,17 @@ def test_threshold_polynomial_solution_satisfies_split_system():
     # vq=1, eps=1: the interior cubic solves the system exactly
     theta = 0.7
     amps = critical_quaternionic(1.5, theta)
-    z2 = amps.zone2
+    ca, cb, cc, cd = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
     b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=theta, lam=1.5)
     a = split_ode(b, 1.0)
     phase = -1j * cmath.exp(-1j * theta)
     for xi in (0.2, 0.75, 1.3):
-        phi = z2.a * xi**3 + z2.b * xi**2 + z2.c * xi + z2.d
-        dphi = 3 * z2.a * xi**2 + 2 * z2.b * xi + z2.c
-        ddphi = 6 * z2.a * xi + 2 * z2.b
-        q = z2.a * xi**3 + z2.b * xi**2 + (6 * z2.a + z2.c) * xi + 2 * z2.b + z2.d
-        dq = 3 * z2.a * xi**2 + 2 * z2.b * xi + 6 * z2.a + z2.c
-        ddq = 6 * z2.a * xi + 2 * z2.b
+        phi = ca * xi**3 + cb * xi**2 + cc * xi + cd
+        dphi = 3 * ca * xi**2 + 2 * cb * xi + cc
+        ddphi = 6 * ca * xi + 2 * cb
+        q = ca * xi**3 + cb * xi**2 + (6 * ca + cc) * xi + 2 * cb + cd
+        dq = 3 * ca * xi**2 + 2 * cb * xi + 6 * ca + cc
+        ddq = 6 * ca * xi + 2 * cb
         y = np.array([phi, dphi, phase * q, phase * dq], dtype=complex)
         dy = np.array([dphi, ddphi, phase * dq, phase * ddq], dtype=complex)
         assert np.abs(a @ y - dy).max() < 1e-12

@@ -49,9 +49,9 @@ def test_every_route_reproduces_critical_complex(lam):
         "solve t": amps.t - exact.t,
         "solve rt": amps.rt - exact.rt,
         "solve tt": amps.tt - exact.tt,
-        # zone II: A + B*(xi - lam/2) is the exact line a*xi + b
-        "solve B": amps.b - exact.zone2.a,
-        "solve A - B*lam/2": amps.a - amps.b * lam / 2.0 - exact.zone2.b,
+        # zone II: A + B*(xi - lam/2) is the exact cubic, here the line c*xi + d
+        "solve B": amps.b - 1j * (1.0 - exact.r),
+        "solve A - B*lam/2": amps.a - amps.b * lam / 2.0 - (1.0 + exact.r),
     }
     assert {k: v for k, v in gaps.items() if abs(v) > 1e-15} == {}
 

@@ -66,6 +66,11 @@ def test_run_all_produces_five_classes():
     assert all(r.passed for r in reports)
 
 
+def test_a_seed_beyond_float_range_is_accepted():
+    # numpy seeds from any non-negative int; the seed check must not convert it to a float
+    assert all(r.passed for r in run_all(seed=10**400, samples=3))
+
+
 def test_report_line_format():
     line = CheckReport("demo", False, 1.5e-3, 1e-9, 7, detail="extra").line()
     assert "demo" in line and "FAIL" in line and "extra" in line

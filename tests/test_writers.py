@@ -36,7 +36,6 @@ def sweep_rows(fixed, start, stop, step, *potentials):
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
 
 ROWS = {
-    "empty": [],
     "one": [(3.14, 1.0, 0.0, 0.5, 0.25, -0.75, 1.25)],
     "specials": [tuple(SPECIAL), tuple(reversed(SPECIAL)), (1.0, 2.0, 3.0, *SPECIAL[:4])],
     # width-sweep rows whose amplitude columns are NaN, as a non-finite closed form writes them

@@ -1,11 +1,15 @@
 """Compare the numbers of this checkout's src/ with those of another source tree, bit for bit.
 
 Runs a fixed seeded set of 20,000 points through `solve` (its eight
-amplitudes), `transmission` (t) and, on the first points, `transmission_grid`
-over an energy grid and a width grid.  Each source tree is evaluated in its
-own subprocess.  Results are compared as uint64 words, and a raised
-exception by its type and message.  Prints one count line per function and
-exits 1 on any difference.
+amplitudes), `transmission` and `transmission_complex` (t, |t|**2 and
+phase) and, on the first points, `transmission_grid` over an energy grid
+and a width grid.  A seeded set of 2,000 widths goes through
+`critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
+None above lam ~709.78) and `asymptotic_moduli` for both cases.  Each
+source tree is evaluated in its own subprocess.  Numbers are compared as
+uint64 words, None and strings as they are, and a raised exception by its
+type and message.  Prints one count line per function and exits 1 on any
+difference.
 
     python3 tools/bitcheck.py PARENT_SRC
 
@@ -13,7 +17,9 @@ PARENT_SRC is the src/ directory of another checkout, for example of the
 parent commit unpacked with `git archive HEAD~1 | tar -x -C DIR` (then
 DIR/src).  The points mix wells and barriers over the whole unit circle,
 theta = 0 and theta != 0, eps in {1, 1 +- 1e-7, U(0.05, 3)} and lam in
-{0, U(0, 1e-6), U(0, 20), U(20, 400)}.
+{0, U(0, 1e-6), U(0, 20), U(20, 400)}; the widths take lam in {0,
+U(0, 1e-6), U(0, 1), U(0, 20), U(20, 1000), U(700, 720), 10**U(3, 308)}
+with theta = 0 or U(-pi, pi).
 """
 
 import operator
@@ -27,11 +33,16 @@ import numpy as np
 
 SEED = 20_000
 POINTS = 20_000
+WIDTHS = 2_000
 GRID_POINTS = 40  # points that also get an energy and a width grid
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 #: the eight amplitudes of a `solve` result
 amplitudes = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
+#: what a `TransmissionResult` gives
+transmitted = operator.attrgetter("t", "prob", "phase")
+#: the amplitudes of a `CriticalAmplitudes` record
+critical_amplitudes = operator.attrgetter("r", "t", "rt", "tt")
 
 
 def points():
@@ -49,13 +60,31 @@ def points():
                     theta.tolist(), lam.tolist()))
 
 
+def widths():
+    """(lam, theta) pairs of Python floats for the threshold functions, the same on every call."""
+    rng = np.random.default_rng(SEED + 1)
+    lam = np.choose(rng.choice(7, WIDTHS), (
+        np.zeros(WIDTHS), rng.uniform(0.0, 1e-6, WIDTHS), rng.uniform(0.0, 1.0, WIDTHS),
+        rng.uniform(0.0, 20.0, WIDTHS), rng.uniform(20.0, 1000.0, WIDTHS),
+        rng.uniform(700.0, 720.0, WIDTHS), 10.0 ** rng.uniform(3.0, 308.0, WIDTHS)))
+    theta = np.where(rng.random(WIDTHS) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, WIDTHS))
+    return list(zip(lam.tolist(), theta.tolist()))
+
+
+def words(value):
+    """The bytes of a complex value or array as uint64 words; None and strings as they are."""
+    if value is None or isinstance(value, str):
+        return value
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.uint64).tobytes()
+
+
 def outcome(fn):
-    """The bytes of fn()'s complex result, or the type and message of what it raised."""
+    """words() of fn()'s result, or of each item of a tuple result, or the type and message of what it raised."""
     try:
         value = fn()
     except Exception as exc:  # noqa: BLE001 - every outcome is compared, errors too
         return f"{type(exc).__name__}: {exc}"
-    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.uint64).tobytes()
+    return tuple(map(words, value)) if isinstance(value, tuple) else words(value)
 
 
 def evaluate(src):
@@ -65,17 +94,28 @@ def evaluate(src):
 
     if Path(qbarrier.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
-    from qbarrier import AdimensionalBarrier, solve, transmission, transmission_grid
+    from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
+                          critical_quaternionic, solve, transmission, transmission_complex,
+                          transmission_grid)
 
     warnings.simplefilter("ignore")
-    out = {"solve": [], "transmission": [], "transmission_grid": []}
+    out = {name: [] for name in ("solve", "transmission", "transmission_complex",
+                                 "transmission_grid", "critical_complex",
+                                 "critical_quaternionic", "asymptotic_moduli")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
-        out["transmission"].append(outcome(lambda: transmission(eps, b).t))
+        out["transmission"].append(outcome(lambda: transmitted(transmission(eps, b))))
+        out["transmission_complex"].append(outcome(lambda: transmitted(transmission_complex(eps, lam))))
         if i < GRID_POINTS:
             out["transmission_grid"].append(outcome(lambda: transmission_grid(ENERGY_AXIS, lam, b)))
             out["transmission_grid"].append(outcome(lambda: transmission_grid(eps, WIDTH_AXIS, b)))
+    for lam, theta in widths():
+        out["critical_complex"].append(outcome(lambda: critical_amplitudes(critical_complex(lam))))
+        out["critical_quaternionic"].append(
+            outcome(lambda: critical_amplitudes(critical_quaternionic(lam, theta))))
+        for case in ("complex", "pure_quaternionic"):
+            out["asymptotic_moduli"].append(outcome(lambda: asymptotic_moduli(lam, case)))
     return out
 
 
