@@ -19,6 +19,11 @@ formed by binary powering: the same map in ~2*log2(steps) 4x4 products.
 No branch choices, no special functions:
 this route works at degenerate and threshold parameters alike and is the
 independent check on every closed form in the package.
+
+`oracle_amplitudes` integrates one point or many in one call.  The points
+are grouped by segment count; each group is one stack of 4x4 matrices,
+raised to its power and matched by one stacked solve, with the same
+floating-point operations per point as a call for that point alone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import cmath
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_finite
+from .barrier import AdimensionalBarrier, require_finite, require_integer
 from .solver import ScatteringAmplitudes
 
 #: growing interior mode overflows long before this; hyperbolic closed forms
@@ -56,14 +61,15 @@ def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
     )
 
 
-def _propagation_matrix(a: np.ndarray, length: float, steps: int) -> np.ndarray:
+def _propagation_matrix(a: np.ndarray, length, steps: int) -> np.ndarray:
     """`steps` classical fourth-order steps from xi=0 to xi=length as one 4x4 map, S**steps.
 
+    `a` is one 4x4 matrix with a float length, or an (n, 4, 4) stack with
+    one length per matrix; a stack's maps are the single maps bit for bit.
     Its columns carry unit initial data (phi, phi', psi, psi'); the system is
     trace-free, so the map has determinant 1 up to integration error.
     """
-    h = length / steps
-    ha = h * a
+    ha = (np.asarray(length) / steps)[..., None, None] * a
     step = np.eye(4, dtype=complex)
     term = np.eye(4, dtype=complex)
     for k in (1.0, 2.0, 3.0, 4.0):
@@ -75,14 +81,50 @@ def _propagation_matrix(a: np.ndarray, length: float, steps: int) -> np.ndarray:
 #: per-segment exponential growth budget for the boundary matching
 _SEGMENT_GROWTH = 4.0
 
-
-def _segment_count(a: np.ndarray, lam: float) -> int:
-    rates = np.linalg.eigvals(a)
-    growth = float(np.max(rates.real)) * lam
-    return max(1, int(np.ceil(growth / _SEGMENT_GROWTH)))
+#: complex entries of the shooting systems solved in one stacked call (16 MiB):
+#: a batch as large as `verify --samples` allows is solved in parts this big
+_MAX_ENTRIES = 1 << 20
 
 
-def oracle_amplitudes(eps: float, b: AdimensionalBarrier, steps: int = DEFAULT_STEPS) -> ScatteringAmplitudes:
+def _segment_count(a: np.ndarray, lam):
+    """Segment count of one 4x4 matrix at width lam, or of each matrix of a stack at its lam."""
+    growth = np.linalg.eigvals(a).real.max(axis=-1) * lam
+    return np.maximum(1, np.ceil(growth / _SEGMENT_GROWTH)).astype(int)
+
+
+def _column(*entries) -> np.ndarray:
+    """(n, 4, 1) stack of complex column vectors from four length-n entry arrays."""
+    return np.stack(entries, axis=-1, dtype=complex)[..., None]
+
+
+def _shoot(a: np.ndarray, lam: np.ndarray, eps: np.ndarray, segments: int, steps: int) -> np.ndarray:
+    """(R, Rt, tau, sigma) of each point of an (n, 4, 4) stack that shares one segment count."""
+    p_seg = _propagation_matrix(a, lam / segments, -(-steps // segments))  # ceil: no fewer steps
+    zero, one = np.zeros_like(eps), np.ones_like(eps)
+    u_in = _column(one, 1j * eps, zero, zero)
+    u_r = _column(one, -1j * eps, zero, zero)
+    u_rt = _column(zero, zero, one, eps)
+    v_tt = _column(zero, zero, one, -eps)
+
+    # Unknowns: (R, Rt, y_1 ... y_{segments-1}, tau, sigma); y_k is the
+    # 4-state at interface k, tau/sigma the right-edge free-zone data.
+    n = 4 * segments
+    mat = np.zeros((len(eps), n, n), dtype=complex)
+    rhs = np.zeros((len(eps), n, 1), dtype=complex)
+    mat[:, 0:4, 0:1] = p_seg @ u_r
+    mat[:, 0:4, 1:2] = p_seg @ u_rt
+    rhs[:, 0:4] = -(p_seg @ u_in)
+    for k in range(1, segments):
+        col = 2 + 4 * (k - 1)
+        mat[:, 4 * (k - 1) : 4 * k, col : col + 4] -= np.eye(4)
+        mat[:, 4 * k : 4 * k + 4, col : col + 4] = p_seg
+    mat[:, n - 4 : n, n - 2 : n - 1] = -u_in  # the transmitted wave's state has the incident form
+    mat[:, n - 4 : n, n - 1 : n] = -v_tt
+    x = np.linalg.solve(mat, rhs)[..., 0]
+    return x[:, [0, 1, n - 2, n - 1]]
+
+
+def oracle_amplitudes(eps, b, steps: int = DEFAULT_STEPS):
     """Scattering amplitudes with no closed formula anywhere in the path.
 
     The interval is split into segments short enough that each segment's
@@ -91,42 +133,42 @@ def oracle_amplitudes(eps: float, b: AdimensionalBarrier, steps: int = DEFAULT_S
     assembled into one block linear system (multiple shooting).  A single
     end-to-end map would concentrate the full exp(alpha_plus*lam) growth
     into one matrix and lose the transmitted amplitude in its rounding.
-    Interior coefficients are not produced.  A width above MAX_WIDTH or
-    fewer than MIN_STEPS steps raises ValueError.
+    Interior coefficients are not produced.
+
+    A float eps with one barrier b gives one ScatteringAmplitudes; equal-
+    length sequences of energies and barriers give a list with one record
+    per point, each the single call's bit for bit.  The points are grouped
+    by segment count, and each group is integrated and solved as stacked
+    arrays: one RK4 step polynomial, one matrix power and one linear solve.
+
+    Raises:
+        ValueError: unless steps is an integer >= MIN_STEPS; at the first
+            point whose width exceeds MAX_WIDTH or whose eps is not > 0.
+        OverflowError: where exp(eps*lam) of Tt overflows.
     """
-    if b.lam > MAX_WIDTH:
-        raise ValueError(f"width {b.lam!r} exceeds the integrator cap {MAX_WIDTH}")
-    require_finite("steps", steps, MIN_STEPS)
-    a = split_ode(b, eps)
-    segments = _segment_count(a, b.lam)
-    seg_len = b.lam / segments
-    seg_steps = -(-steps // segments)  # ceil: total step count never drops
-    p_seg = _propagation_matrix(a, seg_len, seg_steps)
-
-    u_in = np.array([1.0, 1j * eps, 0.0, 0.0], dtype=complex)
-    u_r = np.array([1.0, -1j * eps, 0.0, 0.0], dtype=complex)
-    u_rt = np.array([0.0, 0.0, 1.0, eps], dtype=complex)
-    v_t = np.array([1.0, 1j * eps, 0.0, 0.0], dtype=complex)
-    v_tt = np.array([0.0, 0.0, 1.0, -eps], dtype=complex)
-
-    # Unknowns: (R, Rt, y_1 ... y_{segments-1}, tau, sigma); y_k is the
-    # 4-state at interface k, tau/sigma the right-edge free-zone data.
-    n = 4 * segments
-    mat = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-    mat[0:4, 0] = p_seg @ u_r
-    mat[0:4, 1] = p_seg @ u_rt
-    rhs[0:4] = -(p_seg @ u_in)
-    for k in range(1, segments):
-        col = 2 + 4 * (k - 1)
-        mat[4 * (k - 1) : 4 * k, col : col + 4] -= np.eye(4)
-        mat[4 * k : 4 * k + 4, col : col + 4] = p_seg
-    mat[n - 4 : n, n - 2] = -v_t
-    mat[n - 4 : n, n - 1] = -v_tt
-    x = np.linalg.solve(mat, rhs)
-    return ScatteringAmplitudes(
-        r=complex(x[0]),
-        rt=complex(x[1]),
-        t=complex(x[n - 2]) * cmath.exp(-1j * eps * b.lam),
-        tt=complex(x[n - 1]) * cmath.exp(eps * b.lam),
-    )
+    require_integer("steps", steps, MIN_STEPS)
+    single = isinstance(b, AdimensionalBarrier)
+    energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
+    if len(energies) != len(barriers):
+        raise ValueError(f"{len(energies)} energies for {len(barriers)} barriers")
+    a = np.empty((len(barriers), 4, 4), dtype=complex)
+    for i, (e, bar) in enumerate(zip(energies, barriers)):
+        if bar.lam > MAX_WIDTH:
+            raise ValueError(f"width {bar.lam!r} exceeds the integrator cap {MAX_WIDTH}")
+        a[i] = split_ode(bar, e)
+    lam = np.array([bar.lam for bar in barriers], dtype=float)
+    eps_all = np.array(energies, dtype=float)
+    segments = _segment_count(a, lam)
+    x = np.empty((len(barriers), 4), dtype=complex)
+    for s in np.unique(segments).tolist():
+        group = np.flatnonzero(segments == s)
+        size = max(1, _MAX_ENTRIES // (16 * s * s))
+        for part in (group[i : i + size] for i in range(0, len(group), size)):
+            x[part] = _shoot(a[part], lam[part], eps_all[part], s, steps)
+    amps = [
+        ScatteringAmplitudes(
+            r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=sigma * cmath.exp(e * bar.lam)
+        )
+        for (r, rt, tau, sigma), e, bar in zip(x.tolist(), energies, barriers)
+    ]
+    return amps[0] if single else amps

@@ -14,7 +14,8 @@ from qbarrier import (
     transmission,
     wave_params,
 )
-from qbarrier.ode_oracle import DEFAULT_STEPS, MIN_STEPS, _propagation_matrix, _segment_count
+from qbarrier import ode_oracle
+from qbarrier.ode_oracle import DEFAULT_STEPS, MAX_WIDTH, MIN_STEPS, _propagation_matrix, _segment_count
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -171,3 +172,61 @@ def test_interior_coefficients_absent():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
     amps = oracle_amplitudes(1.4, b)
     assert amps.a is None and amps.bt is None
+
+
+def batch_points():
+    """Seeded points and edge cases whose segment counts run from 1 to past 7."""
+    pts = random_points(seed=21, n=40, lam_max=20.0)
+    pts += [
+        (0.7, AdimensionalBarrier(vc=-0.6, vq=0.8, theta=1.1, lam=4.0)),  # a well
+        (2.0, AdimensionalBarrier(vc=-1.0, vq=0.0, theta=0.0, lam=25.0)),  # a complex well
+        (1.3, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.5, lam=0.0)),  # no width
+        (1.0, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.3, lam=2.0)),  # the threshold
+        ((1.0 + 2e-6) ** 0.25, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=3.0)),  # band edge
+        (0.5, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=MAX_WIDTH)),
+    ]
+    return pts
+
+
+def amplitude_words(amps):
+    return np.array([[a.r, a.rt, a.t, a.tt] for a in amps]).view(np.uint64)
+
+
+def test_batch_is_the_single_calls_word_for_word():
+    pts = batch_points()
+    counts = {int(_segment_count(split_ode(b, eps), b.lam)) for eps, b in pts}
+    assert set(range(1, 8)) <= counts
+    batch = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
+    singles = [oracle_amplitudes(eps, b) for eps, b in pts]
+    assert np.array_equal(amplitude_words(batch), amplitude_words(singles))
+
+
+def test_batch_split_into_parts_keeps_its_words(monkeypatch):
+    pts = batch_points()
+    whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts], steps=MIN_STEPS)
+    monkeypatch.setattr(ode_oracle, "_MAX_ENTRIES", 64)  # one point per solve beyond 1 segment
+    parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts], steps=MIN_STEPS)
+    assert np.array_equal(amplitude_words(whole), amplitude_words(parts))
+
+
+def test_batch_raises_what_the_first_failing_point_raises():
+    ok = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=2.0)
+    wide = [AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=lam) for lam in (40.0, 50.0)]
+    with pytest.raises(ValueError) as single:
+        oracle_amplitudes(1.2, wide[0])
+    with pytest.raises(ValueError) as batch:
+        oracle_amplitudes([1.2, 1.2, 1.2], [ok, *wide])
+    assert str(batch.value) == str(single.value)
+    with pytest.raises(ValueError, match="eps"):
+        oracle_amplitudes([1.2, -1.0, 1.2], [ok, ok, wide[0]])
+    with pytest.raises(ValueError, match="2 energies for 1 barriers"):
+        oracle_amplitudes([1.2, 1.3], [ok])
+
+
+def test_overflowing_far_edge_amplitude_raises_as_a_single_call_does():
+    # exp(eps*lam) of Tt overflows at eps*lam = 725, inside the width cap
+    thick = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=29.0)
+    with pytest.raises(OverflowError):
+        oracle_amplitudes(25.0, thick)
+    with pytest.raises(OverflowError):
+        oracle_amplitudes([1.2, 25.0], [thick, thick])

@@ -1,9 +1,12 @@
 """The self-check suite's own machinery."""
 
+import math
+
 import numpy as np
 
 from qbarrier.solver import solve
 from qbarrier.verify import (
+    DEGENERACY_BAND,
     CheckReport,
     check_norm_conservation,
     check_series_asymptotics,
@@ -27,13 +30,17 @@ def test_sample_points_respects_bounds_and_band():
 
 
 class ScriptedRng:
-    """Stand-in generator: `uniform` returns the scripted draws in order."""
+    """Stand-in generator: `uniform` serves its next `size` block of the scripted draws."""
 
     def __init__(self, draws):
-        self.draws = iter(draws)
+        self.draws = np.array(draws)
+        self.used = 0
 
-    def uniform(self, low, high):
-        return next(self.draws)
+    def uniform(self, low, high, size):
+        k = math.prod(size)
+        block = self.draws[self.used : self.used + k]
+        self.used += k
+        return block.reshape(size)
 
 
 def test_sample_points_skips_the_degenerate_draw():
@@ -42,6 +49,29 @@ def test_sample_points_skips_the_degenerate_draw():
     [(eps, b)] = sample_points(rng, 1)
     assert eps == 1.5
     assert (b.vc, b.theta, b.lam) == (0.6, 0.4, 2.0)
+    assert rng.used == 8  # the degenerate row was drawn, then one more
+
+
+def one_draw_at_a_time(rng, n):
+    """The sampler's points drawn as scalars: eps, vc, theta, lam per point."""
+    out = []
+    while len(out) < n:
+        eps = rng.uniform(0.2, 3.0)
+        vc = rng.uniform(0.0, 1.0)
+        vq = math.sqrt(max(0.0, 1.0 - vc * vc))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        lam = rng.uniform(0.0, 10.0)
+        if abs(eps**4 - vq**2) >= DEGENERACY_BAND:
+            out.append((eps, vc, vq, theta, lam))
+    return out
+
+
+def test_sample_points_draw_the_scalar_stream():
+    for seed in (1, 7, 42):
+        pts = sample_points(np.random.default_rng(seed), 150)
+        got = [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in pts]
+        want = one_draw_at_a_time(np.random.default_rng(seed), 150)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_individual_checks_pass_on_seeded_grid():

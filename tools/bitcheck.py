@@ -5,7 +5,11 @@ amplitudes), `transmission` and `transmission_complex` (t, |t|**2 and
 phase) and, on the first points, `transmission_grid` over an energy grid
 and a width grid.  A seeded set of 2,000 widths goes through
 `critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
-None above lam ~709.78) and `asymptotic_moduli` for both cases.  Each
+None above lam ~709.78) and `asymptotic_moduli` for both cases.  The
+first 4,000 points no wider than the integrator cap go through
+`oracle_amplitudes` (r, rt, t and tt) in one call; if that call raises,
+as it does where the oracle takes one point per call, each point is
+called alone.  `verify.sample_points` draws a few seeded sets.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -35,6 +39,8 @@ SEED = 20_000
 POINTS = 20_000
 WIDTHS = 2_000
 GRID_POINTS = 40  # points that also get an energy and a width grid
+ORACLE_POINTS = 4_000
+SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 #: the eight amplitudes of a `solve` result
@@ -43,6 +49,8 @@ amplitudes = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
 transmitted = operator.attrgetter("t", "prob", "phase")
 #: the amplitudes of a `CriticalAmplitudes` record
 critical_amplitudes = operator.attrgetter("r", "t", "rt", "tt")
+#: the amplitudes an `oracle_amplitudes` record carries
+oracle_fields = operator.attrgetter("r", "rt", "t", "tt")
 
 
 def points():
@@ -95,13 +103,16 @@ def evaluate(src):
     if Path(qbarrier.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
-                          critical_quaternionic, solve, transmission, transmission_complex,
-                          transmission_grid)
+                          critical_quaternionic, oracle_amplitudes, solve, transmission,
+                          transmission_complex, transmission_grid)
+    from qbarrier.ode_oracle import MAX_WIDTH
+    from qbarrier.verify import sample_points
 
     warnings.simplefilter("ignore")
     out = {name: [] for name in ("solve", "transmission", "transmission_complex",
                                  "transmission_grid", "critical_complex",
-                                 "critical_quaternionic", "asymptotic_moduli")}
+                                 "critical_quaternionic", "asymptotic_moduli",
+                                 "oracle_amplitudes", "sample_points")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -116,6 +127,17 @@ def evaluate(src):
             outcome(lambda: critical_amplitudes(critical_quaternionic(lam, theta))))
         for case in ("complex", "pure_quaternionic"):
             out["asymptotic_moduli"].append(outcome(lambda: asymptotic_moduli(lam, case)))
+    narrow = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
+              for eps, vc, vq, theta, lam in points() if lam <= MAX_WIDTH][:ORACLE_POINTS]
+    try:
+        batch = oracle_amplitudes([eps for eps, _ in narrow], [b for _, b in narrow])
+        out["oracle_amplitudes"] = [tuple(map(words, oracle_fields(a))) for a in batch]
+    except Exception:  # noqa: BLE001 - then every point's own outcome is compared
+        out["oracle_amplitudes"] = [outcome(lambda: oracle_fields(oracle_amplitudes(eps, b)))
+                                    for eps, b in narrow]
+    for seed, n in SAMPLER_RUNS:
+        out["sample_points"].append(outcome(lambda: np.array(
+            [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in sample_points(np.random.default_rng(seed), n)])))
     return out
 
 
