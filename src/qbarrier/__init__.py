@@ -40,7 +40,6 @@ from .critical import (
 )
 from .errors import (
     DegenerateEnergyError,
-    IllConditionedError,
     QBarrierError,
     SingularDenominatorError,
 )
@@ -60,14 +59,13 @@ from .solver import (
     solve,
     wavefunction,
 )
-from .transfer import build_factors, transfer_closed, transfer_numeric
+from .transfer import transfer_closed, transfer_numeric
 
 __all__ = [
     "AdimensionalBarrier",
     "BarrierSpec",
     "CriticalAmplitudes",
     "DegenerateEnergyError",
-    "IllConditionedError",
     "QBarrierError",
     "Quaternion",
     "ScatteringAmplitudes",
@@ -77,7 +75,6 @@ __all__ = [
     "ZoneWavefunction",
     "adimensionalize",
     "asymptotic_moduli",
-    "build_factors",
     "complex_resonance_energies",
     "complex_resonance_widths",
     "critical_complex",

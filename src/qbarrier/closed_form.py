@@ -1,14 +1,17 @@
 """Closed-form transmission amplitude T = 2*exp(-i*eps*lam) / D.
 
-The denominator D is assembled verbatim from the transfer-matrix elements:
+The denominator D is assembled from the elements of the transfer matrix
+in the data basis (phi, phi', psi, psi') of :mod:`qbarrier.transfer`:
 
-    D = M11 + M22 + i*(eps**2*M12 - am**2*M21)/(eps*am)
-        - [M13 + i*M24 - (eps**2*M14 + i*am**2*M23)/(eps*am)]
-          * [M31 - i*M42 + (i*eps**2*M32 - am**2*M41)/(eps*am)]
-          / [M44 + M33 - (eps**2*M34 + am**2*M43)/(eps*am)]
+    D = M11 + M22 + i*(eps**2*M12 - M21)/eps
+        - [M13 + i*M24 - (eps**2*M14 + i*M23)/eps]
+          * [M31 - i*M42 + (i*eps**2*M32 - M41)/eps]
+          / [M44 + M33 - (eps**2*M34 + M43)/eps].
 
-with am = alpha_minus.  `transmission` evaluates an algebraically
-identical factored regrouping of D (`denominator_factored`) that stays at
+The paper writes D for its basis (phi, phi'/am, psi, psi'/am), am =
+alpha_minus: there M21, M23, M41 and M43 carry a factor am**2 and each
+fraction divides by eps*am; in the data basis every am cancels.
+`transmission` evaluates an algebraically identical factored regrouping of D (`denominator_factored`) that stays at
 machine precision when the growing interior mode is large; `denominator`
 keeps the element-table form.  The same amplitude is produced
 independently by the full boundary-matching solve (:mod:`qbarrier.solver`),
@@ -42,23 +45,24 @@ class TransmissionResult:
         return cmath.phase(self.t)
 
 
-def denominator(m: np.ndarray, eps: float, alpha_minus: complex) -> complex:
-    """Evaluate D from a transfer matrix.
+def denominator(m: np.ndarray, eps: float) -> complex:
+    """Evaluate D from a transfer matrix m in the data basis (phi, phi', psi, psi').
+
+    m is `transfer_closed`'s or `transfer_numeric`'s matrix, read by the
+    module docstring's element form, which divides by eps alone and so is
+    defined at the threshold eps = 1.
 
     Raises:
         SingularDenominatorError: if the trailing fraction's denominator
-            vanishes (reported with eps and alpha_minus).
+            vanishes (reported with eps).
     """
-    am = complex(alpha_minus)
-    ea = eps * am
-    lead = m[0, 0] + m[1, 1] + 1j * (eps**2 * m[0, 1] - am**2 * m[1, 0]) / ea
-    upper = m[0, 2] + 1j * m[1, 3] - (eps**2 * m[0, 3] + 1j * am**2 * m[1, 2]) / ea
-    lower_num = m[2, 0] - 1j * m[3, 1] + (1j * eps**2 * m[2, 1] - am**2 * m[3, 0]) / ea
-    lower_den = m[3, 3] + m[2, 2] - (eps**2 * m[2, 3] + am**2 * m[3, 2]) / ea
+    e2 = eps**2
+    lead = m[0, 0] + m[1, 1] + 1j * (e2 * m[0, 1] - m[1, 0]) / eps
+    upper = m[0, 2] + 1j * m[1, 3] - (e2 * m[0, 3] + 1j * m[1, 2]) / eps
+    lower_num = m[2, 0] - 1j * m[3, 1] + (1j * e2 * m[2, 1] - m[3, 0]) / eps
+    lower_den = m[3, 3] + m[2, 2] - (e2 * m[2, 3] + m[3, 2]) / eps
     if abs(lower_den) < 1e-150:
-        raise SingularDenominatorError(
-            f"inner denominator vanished at eps={eps!r}, alpha_minus={am!r}"
-        )
+        raise SingularDenominatorError(f"inner denominator vanished at eps={eps!r}")
     return complex(lead - upper * lower_num / lower_den)
 
 

@@ -8,14 +8,10 @@ class QBarrierError(Exception):
 class DegenerateEnergyError(QBarrierError):
     """eps**4 is too close to vq**2: the two exponential wave numbers collapse.
 
-    The exponential basis inside the barrier degenerates, so the factor
-    matrix G and the continuity system become singular.  For vc=0, vq=1
+    The exponential basis inside the barrier degenerates, so the transfer
+    table's 1/(1 - beta*gamma) and the continuity system become singular.  For vc=0, vq=1
     this is eps = 1, and the message names `critical_quaternionic`.
     """
-
-
-class IllConditionedError(QBarrierError):
-    """eps = 1: alpha_minus or alpha_plus is 0, so the transfer matrices' basis is singular."""
 
 
 class SingularDenominatorError(QBarrierError):

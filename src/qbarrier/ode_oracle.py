@@ -141,10 +141,12 @@ def oracle_amplitudes(eps, b, steps: int = DEFAULT_STEPS):
     by segment count, and each group is integrated and solved as stacked
     arrays: one RK4 step polynomial, one matrix power and one linear solve.
 
+    tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`;
+    r, rt and t do not depend on it.
+
     Raises:
         ValueError: unless steps is an integer >= MIN_STEPS; at the first
             point whose width exceeds MAX_WIDTH or whose eps is not > 0.
-        OverflowError: where exp(eps*lam) of Tt overflows.
     """
     require_integer("steps", steps, MIN_STEPS)
     single = isinstance(b, AdimensionalBarrier)
@@ -167,8 +169,16 @@ def oracle_amplitudes(eps, b, steps: int = DEFAULT_STEPS):
             x[part] = _shoot(a[part], lam[part], eps_all[part], s, steps)
     amps = [
         ScatteringAmplitudes(
-            r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=sigma * cmath.exp(e * bar.lam)
+            r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=_far_edge(sigma, e * bar.lam)
         )
         for (r, rt, tau, sigma), e, bar in zip(x.tolist(), energies, barriers)
     ]
     return amps[0] if single else amps
+
+
+def _far_edge(sigma: complex, growth: float) -> complex | None:
+    """Tt = sigma*exp(growth) from the right-edge datum sigma, or None where exp(growth) overflows."""
+    try:
+        return sigma * cmath.exp(growth)
+    except OverflowError:
+        return None

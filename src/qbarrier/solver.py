@@ -36,13 +36,14 @@ class ScatteringAmplitudes:
 
     a, b, at, bt multiply cosh(am*s), shc(am, s), cosh(ap*s) and shc(ap, s),
     s = xi - lam/2 (module docstring).  They are None when produced by a
-    route that does not construct that basis (the brute-force integrator).
+    route that does not construct that basis (the brute-force integrator),
+    which also gives tt as None where exp(eps*lam) overflows.
     """
 
     r: complex
     rt: complex
     t: complex
-    tt: complex
+    tt: complex | None
     a: complex | None = None
     b: complex | None = None
     at: complex | None = None

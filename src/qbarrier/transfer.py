@@ -1,118 +1,54 @@
 """Transfer matrix across the barrier, built two independent ways.
 
-The boundary data vector u(xi) = (phi, phi'/alpha_minus, psi, psi'/alpha_minus)
-at the two barrier edges is related by the 4x4 complex matrix
+The data vector y(xi) = (phi, phi', psi, psi') at the two barrier edges is
+related by the 4x4 complex matrix M, y(0) = M @ y(lam).  Each interior mode
+a = alpha_minus, alpha_plus has the 2x2 block
 
-    M = G @ Delta @ inv(G),
+    X(a) = [[cosh(a*lam), -shc(a, lam)], [-a**2*shc(a, lam), cosh(a*lam)]],
 
-where G collects the four interior basis solutions and Delta holds their
-exponential growth over the width lam.  `transfer_numeric` performs that
-product directly and is the in-repo oracle for `transfer_closed`; both
-must agree elementwise (relative to the matrix scale) wherever G is
-invertible.  The paper's sixteen closed-form elements, each times
-1/(1 - bg), with bg = beta*gamma, r = am/ap, cm, sm = cosh, sinh(am*lam)
-and cp, sp = cosh, sinh(ap*lam):
+entire in a**2, with shc(a, lam) = sinh(a*lam)/a.  beta and gamma mix the
+blocks Xm = X(am) and Xp = X(ap), with bg = beta*gamma:
 
-    M11 = M22 = cm - bg*cp          M33 = M44 = cp - bg*cm
-    M12 = -sm + bg*r*sp             M34 = bg*sm - r*sp
-    M21 = -sm + bg*sp/r             M43 = bg*sm - sp/r
-    M13 = M24 = -beta*(cm - cp)     M31 = M42 = gamma*(cm - cp)
-    M14 = beta*(sm - r*sp)          M32 = -gamma*(sm - r*sp)
-    M23 = beta*(sm - sp/r)          M41 = -gamma*(sm - sp/r)
+    M = [[Xm - bg*Xp, -beta*(Xm - Xp)], [gamma*(Xm - Xp), Xp - bg*Xm]] / (1 - bg).
+
+The paper tabulates the same matrix in the basis u = (phi, phi'/am, psi,
+psi'/am): its table is inv(D) @ M @ D with D = diag(1, am, 1, am).  In the
+data basis no element divides by am or ap, so M is regular at the threshold
+eps = 1, where am (barrier) or ap (well) is 0.
+
+`transfer_closed` evaluates that table from the wave parameters.
+`transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
+of the split interior system y' = A*y (`ode_oracle.split_ode`), which uses
+no wave parameter and no branch choice.
 """
 
 from __future__ import annotations
 
 import cmath
-import warnings
 
 import numpy as np
 
-from .barrier import WaveParams
-from .errors import IllConditionedError
+from .barrier import WaveParams, shc
 
-#: max-norm condition estimate of G above which a warning is emitted
-CONDITION_WARN = 1e8
-
-
-def _mixing(p: WaveParams) -> complex:
-    """beta*gamma, the mixing of the two modes in G and the closed elements.
-
-    Only the threshold is checked: 1 - beta*gamma = 2*root/(eps**2 + root) != 0
-    by `wave_params`, root = sqrt(eps**4 - vq**2).
-
-    Raises:
-        IllConditionedError: if alpha_minus or alpha_plus is 0 (eps = 1), where
-            G's columns and the boundary data, scaled by alpha_minus, are singular.
-    """
-    if p.alpha_minus == 0 or p.alpha_plus == 0:
-        raise IllConditionedError(
-            f"alpha_minus = {p.alpha_minus!r}, alpha_plus = {p.alpha_plus!r}: "
-            "the exponential basis of G is singular at the threshold"
-        )
-    return p.beta * p.gamma
+#: Taylor terms of the exponential after scaling to 1-norm <= 1/2 (the first
+#: omitted term is below 2**-19/19! ~ 1.6e-23 of the leading one)
+TAYLOR_TERMS = 18
 
 
-def build_factors(p: WaveParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor matrices (G, Delta) of the similarity product.
-
-    G maps interior coefficients to boundary data, Delta transports
-    interior coefficients across the width.
-
-    Raises:
-        IllConditionedError: from `_mixing` (G is singular).
-    """
-    _mixing(p)
-    am, ap = p.alpha_minus, p.alpha_plus
-    beta, gamma = p.beta, p.gamma
-    r = ap / am
-    g = np.array(
-        [
-            [1.0, 1.0, beta, beta],
-            [1.0, -1.0, beta * r, -beta * r],
-            [gamma, gamma, 1.0, 1.0],
-            [gamma, -gamma, r, -r],
-        ],
-        dtype=complex,
-    )
-    delta = np.diag(
-        [
-            cmath.exp(-am * lam),
-            cmath.exp(am * lam),
-            cmath.exp(-ap * lam),
-            cmath.exp(ap * lam),
-        ]
-    )
-    return g, delta
-
-
-def transfer_numeric(p: WaveParams, lam: float) -> np.ndarray:
-    """Transfer matrix by direct inversion: M = G @ Delta @ inv(G)."""
-    g, delta = build_factors(p, lam)
-    g_inv = np.linalg.inv(g)
-    cond = np.abs(g).max() * np.abs(g_inv).max()
-    if cond > CONDITION_WARN:
-        warnings.warn(
-            f"factor matrix G has max-norm condition estimate {cond:.2e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return g @ delta @ g_inv
+def _mode_block(a: complex, lam: float) -> np.ndarray:
+    """X(a) of the module docstring: one mode's 2x2 block in the data basis."""
+    c, s = cmath.cosh(a * lam), shc(a, lam)
+    return np.array([[c, -s], [-a * a * s, c]])
 
 
 def transfer_closed(p: WaveParams, lam: float) -> np.ndarray:
-    """The element table of the module docstring, from the two modes' 2x2 blocks.
+    """The table M of the module docstring, mixed from the two modes' blocks.
 
-    beta and gamma mix the blocks xm (alpha_minus) and xp (alpha_plus) into
-    M = [[xm - bg*xp, -beta*d], [gamma*d, xp - bg*xm]] / (1 - bg), d = xm - xp;
-    the off-diagonal blocks carry beta and gamma, whose product bg has no theta.
+    The off-diagonal blocks carry beta and gamma, whose product bg has no
+    theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.
     """
-    bg = _mixing(p)
-    am, ap = p.alpha_minus, p.alpha_plus
-    cm, sm = cmath.cosh(am * lam), cmath.sinh(am * lam)
-    cp, sp = cmath.cosh(ap * lam), cmath.sinh(ap * lam)
-    xm = np.array([[cm, -sm], [-sm, cm]])
-    xp = np.array([[cp, -(am / ap) * sp], [-(ap / am) * sp, cp]])
+    bg = p.beta * p.gamma
+    xm, xp = _mode_block(p.alpha_minus, lam), _mode_block(p.alpha_plus, lam)
     d = xm - xp
     m = np.empty((4, 4), dtype=complex)
     m[:2, :2] = xm - bg * xp
@@ -120,3 +56,23 @@ def transfer_closed(p: WaveParams, lam: float) -> np.ndarray:
     m[2:, :2] = p.gamma * d
     m[2:, 2:] = xp - bg * xm
     return m * (1.0 / (1.0 - bg))
+
+
+def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
+    """exp(-a*lam) by Taylor series with scaling and squaring (Higham, Functions of Matrices, ch. 10).
+
+    `a` is one 4x4 matrix with a float lam, or an (n, 4, 4) stack with one
+    lam per matrix.  Each matrix is scaled by 2**-s to 1-norm <= 1/2, summed
+    to TAYLOR_TERMS terms and squared s times, with its own s, so a stack's
+    results are the single calls' bit for bit.
+    """
+    x = -np.asarray(lam, dtype=float)[..., None, None] * a
+    s = np.maximum(np.frexp(2.0 * np.abs(x).sum(axis=-2).max(axis=-1))[1], 0)
+    x = x * (0.5**s)[..., None, None]
+    term = out = np.eye(4, dtype=complex)
+    for k in range(1, TAYLOR_TERMS + 1):
+        term = term @ x / k
+        out = out + term
+    for i in range(s.max()):
+        out = np.where((s > i)[..., None, None], out @ out, out)
+    return out

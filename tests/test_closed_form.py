@@ -10,11 +10,11 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    IllConditionedError,
     SingularDenominatorError,
     critical_complex,
     denominator,
     solve,
+    split_ode,
     transfer_closed,
     transfer_numeric,
     transmission,
@@ -32,7 +32,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_identity_matrix_denominator_is_two():
-    assert denominator(np.eye(4, dtype=complex), 1.3, 0.7 + 0.1j) == pytest.approx(2.0)
+    assert denominator(np.eye(4, dtype=complex), 1.3) == pytest.approx(2.0)
 
 
 def test_zero_width_is_transparent():
@@ -48,7 +48,7 @@ def test_complex_limit_denominator_formula():
     for eps, lam in [(0.6, 2.0), (1.4, 3.0), (2.2, 1.0)]:
         b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
         p = wave_params(eps, b)
-        d = denominator(transfer_closed(p, lam), eps, p.alpha_minus)
+        d = denominator(transfer_closed(p, lam), eps)
         a = cmath.sqrt(complex(1.0 - eps * eps, 0.0))
         expected = 2.0 * cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (eps * a) * cmath.sinh(a * lam)
         assert d == pytest.approx(expected, abs=1e-10 * abs(expected))
@@ -59,20 +59,20 @@ def test_denominator_against_solver_route():
     eps, lam = 1.2, 3.0
     b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=lam)
     p = wave_params(eps, b)
-    d = denominator(transfer_closed(p, lam), eps, p.alpha_minus)
+    d = denominator(transfer_closed(p, lam), eps)
     t_solver = solve(eps, b).t
     assert d == pytest.approx(2.0 * cmath.exp(-1j * eps * lam) / t_solver, abs=1e-9)
 
 
 def test_vanishing_denominators_are_typed_errors():
     with pytest.raises(SingularDenominatorError, match="eps=1.2"):
-        denominator(np.zeros((4, 4), dtype=complex), 1.2, 0.5 + 0j)
+        denominator(np.zeros((4, 4), dtype=complex), 1.2)
 
 
 def test_factored_denominator_equals_element_form():
     for eps, b in random_points(seed=77, n=80, lam_max=4.0):
         p = wave_params(eps, b)
-        d_elements = denominator(transfer_closed(p, b.lam), eps, p.alpha_minus)
+        d_elements = denominator(transfer_closed(p, b.lam), eps)
         d_factored = denominator_factored(p, b.lam)
         assert abs(d_elements - d_factored) < 1e-9 * abs(d_elements)
 
@@ -91,15 +91,29 @@ def test_pure_quaternionic_local_maximum():
     assert peak > transmission(1.256, b).prob
 
 
-def test_threshold_rejected_for_complex_barrier():
-    # alpha_minus is exactly zero at eps=1 for vc=1: the closed form answers,
-    # the exponential-basis transfer matrices reject the point as typed errors
+def test_threshold_answered_for_complex_barrier():
+    # alpha_minus is exactly zero at eps=1 for vc=1: the closed form, the
+    # data-basis table, the exponential and the element form of D all answer
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
     assert abs(transmission(1.0, b).t - critical_complex(2.0).t) <= 1e-15
     p = wave_params(1.0, b)
-    for transfer in (transfer_closed, transfer_numeric):
-        with pytest.raises(IllConditionedError, match="alpha_minus = 0j"):
-            transfer(p, b.lam)
+    assert p.alpha_minus == 0
+    closed = transfer_closed(p, b.lam)
+    assert np.abs(closed - transfer_numeric(split_ode(b, 1.0), b.lam)).max() <= 1e-14
+    t = 2.0 * cmath.exp(-1j * b.lam) / denominator(closed, 1.0)
+    assert abs(t - critical_complex(2.0).t) <= 1e-15
+
+
+@pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.6, 0.8), (-0.6, 0.8), (-1.0, 0.0)])
+def test_element_form_answers_at_the_threshold(vc, vq):
+    # eps = 1 zeroes alpha_minus of a barrier and alpha_plus of a well
+    b = AdimensionalBarrier(vc, vq, 0.7, 2.0)
+    closed = transfer_closed(wave_params(1.0, b), b.lam)
+    numeric = transfer_numeric(split_ode(b, 1.0), b.lam)
+    assert np.abs(closed - numeric).max() <= 1e-14 * np.abs(numeric).max()
+    t = transmission(1.0, b).t
+    for m in (closed, numeric):
+        assert abs(2.0 * cmath.exp(-1j * b.lam) / denominator(m, 1.0) - t) <= 1e-14
 
 
 def test_thick_point_whose_numerator_modulus_overflows():

@@ -1,7 +1,9 @@
-"""Closed transfer elements against the direct similarity product."""
+"""Closed transfer elements against exp(-A*lam) of the split interior system."""
 
 import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    build_factors,
+    split_ode,
     transfer_closed,
     transfer_numeric,
     wave_params,
@@ -25,35 +27,25 @@ def params(vc, vq, theta, eps):
     return wave_params(eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=1.0))
 
 
-def test_block_structure_without_mixing():
-    # beta = gamma = 0 leaves G block-diagonal with [[1,1],[1,-1]]-shaped blocks
-    p = params(1.0, 0.0, 0.0, 1.3)
-    g, _ = build_factors(p, 1.0)
-    assert np.allclose(g[0:2, 2:4], 0.0)
-    assert np.allclose(g[2:4, 0:2], 0.0)
-    assert np.allclose(g[0:2, 0:2], [[1, 1], [1, -1]])
-    r = p.alpha_plus / p.alpha_minus
-    assert np.allclose(g[2:4, 2:4], [[1, 1], [r, -r]])
+def both_routes(eps, b):
+    """(transfer_closed, transfer_numeric) at (eps, b): the table and exp(-A*lam)."""
+    return transfer_closed(wave_params(eps, b), b.lam), transfer_numeric(split_ode(b, eps), b.lam)
+
+
+def scaled_gap(closed, numeric):
+    """Largest elementwise gap over max(1, largest entry): entries grow like exp(alpha_plus*lam)."""
+    return float(np.abs(closed - numeric).max()) / max(1.0, float(np.abs(numeric).max()))
 
 
 def test_zero_width_gives_identity():
-    p = params(0.5, math.sqrt(3.0) / 2.0, 0.4, 1.7)
-    _, delta = build_factors(p, 0.0)
-    assert np.allclose(delta, np.eye(4))
-    assert np.allclose(transfer_closed(p, 0.0), np.eye(4), atol=1e-14)
-    assert np.allclose(transfer_numeric(p, 0.0), np.eye(4), atol=1e-14)
-
-
-def test_g_inverse_residual():
-    p = params(0.0, 1.0, 0.0, 1.2)
-    g, _ = build_factors(p, 1.0)
-    assert np.abs(g @ np.linalg.inv(g) - np.eye(4)).max() < 1e-12
+    eps, b = 1.7, AdimensionalBarrier(0.5, math.sqrt(3.0) / 2.0, 0.4, 0.0)
+    closed, numeric = both_routes(eps, b)
+    assert np.allclose(closed, np.eye(4), atol=1e-14)
+    assert np.allclose(numeric, np.eye(4), atol=1e-14)
 
 
 def test_closed_matches_numeric_at_reference_point():
-    p = params(1.0 / SQRT2, 1.0 / SQRT2, 0.7, 1.3)
-    closed = transfer_closed(p, 2.0)
-    numeric = transfer_numeric(p, 2.0)
+    closed, numeric = both_routes(1.3, AdimensionalBarrier(1.0 / SQRT2, 1.0 / SQRT2, 0.7, 2.0))
     assert np.abs(closed - numeric).max() < 1e-10
 
 
@@ -63,37 +55,29 @@ def test_complex_limit_elements():
     m = transfer_closed(p, lam)
     am = cmath.sqrt(complex(1.0 - eps * eps, 0.0))
     ap = cmath.sqrt(complex(1.0 + eps * eps, 0.0))
-    # off-diagonal blocks vanish
+    # off-diagonal blocks vanish; the diagonal ones are X(am) and X(ap) in the data basis
     assert np.abs(m[0:2, 2:4]).max() == 0.0
     assert np.abs(m[2:4, 0:2]).max() == 0.0
     assert m[0, 0] == pytest.approx(cmath.cosh(am * lam), abs=1e-13)
-    assert m[0, 1] == pytest.approx(-cmath.sinh(am * lam), abs=1e-13)
-    assert m[1, 0] == pytest.approx(-cmath.sinh(am * lam), abs=1e-13)
+    assert m[0, 1] == pytest.approx(-cmath.sinh(am * lam) / am, abs=1e-13)
+    assert m[1, 0] == pytest.approx(-am * cmath.sinh(am * lam), abs=1e-13)
     assert m[1, 1] == pytest.approx(cmath.cosh(am * lam), abs=1e-13)
     assert m[2, 2] == pytest.approx(cmath.cosh(ap * lam), abs=1e-13)
-    assert m[2, 3] == pytest.approx(-(am / ap) * cmath.sinh(ap * lam), abs=1e-13)
-    assert m[3, 2] == pytest.approx(-(ap / am) * cmath.sinh(ap * lam), abs=1e-13)
+    assert m[2, 3] == pytest.approx(-cmath.sinh(ap * lam) / ap, abs=1e-13)
+    assert m[3, 2] == pytest.approx(-ap * cmath.sinh(ap * lam), abs=1e-13)
     assert m[3, 3] == pytest.approx(cmath.cosh(ap * lam), abs=1e-13)
 
 
 def test_closed_matches_numeric_on_randomized_grid():
     # scaled elementwise agreement: an absolute 1e-10 would sit below one
     # ulp once entries reach exp(alpha_plus*lam) ~ 1e13
-    worst = 0.0
-    for eps, b in random_points(seed=52, n=60):
-        p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam)
-        numeric = transfer_numeric(p, b.lam)
-        scale = max(1.0, float(np.abs(numeric).max()))
-        worst = max(worst, float(np.abs(closed - numeric).max()) / scale)
+    worst = max(scaled_gap(*both_routes(eps, b)) for eps, b in random_points(seed=52, n=60))
     assert worst < 1e-10
 
 
 def test_absolute_agreement_where_entries_are_small():
     for eps, b in random_points(seed=53, n=120, lam_max=2.0):
-        p = wave_params(eps, b)
-        closed = transfer_closed(p, b.lam)
-        numeric = transfer_numeric(p, b.lam)
+        closed, numeric = both_routes(eps, b)
         if np.abs(numeric).max() <= 1e3:
             assert np.abs(closed - numeric).max() < 1e-10
 
@@ -109,9 +93,8 @@ def test_composition_in_width():
 
 def test_determinant_is_one_on_tame_grid():
     for eps, b in random_points(seed=54, n=60, lam_max=2.0):
-        p = wave_params(eps, b)
-        assert abs(np.linalg.det(transfer_numeric(p, b.lam)) - 1.0) < 1e-10
-        assert abs(np.linalg.det(transfer_closed(p, b.lam)) - 1.0) < 1e-10
+        for m in both_routes(eps, b):
+            assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
 
 def test_theta_enters_only_through_block_phases():
@@ -159,9 +142,44 @@ def test_one_minus_beta_gamma_is_bounded_away_from_zero(point):
 
 
 def test_condition_warning_next_to_the_threshold():
-    # one ulp above eps = 1, alpha_minus ~ 6e-9 makes G's condition estimate 1.9e8
-    p = params(0.1, 0.9949874371066204, 0.0, 1.0000000000000002)
-    with pytest.warns(RuntimeWarning, match="condition estimate 1.91e[+]08"):
-        numeric = transfer_numeric(p, 1.0)
-    closed = transfer_closed(p, 1.0)
-    assert np.abs(numeric - closed).max() <= 1e-15 * np.abs(closed).max()
+    # one ulp above eps = 1 alpha_minus is ~6e-9; neither route divides by it, and
+    # neither warns.  The routes share no algebra, so they agree to rounding, not to 1 ulp.
+    b = AdimensionalBarrier(0.1, 0.9949874371066204, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed, numeric = both_routes(1.0000000000000002, b)
+    assert abs(wave_params(1.0000000000000002, b).alpha_minus) < 1e-8
+    assert np.abs(numeric - closed).max() <= 1e-14 * np.abs(closed).max()
+
+
+def stack_points():
+    """Wells and barriers, theta = 0 and != 0, lam = 0 and the threshold eps = 1."""
+    pts = [(1.0, AdimensionalBarrier(vc, vq, theta, lam))
+           for vc, vq in ((1.0, 0.0), (0.6, 0.8), (-0.6, 0.8), (-1.0, 0.0))
+           for theta, lam in ((0.0, 2.0), (0.9, 0.0))]
+    pts += [(eps, AdimensionalBarrier(-b.vc, b.vq, b.theta, b.lam))
+            for eps, b in random_points(seed=55, n=12)]
+    return pts + random_points(seed=56, n=12)
+
+
+def test_stacked_exponential_is_the_single_calls_word_for_word():
+    pts = stack_points()
+    stack = transfer_numeric(np.stack([split_ode(b, eps) for eps, b in pts]),
+                             np.array([b.lam for _, b in pts]))
+    singles = np.stack([transfer_numeric(split_ode(b, eps), b.lam) for eps, b in pts])
+    assert stack.shape == (len(pts), 4, 4)
+    assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda p: dataclasses.replace(p, beta=-p.beta), id="beta-sign"),
+    pytest.param(lambda p: dataclasses.replace(p, gamma=p.gamma.conjugate()), id="gamma-conjugate"),
+])
+def test_exponential_catches_a_wrong_mixing_coefficient(mutate):
+    # the exponential reads no wave parameter, so a table mixed with a wrong
+    # beta or gamma is far from it (a check against the table's own algebra is not)
+    worst = 0.0
+    for eps, b in random_points(seed=52, n=60):
+        closed = transfer_closed(mutate(wave_params(eps, b)), b.lam)
+        worst = max(worst, scaled_gap(closed, transfer_numeric(split_ode(b, eps), b.lam)))
+    assert worst > 1.0
