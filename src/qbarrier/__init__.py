@@ -7,8 +7,8 @@ quaternionic (j, k) part, through three mutually checking routes:
   * a closed transfer-matrix formula (:mod:`qbarrier.closed_form`),
   * a direct solve of the eight boundary-matching equations
     (:mod:`qbarrier.solver`),
-  * a brute-force fixed-step integration of the interior equations
-    (:mod:`qbarrier.ode_oracle`).
+  * a brute-force integration of the interior equations, one matrix
+    exponential per segment with multiple shooting (:mod:`qbarrier.ode_oracle`).
 
 Resonance tables, the exact threshold (eps = 1) amplitudes and a CLI sit
 on top.

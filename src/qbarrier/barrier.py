@@ -57,24 +57,15 @@ def require_finite(name: str, value: float, lower: float = -math.inf, strict: bo
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
-def require_integer(name: str, value: int, lower: int) -> None:
-    """value is an int or a numpy integer, never a float, and >= lower.
-
-    Raises:
-        ValueError: naming the input and its bound.
-    """
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    require_finite(name, value, lower)
-
-
 def require_count(name: str, value: int) -> None:
     """value counts table rows or samples: an integer from 1 to MAX_GRID_POINTS, checked before any is built.
 
     Raises:
         ValueError: naming the input and its bound.
     """
-    require_integer(name, value, 1)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    require_finite(name, value, 1)
     if value > MAX_GRID_POINTS:
         raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {value!r}")
 

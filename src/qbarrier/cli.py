@@ -126,12 +126,16 @@ def _report(args, payload, lines: list[str]) -> int:
 
 def cmd_point(args) -> int:
     if args.physical is not None:
+        adimensional = (args.vc, args.vq, args.eps, args.lam, args.lam_pi, args.theta)
+        if any(flag is not None for flag in adimensional):
+            raise ValueError("give either --physical or --vc/--vq/--eps/--lambda, not both")
         barrier, eps = adimensionalize(BarrierSpec(*args.physical))
     else:
         if args.vc is None or args.vq is None or args.eps is None:
             raise ValueError("point needs --vc, --vq and --eps (or --physical)")
         lam = _pi_flag(args.lam, args.lam_pi, "--lambda")
-        barrier = AdimensionalBarrier(vc=args.vc, vq=args.vq, theta=args.theta, lam=lam)
+        theta = 0.0 if args.theta is None else args.theta
+        barrier = AdimensionalBarrier(vc=args.vc, vq=args.vq, theta=theta, lam=lam)
         eps = args.eps
 
     if barrier.lam == 0.0:
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("point", help="evaluate one parameter point")
     p.add_argument("--vc", type=float)
     p.add_argument("--vq", type=float)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=float, help="potential phase (default 0)")
     p.add_argument("--eps", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--lambda-pi", dest="lam_pi", type=float)

@@ -9,21 +9,20 @@ two coupled complex equations,
 
 verified here by substituting the exponential interior basis (the residual
 test in the suite pins the coupling signs).  The first-order state
-y = (phi, phi', psi, psi') obeys y' = A*y with constant A, so one classical
-fourth-order Runge-Kutta step of size h is exactly the matrix
+y = (phi, phi', psi, psi') obeys y' = A*y with constant A, so the state at
+one end of a segment of length h is the state at the other end times a
+matrix exponential: y(0) = exp(-A*h) @ y(h).  Each segment map is
+`transfer.transfer_numeric`, the same scaled-and-squared Taylor series
+that checks the closed transfer table, accurate to rounding at any length.
+No branch choices, no special functions: this route works at degenerate
+and threshold parameters alike and is the independent check on every
+closed form in the package.
 
-    S = I + hA + (hA)**2/2 + (hA)**3/6 + (hA)**4/24
-
-applied to y; the full propagation map over the barrier is S**steps,
-formed by binary powering: the same map in ~2*log2(steps) 4x4 products.
-No branch choices, no special functions:
-this route works at degenerate and threshold parameters alike and is the
-independent check on every closed form in the package.
-
-`oracle_amplitudes` integrates one point or many in one call.  The points
-are grouped by segment count; each group is one stack of 4x4 matrices,
-raised to its power and matched by one stacked solve, with the same
-floating-point operations per point as a call for that point alone.
+`oracle_amplitudes` takes one point or many in one call.  The segment
+maps of a batch come from one stacked exponential per block of points;
+the points are then grouped by segment count, and each group is matched
+by one stacked solve, with the same floating-point operations per point
+as a call for that point alone.
 """
 
 from __future__ import annotations
@@ -32,15 +31,13 @@ import cmath
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_finite, require_integer
+from .barrier import AdimensionalBarrier, require_finite
 from .solver import ScatteringAmplitudes
+from .transfer import transfer_numeric
 
 #: growing interior mode overflows long before this; hyperbolic closed forms
 #: own the large-width regime
 MAX_WIDTH = 30.0
-
-MIN_STEPS = 1000
-DEFAULT_STEPS = 4096
 
 
 def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
@@ -59,23 +56,6 @@ def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _propagation_matrix(a: np.ndarray, length, steps: int) -> np.ndarray:
-    """`steps` classical fourth-order steps from xi=0 to xi=length as one 4x4 map, S**steps.
-
-    `a` is one 4x4 matrix with a float length, or an (n, 4, 4) stack with
-    one length per matrix; a stack's maps are the single maps bit for bit.
-    Its columns carry unit initial data (phi, phi', psi, psi'); the system is
-    trace-free, so the map has determinant 1 up to integration error.
-    """
-    ha = (np.asarray(length) / steps)[..., None, None] * a
-    step = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ ha / k
-        step = step + term
-    return np.linalg.matrix_power(step, steps)
 
 
 #: per-segment exponential growth budget for the boundary matching
@@ -97,9 +77,8 @@ def _column(*entries) -> np.ndarray:
     return np.stack(entries, axis=-1, dtype=complex)[..., None]
 
 
-def _shoot(a: np.ndarray, lam: np.ndarray, eps: np.ndarray, segments: int, steps: int) -> np.ndarray:
-    """(R, Rt, tau, sigma) of each point of an (n, 4, 4) stack that shares one segment count."""
-    p_seg = _propagation_matrix(a, lam / segments, -(-steps // segments))  # ceil: no fewer steps
+def _shoot(m: np.ndarray, eps: np.ndarray, segments: int) -> np.ndarray:
+    """(R, Rt, tau, sigma) of each point from its segment map, an (n, 4, 4) stack of one segment count."""
     zero, one = np.zeros_like(eps), np.ones_like(eps)
     u_in = _column(one, 1j * eps, zero, zero)
     u_r = _column(one, -1j * eps, zero, zero)
@@ -108,47 +87,49 @@ def _shoot(a: np.ndarray, lam: np.ndarray, eps: np.ndarray, segments: int, steps
 
     # Unknowns: (R, Rt, y_1 ... y_{segments-1}, tau, sigma); y_k is the
     # 4-state at interface k, tau/sigma the right-edge free-zone data.
+    # Row block k reads y_k - m @ y_{k+1} = 0, with y_0 and y_segments the
+    # free-zone states at the two edges.
     n = 4 * segments
     mat = np.zeros((len(eps), n, n), dtype=complex)
     rhs = np.zeros((len(eps), n, 1), dtype=complex)
-    mat[:, 0:4, 0:1] = p_seg @ u_r
-    mat[:, 0:4, 1:2] = p_seg @ u_rt
-    rhs[:, 0:4] = -(p_seg @ u_in)
+    mat[:, 0:4, 0:1] = u_r
+    mat[:, 0:4, 1:2] = u_rt
+    rhs[:, 0:4] = -u_in
     for k in range(1, segments):
         col = 2 + 4 * (k - 1)
-        mat[:, 4 * (k - 1) : 4 * k, col : col + 4] -= np.eye(4)
-        mat[:, 4 * k : 4 * k + 4, col : col + 4] = p_seg
-    mat[:, n - 4 : n, n - 2 : n - 1] = -u_in  # the transmitted wave's state has the incident form
-    mat[:, n - 4 : n, n - 1 : n] = -v_tt
+        mat[:, 4 * (k - 1) : 4 * k, col : col + 4] = -m
+        mat[:, 4 * k : 4 * k + 4, col : col + 4] = np.eye(4)
+    mat[:, n - 4 : n, n - 2 : n - 1] = -(m @ u_in)  # the transmitted wave's state has the incident form
+    mat[:, n - 4 : n, n - 1 : n] = -(m @ v_tt)
     x = np.linalg.solve(mat, rhs)[..., 0]
     return x[:, [0, 1, n - 2, n - 1]]
 
 
-def oracle_amplitudes(eps, b, steps: int = DEFAULT_STEPS):
+def oracle_amplitudes(eps, b):
     """Scattering amplitudes with no closed formula anywhere in the path.
 
     The interval is split into segments short enough that each segment's
     propagation map grows by at most exp(_SEGMENT_GROWTH); the segment
-    maps, the two free-zone parameterizations and the interface states are
-    assembled into one block linear system (multiple shooting).  A single
-    end-to-end map would concentrate the full exp(alpha_plus*lam) growth
-    into one matrix and lose the transmitted amplitude in its rounding.
-    Interior coefficients are not produced.
+    maps exp(-A*lam/segments), the two free-zone parameterizations and the
+    interface states are assembled into one block linear system (multiple
+    shooting).  A single end-to-end map would concentrate the full
+    exp(alpha_plus*lam) growth into one matrix and lose the transmitted
+    amplitude in its rounding.  Interior coefficients are not produced.
 
     A float eps with one barrier b gives one ScatteringAmplitudes; equal-
     length sequences of energies and barriers give a list with one record
-    per point, each the single call's bit for bit.  The points are grouped
-    by segment count, and each group is integrated and solved as stacked
-    arrays: one RK4 step polynomial, one matrix power and one linear solve.
+    per point, each the single call's bit for bit.  The segment maps come
+    from one `transfer_numeric` call per block of up to _MAX_ENTRIES // 16
+    points; the points are then grouped by segment count, and each group
+    is matched by one stacked linear solve.
 
     tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`;
     r, rt and t do not depend on it.
 
     Raises:
-        ValueError: unless steps is an integer >= MIN_STEPS; at the first
-            point whose width exceeds MAX_WIDTH or whose eps is not > 0.
+        ValueError: at the first point whose width exceeds MAX_WIDTH or
+            whose eps is not > 0.
     """
-    require_integer("steps", steps, MIN_STEPS)
     single = isinstance(b, AdimensionalBarrier)
     energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
     if len(energies) != len(barriers):
@@ -161,12 +142,15 @@ def oracle_amplitudes(eps, b, steps: int = DEFAULT_STEPS):
     lam = np.array([bar.lam for bar in barriers], dtype=float)
     eps_all = np.array(energies, dtype=float)
     segments = _segment_count(a, lam)
+    for i in range(0, len(a), _MAX_ENTRIES // 16):  # a becomes the segment maps; A is not read again
+        block = slice(i, i + _MAX_ENTRIES // 16)
+        a[block] = transfer_numeric(a[block], lam[block] / segments[block])
     x = np.empty((len(barriers), 4), dtype=complex)
     for s in np.unique(segments).tolist():
         group = np.flatnonzero(segments == s)
         size = max(1, _MAX_ENTRIES // (16 * s * s))
         for part in (group[i : i + size] for i in range(0, len(group), size)):
-            x[part] = _shoot(a[part], lam[part], eps_all[part], s, steps)
+            x[part] = _shoot(a[part], eps_all[part], s)
     amps = [
         ScatteringAmplitudes(
             r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=_far_edge(sigma, e * bar.lam)

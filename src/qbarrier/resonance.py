@@ -30,7 +30,8 @@ def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, 
     """(eps_n, spacing to the next peak, offset of the following minimum) for n = 1..n_max.
 
     eps_n = sqrt(1 + n**2*pi**2/lambda0**2), a ValueError naming lambda0 where
-    its square overflows at n = n_max + 1; the minimum between peaks n and
+    its square overflows at n = n_max + 1, or where rounding leaves eps_1 at 1
+    or any spacing or offset not positive; the minimum between peaks n and
     n+1 sits at the half-integer condition.
     """
     require_finite("lambda0", lambda0, 0.0, strict=True)
@@ -45,6 +46,8 @@ def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, 
     for n in range(1, n_max + 1):
         e = eps_at(n)
         out.append((e, eps_at(n + 1) - e, eps_at(n + 0.5) - e))
+    if not (out[0][0] > 1.0 and all(spacing > 0.0 and offset > 0.0 for _, spacing, offset in out)):
+        raise ValueError(f"lambda0 {lambda0!r} is too large: its resonance energies round together near 1")
     return out
 
 

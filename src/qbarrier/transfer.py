@@ -19,7 +19,8 @@ eps = 1, where am (barrier) or ap (well) is 0.
 `transfer_closed` evaluates that table from the wave parameters.
 `transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
 of the split interior system y' = A*y (`ode_oracle.split_ode`), which uses
-no wave parameter and no branch choice.
+no wave parameter and no branch choice.  The oracle `ode_oracle.oracle_amplitudes`
+takes its segment maps exp(-A*h) from it too.
 """
 
 from __future__ import annotations

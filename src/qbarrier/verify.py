@@ -107,12 +107,12 @@ def check_transmission_cross(points, amps) -> CheckReport:
         t_oracle = o.t
         worst_solver = max(worst_solver, abs(t_closed - t_solver))
         worst_oracle = max(worst_oracle, abs(t_closed - t_oracle), abs(t_solver - t_oracle))
-    passed = worst_solver < 1e-9 and worst_oracle < 1e-6
+    worst = max(worst_solver, worst_oracle)
     return CheckReport(
         "transmission-cross",
-        passed,
-        max(worst_solver, worst_oracle),
-        1e-6,
+        worst < 1e-9,
+        worst,
+        1e-9,
         len(points),
         detail=f"closed-vs-solver={worst_solver:.3e}",
     )

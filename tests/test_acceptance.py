@@ -70,9 +70,9 @@ class Erratum(NamedTuple):
 
 
 # Three printed location digits are not the correctly rounded extremum.
-# The closed formula (scan_peaks), the direct 8x8 solve and the fixed-step
-# integrator each locate these peaks by golden section on their own |T|^2;
-# the three agree to 1e-6 and all round to the corrected digit
+# The closed formula (scan_peaks), the direct 8x8 solve and the integrator
+# each locate these peaks by golden section on their own |T|^2; the three agree
+# to 1e-6 and all round to the corrected digit
 # (test_errata_located_by_direct_solve repeats this with solve).  The other
 # 27 printed locations are correctly rounded.  Keyed by (table, potential,
 # column).
@@ -276,8 +276,8 @@ def test_criterion_03_closed_vs_oracle(grid500):
     report(
         3,
         "closed formula vs integrator on 500 seeded points",
-        worst < 1e-6 and elapsed < 60.0,
-        f"max |dT| {worst:.2e} (tol 1e-6), {elapsed:.1f}s (limit 60s)",
+        worst < 1e-9 and elapsed < 60.0,
+        f"max |dT| {worst:.2e} (tol 1e-9), {elapsed:.1f}s (limit 60s)",
     )
 
 
@@ -373,9 +373,9 @@ def test_criterion_08_critical_case():
     report(
         8,
         "threshold rational forms: two-sided limit and integrator match",
-        worst_rel < 1e-2 and monotone and worst_oracle < 1e-6,
+        worst_rel < 1e-2 and monotone and worst_oracle < 1e-9,
         f"rel err at eps=1+-1e-4 {worst_rel:.2e} (tol 1e-2, shrinking={monotone}), "
-        f"integrator dev {worst_oracle:.2e} (tol 1e-6)",
+        f"integrator dev {worst_oracle:.2e} (tol 1e-9)",
     )
 
 

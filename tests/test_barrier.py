@@ -288,7 +288,6 @@ VALIDATED_INPUTS = {
     "sweep stop": lambda x: uniform_grid(1.1, x, 0.05),
     "sweep step": lambda x: uniform_grid(1.1, 1.2, x),
     "verify samples": lambda x: run_all(42, x),
-    "oracle_amplitudes steps": lambda x: oracle_amplitudes(1.4, B, steps=x),
     "complex_resonance_energies n_max": lambda x: complex_resonance_energies(3.0, x),
     "complex_resonance_widths n_max": lambda x: complex_resonance_widths(1.4, x),
 }
@@ -296,7 +295,6 @@ VALIDATED_INPUTS = {
 #: the entries above whose input is a count, with the name their error gives it
 COUNTS = {
     "verify samples": "samples",
-    "oracle_amplitudes steps": "steps",
     "complex_resonance_energies n_max": "n_max",
     "complex_resonance_widths n_max": "n_max",
 }

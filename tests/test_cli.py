@@ -322,6 +322,12 @@ class TestCritical:
           "--step", "nan", "--potentials", "1,0"], "step must be finite and > 0.0"),
         (["verify", "--seed", "-1", "--samples", "3"], "seed"),
         (["verify", "--samples", "1" + "0" * 400], "samples"),
+        (["point", "--physical", "1", "0", "0", "1", "1", "1", "1", "--eps", "99", "--vc", "0", "--vq", "1",
+          "--lambda", "7"], "give either --physical or --vc/--vq/--eps/--lambda, not both"),
+        (["point", "--physical", "1", "0", "0", "1", "1", "1", "1", "--lambda-pi", "2"], "--physical"),
+        (["point", "--physical", "1", "0", "0", "1", "1", "1", "1", "--theta", "0"], "--physical"),
+        (["resonances", "--lambda", "1e9", "--potentials", "1,0", "--format", "json"], "lambda0"),
+        (["resonances", "--lambda", "1e9", "--potentials", "table"], "lambda0"),
     ],
 )
 def test_invalid_input_exits_2_naming_it(args, named, capsys):

@@ -1,4 +1,4 @@
-"""The brute-force integrator: split correctness, convergence order, matching."""
+"""The brute-force integrator: split correctness, accuracy against the referee, matching."""
 
 import cmath
 import math
@@ -15,8 +15,9 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier import ode_oracle
-from qbarrier.ode_oracle import DEFAULT_STEPS, MAX_WIDTH, MIN_STEPS, _propagation_matrix, _segment_count
+from qbarrier.ode_oracle import MAX_WIDTH, _segment_count
 from tests.conftest import random_points
+from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,43 +81,6 @@ def test_threshold_polynomial_solution_satisfies_split_system():
         assert np.abs(a @ y - dy).max() < 1e-12
 
 
-def test_propagation_map_determinant_modulus_one():
-    for eps, b in random_points(seed=13, n=25, lam_max=2.0):
-        m = _propagation_matrix(split_ode(b, eps), b.lam, 2048)
-        assert abs(np.linalg.det(m)) == pytest.approx(1.0, abs=1e-8)
-
-
-def rk4_loop_map(a, length, steps):
-    """Reference map: the RK4 step matrix applied `steps` times, one product each."""
-    ha = (length / steps) * a
-    step = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ ha / k
-        step = step + term
-    m = np.eye(4, dtype=complex)
-    for _ in range(steps):
-        m = step @ m
-    return m
-
-
-def test_propagation_map_matches_stepwise_loop():
-    # powering reorders the products, so agreement is to rounding, not exact
-    segment_counts = set()
-    for eps, b in random_points(seed=15, n=8):
-        a = split_ode(b, eps)
-        segments = _segment_count(a, b.lam)
-        segment_counts.add(segments)
-        # the oracle's own segment map: ceil(4096/3) = 1366 steps for 3 segments
-        seg_steps = -(-DEFAULT_STEPS // segments)
-        for length, steps in ((b.lam, DEFAULT_STEPS), (b.lam, MIN_STEPS),
-                              (b.lam / segments, seg_steps)):
-            ref = rk4_loop_map(a, length, steps)
-            m = _propagation_matrix(a, length, steps)
-            assert np.abs(m - ref).max() / np.abs(ref).max() <= 1e-12
-    assert 3 in segment_counts and max(segment_counts) > 3
-
-
 def test_resonant_transparency():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0 * math.pi)
     amps = oracle_amplitudes(SQRT2, b)
@@ -140,15 +104,25 @@ def test_mixed_potential_table_peak_is_local_maximum():
     assert peak > 0.99
 
 
-def test_fourth_order_convergence():
-    # halving h divides the defect against the closed form by about 16;
-    # the point is chosen so truncation still dominates the rounding floor
-    eps = 2.5
-    b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.4, lam=8.0)
-    exact = transmission(eps, b).t
-    errs = [abs(oracle_amplitudes(eps, b, steps=n).t - exact) for n in (1000, 2000, 4000)]
-    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.35)
-    assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.35)
+def referee_points():
+    """Four points at large eps*lam, where a low-order integrator with a fixed step
+    count loses digits, then seeded points over the whole unit circle of (vc, vq),
+    wells included, up to MAX_WIDTH."""
+    pts = [(eps, AdimensionalBarrier(0.6, 0.8, 0.0, lam)) for eps in (25.0, 10.0) for lam in (29.0, 20.0)]
+    rng = np.random.default_rng(23)
+    while len(pts) < 40:
+        eps, phi, theta, lam = rng.uniform((0.2, 0.0, 0.0, 0.0), (3.0, math.pi, 2.0 * math.pi, MAX_WIDTH))
+        vc, vq = math.cos(phi), math.sin(phi)
+        if abs(eps**4 - vq**2) >= 1e-6:
+            pts.append((eps, AdimensionalBarrier(vc, vq, theta, lam)))
+    return pts
+
+
+@pytest.mark.parametrize("eps, b", referee_points())
+def test_amplitudes_match_the_referee(eps, b):
+    amps = oracle_amplitudes(eps, b)
+    r, rt, t, _ = reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)
+    assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= 1e-11
 
 
 def test_agreement_with_closed_form_on_grid():
@@ -160,8 +134,6 @@ def test_agreement_with_closed_form_on_grid():
 
 def test_input_guards():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
-    with pytest.raises(ValueError):
-        oracle_amplitudes(1.4, b, steps=100)
     with pytest.raises(ValueError):
         oracle_amplitudes(1.4, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=40.0))
     with pytest.raises(ValueError):
@@ -203,9 +175,10 @@ def test_batch_is_the_single_calls_word_for_word():
 
 def test_batch_split_into_parts_keeps_its_words(monkeypatch):
     pts = batch_points()
-    whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts], steps=MIN_STEPS)
-    monkeypatch.setattr(ode_oracle, "_MAX_ENTRIES", 64)  # one point per solve beyond 1 segment
-    parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts], steps=MIN_STEPS)
+    whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
+    # 4 maps per exponential, and one point per solve beyond 1 segment
+    monkeypatch.setattr(ode_oracle, "_MAX_ENTRIES", 64)
+    parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
     assert np.array_equal(amplitude_words(whole), amplitude_words(parts))
 
 
@@ -224,8 +197,8 @@ def test_batch_raises_what_the_first_failing_point_raises():
 
 
 def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
-    # exp(eps*lam) of Tt overflows at eps*lam = 725, inside the width cap; t is
-    # not pinned for accuracy here (the fixed step count loses digits at large eps)
+    # exp(eps*lam) of Tt overflows at eps*lam = 725, inside the width cap
+    # (test_amplitudes_match_the_referee pins r, rt and t at this point)
     thick = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=29.0)
     alone = oracle_amplitudes(25.0, thick)
     assert alone.tt is None

@@ -45,6 +45,14 @@ class TestClosedForms:
         rows = complex_resonance_energies(1e4, 3)
         assert all(r[1] < 1e-3 for r in rows)
 
+    @pytest.mark.parametrize("lambda0", [1e9, 1e300, 1.6924623115577888e8])
+    def test_unresolved_energies_name_lambda0(self, lambda0):
+        # every eps_n rounds to 1 at 1e9 and 1e300; at 1.69e8 eps_1 > 1 but the
+        # first minimum rounds onto it, a zero offset
+        with pytest.raises(ValueError, match="^lambda0 "):
+            complex_resonance_energies(lambda0, 3)
+        assert complex_resonance_energies(1e8, 3)[0][0] > 1.0
+
     def test_widths_at_sqrt2(self):
         rows = complex_resonance_widths(SQRT2, 3)
         assert rows[0][0] == pytest.approx(2.0 * PI, abs=1e-12)
