@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,10 @@ MAX_GRID_POINTS = 1_000_000
 #: below this |a*x| `shc` sums its Taylor series instead of dividing sinh(a*x) by a
 SHC_SERIES_BELOW = 1e-3
 
+#: complex entries of a matrix stack built in one piece (16 MiB): a batch as
+#: large as `verify --samples` allows is cut into blocks this big (`blocks`)
+MAX_ENTRIES = 1 << 20
+
 
 def require_finite(name: str, value: float, lower: float = -math.inf, strict: bool = False) -> None:
     """The package's one input rule: value is finite and >= lower (> lower if strict).
@@ -57,15 +62,24 @@ def require_finite(name: str, value: float, lower: float = -math.inf, strict: bo
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
-def require_count(name: str, value: int) -> None:
-    """value counts table rows or samples: an integer from 1 to MAX_GRID_POINTS, checked before any is built.
+def require_integer(name: str, value: int, lower: int) -> None:
+    """value is an integer (a Python or numpy one, of any size) and >= lower.
 
     Raises:
         ValueError: naming the input and its bound.
     """
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    require_finite(name, value, 1)
+    require_finite(name, value, lower)
+
+
+def require_count(name: str, value: int) -> None:
+    """value counts table rows or samples: an integer from 1 to MAX_GRID_POINTS, checked before any is built.
+
+    Raises:
+        ValueError: naming the input and its bound.
+    """
+    require_integer(name, value, 1)
     if value > MAX_GRID_POINTS:
         raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {value!r}")
 
@@ -133,9 +147,58 @@ class AdimensionalBarrier:
             raise ValueError(f"vc**2 + vq**2 must equal 1, got {norm!r}")
 
 
+class BarrierColumns(NamedTuple):
+    """vc, vq, theta and lam of a sequence of barriers, each a float ndarray (`columns`)."""
+
+    vc: np.ndarray
+    vq: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
+
+
+def columns(eps, barriers) -> tuple[np.ndarray, BarrierColumns]:
+    """Equal-length sequences of energies and barriers as one float array and one BarrierColumns.
+
+    A batch route reads its points through this, and `wave_params` and
+    `split_ode` take the result as they take one (eps, barrier) pair.
+
+    Raises:
+        ValueError: if the lengths differ.
+    """
+    if len(eps) != len(barriers):
+        raise ValueError(f"{len(eps)} energies for {len(barriers)} barriers")
+    fields = ([getattr(b, name) for b in barriers] for name in BarrierColumns._fields)
+    return np.array(eps, dtype=float), BarrierColumns(*(np.array(f, dtype=float) for f in fields))
+
+
+def blocks(n: int, entries: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at most MAX_ENTRIES // entries points (at least one).
+
+    entries is the number of complex entries a point adds to the largest
+    stack a batch builds, so no block's stack holds more than MAX_ENTRIES.
+    """
+    size = max(1, MAX_ENTRIES // entries)
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def complex_stack(rows) -> np.ndarray:
+    """(n, r, c) complex stack from r nested rows of c entries, each a length-n ndarray or a scalar.
+
+    The array form of `np.array(rows, dtype=complex)`: scalars broadcast
+    against the arrays, so element [k] is that matrix at the k-th point.
+    """
+    n = next(len(x) for row in rows for x in row if isinstance(x, np.ndarray))
+    out = np.zeros((n, len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if isinstance(x, np.ndarray) or x != 0:  # the stack starts as zeros
+                out[:, i, j] = x
+    return out
+
+
 @dataclass(frozen=True)
 class WaveParams:
-    """Derived complex quantities for one (eps, barrier) pair, or ndarrays over an eps grid."""
+    """Derived complex quantities for one (eps, barrier) pair, or ndarrays over a grid or a batch."""
 
     eps: float
     alpha_minus: complex
@@ -185,8 +248,10 @@ def _shc_series(z, x):
 def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     """Wave numbers alpha_pm and mixing coefficients beta, gamma.
 
-    eps is a float or a float ndarray; one body serves both, with square
-    roots from cmath for a float and from numpy for an array.  The one
+    eps is a float or a float ndarray, and b an AdimensionalBarrier or, for
+    a batch, the BarrierColumns of `columns`; one body serves all, with
+    square roots from cmath for a float eps and from numpy for an array,
+    and exp(+-i*theta) from cmath for a float theta.  The one
     singular-point rule: no route can build the basis without it.  A float
     eps that breaks it raises; an array holds NaN in alpha_minus and
     alpha_plus at each element that would raise, for the caller to replay
@@ -221,10 +286,11 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     if xp is np:
         root = np.where(np.isfinite(eps) & (eps > 0.0) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
     denom = power(eps, 2) + root
+    exp = np.exp if xp is np and isinstance(b.theta, np.ndarray) else cmath.exp
     return WaveParams(
         eps=eps,
         alpha_minus=xp.sqrt(b.vc - root),
         alpha_plus=xp.sqrt(b.vc + root),
-        beta=1j * b.vq * cmath.exp(1j * b.theta) / denom,
-        gamma=-1j * b.vq * cmath.exp(-1j * b.theta) / denom,
+        beta=1j * b.vq * exp(1j * b.theta) / denom,
+        gamma=-1j * b.vq * exp(-1j * b.theta) / denom,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, require_finite, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, columns, require_finite, shc, wave_params
 from .errors import SingularDenominatorError
 
 
@@ -117,17 +117,36 @@ def _amplitude(p: WaveParams, lam):
     return 2.0 * xp.exp(-1j * p.eps * lam) / denominator_factored(p, lam)
 
 
-def transmission(eps: float, b: AdimensionalBarrier) -> TransmissionResult:
+def transmission(eps, b):
     """Transmission amplitude through the barrier via the closed formula.
 
     Evaluates the factored form of D (see `denominator_factored`), which is
     algebraically identical to the element-table form but keeps full
     precision when exp(alpha_plus*lam) is large.
 
+    A float eps with one barrier b gives one TransmissionResult; equal-
+    length sequences of energies and barriers give a list with one record
+    per point, from one numpy evaluation of the same body.  Its values
+    agree with the single calls' to ~1e-14 away from the degeneracy band
+    (numpy's and cmath's complex functions differ in the last bits), and
+    its errors are theirs: each
+    point whose T comes out non-finite is replayed through a single call in
+    order, as in `transmission_grid`.
+
     Raises:
         DegenerateEnergyError: from `wave_params`.
+        ValueError: if a batch's lengths differ.
     """
-    return TransmissionResult(_amplitude(wave_params(eps, b), b.lam))
+    if isinstance(b, AdimensionalBarrier):
+        return TransmissionResult(_amplitude(wave_params(eps, b), b.lam))
+    energies, barriers = list(eps), list(b)
+    eps_all, cols = columns(energies, barriers)
+    with np.errstate(all="ignore"):
+        t = _amplitude(wave_params(eps_all, cols), cols.lam)
+    out = [TransmissionResult(x) for x in t.tolist()]
+    for i in np.flatnonzero(~np.isfinite(t)).tolist():
+        out[i] = transmission(energies[i], barriers[i])
+    return out
 
 
 def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:

@@ -31,7 +31,7 @@ import cmath
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_finite
+from .barrier import AdimensionalBarrier, blocks, columns, complex_stack, require_finite
 from .solver import ScatteringAmplitudes
 from .transfer import transfer_numeric
 
@@ -40,30 +40,33 @@ from .transfer import transfer_numeric
 MAX_WIDTH = 30.0
 
 
-def split_ode(b: AdimensionalBarrier, eps: float) -> np.ndarray:
-    """Constant 4x4 matrix A of the interior system y' = A*y, y = (phi, phi', psi, psi')."""
-    require_finite("eps", eps, 0.0, strict=True)
+def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
+    """Constant 4x4 matrix A of the interior system y' = A*y, y = (phi, phi', psi, psi').
+
+    Like `wave_params`, b may be the BarrierColumns of a batch and eps its
+    float ndarray (`barrier.columns`), whose energies the caller has
+    checked: then the result is an (n, 4, 4) stack of the single calls'
+    matrices, bit for bit.
+    """
+    batch = isinstance(eps, np.ndarray)
+    if not batch:
+        require_finite("eps", eps, 0.0, strict=True)
+    exp = np.exp if batch else cmath.exp
     c_phi = b.vc - eps * eps
     c_psi = b.vc + eps * eps
-    d_phi = 1j * b.vq * cmath.exp(1j * b.theta)
-    d_psi = 1j * b.vq * cmath.exp(-1j * b.theta)
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [c_phi, 0.0, d_phi, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [d_psi, 0.0, c_psi, 0.0],
-        ],
-        dtype=complex,
-    )
+    d_phi = 1j * b.vq * exp(1j * b.theta)
+    d_psi = 1j * b.vq * exp(-1j * b.theta)
+    rows = [
+        [0.0, 1.0, 0.0, 0.0],
+        [c_phi, 0.0, d_phi, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [d_psi, 0.0, c_psi, 0.0],
+    ]
+    return complex_stack(rows) if batch else np.array(rows, dtype=complex)
 
 
 #: per-segment exponential growth budget for the boundary matching
 _SEGMENT_GROWTH = 4.0
-
-#: complex entries of the shooting systems solved in one stacked call (16 MiB):
-#: a batch as large as `verify --samples` allows is solved in parts this big
-_MAX_ENTRIES = 1 << 20
 
 
 def _segment_count(a: np.ndarray, lam):
@@ -118,10 +121,11 @@ def oracle_amplitudes(eps, b):
 
     A float eps with one barrier b gives one ScatteringAmplitudes; equal-
     length sequences of energies and barriers give a list with one record
-    per point, each the single call's bit for bit.  The segment maps come
-    from one `transfer_numeric` call per block of up to _MAX_ENTRIES // 16
-    points; the points are then grouped by segment count, and each group
-    is matched by one stacked linear solve.
+    per point, each the single call's bit for bit.  The split systems are
+    built as one stack, and the segment maps come from one
+    `transfer_numeric` call per block of `barrier.blocks(n, 16)` points; the
+    points are then grouped by segment count, and each group is matched by
+    one stacked linear solve per block of its points.
 
     tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`;
     r, rt and t do not depend on it.
@@ -132,25 +136,21 @@ def oracle_amplitudes(eps, b):
     """
     single = isinstance(b, AdimensionalBarrier)
     energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
-    if len(energies) != len(barriers):
-        raise ValueError(f"{len(energies)} energies for {len(barriers)} barriers")
-    a = np.empty((len(barriers), 4, 4), dtype=complex)
-    for i, (e, bar) in enumerate(zip(energies, barriers)):
+    eps_all, cols = columns(energies, barriers)
+    for e, bar in zip(energies, barriers):
         if bar.lam > MAX_WIDTH:
             raise ValueError(f"width {bar.lam!r} exceeds the integrator cap {MAX_WIDTH}")
-        a[i] = split_ode(bar, e)
-    lam = np.array([bar.lam for bar in barriers], dtype=float)
-    eps_all = np.array(energies, dtype=float)
+        require_finite("eps", e, 0.0, strict=True)
+    a, lam = split_ode(cols, eps_all), cols.lam
+    del cols  # vc, vq and theta are not read again; the stacks below are the oracle's peak memory
     segments = _segment_count(a, lam)
-    for i in range(0, len(a), _MAX_ENTRIES // 16):  # a becomes the segment maps; A is not read again
-        block = slice(i, i + _MAX_ENTRIES // 16)
+    for block in blocks(len(a), 16):  # a becomes the segment maps; A is not read again
         a[block] = transfer_numeric(a[block], lam[block] / segments[block])
     x = np.empty((len(barriers), 4), dtype=complex)
     for s in np.unique(segments).tolist():
         group = np.flatnonzero(segments == s)
-        size = max(1, _MAX_ENTRIES // (16 * s * s))
-        for part in (group[i : i + size] for i in range(0, len(group), size)):
-            x[part] = _shoot(a[part], eps_all[part], s)
+        for part in blocks(len(group), 16 * s * s):
+            x[group[part]] = _shoot(a[group[part]], eps_all[group[part]], s)
     amps = [
         ScatteringAmplitudes(
             r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=_far_edge(sigma, e * bar.lam)

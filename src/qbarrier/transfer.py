@@ -20,7 +20,9 @@ eps = 1, where am (barrier) or ap (well) is 0.
 `transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
 of the split interior system y' = A*y (`ode_oracle.split_ode`), which uses
 no wave parameter and no branch choice.  The oracle `ode_oracle.oracle_amplitudes`
-takes its segment maps exp(-A*h) from it too.
+takes its segment maps exp(-A*h) from it too.  Both take one point or a
+batch: the wave parameters of n points give an (n, 4, 4) stack of tables,
+and an (n, 4, 4) stack of matrices A its stack of exponentials.
 """
 
 from __future__ import annotations
@@ -29,34 +31,45 @@ import cmath
 
 import numpy as np
 
-from .barrier import WaveParams, shc
+from .barrier import WaveParams, complex_stack, shc
 
 #: Taylor terms of the exponential after scaling to 1-norm <= 1/2 (the first
 #: omitted term is below 2**-19/19! ~ 1.6e-23 of the leading one)
 TAYLOR_TERMS = 18
 
 
-def _mode_block(a: complex, lam: float) -> np.ndarray:
-    """X(a) of the module docstring: one mode's 2x2 block in the data basis."""
-    c, s = cmath.cosh(a * lam), shc(a, lam)
-    return np.array([[c, -s], [-a * a * s, c]])
+def _mode_block(a, lam) -> np.ndarray:
+    """X(a) of the module docstring: one mode's 2x2 block in the data basis.
+
+    For ndarrays a and lam of n points, an (n, 2, 2) stack.
+    """
+    xp = np if isinstance(a, np.ndarray) else cmath
+    c, s = xp.cosh(a * lam), shc(a, lam)
+    rows = [[c, -s], [-a * a * s, c]]
+    return np.array(rows) if xp is cmath else complex_stack(rows)
 
 
-def transfer_closed(p: WaveParams, lam: float) -> np.ndarray:
+def transfer_closed(p: WaveParams, lam) -> np.ndarray:
     """The table M of the module docstring, mixed from the two modes' blocks.
 
     The off-diagonal blocks carry beta and gamma, whose product bg has no
-    theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.
+    theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.  Like
+    `wave_params`, one body serves one point (a 4x4 matrix) and ndarrays
+    p and lam of n points (an (n, 4, 4) stack).
     """
-    bg = p.beta * p.gamma
+    beta, gamma = p.beta, p.gamma
+    bg = beta * gamma
+    scale = 1.0 / (1.0 - bg)
+    if isinstance(bg, np.ndarray):  # one coefficient per matrix of the stack
+        beta, gamma, bg, scale = (x[:, None, None] for x in (beta, gamma, bg, scale))
     xm, xp = _mode_block(p.alpha_minus, lam), _mode_block(p.alpha_plus, lam)
     d = xm - xp
-    m = np.empty((4, 4), dtype=complex)
-    m[:2, :2] = xm - bg * xp
-    m[:2, 2:] = -p.beta * d
-    m[2:, :2] = p.gamma * d
-    m[2:, 2:] = xp - bg * xm
-    return m * (1.0 / (1.0 - bg))
+    m = np.empty(xm.shape[:-2] + (4, 4), dtype=complex)
+    m[..., :2, :2] = xm - bg * xp
+    m[..., :2, 2:] = -beta * d
+    m[..., 2:, :2] = gamma * d
+    m[..., 2:, 2:] = xp - bg * xm
+    return m * scale
 
 
 def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:

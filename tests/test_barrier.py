@@ -288,13 +288,15 @@ VALIDATED_INPUTS = {
     "sweep stop": lambda x: uniform_grid(1.1, x, 0.05),
     "sweep step": lambda x: uniform_grid(1.1, 1.2, x),
     "verify samples": lambda x: run_all(42, x),
+    "verify seed": lambda x: run_all(x, 5),
     "complex_resonance_energies n_max": lambda x: complex_resonance_energies(3.0, x),
     "complex_resonance_widths n_max": lambda x: complex_resonance_widths(1.4, x),
 }
 
-#: the entries above whose input is a count, with the name their error gives it
+#: the entries above whose input is an integer (a count or a seed), with the name their error gives it
 COUNTS = {
     "verify samples": "samples",
+    "verify seed": "seed",
     "complex_resonance_energies n_max": "n_max",
     "complex_resonance_widths n_max": "n_max",
 }
@@ -310,7 +312,7 @@ def test_non_finite_input_rejected(entry, value):
 @pytest.mark.parametrize("value", (2.5, 1000.5, 3.0, np.float64(4096.0)))
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_fractional_count_rejected_naming_it(entry, value):
-    # a float count, even a whole one, is an error, never a count rounded by its use
+    # a float count or seed, even a whole one, is an error, never an integer rounded by its use
     with pytest.raises(ValueError, match=f"^{COUNTS[entry]} must be an integer, got "):
         VALIDATED_INPUTS[entry](value)
 

@@ -25,7 +25,7 @@ from qbarrier import (
 from qbarrier.barrier import SHC_SERIES_BELOW, shc
 from qbarrier.closed_form import denominator_factored, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
-from tests.conftest import FIVE_POTENTIALS, random_points
+from tests.conftest import FIVE_POTENTIALS, circle_points, near_band_points, random_points, unzip
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -317,3 +317,58 @@ def test_grid_keeps_the_scalar_value_where_it_is_not_finite(warnings_are_errors)
     want = [scalar_t(0.5, w, QUATERNIONIC) for w in lam.tolist()]
     assert cmath.isnan(want[1]) and cmath.isnan(t[1])
     assert abs(t[0] - want[0]) <= 1e-14
+
+
+# ---------------------------------------------------------------- batches
+
+
+def batch_t(points) -> np.ndarray:
+    return np.array([r.t for r in transmission(*unzip(points))], dtype=complex)
+
+
+def single_t(points) -> np.ndarray:
+    return np.array([transmission(eps, b).t for eps, b in points], dtype=complex)
+
+
+def test_batch_agrees_with_the_single_calls(warnings_are_errors):
+    # measured over 20 seeds of 1000 such points: within 2.9e-14
+    pts = circle_points(seed=41, n=400)
+    assert np.abs(batch_t(pts) - single_t(pts)).max() <= 1e-13
+    [one] = transmission([pts[0][0]], [pts[0][1]])
+    assert abs(one.t - transmission(*pts[0]).t) <= 1e-13
+    assert transmission([], []) == []
+
+
+@pytest.mark.parametrize("disc", (-1e-8, -1e-9, -2e-10, 2e-10, 1e-9, 1e-8))
+def test_batch_answers_just_outside_the_band(disc):
+    # both evaluations lose digits like 1/|disc| there: measured gap*|disc| <= 5.7e-17
+    pts = near_band_points(disc)
+    assert np.abs(batch_t(pts) - single_t(pts)).max() <= 1e-15 / abs(disc)
+
+
+GOOD = (1.2, QUATERNIONIC)
+
+
+@pytest.mark.parametrize("bad", [
+    (1.0, AdimensionalBarrier(0.0, 1.0, 0.4, 1.0)),
+    (0.8**0.5, AdimensionalBarrier(-0.6, 0.8)),
+    (-1.0, QUATERNIONIC),
+    (math.nan, QUATERNIONIC),
+    (1.2, AdimensionalBarrier(0.0, 1.0, 0.4, 800.0)),
+], ids=("band", "well-band", "negative-eps", "nan-eps", "overflow"))
+def test_batch_raises_what_the_single_call_raises(bad, warnings_are_errors):
+    with pytest.raises(Exception) as single:
+        transmission(*bad)
+    with pytest.raises(type(single.value)) as batch:
+        transmission(*unzip([GOOD, bad, (-1.0, QUATERNIONIC)]))
+    assert str(batch.value) == str(single.value)
+    with pytest.raises(ValueError, match="^2 energies for 1 barriers$"):
+        transmission([1.2, 1.3], [QUATERNIONIC])
+
+
+def test_batch_keeps_the_single_value_where_it_is_not_finite(warnings_are_errors):
+    # at eps = 0.5, lam = 800 the single call returns NaN without raising
+    thick = (0.5, AdimensionalBarrier(0.0, 1.0, 0.4, 800.0))
+    t = batch_t([GOOD, thick])
+    assert cmath.isnan(transmission(*thick).t) and cmath.isnan(t[1])
+    assert abs(t[0] - transmission(*GOOD).t) <= 1e-14

@@ -31,7 +31,7 @@ README_COMMANDS = [
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
-                 "7728471dc535ed1588e55f519848ad4a74933f5b0014c557c8bcb939c594a32d", id="verify"),
+                 "42f8424fe7dddee759c12880d238e48beade4d5acbbdb3c43cba5fa70eee8ef0", id="verify"),
 ]
 
 #: each sweep mode in the format its README command does not use

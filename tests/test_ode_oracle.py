@@ -14,7 +14,7 @@ from qbarrier import (
     transmission,
     wave_params,
 )
-from qbarrier import ode_oracle
+from qbarrier import barrier
 from qbarrier.ode_oracle import MAX_WIDTH, _segment_count
 from tests.conftest import random_points
 from tests.mp_reference import reference_amplitudes
@@ -177,7 +177,7 @@ def test_batch_split_into_parts_keeps_its_words(monkeypatch):
     pts = batch_points()
     whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
     # 4 maps per exponential, and one point per solve beyond 1 segment
-    monkeypatch.setattr(ode_oracle, "_MAX_ENTRIES", 64)
+    monkeypatch.setattr(barrier, "MAX_ENTRIES", 64)
     parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
     assert np.array_equal(amplitude_words(whole), amplitude_words(parts))
 

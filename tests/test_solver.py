@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ from qbarrier import (
     wave_params,
     wavefunction,
 )
-from tests.conftest import random_points
+from qbarrier import barrier
+from tests.conftest import circle_points, near_band_points, random_points, unzip
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,3 +230,83 @@ def test_theta_covariance_of_amplitudes():
     assert abs(moved.t - base.t) < 1e-12
     assert abs(moved.rt - base.rt * rot) < 1e-12
     assert abs(moved.tt - base.tt * rot) < 1e-12
+
+
+#: the eight amplitudes of a `solve` record, in field order
+FIELDS = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
+
+
+def gaps(batch, singles):
+    """|batch - single| per point and field.
+
+    Absolute for r, rt and t; relative to max(1, |single|) from tt on.
+    """
+    x, y = (np.array([FIELDS(a) for a in amps]) for amps in (batch, singles))
+    gap = np.abs(x - y)
+    gap[:, 3:] /= np.maximum(1.0, np.abs(y[:, 3:]))
+    return gap
+
+
+def words(amps):
+    return np.array([FIELDS(a) for a in amps]).view(np.uint64)
+
+
+#: a point on each side of those that make a batch raise
+OK = (1.3, AdimensionalBarrier(0.6, 0.8, 0.4, 2.0))
+IN_BAND = (1.0, AdimensionalBarrier(0.0, 1.0, 0.0, 1.0))
+BAD_EPS = (-1.0, AdimensionalBarrier(0.6, 0.8, 0.4, 2.0))
+NAN_EPS = (math.nan, AdimensionalBarrier(-0.6, 0.8, 0.0, 2.0))
+#: a thick point whose 8x8 matrix is singular to working precision
+SINGULAR = (2.334319072789119, AdimensionalBarrier(vc=0.9820200615065194, vq=0.18877658434967992,
+                                                   theta=2.5377065090912856, lam=338.13961788764976))
+
+
+class TestBatch:
+    """`solve` over sequences: numpy assembly, one stacked inverse per block, the single calls' errors."""
+
+    def test_agrees_with_the_single_calls(self):
+        # measured over 20 seeds of 1000 such points: r, rt and t within 8.3e-15,
+        # tt within 1.1e-12 relative and a, b, at, bt within 2.5e-14 relative
+        pts = circle_points(seed=31, n=400)
+        gap = gaps(solve(*unzip(pts)), [solve(eps, b) for eps, b in pts])
+        assert gap[:, :3].max() <= 1e-13
+        assert gap[:, 3:].max() <= 1e-11
+
+    @pytest.mark.parametrize("disc", (-1e-8, -1e-9, -2e-10, 2e-10, 1e-9, 1e-8))
+    def test_answers_just_outside_the_band(self, disc):
+        # both evaluations lose digits like 1/|disc| there: measured gap*|disc| <= 1.0e-17
+        pts = near_band_points(disc)
+        gap = gaps(solve(*unzip(pts)), [solve(eps, b) for eps, b in pts])
+        assert gap.max() <= 1e-16 / abs(disc)
+
+    def test_one_point_in_a_sequence(self):
+        [amps] = solve([OK[0]], [OK[1]])
+        assert gaps([amps], [solve(*OK)]).max() <= 1e-13
+
+    def test_empty(self):
+        assert solve([], []) == []
+
+    def test_split_into_blocks_keeps_its_words(self, monkeypatch):
+        pts = circle_points(seed=32, n=30)
+        whole = solve(*unzip(pts))
+        monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 64)  # four 8x8 systems per block
+        assert np.array_equal(words(solve(*unzip(pts))), words(whole))
+
+    @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, SINGULAR),
+                             ids=("band", "negative-eps", "nan-eps", "singular"))
+    def test_raises_what_the_single_call_raises(self, bad):
+        with pytest.raises(Exception) as single:
+            solve(*bad)
+        with pytest.raises(type(single.value)) as batch:
+            solve(*unzip([OK, bad, OK]))
+        assert str(batch.value) == str(single.value)
+
+    def test_raises_at_the_first_failing_point(self):
+        with pytest.raises(DegenerateEnergyError):
+            solve(*unzip([OK, IN_BAND, BAD_EPS]))
+        with pytest.raises(ValueError, match="eps must be finite"):
+            solve(*unzip([OK, BAD_EPS, IN_BAND]))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^2 energies for 1 barriers$"):
+            solve([1.3, 1.4], [OK[1]])

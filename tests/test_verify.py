@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from qbarrier import barrier
 from qbarrier.solver import solve
 from qbarrier.verify import (
     DEGENERACY_BAND,
@@ -82,6 +83,13 @@ def test_individual_checks_pass_on_seeded_grid():
                    check_transfer_agreement(pts), check_transmission_cross(pts, amps)):
         assert result.passed, result.line()
     assert check_series_asymptotics().passed
+
+
+def test_transfer_check_split_into_blocks_keeps_its_words(monkeypatch):
+    pts = sample_points(np.random.default_rng(9), 30)
+    whole = check_transfer_agreement(pts).worst
+    monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 16)  # four 4x4 tables per block
+    assert check_transfer_agreement(pts).worst == whole
 
 
 def test_run_all_produces_five_classes():

@@ -7,9 +7,11 @@ and a width grid.  A seeded set of 2,000 widths goes through
 `critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
 None above lam ~709.78) and `asymptotic_moduli` for both cases.  The
 first 4,000 points no wider than the integrator cap go through
-`oracle_amplitudes` (r, rt, t and tt) in one call; if that call raises,
-as it does where the oracle takes one point per call, each point is
-called alone.  `verify.sample_points` draws a few seeded sets.  Each
+`oracle_amplitudes` (r, rt, t and tt) in one call, and the points on
+which a single `solve` or `transmission` call answers go through that
+route again in one call each; if such a call raises, as it does where the
+route takes one point per call, each point is called alone.
+`verify.sample_points` draws a few seeded sets.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -95,6 +97,17 @@ def outcome(fn):
     return tuple(map(words, value)) if isinstance(value, tuple) else words(value)
 
 
+def batch_outcomes(route, fields, pts):
+    """words() of fields of each record of one route(energies, barriers) call.
+
+    If that call raises, each point's own outcome instead.
+    """
+    try:
+        return [tuple(map(words, fields(x))) for x in route([eps for eps, _ in pts], [b for _, b in pts])]
+    except Exception:  # noqa: BLE001 - then every point's own outcome is compared
+        return [outcome(lambda: fields(route(eps, b))) for eps, b in pts]
+
+
 def evaluate(src):
     """Every outcome of the point set under the qbarrier package in src."""
     sys.path.insert(0, src)
@@ -112,7 +125,8 @@ def evaluate(src):
     out = {name: [] for name in ("solve", "transmission", "transmission_complex",
                                  "transmission_grid", "critical_complex",
                                  "critical_quaternionic", "asymptotic_moduli",
-                                 "oracle_amplitudes", "sample_points")}
+                                 "oracle_amplitudes", "sample_points",
+                                 "solve (batch)", "transmission (batch)")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -129,12 +143,12 @@ def evaluate(src):
             out["asymptotic_moduli"].append(outcome(lambda: asymptotic_moduli(lam, case)))
     narrow = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
               for eps, vc, vq, theta, lam in points() if lam <= MAX_WIDTH][:ORACLE_POINTS]
-    try:
-        batch = oracle_amplitudes([eps for eps, _ in narrow], [b for _, b in narrow])
-        out["oracle_amplitudes"] = [tuple(map(words, oracle_fields(a))) for a in batch]
-    except Exception:  # noqa: BLE001 - then every point's own outcome is compared
-        out["oracle_amplitudes"] = [outcome(lambda: oracle_fields(oracle_amplitudes(eps, b)))
-                                    for eps, b in narrow]
+    out["oracle_amplitudes"] = batch_outcomes(oracle_amplitudes, oracle_fields, narrow)
+    for name, route, fields in (("solve", solve, amplitudes), ("transmission", transmission, transmitted)):
+        answered = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
+                    for (eps, vc, vq, theta, lam), single in zip(points(), out[name])
+                    if not isinstance(single, str)]
+        out[f"{name} (batch)"] = batch_outcomes(route, fields, answered)
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: np.array(
             [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in sample_points(np.random.default_rng(seed), n)])))
