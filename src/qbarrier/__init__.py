@@ -42,6 +42,7 @@ from .errors import (
     DegenerateEnergyError,
     QBarrierError,
     SingularDenominatorError,
+    SingularSystemError,
 )
 from .ode_oracle import oracle_amplitudes, split_ode
 from .quaternion import Quaternion
@@ -70,6 +71,7 @@ __all__ = [
     "Quaternion",
     "ScatteringAmplitudes",
     "SingularDenominatorError",
+    "SingularSystemError",
     "TransmissionResult",
     "WaveParams",
     "ZoneWavefunction",

@@ -12,7 +12,9 @@ Adimensional inputs are primary; `point --physical` accepts the raw
 barrier data (V1 V2 V3 L mass hbar energy) instead.  Widths may be given
 in units of pi with --lambda-pi.  Exit codes: 2 invalid parameters,
 3 a point in the degeneracy band eps**4 ~ vq**2 (naming the exact
-`critical` case, if any), 4 unwritable output path.
+`critical` case, if any), 4 unwritable output path, 5 a valid `point`
+whose 8x8 continuity system is singular to working precision (thick
+barriers; naming eps and lambda).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import __version__
 from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
 from .closed_form import transmission, transmission_grid
 from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
-from .errors import DegenerateEnergyError, QBarrierError
+from .errors import DegenerateEnergyError, QBarrierError, SingularSystemError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
 from .solver import probability_balance, solve
 from .verify import run_all
@@ -229,9 +231,11 @@ def cmd_resonances(args) -> int:
         # scan from the fundamental (one spacing) upward: sub-fundamental peaks
         # are not tabulated
         lo, hi = closed[0][1], closed[-1][0] + 0.6 * closed[0][1]
+        # 1 + max(eps0**2, 1) bounds |alpha|**2 on the unit circle: 32 steps per shortest period
+        step = math.pi / (32.0 * math.sqrt(1.0 + max(args.eps0 * args.eps0, 1.0)))
 
         def scan(b):
-            return scan_peaks(b, lo, hi, eps0=args.eps0)
+            return scan_peaks(b, lo, hi, eps0=args.eps0, coarse_step=step)
 
         axis, suffix, unit = "lam", "_pi", math.pi
 
@@ -371,6 +375,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, QBarrierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SingularSystemError):
+            return 5
         return 3 if isinstance(exc, DegenerateEnergyError) else 2
 
 

@@ -97,18 +97,44 @@ def denominator_factored(p: WaveParams, lam):
     xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
     u = p.beta * p.gamma
     e2 = eps * eps
-    cm, sm = xp.cosh(am * lam), shc(am, lam) / eps
-    cp, sp = xp.cosh(ap * lam), shc(ap, lam) / eps
-
-    def factors(a, c, s):
-        return (2.0 * c + 1j * (a * a - e2) * s, 2.0 * c + (e2 + a * a) * s,
-                (1.0 + 1j) * c + (e2 + 1j * a * a) * s)
-
-    dm, em, pm = factors(am, cm, sm)
-    dp, ep, pp = factors(ap, cp, sp)
+    dm, em, pm = _factors(am, xp.cosh(am * lam), shc(am, lam) / eps, e2)
+    dp, ep, pp = _factors(ap, xp.cosh(ap * lam), shc(ap, lam) / eps, e2)
     num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
     den = (1.0 - u) * (ep - u * em)
     return num / den
+
+
+def denominator_slope(p: WaveParams, lam):
+    """(D, dD/dlam) at width lam, from the factored form of `denominator_factored`.
+
+    d/dlam cosh(a*lam) = a**2*shc(a, lam) and d/dlam shc(a, lam) =
+    cosh(a*lam), so each mode's dF/dlam is F(a) with (c, s) replaced by
+    (a**2*eps*s, c/eps), and dD/dlam follows from the product and quotient
+    rules.  |T|**2 = 4/|D|**2, so a maximum of |T|**2 over the width is a
+    sign change of Re(conj(D)*dD/dlam) from negative to positive.  Floats
+    and ndarrays as in `denominator_factored`.
+    """
+    eps = p.eps
+    am, ap = p.alpha_minus, p.alpha_plus
+    xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
+    u = p.beta * p.gamma
+    e2 = eps * eps
+    cm, hm = xp.cosh(am * lam), shc(am, lam)
+    cp, hp = xp.cosh(ap * lam), shc(ap, lam)
+    dm, em, pm = _factors(am, cm, hm / eps, e2)
+    dp, ep, pp = _factors(ap, cp, hp / eps, e2)
+    dm1, em1, pm1 = _factors(am, am * am * hm, cm / eps, e2)
+    dp1, ep1, pp1 = _factors(ap, ap * ap * hp, cp / eps, e2)
+    den = (1.0 - u) * (ep - u * em)
+    d = (dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u) / den
+    num1 = dm1 * ep + dm * ep1 + u * u * (dp1 * em + dp * em1) + 2j * u * (pm1 * pp + pm * pp1)
+    return d, (num1 - d * (1.0 - u) * (ep1 - u * em1)) / den
+
+
+def _factors(a, c, s, e2):
+    """F(a) of `denominator_factored`, a mode's factors (D, E, P), at c and s, which enter linearly."""
+    return (2.0 * c + 1j * (a * a - e2) * s, 2.0 * c + (e2 + a * a) * s,
+            (1.0 + 1j) * c + (e2 + 1j * a * a) * s)
 
 
 def _amplitude(p: WaveParams, lam):

@@ -16,3 +16,12 @@ class DegenerateEnergyError(QBarrierError):
 
 class SingularDenominatorError(QBarrierError):
     """The inner denominator of the closed transmission formula vanished."""
+
+
+class SingularSystemError(QBarrierError):
+    """The 8x8 continuity system of `solver.solve` is singular to working precision.
+
+    The input is valid: at thick widths the matrix holds entries near
+    exp(Re(alpha_plus)*lam) beside O(1) ones, and the inverse fails.  The
+    closed form still answers there.
+    """

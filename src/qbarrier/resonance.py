@@ -5,8 +5,9 @@ exactly when sqrt(eps**2 - 1)*lam = n*pi, which gives closed expressions
 for the resonance energies at fixed width and resonance widths at fixed
 energy, together with their spacings and the interleaved minima.  For
 quaternionic barriers the peaks shift and flatten; they are located
-numerically by one array evaluation over a coarse grid followed by
-scalar golden-section refinement.
+numerically by one array evaluation over a coarse grid followed by a
+scalar refinement of each bracketed peak: golden-section search on |T|**2
+over energy, and false position on the exact slope of |D|**2 over width.
 """
 
 from __future__ import annotations
@@ -17,13 +18,19 @@ from typing import Callable
 import numpy as np
 
 from .barrier import AdimensionalBarrier, require_count, require_finite, uniform_grid, wave_params
-from .closed_form import _amplitude, transmission, transmission_grid
+from .closed_form import _amplitude, denominator_slope, transmission, transmission_grid
 
 #: golden-section shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: width of the bracket around each refined peak location
+#: width of the bracket around each refined energy-scan peak
 REFINE_TOL = 1e-6
+
+#: a width-scan peak's bracket is refined until it is this many ulp of its upper end wide
+ROOT_ULPS = 4
+
+#: ulp of its |T|**2 by which a peak must stand above its col on each side (`_stands_out`)
+PEAK_FLOOR = 64
 
 
 def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, float, float]]:
@@ -98,6 +105,51 @@ def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float)
     return 0.5 * (a + b)
 
 
+def _false_position(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b], where fa = f(a) < 0 <= fb = f(b), by Illinois false position.
+
+    Each secant iterate replaces the bracket end of its own sign; an end
+    kept twice in a row has its value halved (Dowell & Jarratt, BIT 11,
+    1971), so both ends close in.  It stops when the bracket is ROOT_ULPS
+    ulp wide, or an iterate is not strictly inside it: the bracket shrinks
+    at every step, so it always stops.
+    """
+    kept = 0  # which end the last step kept: -1 a, +1 b
+    while True:
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b or b - a <= ROOT_ULPS * math.ulp(b):
+            return x
+        fx = f(x)
+        if fx < 0.0:
+            a, fa = x, fx
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        elif fx > 0.0:
+            b, fb = x, fx
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+        else:
+            return x
+
+
+def _stands_out(heights: np.ndarray, top: int) -> bool:
+    """Whether heights[top] stands PEAK_FLOOR ulp above its col on each side.
+
+    The col on one side is the lowest height between the top and the
+    nearest height above it on that side, or the sequence's end: the
+    topographic prominence.  An equal height counts as above on the left,
+    so of equal tops only the leftmost stands out.
+    """
+    h = float(heights[top])
+    left = np.flatnonzero(heights[:top] >= h)
+    right = np.flatnonzero(heights[top + 1:] > h)
+    col = max(heights[left[-1] + 1 if left.size else 0:top + 1].min(),
+              heights[top:top + 1 + right[0] if right.size else None].min())
+    return bool(h - col >= PEAK_FLOOR * math.ulp(h))
+
+
 def scan_peaks(
     b: AdimensionalBarrier,
     lo: float,
@@ -110,33 +162,48 @@ def scan_peaks(
 
     Without eps0 the scan runs over eps in [lo, hi] at the barrier's own
     width; with eps0 it runs over lam in [lo, hi] at that energy.  One
-    `transmission_grid` call over a coarse grid brackets each interior
-    peak, then golden-section search over scalar evaluations of the closed
-    form refines its location to REFINE_TOL: `transmission` calls for an
-    energy scan, and for a width scan the kernel on wave parameters computed
-    once at eps0.  An empty result is not an error; `uniform_grid` checks
-    lo, hi and coarse_step as its start, stop and step.
+    `transmission_grid` call gives |T|**2 on the grid lo + k*coarse_step,
+    with its errors.  An energy scan brackets each grid point that is
+    higher than its left neighbour and no lower than its right one, and
+    refines it by golden-section search over `transmission` calls to
+    REFINE_TOL.  A width scan brackets each sign change from negative to
+    positive of the slope Re(conj(D)*dD/dlam) of |D|**2 = 4/|T|**2
+    (`denominator_slope`) between neighbouring grid points, and refines it
+    by `_false_position` on the slope to a few ulp, with the wave
+    parameters computed once at eps0.
+
+    On a plateau, rounding noise makes maxima of its own, and a flat-topped
+    peak several.  So the grid's |T|**2 takes in each refined peak (in
+    place of the top grid point of an energy bracket, between the ends of
+    a width bracket), and a peak is kept only if it `_stands_out` there by
+    PEAK_FLOOR ulp.  An empty result is not an error; `uniform_grid`
+    checks lo, hi and coarse_step as its start, stop and step.
     """
     grid = uniform_grid(lo, hi, coarse_step)
+    # float brackets: from an np.float64 a probe would take numpy's pow, not libm's
+    xs = grid.tolist()
     if eps0 is None:
-        t = transmission_grid(grid, b.lam, b)
+        heights = np.abs(transmission_grid(grid, b.lam, b)) ** 2
 
         def prob(x: float) -> float:
             return transmission(x, b).prob
 
+        tops = (np.flatnonzero((heights[:-2] < heights[1:-1]) & (heights[1:-1] >= heights[2:])) + 1).tolist()
+        peaks = [(x, prob(x)) for x in (_golden_section(prob, xs[t - 1], xs[t + 1], REFINE_TOL) for t in tops)]
+        heights[tops] = np.maximum(heights[tops], [y for _, y in peaks])
     else:
-        t = transmission_grid(eps0, grid, b)
+        ys = np.abs(transmission_grid(eps0, grid, b)) ** 2
         p = wave_params(eps0, b)  # the grid has raised any error this could
 
-        def prob(x: float) -> float:
-            return abs(_amplitude(p, x)) ** 2
+        def slope(x):
+            d, d_lam = denominator_slope(p, x)
+            return (d.conjugate() * d_lam).real
 
-    ys = np.abs(t) ** 2
-    is_peak = (ys[:-2] < ys[1:-1]) & (ys[1:-1] >= ys[2:])
-
-    peaks = []
-    for i in np.flatnonzero(is_peak).tolist():
-        # float brackets: from an np.float64 the probe would take numpy's pow, not libm's
-        x = _golden_section(prob, float(grid[i]), float(grid[i + 2]), REFINE_TOL)
-        peaks.append((x, prob(x)))
-    return peaks
+        g = slope(grid)
+        ends = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+        found = [_false_position(slope, xs[i], xs[i + 1], float(g[i]), float(g[i + 1])) for i in ends.tolist()]
+        peaks = [(x, abs(_amplitude(p, x)) ** 2) for x in found]
+        # each peak goes in after its bracket's left end, which moves later ends one further
+        tops = (ends + 1 + np.arange(len(ends))).tolist()
+        heights = np.insert(ys, ends + 1, [y for _, y in peaks])
+    return [peak for peak, t in zip(peaks, tops) if _stands_out(heights, t)]

@@ -32,6 +32,7 @@ import numpy as np
 
 from .barrier import (AdimensionalBarrier, BarrierColumns, WaveParams, blocks, columns, complex_stack,
                       shc, wave_params)
+from .errors import SingularSystemError
 from .quaternion import I as QI, Quaternion
 
 
@@ -125,12 +126,18 @@ def solve(eps, b):
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
+        SingularSystemError: if the inverse of a point's matrix fails.
         ValueError: if a batch's lengths differ.
     """
     if isinstance(b, AdimensionalBarrier):
         mat, rhs = _assemble(wave_params(eps, b), b.lam)
+        try:
+            inverse = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(f"the continuity system is singular to working precision at "
+                                      f"eps={eps!r}, lam={b.lam!r}") from None
         # the unknowns are ordered as the fields: (R, Rt, T, Tt, A, B, At, Bt)
-        return ScatteringAmplitudes(*(np.linalg.inv(mat) @ rhs).tolist())
+        return ScatteringAmplitudes(*(inverse @ rhs).tolist())
     energies, barriers = list(eps), list(b)
     eps_all, cols = columns(energies, barriers)
     amps = []

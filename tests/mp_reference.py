@@ -30,27 +30,51 @@ THRESHOLD_OFFSET = mp.mpf("1e-30")
 
 def reference_amplitudes(eps: float, vc: float, vq: float, theta: float, lam: float):
     """(r, rt, t, tt) as Python complex numbers, from the mpmath solve."""
+    with mp.workdps(_digits(eps, vc, vq, lam)):
+        e = mp.mpf(eps) + (THRESHOLD_OFFSET if eps == 1.0 else 0)
+        x = _solve(e, *(mp.mpf(v) for v in (vc, vq, theta, lam)))
+        return complex(x[0]), complex(x[1]), complex(x[2]), complex(x[3] / mp.exp(-e * lam))
+
+
+def reference_width_peak(eps0: float, vc: float, vq: float, theta: float, lam0: float) -> float:
+    """The width near lam0 at which the referee's |T|**2 at eps0 is largest.
+
+    The root of mp.diff of |T|**2 over lam, by mp.findroot started at lam0,
+    at the digits `reference_amplitudes` takes at 1.5*lam0.
+    """
+    with mp.workdps(_digits(eps0, vc, vq, 1.5 * lam0)):
+        e, vc, vq, theta = (mp.mpf(v) for v in (eps0, vc, vq, theta))
+
+        def prob(lam):
+            return abs(_solve(e, vc, vq, theta, lam)[2]) ** 2
+
+        return float(mp.findroot(lambda lam: mp.diff(prob, lam), mp.mpf(lam0)))
+
+
+def _digits(eps: float, vc: float, vq: float, lam: float) -> int:
+    """30 + 2*Re(alpha)*lam/ln(10) working digits, never fewer than 50."""
     root = cmath.sqrt(eps**4 - vq**2 + 0j)
     growth = max(cmath.sqrt(vc - root).real, cmath.sqrt(vc + root).real) * lam
-    with mp.workdps(max(50, 30 + math.ceil(2.0 * growth / math.log(10.0)))):
-        e = mp.mpf(eps) + (THRESHOLD_OFFSET if eps == 1.0 else 0)
-        vc, vq, theta, lam = (mp.mpf(x) for x in (vc, vq, theta, lam))
-        root = mp.sqrt(mp.mpc(e**4 - vq**2))
-        am, ap = mp.sqrt(vc - root), mp.sqrt(vc + root)
-        beta = 1j * vq * mp.expj(theta) / (e**2 + root)
-        gamma = -1j * vq * mp.expj(-theta) / (e**2 + root)
-        r, ie = ap / am, 1j * e / am
-        e1p, e1m, e2p, e2m = mp.exp(am * lam), mp.exp(-am * lam), mp.exp(ap * lam), mp.exp(-ap * lam)
-        phase, decay = mp.expj(e * lam), mp.exp(-e * lam)
-        mat = mp.matrix([
-            [-1, 0, 0, 0, 1, 1, beta, beta],
-            [ie, 0, 0, 0, 1, -1, r * beta, -r * beta],
-            [0, -1, 0, 0, gamma, gamma, 1, 1],
-            [0, -e / am, 0, 0, gamma, -gamma, r, -r],
-            [0, 0, -phase, 0, e1p, e1m, beta * e2p, beta * e2m],
-            [0, 0, -ie * phase, 0, e1p, -e1m, r * beta * e2p, -r * beta * e2m],
-            [0, 0, 0, -1, gamma * e1p, gamma * e1m, e2p, e2m],
-            [0, 0, 0, e / am, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m],
-        ])
-        x = mp.lu_solve(mat, mp.matrix([1, ie, 0, 0, 0, 0, 0, 0]))
-        return complex(x[0]), complex(x[1]), complex(x[2]), complex(x[3] / decay)
+    return max(50, 30 + math.ceil(2.0 * growth / math.log(10.0)))
+
+
+def _solve(e, vc, vq, theta, lam):
+    """The solution (R, Rt, T, Tt*exp(-e*lam), A, B, At, Bt) at mpmath inputs and the working digits."""
+    root = mp.sqrt(mp.mpc(e**4 - vq**2))
+    am, ap = mp.sqrt(vc - root), mp.sqrt(vc + root)
+    beta = 1j * vq * mp.expj(theta) / (e**2 + root)
+    gamma = -1j * vq * mp.expj(-theta) / (e**2 + root)
+    r, ie = ap / am, 1j * e / am
+    e1p, e1m, e2p, e2m = mp.exp(am * lam), mp.exp(-am * lam), mp.exp(ap * lam), mp.exp(-ap * lam)
+    phase = mp.expj(e * lam)
+    mat = mp.matrix([
+        [-1, 0, 0, 0, 1, 1, beta, beta],
+        [ie, 0, 0, 0, 1, -1, r * beta, -r * beta],
+        [0, -1, 0, 0, gamma, gamma, 1, 1],
+        [0, -e / am, 0, 0, gamma, -gamma, r, -r],
+        [0, 0, -phase, 0, e1p, e1m, beta * e2p, beta * e2m],
+        [0, 0, -ie * phase, 0, e1p, -e1m, r * beta * e2p, -r * beta * e2m],
+        [0, 0, 0, -1, gamma * e1p, gamma * e1m, e2p, e2m],
+        [0, 0, 0, e / am, gamma * e1p, -gamma * e1m, r * e2p, -r * e2m],
+    ])
+    return mp.lu_solve(mat, mp.matrix([1, ie, 0, 0, 0, 0, 0, 0]))

@@ -113,6 +113,17 @@ class TestPoint:
         assert code == 3
         assert "critical" in err
 
+    def test_singular_continuity_system_exits_5_naming_the_point(self, capsys):
+        # a valid thick well: numpy cannot invert its 8x8 (formerly exit 2, "Singular matrix")
+        code, out, err = run(
+            ["point", "--vc", "-0.9139725352895285", "--vq", "0.4057760524432554",
+             "--eps", "2.8585921603787865", "--lambda", "261.980135469727"],
+            capsys,
+        )
+        assert (code, out) == (5, "")
+        assert err == ("error: the continuity system is singular to working precision at "
+                       "eps=2.8585921603787865, lam=261.980135469727\n")
+
 
 class TestSweep:
     ARGS = ["sweep", "--mode", "energy", "--fixed", str(3 * PI),
@@ -248,6 +259,17 @@ class TestResonances:
             code, out, _ = run(["resonances", *mode, "--n", str(n), "--format", "json"], capsys)
             assert code == 0
             assert [len(r["values"]) for r in json.loads(out)["rows"]] == [2 * n - 1] * 5
+
+    def test_flat_topped_peaks_are_found_once(self, capsys):
+        # at lambda = 0.5, 1 - |T|**2 is within a few ulp of 0 for ~0.01 around each peak
+        # past the first, and every rounding-noise maximum there used to be a peak: eps2 =
+        # 14.109, eps3 = 14.116.  The mpmath maxima are 7.88204, 14.13606 and 20.42044;
+        # |T|**2 resolves the flat tops to a few 1e-3 only.
+        code, out, _ = run(["resonances", "--lambda", "0.5", "--potentials", "0,1", "--n", "3",
+                            "--format", "json"], capsys)
+        assert code == 0
+        eps1, eps2, _, eps3, _ = json.loads(out)["rows"][0]["values"]
+        assert [eps1, eps2, eps3] == pytest.approx([7.88204, 14.13606, 20.42044], abs=5e-3)
 
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(["resonances", "--potentials", "1,0"], capsys)

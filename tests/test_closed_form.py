@@ -23,7 +23,7 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier.barrier import SHC_SERIES_BELOW, shc
-from qbarrier.closed_form import denominator_factored, transmission_grid
+from qbarrier.closed_form import denominator_factored, denominator_slope, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.conftest import FIVE_POTENTIALS, circle_points, near_band_points, random_points, unzip
 from tests.mp_reference import reference_amplitudes
@@ -75,6 +75,26 @@ def test_factored_denominator_equals_element_form():
         d_elements = denominator(transfer_closed(p, b.lam), eps)
         d_factored = denominator_factored(p, b.lam)
         assert abs(d_elements - d_factored) < 1e-9 * abs(d_elements)
+
+
+def test_slope_is_the_derivative_of_the_factored_denominator():
+    # wells, barriers, theta != 0 and the threshold eps = 1 (an 8th-order central difference)
+    steps = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+    weights = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+    for eps, b in circle_points(seed=31, n=60):
+        lam, p, h = b.lam + 0.5, wave_params(eps, b), 1e-3
+        d, d_lam = denominator_slope(p, lam)
+        assert d == denominator_factored(p, lam)
+        diff = weights @ np.array([denominator_factored(p, lam + k * h) for k in steps]) / h
+        assert abs(d_lam - diff) <= 1e-9 * max(1.0, abs(d_lam)), (eps, b)
+
+
+def test_slope_grid_matches_the_scalar_slope():
+    b = AdimensionalBarrier(-0.6, 0.8, 0.7)
+    p, widths = wave_params(1.3, b), np.linspace(0.0, 20.0, 41)
+    d, d_lam = denominator_slope(p, widths)
+    for k, lam in enumerate(widths.tolist()):
+        assert np.allclose(denominator_slope(p, lam), (d[k], d_lam[k]), rtol=1e-14, atol=0.0)
 
 
 def test_resonance_point_is_fully_transparent():

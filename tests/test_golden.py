@@ -62,7 +62,7 @@ JSON_REPORTS = [
                  "747a5dcb28cf77bf5247c27b8411e296fabd573daef4743f1131c51845e8cd25",
                  id="resonances-energy-json"),
     pytest.param(["resonances", "--eps0", "1.41421356", "--potentials", "table", "--format", "json"],
-                 "c0943ab2e030a1ec0d1ba44798fc3daf1f0a375df054b9c722080662d8256c4a",
+                 "ddd34db43fbd44a8fa75d5a7656003ffbe35af508a6906bfceb952c42a5687a6",
                  id="resonances-width-json"),
     pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3",
                   "--format", "json"],

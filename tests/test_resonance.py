@@ -1,5 +1,8 @@
 """Resonance closed forms and the peak scanner."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -11,14 +14,17 @@ from qbarrier import (
     complex_resonance_widths,
     min_transmission,
     scan_peaks,
+    solve,
     transmission,
     transmission_complex,
 )
 from qbarrier import closed_form, resonance
 from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid, wave_params
-from qbarrier.closed_form import transmission_grid
+from qbarrier.cli import main
+from qbarrier.closed_form import denominator_slope, transmission_grid
 from qbarrier.resonance import REFINE_TOL, _golden_section
 from tests.conftest import FIVE_POTENTIALS
+from tests.mp_reference import reference_width_peak
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -185,8 +191,12 @@ def test_peak_monotonicity_across_unit_circle():
         assert (cur[1] - cur[0]) < (prev[1] - prev[0])
 
 
-def per_point_scan(b, lo, hi, eps0=None, coarse_step=1e-3):
-    """Peaks by the scan's former coarse pass: one scalar transmission per grid point."""
+def per_point_scan(b, lo, hi, eps0=None, coarse_step=1e-3, coarse=None):
+    """Peaks by the scan's former rule: golden-section search from each grid maximum.
+
+    coarse(xs) gives |T|**2 on the grid points xs; by default one scalar
+    transmission per point, the scan's former coarse pass.
+    """
     if eps0 is None:
         def prob(x):
             return transmission(x, b).prob
@@ -194,7 +204,7 @@ def per_point_scan(b, lo, hi, eps0=None, coarse_step=1e-3):
         def prob(x):
             return transmission(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, x)).prob
     xs = uniform_grid(lo, hi, coarse_step).tolist()
-    ys = [prob(x) for x in xs]
+    ys = [prob(x) for x in xs] if coarse is None else coarse(xs)
     peaks = []
     for i in range(1, len(xs) - 1):
         if ys[i - 1] < ys[i] >= ys[i + 1]:
@@ -205,18 +215,130 @@ def per_point_scan(b, lo, hi, eps0=None, coarse_step=1e-3):
 
 @pytest.mark.parametrize("vc, vq", FIVE_POTENTIALS)
 def test_grid_scan_is_bit_identical_to_per_point_scan(vc, vq):
-    # the table scans of `qbarrier resonances`: energy at lam = 3*pi, width at eps0 = sqrt2
+    # the table scan of `qbarrier resonances --lambda-pi 3`; width scans refine on the slope instead
     lam0, n = 3.0 * PI, 3
     eps1 = complex_resonance_energies(lam0, n)[0][0]
-    energy = (AdimensionalBarrier(vc, vq, 0.0, lam0),
-              1.0 + min(1e-3, (eps1 - 1.0) / 10.0), math.sqrt(1.0 + ((n + 0.5) * PI / lam0) ** 2),
-              None, min(1e-3, (eps1 - 1.0) / 20.0))
-    spacing = complex_resonance_widths(SQRT2, n)[0][1]
-    width = (AdimensionalBarrier(vc, vq), spacing, (n + 1.6) * spacing, SQRT2, 1e-3)
-    for b, lo, hi, eps0, step in (energy, width):
-        peaks = scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)
-        assert peaks
-        assert peaks == per_point_scan(b, lo, hi, eps0, step)
+    b = AdimensionalBarrier(vc, vq, 0.0, lam0)
+    lo, hi = 1.0 + min(1e-3, (eps1 - 1.0) / 10.0), math.sqrt(1.0 + ((n + 0.5) * PI / lam0) ** 2)
+    step = min(1e-3, (eps1 - 1.0) / 20.0)
+    peaks = scan_peaks(b, lo, hi, coarse_step=step)
+    assert peaks
+    assert peaks == per_point_scan(b, lo, hi, None, step)
+
+
+def cli_width_peaks(eps0, vc, vq, theta=0.0, n=3):
+    """The n peak widths of `qbarrier resonances --eps0` for one scanned potential, from its JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["resonances", "--eps0", repr(eps0), f"--potentials={vc!r},{vq!r},{theta!r}",
+                     "--n", str(n), "--format", "json"]) == 0
+    values = json.loads(out.getvalue())["rows"][0]["values"]
+    return [x * PI for x in values[:1] + values[1::2]]
+
+
+def slope_rounding(eps0, b, x):
+    """How far, relative to x, rounding can move the root x of g = Re(conj(D)*dD/dlam).
+
+    g holds an absolute rounding error of about ulp(1)*|D|*|dD/dlam|, and
+    crosses zero with slope g'; a shallow peak, whose g' is small beside
+    |D|*|dD/dlam|, is located less sharply.
+    """
+    p = wave_params(eps0, b)
+
+    def g(lam):
+        d, d_lam = denominator_slope(p, lam)
+        return (d.conjugate() * d_lam).real
+
+    d, d_lam = denominator_slope(p, x)
+    g_lam = (g(x + 1e-5) - g(x - 1e-5)) / 2e-5
+    return math.ulp(1.0) * abs(d) * abs(d_lam) / abs(g_lam) / x
+
+
+def width_cases(seed, n):
+    """Seeded (eps0, vc, vq, theta): eps0 in (1.05, 3), (vc, vq) over the unit circle, wells included."""
+    rng = np.random.default_rng(seed)
+    eps0, phi = rng.uniform(1.05, 3.0, n), rng.uniform(0.0, PI, n)
+    theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0 * PI, n))
+    return list(zip(eps0.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist()))
+
+
+#: the README width table's scanned rows, then wells and theta != 0 potentials
+MP_WIDTH_CASES = (
+    [(1.41421356, vc, vq, 0.0) for vc, vq in FIVE_POTENTIALS[1:]]
+    + [(eps0, -abs(vc), vq, theta) for eps0, vc, vq, theta in width_cases(24, 3)]
+    + [(eps0, vc, vq, 1.0 + theta) for eps0, vc, vq, theta in width_cases(25, 3)]
+)
+
+
+@pytest.mark.parametrize("eps0, vc, vq, theta", MP_WIDTH_CASES)
+def test_width_peaks_are_the_mp_maximisers(eps0, vc, vq, theta):
+    for x in cli_width_peaks(eps0, vc, vq, theta):
+        assert x == pytest.approx(reference_width_peak(eps0, vc, vq, theta, x), rel=1e-13, abs=0.0)
+
+
+def test_shallow_width_peak_is_located_to_its_rounding_bound():
+    # vc ~ 0 at eps0 ~ 2.9: |T|**2 barely moves, so g' is 1e-3 of |D|*|dD/dlam|
+    eps0, vc, vq, theta = 2.8992404839189616, 0.05142184318099808, 0.9986770218863898, 0.21394421238539307
+    b = AdimensionalBarrier(vc, vq, theta)
+    x = cli_width_peaks(eps0, vc, vq, theta)[0]
+    bound = slope_rounding(eps0, b, x)
+    assert bound > 1e-13
+    assert abs(x - reference_width_peak(eps0, vc, vq, theta, x)) <= 4.0 * bound * x
+
+
+def test_width_scan_agrees_with_the_golden_scan_on_seeded_cases():
+    # the former scan: golden-section search from each maximum of a 1e-3 grid
+    def solver_prob(eps0, b, lam):
+        return abs(solve(eps0, AdimensionalBarrier(b.vc, b.vq, b.theta, lam)).t) ** 2
+
+    differ = 0
+    for eps0, vc, vq, theta in width_cases(7, 200):
+        b = AdimensionalBarrier(vc, vq, theta)
+        rows = complex_resonance_widths(eps0, 3)
+        lo, hi = rows[0][1], rows[-1][0] + 0.6 * rows[0][1]
+        new = cli_width_peaks(eps0, vc, vq, theta)
+        old = [x for x, _ in per_point_scan(
+            b, lo, hi, eps0, coarse=lambda xs: (np.abs(transmission_grid(eps0, np.array(xs), b)) ** 2).tolist())]
+        assert all(min(abs(x - y) for y in new) <= 1e-5 for x in old if x <= new[-1])  # none missed
+        for x in new:
+            y = min(old, key=lambda y: abs(x - y))
+            if abs(x - y) <= 1e-6:
+                continue
+            differ += 1
+            if abs(x - y) <= 1e-5:  # golden-section search on a flat top: the old location is the one off
+                reference = reference_width_peak(eps0, vc, vq, theta, x)
+                assert abs(x - reference) < 1e-3 * abs(y - reference)
+            else:  # a peak the former scan did not see: a local maximum of the solver's |T|**2
+                assert solver_prob(eps0, b, x) > max(solver_prob(eps0, b, x + s) for s in (-1e-5, 1e-5))
+    assert differ <= 6
+
+
+def test_width_scan_finds_a_peak_in_its_first_step():
+    # the former scan needed a grid point on each side of a maximum; this one is 3.5e-4 above lo
+    eps0, vc, vq, theta = 1.2804954756073303, -0.4090782425979441, 0.9124993103739737, 5.749061615207728
+    lo = complex_resonance_widths(eps0, 3)[0][1]
+    first = cli_width_peaks(eps0, vc, vq, theta)[0]
+    assert 3e-4 < first - lo < 4e-4
+    assert first == pytest.approx(reference_width_peak(eps0, vc, vq, theta, first), rel=1e-13)
+    prob = [abs(solve(eps0, AdimensionalBarrier(vc, vq, theta, first + s)).t) ** 2 for s in (-1e-5, 0.0, 1e-5)]
+    assert prob[1] > max(prob[0], prob[2])
+    assert per_point_scan(AdimensionalBarrier(vc, vq, theta), lo, lo + 0.1, eps0) == []
+
+
+def test_false_position_returns_an_exact_root_and_a_root_at_the_bracket_end():
+    assert resonance._false_position(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5) == 0.5
+    assert resonance._false_position(lambda x: 1.0 / 0.0, 0.0, 1.0, -1.0, 0.0) == 1.0  # f is not called
+
+
+@pytest.mark.parametrize("heights, top, stands", [
+    ([0.0, 1.0, 0.0], 1, True),
+    ([0.0, 1.0, 1.0 - 1e-15, 1.0, 0.0], 1, True),  # of equal tops the leftmost stands
+    ([0.0, 1.0, 1.0 - 1e-15, 1.0, 0.0], 3, False),
+    ([0.5, 1.0 - 5e-15, 1.0 - 1e-14, 1.0, 0.5], 1, False),  # 45 ulp above its col, then a higher top
+    ([0.5, 1.0 - 5e-15, 1.0 - 1e-14], 1, False),  # the col to the end
+])
+def test_stands_out_by_the_peak_floor(heights, top, stands):
+    assert resonance._stands_out(np.array(heights), top) is stands
 
 
 def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):

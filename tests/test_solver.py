@@ -11,6 +11,7 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
+    SingularSystemError,
     current_density,
     oracle_amplitudes,
     probability_balance,
@@ -93,7 +94,7 @@ def thick_solves(seed, n):
     for eps, b in random_points(seed=seed, n=n, lam_min=10.0, lam_max=400.0):
         try:
             amps = solve(eps, b)
-        except np.linalg.LinAlgError:
+        except SingularSystemError:
             continue
         values = (amps.r, amps.rt, amps.t, amps.tt, amps.a, amps.b, amps.at, amps.bt)
         if all(cmath.isfinite(v) for v in values):
@@ -116,6 +117,18 @@ def test_thick_solve_is_finite_and_balanced_without_a_warning():
         amps = solve(1.2, AdimensionalBarrier(0.6, 0.8, 0.0, 400.0))
     assert cmath.isfinite(amps.t)
     assert abs(probability_balance(amps)) <= 1e-12
+
+
+def test_singular_system_is_a_typed_error_naming_eps_and_lam():
+    eps, b = SINGULAR
+    message = (r"^the continuity system is singular to working precision at "
+               r"eps=2\.334319072789119, lam=338\.13961788764976$")
+    with pytest.raises(SingularSystemError, match=message) as single:
+        solve(eps, b)
+    assert not isinstance(single.value, ValueError)
+    assert single.value.__cause__ is None and single.value.__suppress_context__
+    with pytest.raises(SingularSystemError, match=message):
+        solve([1.2, eps], [AdimensionalBarrier(0.6, 0.8, 0.0, 2.0), b])
 
 
 def test_threshold_rejected():

@@ -11,7 +11,9 @@ first 4,000 points no wider than the integrator cap go through
 which a single `solve` or `transmission` call answers go through that
 route again in one call each; if such a call raises, as it does where the
 route takes one point per call, each point is called alone.
-`verify.sample_points` draws a few seeded sets.  Each
+`verify.sample_points` draws a few seeded sets.  `scan_peaks` runs an
+energy scan and a width scan for each of a seeded set of potentials, over
+the ranges and at the steps `qbarrier resonances --n 3` takes.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -25,9 +27,12 @@ DIR/src).  The points mix wells and barriers over the whole unit circle,
 theta = 0 and theta != 0, eps in {1, 1 +- 1e-7, U(0.05, 3)} and lam in
 {0, U(0, 1e-6), U(0, 20), U(20, 400)}; the widths take lam in {0,
 U(0, 1e-6), U(0, 1), U(0, 20), U(20, 1000), U(700, 720), 10**U(3, 308)}
-with theta = 0 or U(-pi, pi).
+with theta = 0 or U(-pi, pi).  The scanned potentials cover the unit
+circle, with theta = 0 or U(-pi, pi), lam0 = U(1, 12) for the energy scan
+and eps0 = U(1.05, 3) for the width scan.
 """
 
+import math
 import operator
 import pickle
 import subprocess
@@ -42,6 +47,7 @@ POINTS = 20_000
 WIDTHS = 2_000
 GRID_POINTS = 40  # points that also get an energy and a width grid
 ORACLE_POINTS = 4_000
+SCANS = 24  # potentials that get an energy and a width scan
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
@@ -81,6 +87,25 @@ def widths():
     return list(zip(lam.tolist(), theta.tolist()))
 
 
+def scans():
+    """(b, lo, hi, eps0, step) for the seeded energy scans, then the width scans, as the CLI sets them."""
+    from qbarrier import AdimensionalBarrier, complex_resonance_energies, complex_resonance_widths
+
+    rng = np.random.default_rng(SEED + 2)
+    phi, lam0, eps0 = rng.uniform(0.0, np.pi, SCANS), rng.uniform(1.0, 12.0, SCANS), rng.uniform(1.05, 3.0, SCANS)
+    theta = np.where(rng.random(SCANS) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, SCANS))
+    out = []
+    for vc, vq, t, lam in zip(np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam0.tolist()):
+        closed = complex_resonance_energies(lam, 3)
+        out.append((AdimensionalBarrier(vc, vq, t, lam), 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0),
+                    closed[-1][0] + closed[-1][2], None, min(1e-3, (closed[0][0] - 1.0) / 20.0)))
+    for vc, vq, t, e in zip(np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), eps0.tolist()):
+        closed = complex_resonance_widths(e, 3)
+        out.append((AdimensionalBarrier(vc, vq, t), closed[0][1], closed[-1][0] + 0.6 * closed[0][1], e,
+                    math.pi / (32.0 * math.sqrt(1.0 + max(e * e, 1.0)))))
+    return out
+
+
 def words(value):
     """The bytes of a complex value or array as uint64 words; None and strings as they are."""
     if value is None or isinstance(value, str):
@@ -116,7 +141,7 @@ def evaluate(src):
     if Path(qbarrier.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
-                          critical_quaternionic, oracle_amplitudes, solve, transmission,
+                          critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission,
                           transmission_complex, transmission_grid)
     from qbarrier.ode_oracle import MAX_WIDTH
     from qbarrier.verify import sample_points
@@ -126,7 +151,8 @@ def evaluate(src):
                                  "transmission_grid", "critical_complex",
                                  "critical_quaternionic", "asymptotic_moduli",
                                  "oracle_amplitudes", "sample_points",
-                                 "solve (batch)", "transmission (batch)")}
+                                 "solve (batch)", "transmission (batch)",
+                                 "scan_peaks (energy)", "scan_peaks (width)")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -149,6 +175,9 @@ def evaluate(src):
                     for (eps, vc, vq, theta, lam), single in zip(points(), out[name])
                     if not isinstance(single, str)]
         out[f"{name} (batch)"] = batch_outcomes(route, fields, answered)
+    for b, lo, hi, eps0, step in scans():
+        out["scan_peaks (energy)" if eps0 is None else "scan_peaks (width)"].append(
+            outcome(lambda: scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)))
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: np.array(
             [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in sample_points(np.random.default_rng(seed), n)])))
