@@ -196,8 +196,7 @@ def complex_stack(rows) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WaveParams:
+class WaveParams(NamedTuple):
     """Derived complex quantities for one (eps, barrier) pair, or ndarrays over a grid or a batch."""
 
     eps: float

@@ -18,6 +18,11 @@ No branch choices, no special functions: this route works at degenerate
 and threshold parameters alike and is the independent check on every
 closed form in the package.
 
+A point's segment count keeps each segment map's growth below
+exp(_SEGMENT_GROWTH).  It is read off the spectrum of A**2, a 2x2 block of
+A's entries (`_segment_count`), with no eigensolver; a point that needs
+more than MAX_SEGMENTS (256) segments raises ValueError.
+
 `oracle_amplitudes` takes one point or many in one call.  The segment
 maps of a batch come from one stacked exponential per block of points;
 the points are then grouped by segment count, and each group is matched
@@ -38,6 +43,10 @@ from .transfer import transfer_numeric
 #: growing interior mode overflows long before this; hyperbolic closed forms
 #: own the large-width regime
 MAX_WIDTH = 30.0
+
+#: most segments one point may take, a (1024, 1024) complex block system
+#: (16 MiB); eps = 25 at lam = 29 takes 182
+MAX_SEGMENTS = 256
 
 
 def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
@@ -70,9 +79,19 @@ _SEGMENT_GROWTH = 4.0
 
 
 def _segment_count(a: np.ndarray, lam):
-    """Segment count of one 4x4 matrix at width lam, or of each matrix of a stack at its lam."""
-    growth = np.linalg.eigvals(a).real.max(axis=-1) * lam
-    return np.maximum(1, np.ceil(growth / _SEGMENT_GROWTH)).astype(int)
+    """Segment count (a whole float) of one 4x4 matrix at width lam, or of each matrix of a stack at its lam.
+
+    A**2 acts on (phi, psi) as K = [[A10, A12], [A30, A32]], so A's
+    eigenvalues are +-sqrt(mu) for K's eigenvalues mu = h +- r, whatever
+    the sign of r.  Not finite where eps**4 overflows; the caller checks
+    the count against MAX_SEGMENTS.
+    """
+    k00, k01, k10, k11 = a[..., 1, 0], a[..., 1, 2], a[..., 3, 0], a[..., 3, 2]
+    with np.errstate(all="ignore"):
+        h = (k00 + k11) / 2
+        r = np.sqrt((k00 - k11) ** 2 / 4 + k01 * k10)
+        growth = np.maximum(np.sqrt(h + r).real, np.sqrt(h - r).real) * lam
+    return np.maximum(1, np.ceil(growth / _SEGMENT_GROWTH))
 
 
 def _column(*entries) -> np.ndarray:
@@ -131,19 +150,23 @@ def oracle_amplitudes(eps, b):
     r, rt and t do not depend on it.
 
     Raises:
-        ValueError: at the first point whose width exceeds MAX_WIDTH or
-            whose eps is not > 0.
+        ValueError: at the first point whose width exceeds MAX_WIDTH, whose
+            eps is not > 0, or which needs more than MAX_SEGMENTS segments.
     """
     single = isinstance(b, AdimensionalBarrier)
     energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
     eps_all, cols = columns(energies, barriers)
-    for e, bar in zip(energies, barriers):
+    a, lam = split_ode(cols, eps_all), cols.lam
+    del cols  # vc, vq and theta are not read again; the stacks below are the oracle's peak memory
+    counts = _segment_count(a, lam)
+    for e, bar, count in zip(energies, barriers, counts.tolist()):
         if bar.lam > MAX_WIDTH:
             raise ValueError(f"width {bar.lam!r} exceeds the integrator cap {MAX_WIDTH}")
         require_finite("eps", e, 0.0, strict=True)
-    a, lam = split_ode(cols, eps_all), cols.lam
-    del cols  # vc, vq and theta are not read again; the stacks below are the oracle's peak memory
-    segments = _segment_count(a, lam)
+        if not count <= MAX_SEGMENTS:
+            raise ValueError(f"eps={e!r} at lam={bar.lam!r} needs more than the integrator cap of "
+                             f"{MAX_SEGMENTS} segments")
+    segments = counts.astype(int)
     for block in blocks(len(a), 16):  # a becomes the segment maps; A is not read again
         a[block] = transfer_numeric(a[block], lam[block] / segments[block])
     x = np.empty((len(barriers), 4), dtype=complex)

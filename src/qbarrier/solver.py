@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ from .errors import SingularSystemError
 from .quaternion import I as QI, Quaternion
 
 
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
+class ScatteringAmplitudes(NamedTuple):
     """Outer amplitudes (r, rt, t, tt) and interior coefficients (a, b, at, bt).
 
     a, b, at, bt multiply cosh(am*s), shc(am, s), cosh(ap*s) and shc(ap, s),
@@ -87,19 +87,19 @@ def _assemble(p: WaveParams, lam) -> tuple[np.ndarray, np.ndarray]:
     decay = xp.exp(-eps * lam)
     rows = [
         # value and derivative of the complex part at xi = 0
-        [-1, 0, 0, 0, cm, -hm, beta * cp, -beta * hp],
-        [ie, 0, 0, 0, -dm, cm, -beta * dp, beta * cp],
+        [-1 + 0j, 0j, 0j, 0j, cm, -hm, beta * cp, -beta * hp],
+        [ie, 0j, 0j, 0j, -dm, cm, -beta * dp, beta * cp],
         # value and derivative of the pure quaternionic part at xi = 0
-        [0, -1, 0, 0, gamma * cm, -gamma * hm, cp, -hp],
-        [0, -eps, 0, 0, -gamma * dm, gamma * cm, -dp, cp],
+        [0j, -1 + 0j, 0j, 0j, gamma * cm, -gamma * hm, cp, -hp],
+        [0j, -eps + 0j, 0j, 0j, -gamma * dm, gamma * cm, -dp, cp],
         # value and derivative of the complex part at xi = lam
-        [0, 0, -phase, 0, cm, hm, beta * cp, beta * hp],
-        [0, 0, -ie * phase, 0, dm, cm, beta * dp, beta * cp],
+        [0j, 0j, -phase, 0j, cm, hm, beta * cp, beta * hp],
+        [0j, 0j, -ie * phase, 0j, dm, cm, beta * dp, beta * cp],
         # value and derivative of the pure quaternionic part at xi = lam
-        [0, 0, 0, -decay, gamma * cm, gamma * hm, cp, hp],
-        [0, 0, 0, eps * decay, gamma * dm, gamma * cm, dp, cp],
+        [0j, 0j, 0j, -decay, gamma * cm, gamma * hm, cp, hp],
+        [0j, 0j, 0j, eps * decay, gamma * dm, gamma * cm, dp, cp],
     ]
-    rhs = [1, ie, 0, 0, 0, 0, 0, 0]
+    rhs = [1 + 0j, ie, 0j, 0j, 0j, 0j, 0j, 0j]
     if xp is cmath:
         return np.array(rows, dtype=complex), np.array(rhs, dtype=complex)
     return complex_stack(rows), complex_stack([[x] for x in rhs])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier import barrier
-from qbarrier.ode_oracle import MAX_WIDTH, _segment_count
-from tests.conftest import random_points
+from qbarrier.ode_oracle import MAX_SEGMENTS, MAX_WIDTH, _segment_count
+from tests.conftest import random_points, unzip
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -206,3 +207,46 @@ def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
     batch = oracle_amplitudes([1.2, 25.0], [thick, thick])
     assert batch[1] == alone
     assert np.array_equal(amplitude_words(batch[:1]), amplitude_words([oracle_amplitudes(1.2, thick)]))
+
+
+def count_points():
+    """Seeded points over the whole unit circle, wells included, at lam up to MAX_WIDTH and
+    eps up to 25, then the threshold and the band edge at three widths."""
+    rng = np.random.default_rng(41)
+    pts = []
+    for k in range(400):
+        phi, theta, lam = rng.uniform((0.0, -math.pi, 0.0), (math.pi, math.pi, MAX_WIDTH))
+        eps = rng.uniform(0.05, 3.0) if k % 2 else rng.uniform(3.0, 25.0)
+        pts.append((eps, AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, lam)))
+    for lam in (0.0, 2.0, MAX_WIDTH):
+        pts += [(1.0, AdimensionalBarrier(0.0, 1.0, 0.3, lam)),
+                (1.0, AdimensionalBarrier(-0.6, 0.8, 0.0, lam)),
+                ((1.0 + 2e-6) ** 0.25, AdimensionalBarrier(0.0, 1.0, 0.0, lam))]
+    return pts
+
+
+def test_segment_count_is_the_eigenvalue_count():
+    # the referee takes the growth from A's spectrum by an eigensolver
+    pts = count_points()
+    eps, cols = barrier.columns(*unzip(pts))
+    a = split_ode(cols, eps)
+    referee = np.maximum(1, np.ceil(np.linalg.eigvals(a).real.max(-1) * cols.lam / 4))
+    counts = _segment_count(a, cols.lam)
+    assert np.array_equal(counts, referee)
+    assert counts.max() > 150
+    for (e, b), count in zip(pts, counts.tolist()):  # one matrix alone
+        assert _segment_count(split_ode(b, e), b.lam) == count
+
+
+@pytest.mark.parametrize("eps, lam", ((1e150, 2.0), (40.0, 30.0)))
+def test_more_segments_than_the_cap_is_a_value_error_naming_eps(eps, lam):
+    # eps = 1e150 overflows eps**4, so its count is not finite;
+    # eps = 40 at lam = 30 needs 301 segments
+    wide = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=lam)
+    with pytest.raises(ValueError, match=re.escape(f"eps={eps!r} at lam={lam!r}")) as single:
+        oracle_amplitudes(eps, wide)
+    assert str(MAX_SEGMENTS) in str(single.value)
+    ok = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=2.0)
+    with pytest.raises(ValueError) as batch:
+        oracle_amplitudes([1.2, eps, 1.2], [ok, wide, ok])
+    assert str(batch.value) == str(single.value)

@@ -11,6 +11,7 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
+    ScatteringAmplitudes,
     SingularSystemError,
     current_density,
     oracle_amplitudes,
@@ -323,3 +324,14 @@ class TestBatch:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="^2 energies for 1 barriers$"):
             solve([1.3, 1.4], [OK[1]])
+
+
+def test_records_are_immutable_tuples_of_fixed_fields():
+    assert ScatteringAmplitudes._fields == ("r", "rt", "t", "tt", "a", "b", "at", "bt")
+    single, batch, oracle = solve(*OK), solve(*unzip([OK, OK])), oracle_amplitudes(*OK)
+    assert all(type(amps) is type(single) is ScatteringAmplitudes for amps in batch)
+    assert type(oracle) is ScatteringAmplitudes
+    assert (oracle.a, oracle.b, oracle.at, oracle.bt) == (None, None, None, None)
+    for record, name in ((single, "t"), (oracle, "bt"), (wave_params(*OK), "beta")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0j)

@@ -1,7 +1,6 @@
 """Closed transfer elements against exp(-A*lam) of the split interior system."""
 
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -172,8 +171,8 @@ def test_stacked_exponential_is_the_single_calls_word_for_word():
 
 
 @pytest.mark.parametrize("mutate", [
-    pytest.param(lambda p: dataclasses.replace(p, beta=-p.beta), id="beta-sign"),
-    pytest.param(lambda p: dataclasses.replace(p, gamma=p.gamma.conjugate()), id="gamma-conjugate"),
+    pytest.param(lambda p: p._replace(beta=-p.beta), id="beta-sign"),
+    pytest.param(lambda p: p._replace(gamma=p.gamma.conjugate()), id="gamma-conjugate"),
 ])
 def test_exponential_catches_a_wrong_mixing_coefficient(mutate):
     # the exponential reads no wave parameter, so a table mixed with a wrong
