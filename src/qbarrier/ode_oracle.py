@@ -12,11 +12,17 @@ test in the suite pins the coupling signs).  The first-order state
 y = (phi, phi', psi, psi') obeys y' = A*y with constant A, so the state at
 one end of a segment of length h is the state at the other end times a
 matrix exponential: y(0) = exp(-A*h) @ y(h).  Each segment map is
-`transfer.transfer_numeric`, the same scaled-and-squared Taylor series
-that checks the closed transfer table, accurate to rounding at any length.
-No branch choices, no special functions: this route works at degenerate
-and threshold parameters alike and is the independent check on every
-closed form in the package.
+`transfer.transfer_numeric`, the same exponential that checks the closed
+transfer table, accurate to rounding at any length.  In the order
+(phi, psi | phi', psi') A is [[0, I], [K, 0]], so exp(-A*h) is
+[[C, S], [K@S, C]] with C = sum_j (h**2*K)**j/(2j)! and
+S = -h*sum_j (h**2*K)**j/(2j+1)!: the even and odd parts of its Taylor
+series in the 2x2 block K.  Each point's h is scaled by 2**-s until
+||(h*2**-s)**2*K||_1 <= 4, both series are summed to j = 12 (the first
+omitted term is at most 2**26/26! ~ 1.7e-19 of its block's leading one)
+and the blocks are squared back s times.  No branch choices, no special
+functions: this route works at degenerate and threshold parameters alike
+and is the independent check on every closed form in the package.
 
 A point's segment count keeps each segment map's growth below
 exp(_SEGMENT_GROWTH).  It is read off the spectrum of A**2, a 2x2 block of
@@ -94,18 +100,12 @@ def _segment_count(a: np.ndarray, lam):
     return np.maximum(1, np.ceil(growth / _SEGMENT_GROWTH))
 
 
-def _column(*entries) -> np.ndarray:
-    """(n, 4, 1) stack of complex column vectors from four length-n entry arrays."""
-    return np.stack(entries, axis=-1, dtype=complex)[..., None]
-
-
 def _shoot(m: np.ndarray, eps: np.ndarray, segments: int) -> np.ndarray:
     """(R, Rt, tau, sigma) of each point from its segment map, an (n, 4, 4) stack of one segment count."""
-    zero, one = np.zeros_like(eps), np.ones_like(eps)
-    u_in = _column(one, 1j * eps, zero, zero)
-    u_r = _column(one, -1j * eps, zero, zero)
-    u_rt = _column(zero, zero, one, eps)
-    v_tt = _column(zero, zero, one, -eps)
+    # the free-zone states as columns: the incident and the reflected wave,
+    # the reflected pure quaternionic wave and the one transmitted with sigma
+    u = complex_stack([[1.0, 1.0, 0.0, 0.0], [1j * eps, -1j * eps, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, eps, -eps]])
 
     # Unknowns: (R, Rt, y_1 ... y_{segments-1}, tau, sigma); y_k is the
     # 4-state at interface k, tau/sigma the right-edge free-zone data.
@@ -114,15 +114,13 @@ def _shoot(m: np.ndarray, eps: np.ndarray, segments: int) -> np.ndarray:
     n = 4 * segments
     mat = np.zeros((len(eps), n, n), dtype=complex)
     rhs = np.zeros((len(eps), n, 1), dtype=complex)
-    mat[:, 0:4, 0:1] = u_r
-    mat[:, 0:4, 1:2] = u_rt
-    rhs[:, 0:4] = -u_in
+    mat[:, 0:4, 0:2] = u[..., 1:3]
+    rhs[:, 0:4, 0] = -u[..., 0]
     for k in range(1, segments):
         col = 2 + 4 * (k - 1)
         mat[:, 4 * (k - 1) : 4 * k, col : col + 4] = -m
         mat[:, 4 * k : 4 * k + 4, col : col + 4] = np.eye(4)
-    mat[:, n - 4 : n, n - 2 : n - 1] = -(m @ u_in)  # the transmitted wave's state has the incident form
-    mat[:, n - 4 : n, n - 1 : n] = -(m @ v_tt)
+    mat[:, n - 4 : n, n - 2 : n] = -(m @ u[..., ::3])  # the transmitted wave's state has the incident form
     x = np.linalg.solve(mat, rhs)[..., 0]
     return x[:, [0, 1, n - 2, n - 1]]
 
@@ -159,13 +157,15 @@ def oracle_amplitudes(eps, b):
     a, lam = split_ode(cols, eps_all), cols.lam
     del cols  # vc, vq and theta are not read again; the stacks below are the oracle's peak memory
     counts = _segment_count(a, lam)
-    for e, bar, count in zip(energies, barriers, counts.tolist()):
+    bad = (lam > MAX_WIDTH) | ~((0.0 < eps_all) & (eps_all < np.inf)) | ~(counts <= MAX_SEGMENTS)
+    if bad.any():  # the first failing point raises what it would raise alone
+        first = bad.argmax()
+        e, bar = energies[first], barriers[first]
         if bar.lam > MAX_WIDTH:
             raise ValueError(f"width {bar.lam!r} exceeds the integrator cap {MAX_WIDTH}")
         require_finite("eps", e, 0.0, strict=True)
-        if not count <= MAX_SEGMENTS:
-            raise ValueError(f"eps={e!r} at lam={bar.lam!r} needs more than the integrator cap of "
-                             f"{MAX_SEGMENTS} segments")
+        raise ValueError(f"eps={e!r} at lam={bar.lam!r} needs more than the integrator cap of "
+                         f"{MAX_SEGMENTS} segments")
     segments = counts.astype(int)
     for block in blocks(len(a), 16):  # a becomes the segment maps; A is not read again
         a[block] = transfer_numeric(a[block], lam[block] / segments[block])

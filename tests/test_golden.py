@@ -31,7 +31,7 @@ README_COMMANDS = [
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
-                 "42f8424fe7dddee759c12880d238e48beade4d5acbbdb3c43cba5fa70eee8ef0", id="verify"),
+                 "742f9c5889d2248d433ac33d9d56e87f3d68405c6845670ae24dc6c65d842ef2", id="verify"),
 ]
 
 #: each sweep mode in the format its README command does not use

@@ -126,6 +126,24 @@ def test_amplitudes_match_the_referee(eps, b):
     assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= 1e-11
 
 
+def test_transmission_matches_the_referee_to_1e_12():
+    # 40 seeded points at eps = U(0.2, 3), then 20 at eps = U(3, 25), where
+    # segment maps are the most squared; lam = U(0, 30) throughout.  First
+    # eps = 720 at lam = 1, where K ~ eps**2 is furthest from the growth rate
+    # eps: a scaling rule that counts |K| rather than sqrt(|K|) over-squares there
+    rng = np.random.default_rng(61)
+    pts = [(720.0, AdimensionalBarrier(0.6, 0.8, 0.0, 1.0))]
+    while len(pts) < 61:
+        phi, theta, eps, lam = rng.uniform((0.0, -math.pi, 0.2, 0.0), (math.pi, math.pi, 3.0, MAX_WIDTH))
+        if len(pts) > 40:
+            eps = rng.uniform(3.0, 25.0)
+        if abs(eps**4 - math.sin(phi) ** 2) >= 1e-6:
+            pts.append((eps, AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, lam)))
+    amps = oracle_amplitudes(*unzip(pts))
+    worst = max(abs(a.t - reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)[2]) for a, (eps, b) in zip(amps, pts))
+    assert worst <= 1e-12
+
+
 def test_agreement_with_closed_form_on_grid():
     worst = 0.0
     for eps, b in random_points(seed=14, n=60):

@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from qbarrier import (
     transfer_numeric,
     wave_params,
 )
+from qbarrier.ode_oracle import MAX_WIDTH, _segment_count
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -182,3 +184,52 @@ def test_exponential_catches_a_wrong_mixing_coefficient(mutate):
         closed = transfer_closed(mutate(wave_params(eps, b)), b.lam)
         worst = max(worst, scaled_gap(closed, transfer_numeric(split_ode(b, eps), b.lam)))
     assert worst > 1.0
+
+
+def test_one_width_serves_a_whole_stack():
+    pts = stack_points()
+    stack = transfer_numeric(np.stack([split_ode(b, eps) for eps, b in pts]), 1.5)
+    singles = np.stack([transfer_numeric(split_ode(b, eps), 1.5) for eps, b in pts])
+    assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))
+
+
+def test_exponential_refuses_a_matrix_that_is_not_the_split_system():
+    # only K is read, so any other matrix would be answered wrongly, not refused
+    dense = np.random.default_rng(58).normal(size=(4, 4)) + 0j
+    with pytest.raises(ValueError, match="split_ode"):
+        transfer_numeric(dense, 1.0)
+    a = np.stack([split_ode(AdimensionalBarrier(0.6, 0.8, 0.3, 1.0), 1.2)] * 3)
+    a[1, 3, 1] = 1e-300  # one stray entry in a stack
+    with pytest.raises(ValueError, match="split_ode"):
+        transfer_numeric(a, np.ones(3))
+
+
+def expm_points():
+    """Seeded (split_ode matrix, lam) pairs: wells and barriers over the unit circle with theta != 0,
+    the threshold eps = 1, lam = 0, negative lam, and eps = U(3, 25) at the oracle's segment widths."""
+    rng = np.random.default_rng(57)
+    pts = []
+    for k in range(120):
+        phi, theta, eps, lam = rng.uniform((0.0, -math.pi, 0.2, 0.0), (math.pi, math.pi, 3.0, 10.0))
+        b = AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, 0.0)
+        kind = k % 5
+        if kind == 1:
+            eps = 1.0
+        elif kind == 2:
+            lam = 0.0
+        elif kind == 3:
+            lam = -lam
+        elif kind == 4:
+            eps, lam = rng.uniform((3.0, 0.0), (25.0, MAX_WIDTH))
+            lam /= float(_segment_count(split_ode(b, eps), lam))
+        pts.append((split_ode(b, eps), lam))
+    return pts
+
+
+def test_exponential_matches_mpmath_expm():
+    worst = 0.0
+    for a, lam in expm_points():
+        with mp.workdps(40):
+            ref = np.array(mp.expm(mp.matrix(a.tolist()) * -lam).tolist(), dtype=complex)
+        worst = max(worst, scaled_gap(ref, transfer_numeric(a, lam)))
+    assert worst <= 1e-14
