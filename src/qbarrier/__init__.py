@@ -8,7 +8,7 @@ quaternionic (j, k) part, through three mutually checking routes:
   * a direct solve of the eight boundary-matching equations
     (:mod:`qbarrier.solver`),
   * a brute-force integration of the interior equations, one matrix
-    exponential per segment with multiple shooting (:mod:`qbarrier.ode_oracle`).
+    exponential per segment, composed by star products (:mod:`qbarrier.ode_oracle`).
 
 Resonance tables, the exact threshold (eps = 1) amplitudes and a CLI sit
 on top.

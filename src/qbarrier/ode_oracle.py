@@ -1,4 +1,4 @@
-"""Brute-force amplitudes: integrate the interior system, match boundaries.
+"""Brute-force amplitudes: integrate the interior system, compose its segments.
 
 Splitting the interior wavefunction Phi = phi + j*psi into its complex and
 pure quaternionic parts turns the quaternionic second-order equation into
@@ -8,51 +8,44 @@ two coupled complex equations,
     psi'' = (vc + eps**2)*psi + i*vq*exp(-i*theta)*phi,
 
 verified here by substituting the exponential interior basis (the residual
-test in the suite pins the coupling signs).  The first-order state
-y = (phi, phi', psi, psi') obeys y' = A*y with constant A, so the state at
-one end of a segment of length h is the state at the other end times a
-matrix exponential: y(0) = exp(-A*h) @ y(h).  Each segment map is
-`transfer.transfer_numeric`, the same exponential that checks the closed
-transfer table, accurate to rounding at any length.  In the order
-(phi, psi | phi', psi') A is [[0, I], [K, 0]], so exp(-A*h) is
-[[C, S], [K@S, C]] with C = sum_j (h**2*K)**j/(2j)! and
-S = -h*sum_j (h**2*K)**j/(2j+1)!: the even and odd parts of its Taylor
-series in the 2x2 block K.  Each point's h is scaled by 2**-s until
-||(h*2**-s)**2*K||_1 <= 4, both series are summed to j = 12 (the first
-omitted term is at most 2**26/26! ~ 1.7e-19 of its block's leading one)
-and the blocks are squared back s times.  No branch choices, no special
-functions: this route works at degenerate and threshold parameters alike
-and is the independent check on every closed form in the package.
+test in the suite pins the coupling signs).  The state y = (phi, phi', psi,
+psi') obeys y' = A*y with constant A, so y(0) = exp(-A*h) @ y(h) across a
+segment of length h: `transfer.transfer_numeric`, the exponential that
+checks the closed transfer table.  The width is cut into 2**s segments, s
+from that exponential's scaling rule, so each map is one Taylor sum.  No
+branch choices, no special functions: this route works at degenerate and
+threshold parameters alike and checks every closed form in the package.
 
-A point's segment count keeps each segment map's growth below
-exp(_SEGMENT_GROWTH).  It is read off the spectrum of A**2, a 2x2 block of
-A's entries (`_segment_count`), with no eigensolver; a point that needs
-more than MAX_SEGMENTS (256) segments raises ValueError.
-
-`oracle_amplitudes` takes one point or many in one call.  The segment
-maps of a batch come from one stacked exponential per block of points;
-the points are then grouped by segment count, and each group is matched
-by one stacked solve, with the same floating-point operations per point
-as a call for that point alone.
+Each map becomes the segment's scattering matrix (rl, tb, tf, rr) between
+wave channels at wave number k: phi's (1, i*k) and psi's (1, -i*k) go
+right, phi's (1, -i*k) and psi's (1, i*k) go left.  The split system
+conserves Q = Im(conj(phi)*phi') - Im(conj(psi)*psi') (its couplings obey
+d_psi = -conj(d_phi)), here the flux going right less that going left, so
+each segment's matrix is unitary.  It is star-squared s times by the
+Redheffer star product (Redheffer, J. Math. Phys. 41, 1962; Ko and Inkson,
+Phys. Rev. B 38, 9945, 1988), which inverts only I - rr@rl and stays
+bounded where products of transfer maps overflow; one star product at
+each edge reaches the free zones.  k = max(eps, min(1, lam)): at k = eps,
+phi's channels turn parallel as eps -> 0, and at k = 1 the edges of a
+barrier thinner than 1 nearly cancel (r was 8.3e-8 off at eps = 1e-10,
+lam = 0).  The amplitudes are within B = 1e-11 + 16*max(eps, 1)*lam*2**-52
+of the mpmath referee (`tests/mp_reference.py`); where B exceeds the 1e-9
+of `verify`'s cross-route check, or eps**2 overflows, a call raises.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 
 import numpy as np
 
 from .barrier import AdimensionalBarrier, blocks, columns, complex_stack, require_finite
 from .solver import ScatteringAmplitudes
-from .transfer import transfer_numeric
+from .transfer import _EYE, _mul, _squarings, transfer_numeric
 
-#: growing interior mode overflows long before this; hyperbolic closed forms
-#: own the large-width regime
-MAX_WIDTH = 30.0
-
-#: most segments one point may take, a (1024, 1024) complex block system
-#: (16 MiB); eps = 25 at lam = 29 takes 182
-MAX_SEGMENTS = 256
+#: largest max(eps, 1)*lam at which the error bound B stays within 1e-9 (about 2.79e5)
+_REACH = (1e-9 - 1e-11) / (16 * 2.0**-52)
 
 
 def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
@@ -80,111 +73,111 @@ def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
     return complex_stack(rows) if batch else np.array(rows, dtype=complex)
 
 
-#: per-segment exponential growth budget for the boundary matching
-_SEGMENT_GROWTH = 4.0
+def _inv(m: np.ndarray) -> np.ndarray:
+    """The inverse of each 2x2 block of m (2, 2, n), points last."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def _segment_count(a: np.ndarray, lam):
-    """Segment count (a whole float) of one 4x4 matrix at width lam, or of each matrix of a stack at its lam.
+def _scattering(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The scattering matrices (rl, tb, tf, rr), stacked (4, 2, 2, n), of segment maps m (n, 4, 4) in the channels at k.
 
-    A**2 acts on (phi, psi) as K = [[A10, A12], [A30, A32]], so A's
-    eigenvalues are +-sqrt(mu) for K's eigenvalues mu = h +- r, whatever
-    the sign of r.  Not finite where eps**4 overflows; the caller checks
-    the count against MAX_SEGMENTS.
+    In the channels (going right | going left), m = [[C, S], [K@S, C]] is
+    [[diag(C) + U - V, offdiag(C) - U - V], [offdiag(C) + U + V, diag(C) - U + V]]
+    with U = i*k*S@J/2, V = i*J@(K@S)/(2k) and J = diag(1, -1).
     """
-    k00, k01, k10, k11 = a[..., 1, 0], a[..., 1, 2], a[..., 3, 0], a[..., 3, 2]
-    with np.errstate(all="ignore"):
-        h = (k00 + k11) / 2
-        r = np.sqrt((k00 - k11) ** 2 / 4 + k01 * k10)
-        growth = np.maximum(np.sqrt(h + r).real, np.sqrt(h - r).real) * lam
-    return np.maximum(1, np.ceil(growth / _SEGMENT_GROWTH))
+    y, j = m.transpose(1, 2, 0), np.array([1.0, -1.0])
+    c = y[0::2, 0::2]
+    diag = c * _EYE
+    u = (0.5j * k) * y[0::2, 1::2] * j[:, None]
+    v = (0.5j / k) * y[1::2, 0::2] * j[:, None, None]
+    t12 = c - diag - u - v
+    tf = _inv(diag + u - v)
+    rl = _mul(c - diag + u + v, tf)
+    return np.stack([rl, diag - u + v - _mul(rl, t12), tf, -_mul(tf, t12)])
 
 
-def _shoot(m: np.ndarray, eps: np.ndarray, segments: int) -> np.ndarray:
-    """(R, Rt, tau, sigma) of each point from its segment map, an (n, 4, 4) stack of one segment count."""
-    # the free-zone states as columns: the incident and the reflected wave,
-    # the reflected pure quaternionic wave and the one transmitted with sigma
-    u = complex_stack([[1.0, 1.0, 0.0, 0.0], [1j * eps, -1j * eps, 0.0, 0.0],
-                       [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, eps, -eps]])
+def _square(z: np.ndarray) -> np.ndarray:
+    """The star product of each scattering matrix z = (rl, tb, tf, rr), stacked (4, 2, 2, n), with itself.
 
-    # Unknowns: (R, Rt, y_1 ... y_{segments-1}, tau, sigma); y_k is the
-    # 4-state at interface k, tau/sigma the right-edge free-zone data.
-    # Row block k reads y_k - m @ y_{k+1} = 0, with y_0 and y_segments the
-    # free-zone states at the two edges.
-    n = 4 * segments
-    mat = np.zeros((len(eps), n, n), dtype=complex)
-    rhs = np.zeros((len(eps), n, 1), dtype=complex)
-    mat[:, 0:4, 0:2] = u[..., 1:3]
-    rhs[:, 0:4, 0] = -u[..., 0]
-    for k in range(1, segments):
-        col = 2 + 4 * (k - 1)
-        mat[:, 4 * (k - 1) : 4 * k, col : col + 4] = -m
-        mat[:, 4 * k : 4 * k + 4, col : col + 4] = np.eye(4)
-    mat[:, n - 4 : n, n - 2 : n] = -(m @ u[..., ::3])  # the transmitted wave's state has the incident form
-    x = np.linalg.solve(mat, rhs)[..., 0]
-    return x[:, [0, 1, n - 2, n - 1]]
+    X = inv(I - rr@rl) is the only inverse (Redheffer): tf' = tf@X@tf,
+    rr' = rr + tf@X@rr@tb, rl' = rl + tb@rl@X@tf, tb' = tb@(I + rl@X@rr)@tb.
+    """
+    rl, tb, tf, rr = z
+    xs = _mul(_inv(_EYE - _mul(rr, rl)), z[2:])  # X@tf, X@rr
+    (tf_x_tf, tf_x_rr), (rl_x_tf, rl_x_rr) = _mul(z[2::-2, None], xs)
+    rr_tb, tb_tb = _mul(np.stack([tf_x_rr, _EYE + rl_x_rr]), tb)
+    rl_tb = _mul(tb, np.stack([rl_x_tf, tb_tb]))
+    return np.stack([rl + rl_tb[0], rl_tb[1], tf_x_tf, rr + rr_tb])
+
+
+def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(R, Rt, tau, sigma), a (4, n) array, from the barrier's scattering matrices z in the channels at k.
+
+    The free zones' channels are phi's waves (1, +-i*eps) and psi's (1, -+eps),
+    at kappa = -i*eps.  Seen from the barrier, each edge reflects
+    rho = (k - kappa)/(k + kappa) and passes 2*k/(k + kappa) of a channel.
+    """
+    rl, tb, tf, rr = z
+    kappa = np.array([eps + 0j, -1j * eps])
+    rho, through = (k - kappa) / (k + kappa), 2.0 * k / (k + kappa)
+    xt = _mul(_inv(_EYE - rr * rho), tf)
+    right = np.stack([rl + _mul(tb * rho, xt), through[:, None] * xt])  # rl and tf with the right edge
+    out = _mul(right, _inv(_EYE - rho[:, None] * right[0])[:, :1]).reshape(4, -1) * (2.0 * eps / (k + eps))
+    out[:2] *= through
+    out[0] -= rho[0]
+    return out
+
+
+def _amplitudes(a: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(R, Rt, tau, sigma), a (4, n) array, of the split systems a (n, 4, 4) at widths lam."""
+    s = _squarings(a, lam)
+    k = np.maximum(eps, np.minimum(1.0, lam))
+    z = _scattering(transfer_numeric(a, lam * 0.5**s), k)
+    for i in range(s.max(initial=0)):
+        z[..., s > i] = _square(z[..., s > i])
+    return _edges(z, eps, k)
 
 
 def oracle_amplitudes(eps, b):
-    """Scattering amplitudes with no closed formula anywhere in the path.
-
-    The interval is split into segments short enough that each segment's
-    propagation map grows by at most exp(_SEGMENT_GROWTH); the segment
-    maps exp(-A*lam/segments), the two free-zone parameterizations and the
-    interface states are assembled into one block linear system (multiple
-    shooting).  A single end-to-end map would concentrate the full
-    exp(alpha_plus*lam) growth into one matrix and lose the transmitted
-    amplitude in its rounding.  Interior coefficients are not produced.
+    """Scattering amplitudes with no closed formula anywhere in the path (module docstring).
 
     A float eps with one barrier b gives one ScatteringAmplitudes; equal-
     length sequences of energies and barriers give a list with one record
-    per point, each the single call's bit for bit.  The split systems are
-    built as one stack, and the segment maps come from one
-    `transfer_numeric` call per block of `barrier.blocks(n, 16)` points; the
-    points are then grouped by segment count, and each group is matched by
-    one stacked linear solve per block of its points.
+    per point, each the single call's bit for bit, integrated in blocks of
+    `barrier.blocks(n, 16)` points.  Interior coefficients are not produced.
 
-    tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`;
-    r, rt and t do not depend on it.
+    tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`, and
+    where its right-edge datum sigma = Tt*exp(-eps*lam) is subnormal, or 0
+    at vq*lam > 0 (at vq*lam = 0, Tt is exactly 0); r, rt and t do not depend on it.
 
     Raises:
-        ValueError: at the first point whose width exceeds MAX_WIDTH, whose
-            eps is not > 0, or which needs more than MAX_SEGMENTS segments.
+        ValueError: at the first point whose eps is not > 0, or where eps**2
+            overflows (eps >= 2**512) or max(eps, 1)*lam exceeds _REACH (~2.79e5).
     """
     single = isinstance(b, AdimensionalBarrier)
     energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
     eps_all, cols = columns(energies, barriers)
-    a, lam = split_ode(cols, eps_all), cols.lam
-    del cols  # vc, vq and theta are not read again; the stacks below are the oracle's peak memory
-    counts = _segment_count(a, lam)
-    bad = (lam > MAX_WIDTH) | ~((0.0 < eps_all) & (eps_all < np.inf)) | ~(counts <= MAX_SEGMENTS)
+    bad = ~((0.0 < eps_all) & (eps_all < 2.0**512) & (cols.lam <= _REACH / np.maximum(eps_all, 1.0)))
     if bad.any():  # the first failing point raises what it would raise alone
         first = bad.argmax()
         e, bar = energies[first], barriers[first]
-        if bar.lam > MAX_WIDTH:
-            raise ValueError(f"width {bar.lam!r} exceeds the integrator cap {MAX_WIDTH}")
         require_finite("eps", e, 0.0, strict=True)
-        raise ValueError(f"eps={e!r} at lam={bar.lam!r} needs more than the integrator cap of "
-                         f"{MAX_SEGMENTS} segments")
-    segments = counts.astype(int)
-    for block in blocks(len(a), 16):  # a becomes the segment maps; A is not read again
-        a[block] = transfer_numeric(a[block], lam[block] / segments[block])
-    x = np.empty((len(barriers), 4), dtype=complex)
-    for s in np.unique(segments).tolist():
-        group = np.flatnonzero(segments == s)
-        for part in blocks(len(group), 16 * s * s):
-            x[group[part]] = _shoot(a[group[part]], eps_all[group[part]], s)
-    amps = [
-        ScatteringAmplitudes(
-            r=r, rt=rt, t=tau * cmath.exp(-1j * e * bar.lam), tt=_far_edge(sigma, e * bar.lam)
-        )
-        for (r, rt, tau, sigma), e, bar in zip(x.tolist(), energies, barriers)
-    ]
+        raise ValueError(f"eps={e!r} at lam={bar.lam!r} is beyond the integrator's reach: eps**2 must be "
+                         f"finite and max(eps, 1)*lam at most {_REACH:.4g}")
+    a = split_ode(cols, eps_all)
+    x = np.empty((4, len(barriers)), dtype=complex)
+    for block in blocks(len(a), 16):
+        x[:, block] = _amplitudes(a[block], eps_all[block], cols.lam[block])
+    amps = [ScatteringAmplitudes(r, rt, tau * cmath.exp(-1j * e * bar.lam),
+                                 _far_edge(sigma, e * bar.lam, min(bar.vq, bar.lam) > 0))
+            for (r, rt, tau, sigma), e, bar in zip(x.T.tolist(), energies, barriers)]
     return amps[0] if single else amps
 
 
-def _far_edge(sigma: complex, growth: float) -> complex | None:
-    """Tt = sigma*exp(growth) from the right-edge datum sigma, or None where exp(growth) overflows."""
+def _far_edge(sigma: complex, growth: float, coupled: bool) -> complex | None:
+    """Tt = sigma*exp(growth) from the right-edge datum sigma; None where exp(growth) overflows or sigma underflows."""
+    if abs(sigma) < sys.float_info.min and (sigma or coupled):
+        return None
     try:
         return sigma * cmath.exp(growth)
     except OverflowError:

@@ -43,7 +43,7 @@ class ScatteringAmplitudes(NamedTuple):
     a, b, at, bt multiply cosh(am*s), shc(am, s), cosh(ap*s) and shc(ap, s),
     s = xi - lam/2 (module docstring).  They are None when produced by a
     route that does not construct that basis (the brute-force integrator),
-    which also gives tt as None where exp(eps*lam) overflows.
+    which also gives tt as None where exp(eps*lam) overflows or Tt*exp(-eps*lam) underflows.
     """
 
     r: complex

@@ -18,11 +18,11 @@ eps = 1, where am (barrier) or ap (well) is 0.
 
 `transfer_closed` evaluates that table from the wave parameters.
 `transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
-of the split interior system y' = A*y (`ode_oracle.split_ode`), which uses
-no wave parameter and no branch choice.  The oracle `ode_oracle.oracle_amplitudes`
-takes its segment maps exp(-A*h) from it too.  Both take one point or a
-batch: the wave parameters of n points give an (n, 4, 4) stack of tables,
-and an (n, 4, 4) stack of matrices A its stack of exponentials.
+of the split interior system y' = A*y (`ode_oracle.split_ode`), with no wave
+parameter and no branch choice; at lam*2**-s (`_squarings`) it is the
+segment map of `ode_oracle`.  Both take one point or a batch: the wave
+parameters of n points give an (n, 4, 4) stack of tables, and an
+(n, 4, 4) stack of matrices A its stack of exponentials.
 
 In the order (phi, psi | phi', psi') A is [[0, I], [K, 0]], with K the
 2x2 block A[[1, 3]][:, [0, 2]].  So B = -A*lam squares to lam**2*K on both
@@ -102,11 +102,11 @@ def transfer_closed(p: WaveParams, lam) -> np.ndarray:
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p @ q for 2x2 blocks held points last: p is (2, 2, n), q is (2, 2, n) or a stack (m, 2, 2, n) of such.
+    """p @ q for 2x2 blocks held points last: (2, 2, n) arrays, or stacks of them that broadcast.
 
     Each entry is a sum of two products, so a point's bits do not depend on n.
     """
-    return p[:, :1] * q[..., None, 0, :, :] + p[:, 1:] * q[..., None, 1, :, :]
+    return p[..., :1, :] * q[..., None, 0, :, :] + p[..., 1:, :] * q[..., None, 1, :, :]
 
 
 def _series(x: np.ndarray) -> np.ndarray:
@@ -129,6 +129,12 @@ def _series(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squarings(a: np.ndarray, lam) -> np.ndarray:
+    """The scaling rule: the least s >= 0 with |lam|*2**-s*sqrt(||K||_1) < 2, for `split_ode` matrices a."""
+    norm = np.abs(lam) * np.sqrt(np.abs(a[..., 1::2, 0::2]).sum(axis=-2).max(axis=-1))
+    return np.maximum(np.frexp(norm / 2.0)[1], 0)
+
+
 def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
     """exp(-a*lam) by its even and odd Taylor series with scaling and squaring (Higham, Functions of Matrices, ch. 10).
 
@@ -147,8 +153,7 @@ def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
                          "[0, 0, 0, 1], [*, 0, *, 0]]")
     k = a.reshape(-1, 4, 4)[:, 1::2, 0::2].transpose(1, 2, 0)
     h = np.full(k.shape[-1], -np.asarray(lam, dtype=float))  # B = A*h
-    norm = np.abs(h) * np.sqrt(np.abs(k).sum(axis=0).max(axis=0))  # sqrt(||h**2*K||_1)
-    s = np.maximum(np.frexp(norm / 2.0)[1], 0)  # norm*2**-s < 2
+    s = _squarings(a, h)
     order = np.argsort(-s, kind="stable")  # most squarings first
     k, h, s = k[..., order], h[order], s[order]
     h = h * 0.5**s

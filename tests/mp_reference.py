@@ -28,12 +28,15 @@ import mpmath as mp
 THRESHOLD_OFFSET = mp.mpf("1e-30")
 
 
-def reference_amplitudes(eps: float, vc: float, vq: float, theta: float, lam: float):
-    """(r, rt, t, tt) as Python complex numbers, from the mpmath solve."""
+def reference_amplitudes(eps: float, vc: float, vq: float, theta: float, lam: float, right_edge: bool = False):
+    """(r, rt, t, tt) as Python complex numbers, from the mpmath solve.
+
+    With right_edge, Tt's right-edge datum Tt*exp(-eps*lam) takes its place.
+    """
     with mp.workdps(_digits(eps, vc, vq, lam)):
         e = mp.mpf(eps) + (THRESHOLD_OFFSET if eps == 1.0 else 0)
         x = _solve(e, *(mp.mpf(v) for v in (vc, vq, theta, lam)))
-        return complex(x[0]), complex(x[1]), complex(x[2]), complex(x[3] / mp.exp(-e * lam))
+        return complex(x[0]), complex(x[1]), complex(x[2]), complex(x[3] if right_edge else x[3] / mp.exp(-e * lam))
 
 
 def reference_width_peak(eps0: float, vc: float, vq: float, theta: float, lam0: float) -> float:

@@ -31,7 +31,7 @@ README_COMMANDS = [
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
-                 "742f9c5889d2248d433ac33d9d56e87f3d68405c6845670ae24dc6c65d842ef2", id="verify"),
+                 "b5c4d7aa6c4a793c3253e2c1ced121cf8b889a8638827136f7ea8ad7e8df3f44", id="verify"),
 ]
 
 #: each sweep mode in the format its README command does not use

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier import barrier
-from qbarrier.ode_oracle import MAX_SEGMENTS, MAX_WIDTH, _segment_count
+from qbarrier.transfer import _squarings
 from tests.conftest import random_points, unzip
 from tests.mp_reference import reference_amplitudes
 
@@ -108,11 +109,11 @@ def test_mixed_potential_table_peak_is_local_maximum():
 def referee_points():
     """Four points at large eps*lam, where a low-order integrator with a fixed step
     count loses digits, then seeded points over the whole unit circle of (vc, vq),
-    wells included, up to MAX_WIDTH."""
+    wells included, up to lam = 30."""
     pts = [(eps, AdimensionalBarrier(0.6, 0.8, 0.0, lam)) for eps in (25.0, 10.0) for lam in (29.0, 20.0)]
     rng = np.random.default_rng(23)
     while len(pts) < 40:
-        eps, phi, theta, lam = rng.uniform((0.2, 0.0, 0.0, 0.0), (3.0, math.pi, 2.0 * math.pi, MAX_WIDTH))
+        eps, phi, theta, lam = rng.uniform((0.2, 0.0, 0.0, 0.0), (3.0, math.pi, 2.0 * math.pi, 30.0))
         vc, vq = math.cos(phi), math.sin(phi)
         if abs(eps**4 - vq**2) >= 1e-6:
             pts.append((eps, AdimensionalBarrier(vc, vq, theta, lam)))
@@ -134,7 +135,7 @@ def test_transmission_matches_the_referee_to_1e_12():
     rng = np.random.default_rng(61)
     pts = [(720.0, AdimensionalBarrier(0.6, 0.8, 0.0, 1.0))]
     while len(pts) < 61:
-        phi, theta, eps, lam = rng.uniform((0.0, -math.pi, 0.2, 0.0), (math.pi, math.pi, 3.0, MAX_WIDTH))
+        phi, theta, eps, lam = rng.uniform((0.0, -math.pi, 0.2, 0.0), (math.pi, math.pi, 3.0, 30.0))
         if len(pts) > 40:
             eps = rng.uniform(3.0, 25.0)
         if abs(eps**4 - math.sin(phi) ** 2) >= 1e-6:
@@ -154,8 +155,6 @@ def test_agreement_with_closed_form_on_grid():
 def test_input_guards():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
     with pytest.raises(ValueError):
-        oracle_amplitudes(1.4, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=40.0))
-    with pytest.raises(ValueError):
         split_ode(b, -1.0)
 
 
@@ -166,27 +165,36 @@ def test_interior_coefficients_absent():
 
 
 def batch_points():
-    """Seeded points and edge cases whose segment counts run from 1 to past 7."""
+    """Seeded points and edge cases whose squaring counts run from 0 to past 10."""
     pts = random_points(seed=21, n=40, lam_max=20.0)
     pts += [
+        (25.0, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=120.0)),  # thick at large eps
+        (25.0, AdimensionalBarrier(vc=-0.8, vq=0.6, theta=1.0, lam=60.0)),
+        (2.0, AdimensionalBarrier(vc=0.6, vq=0.8, theta=-0.5, lam=80.0)),
+        (2.0, AdimensionalBarrier(vc=0.0, vq=1.0, theta=2.5, lam=40.0)),
+        (0.5, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=800.0)),
+        (1e-10, AdimensionalBarrier(vc=-0.6, vq=0.8, theta=-2.0, lam=300.0)),  # a thick well
+        (1e-8, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.2, lam=1e-9)),  # thinner than eps
         (0.7, AdimensionalBarrier(vc=-0.6, vq=0.8, theta=1.1, lam=4.0)),  # a well
         (2.0, AdimensionalBarrier(vc=-1.0, vq=0.0, theta=0.0, lam=25.0)),  # a complex well
         (1.3, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.5, lam=0.0)),  # no width
         (1.0, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.3, lam=2.0)),  # the threshold
         ((1.0 + 2e-6) ** 0.25, AdimensionalBarrier(vc=0.0, vq=1.0, theta=0.0, lam=3.0)),  # band edge
-        (0.5, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=MAX_WIDTH)),
+        (0.5, AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=30.0)),
     ]
     return pts
 
 
 def amplitude_words(amps):
-    return np.array([[a.r, a.rt, a.t, a.tt] for a in amps]).view(np.uint64)
+    """r, rt, t and tt of each record as uint64 words, a None tt as 0 followed by a 1."""
+    rows = [[a.r, a.rt, a.t, 0 if a.tt is None else a.tt, a.tt is None] for a in amps]
+    return np.array(rows, dtype=complex).view(np.uint64)
 
 
 def test_batch_is_the_single_calls_word_for_word():
     pts = batch_points()
-    counts = {int(_segment_count(split_ode(b, eps), b.lam)) for eps, b in pts}
-    assert set(range(1, 8)) <= counts
+    counts = {int(_squarings(split_ode(b, eps)[None], b.lam)[0]) for eps, b in pts}
+    assert set(range(11)) <= counts
     batch = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
     singles = [oracle_amplitudes(eps, b) for eps, b in pts]
     assert np.array_equal(amplitude_words(batch), amplitude_words(singles))
@@ -195,7 +203,7 @@ def test_batch_is_the_single_calls_word_for_word():
 def test_batch_split_into_parts_keeps_its_words(monkeypatch):
     pts = batch_points()
     whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
-    # 4 maps per exponential, and one point per solve beyond 1 segment
+    # blocks of 4 points
     monkeypatch.setattr(barrier, "MAX_ENTRIES", 64)
     parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
     assert np.array_equal(amplitude_words(whole), amplitude_words(parts))
@@ -203,7 +211,7 @@ def test_batch_split_into_parts_keeps_its_words(monkeypatch):
 
 def test_batch_raises_what_the_first_failing_point_raises():
     ok = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=2.0)
-    wide = [AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=lam) for lam in (40.0, 50.0)]
+    wide = [AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=lam) for lam in (3e5, 4e5)]
     with pytest.raises(ValueError) as single:
         oracle_amplitudes(1.2, wide[0])
     with pytest.raises(ValueError) as batch:
@@ -216,7 +224,7 @@ def test_batch_raises_what_the_first_failing_point_raises():
 
 
 def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
-    # exp(eps*lam) of Tt overflows at eps*lam = 725, inside the width cap
+    # exp(eps*lam) of Tt overflows at eps*lam = 725
     # (test_amplitudes_match_the_referee pins r, rt and t at this point)
     thick = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=29.0)
     alone = oracle_amplitudes(25.0, thick)
@@ -228,43 +236,104 @@ def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
 
 
 def count_points():
-    """Seeded points over the whole unit circle, wells included, at lam up to MAX_WIDTH and
+    """Seeded points over the whole unit circle, wells included, at lam up to 30 and
     eps up to 25, then the threshold and the band edge at three widths."""
     rng = np.random.default_rng(41)
     pts = []
     for k in range(400):
-        phi, theta, lam = rng.uniform((0.0, -math.pi, 0.0), (math.pi, math.pi, MAX_WIDTH))
+        phi, theta, lam = rng.uniform((0.0, -math.pi, 0.0), (math.pi, math.pi, 30.0))
         eps = rng.uniform(0.05, 3.0) if k % 2 else rng.uniform(3.0, 25.0)
         pts.append((eps, AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, lam)))
-    for lam in (0.0, 2.0, MAX_WIDTH):
+    for lam in (0.0, 2.0, 30.0):
         pts += [(1.0, AdimensionalBarrier(0.0, 1.0, 0.3, lam)),
                 (1.0, AdimensionalBarrier(-0.6, 0.8, 0.0, lam)),
                 ((1.0 + 2e-6) ** 0.25, AdimensionalBarrier(0.0, 1.0, 0.0, lam))]
     return pts
 
 
-def test_segment_count_is_the_eigenvalue_count():
-    # the referee takes the growth from A's spectrum by an eigensolver
+def test_squaring_rule_bounds_each_segments_growth():
+    # the referee takes the growth rate max Re eig(A) by an eigensolver; each
+    # of the 2**s segments grows by less than exp(2)
     pts = count_points()
     eps, cols = barrier.columns(*unzip(pts))
     a = split_ode(cols, eps)
-    referee = np.maximum(1, np.ceil(np.linalg.eigvals(a).real.max(-1) * cols.lam / 4))
-    counts = _segment_count(a, cols.lam)
-    assert np.array_equal(counts, referee)
-    assert counts.max() > 150
-    for (e, b), count in zip(pts, counts.tolist()):  # one matrix alone
-        assert _segment_count(split_ode(b, e), b.lam) == count
+    s = _squarings(a, cols.lam)
+    growth = np.linalg.eigvals(a).real.max(-1) * cols.lam * 0.5**s
+    assert growth.max() < 2.0
+    assert s.max() >= 8 and growth.max() > 1.0
+    for (e, b), count in zip(pts, s.tolist()):  # one matrix alone
+        assert _squarings(split_ode(b, e)[None], b.lam)[0] == count
 
 
-@pytest.mark.parametrize("eps, lam", ((1e150, 2.0), (40.0, 30.0)))
-def test_more_segments_than_the_cap_is_a_value_error_naming_eps(eps, lam):
-    # eps = 1e150 overflows eps**4, so its count is not finite;
-    # eps = 40 at lam = 30 needs 301 segments
+@pytest.mark.parametrize("eps, lam", ((1e150, 2.0), (1e200, 1e-300), (1e8, 2.0), (1.2, 3e5)))
+def test_beyond_reach_is_a_value_error_naming_eps_and_lam(eps, lam):
+    # eps**2 overflows at eps = 1e200; elsewhere max(eps, 1)*lam passes 2.79e5,
+    # where the error bound 1e-11 + 16*max(eps, 1)*lam*2**-52 exceeds 1e-9
     wide = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=lam)
     with pytest.raises(ValueError, match=re.escape(f"eps={eps!r} at lam={lam!r}")) as single:
         oracle_amplitudes(eps, wide)
-    assert str(MAX_SEGMENTS) in str(single.value)
     ok = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=2.0)
     with pytest.raises(ValueError) as batch:
         oracle_amplitudes([1.2, eps, 1.2], [ok, wide, ok])
     assert str(batch.value) == str(single.value)
+
+
+def gate_points():
+    """Three fixed points, then 200 seeded ones over the whole unit circle with theta != 0.
+
+    lam is U(0, 30) or 10**U(1.5, 3), and eps U(0.05, 3) or 10**U(-10, 3),
+    each on half of the draws.  A draw is kept at max(eps, 1)*lam <= 3e3,
+    where the referee takes at most about 2.6e3 digits, and outside the
+    referee's singular band.
+    """
+    pts = [(0.5, AdimensionalBarrier(0.0, 1.0, 0.0, 800.0)),
+           (40.0, AdimensionalBarrier(0.6, 0.8, 0.4, 30.0)),  # 2**10 segments
+           (1e3, AdimensionalBarrier(0.6, 0.8, 0.0, 10.0))]
+    rng = np.random.default_rng(5)
+    while len(pts) < 203:
+        phi, theta = rng.uniform((0.0, -math.pi), (math.pi, math.pi))
+        eps = rng.uniform(0.05, 3.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-10.0, 3.0)
+        lam = rng.uniform(0.0, 30.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(1.5, 3.0)
+        if max(eps, 1.0) * lam <= 3e3 and abs(eps**4 - math.sin(phi) ** 2) >= 1e-6:
+            pts.append((eps, AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, lam)))
+    return pts
+
+
+def test_amplitudes_are_within_the_error_bound_of_the_referee():
+    # B = 1e-11 + 16*max(eps, 1)*lam*2**-52 bounds r, rt and t absolutely.  The
+    # transmitted pair (t, sigma), sigma = Tt*exp(-eps*lam), is accurate to B
+    # relative to its larger member, so t is held to that, tt to B relative
+    # to itself: at eps = 1e-7, lam = 279 (a well), |t| is 4.4e-4 of |sigma| and
+    # 2.5e-11 relative off, as is the dense shooting solve at that point.
+    pts = gate_points()
+    for (eps, b), amps in zip(pts, oracle_amplitudes(*unzip(pts))):
+        r, rt, t, sigma = reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam, right_edge=True)
+        bound = 1e-11 + 16.0 * max(eps, 1.0) * b.lam * 2.0**-52
+        assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= bound
+        if abs(sigma) >= sys.float_info.min:
+            assert abs(amps.t - t) <= bound * max(abs(t), abs(sigma))
+            if amps.tt is not None:
+                tt = sigma * cmath.exp(eps * b.lam)
+                assert abs(amps.tt - tt) <= bound * abs(tt)
+    pinned = oracle_amplitudes(*pts[0]).tt  # Tt of the referee
+    assert abs(pinned - (7.899492613119e-69 + 8.975105448541e-69j)) <= 1e-12 * abs(pinned)
+
+
+def test_underflowing_right_edge_datum_gives_tt_none():
+    # sigma = Tt*exp(-eps*lam) is about 1.5e-338 here, below the normal range, while
+    # the referee's Tt is -6.79e-68 + 1.40e-67j; at vq = 0 or lam = 0, Tt is exactly 0
+    b = AdimensionalBarrier(0.4225447842073864, 0.9063420465470712, -0.1821341152417375, 954.1010820726543)
+    assert oracle_amplitudes(0.6538614585353801, b).tt is None
+    assert oracle_amplitudes(0.6538614585353801, AdimensionalBarrier(1.0, 0.0, 0.0, 954.0)).tt == 0.0
+    assert oracle_amplitudes(1e-300, AdimensionalBarrier(0.6, 0.8, 0.3, 0.0)).tt == 0.0
+
+
+@pytest.mark.parametrize("eps", (1e-10, 1e-6, 1e-3))
+def test_barrier_thinner_than_its_wavelength_matches_the_referee(eps):
+    # with channels at k = 1, the two edges reflect nearly all of phi and
+    # their product left r 8.3e-8 off at eps = 1e-10, lam = 0
+    for lam in (0.0, 1e-12, 1e-10, 1e-8, 1e-5, 1e-2):
+        for vc, vq in ((0.6, 0.8), (-1.0, 0.0), (0.0, 1.0)):
+            amps = oracle_amplitudes(eps, AdimensionalBarrier(vc, vq, 0.3, lam))
+            r, rt, t, _ = reference_amplitudes(eps, vc, vq, 0.3, lam)
+            assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= 1e-13

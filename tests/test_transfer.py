@@ -18,7 +18,7 @@ from qbarrier import (
     transfer_numeric,
     wave_params,
 )
-from qbarrier.ode_oracle import MAX_WIDTH, _segment_count
+from qbarrier.transfer import _squarings
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -220,8 +220,8 @@ def expm_points():
         elif kind == 3:
             lam = -lam
         elif kind == 4:
-            eps, lam = rng.uniform((3.0, 0.0), (25.0, MAX_WIDTH))
-            lam /= float(_segment_count(split_ode(b, eps), lam))
+            eps, lam = rng.uniform((3.0, 0.0), (25.0, 30.0))
+            lam *= 0.5 ** int(_squarings(split_ode(b, eps)[None], lam)[0])
         pts.append((split_ode(b, eps), lam))
     return pts
 

@@ -6,10 +6,11 @@ phase) and, on the first points, `transmission_grid` over an energy grid
 and a width grid.  A seeded set of 2,000 widths goes through
 `critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
 None above lam ~709.78) and `asymptotic_moduli` for both cases.  The
-first 4,000 points no wider than the integrator cap go through
-`oracle_amplitudes` (r, rt, t and tt) in one call, and so, in a second
-call, does a seeded set of 200 points at eps = U(3, 25) and lam =
-U(0, 30), whose segment counts reach 181; the points on
+first 4,000 points no wider than 30 go through `oracle_amplitudes` (r,
+rt, t and tt) in one call, and so, in a second call, does a seeded set of
+200 points at eps = U(3, 25) and lam = U(0, 30), whose squaring counts
+reach 9, and in a third a seeded set of 200 thick points at eps =
+U(0.05, 3) and lam = U(30, 1000); the points on
 which a single `solve` or `transmission` call answers go through that
 route again in one call each; if such a call raises, as it does where the
 route takes one point per call, each point is called alone.
@@ -49,7 +50,9 @@ POINTS = 20_000
 WIDTHS = 2_000
 GRID_POINTS = 40  # points that also get an energy and a width grid
 ORACLE_POINTS = 4_000
-LARGE_EPS_POINTS = 200  # oracle points at large eps, so at large segment counts
+LARGE_EPS_POINTS = 200  # oracle points at large eps, so at large squaring counts
+THICK_POINTS = 200  # oracle points at lam up to 1e3
+ORACLE_WIDTH = 30.0  # widest point of the first oracle row, so a tree whose integrator caps lam at 30 answers it
 SCANS = 24  # potentials that get an energy and a width scan
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
@@ -97,6 +100,16 @@ def large_eps_points():
     phi = rng.uniform(0.0, np.pi, n)
     theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, n))
     eps, lam = rng.uniform(3.0, 25.0, n), rng.uniform(0.0, 30.0, n)
+    return list(zip(eps.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam.tolist()))
+
+
+def thick_points():
+    """(eps, vc, vq, theta, lam) tuples at eps = U(0.05, 3) and lam = U(30, 1000), the same on every call."""
+    rng = np.random.default_rng(SEED + 4)
+    n = THICK_POINTS
+    phi = rng.uniform(0.0, np.pi, n)
+    theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, n))
+    eps, lam = rng.uniform(0.05, 3.0, n), rng.uniform(30.0, 1000.0, n)
     return list(zip(eps.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam.tolist()))
 
 
@@ -156,14 +169,14 @@ def evaluate(src):
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission,
                           transmission_complex, transmission_grid)
-    from qbarrier.ode_oracle import MAX_WIDTH
     from qbarrier.verify import sample_points
 
     warnings.simplefilter("ignore")
     out = {name: [] for name in ("solve", "transmission", "transmission_complex",
                                  "transmission_grid", "critical_complex",
                                  "critical_quaternionic", "asymptotic_moduli",
-                                 "oracle_amplitudes", "oracle_amplitudes (eps > 3)", "sample_points",
+                                 "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
+                                 "oracle_amplitudes (thick)", "sample_points",
                                  "solve (batch)", "transmission (batch)",
                                  "scan_peaks (energy)", "scan_peaks (width)")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
@@ -181,10 +194,12 @@ def evaluate(src):
         for case in ("complex", "pure_quaternionic"):
             out["asymptotic_moduli"].append(outcome(lambda: asymptotic_moduli(lam, case)))
     narrow = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
-              for eps, vc, vq, theta, lam in points() if lam <= MAX_WIDTH][:ORACLE_POINTS]
+              for eps, vc, vq, theta, lam in points() if lam <= ORACLE_WIDTH][:ORACLE_POINTS]
     out["oracle_amplitudes"] = batch_outcomes(oracle_amplitudes, oracle_fields, narrow)
     large = [(eps, AdimensionalBarrier(vc, vq, theta, lam)) for eps, vc, vq, theta, lam in large_eps_points()]
     out["oracle_amplitudes (eps > 3)"] = batch_outcomes(oracle_amplitudes, oracle_fields, large)
+    thick = [(eps, AdimensionalBarrier(vc, vq, theta, lam)) for eps, vc, vq, theta, lam in thick_points()]
+    out["oracle_amplitudes (thick)"] = batch_outcomes(oracle_amplitudes, oracle_fields, thick)
     for name, route, fields in (("solve", solve, amplitudes), ("transmission", transmission, transmitted)):
         answered = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
                     for (eps, vc, vq, theta, lam), single in zip(points(), out[name])
