@@ -27,16 +27,13 @@ from .closed_form import (
     TransmissionResult,
     denominator,
     transmission,
-    transmission_complex,
     transmission_grid,
-    transmission_probability_complex,
 )
 from .critical import (
     CriticalAmplitudes,
     asymptotic_moduli,
     critical_complex,
     critical_quaternionic,
-    critical_zone2,
 )
 from .errors import (
     DegenerateEnergyError,
@@ -49,7 +46,6 @@ from .quaternion import Quaternion
 from .resonance import (
     complex_resonance_energies,
     complex_resonance_widths,
-    min_transmission,
     scan_peaks,
 )
 from .solver import (
@@ -81,10 +77,8 @@ __all__ = [
     "complex_resonance_widths",
     "critical_complex",
     "critical_quaternionic",
-    "critical_zone2",
     "current_density",
     "denominator",
-    "min_transmission",
     "oracle_amplitudes",
     "probability_balance",
     "scan_peaks",
@@ -93,9 +87,7 @@ __all__ = [
     "transfer_closed",
     "transfer_numeric",
     "transmission",
-    "transmission_complex",
     "transmission_grid",
-    "transmission_probability_complex",
     "wave_params",
     "wavefunction",
 ]

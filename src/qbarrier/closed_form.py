@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, columns, require_finite, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, columns, shc, wave_params
 from .errors import SingularDenominatorError
 
 
@@ -200,33 +200,3 @@ def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
         t.flat[i] = transmission(x, AdimensionalBarrier(b.vc, b.vq, b.theta, width)).t
     return t.reshape(shape)
 
-
-def transmission_complex(eps: float, lam: float) -> TransmissionResult:
-    """Transmission for the purely complex barrier (vc=1, vq=0).
-
-    Uses the single analytic expression
-
-        T = exp(-i*eps*lam) / [cosh(a*lam) + i*(1-2*eps**2)/(2*eps) * shc(a, lam)]
-
-    with a = sqrt(1 - eps**2) taken on the principal branch, which reduces
-    to the familiar cos/sin form for eps > 1, and shc(a, lam) = sinh(a*lam)/a.
-    At eps = 1 it is critical_complex's T = 2*exp(-i*lam)/(2 - i*lam).
-    """
-    require_finite("eps", eps, 0.0, strict=True)
-    require_finite("lam", lam, 0.0)
-    a = cmath.sqrt(1.0 - eps * eps)
-    den = cmath.cosh(a * lam) + 1j * (1.0 - 2.0 * eps * eps) / (2.0 * eps) * shc(a, lam)
-    return TransmissionResult(cmath.exp(-1j * eps * lam) / den)
-
-
-def transmission_probability_complex(eps: float, lam: float) -> float:
-    """|T|**2 for the complex barrier in its two textbook real forms.
-
-    1/(1 + s**2/(4*eps**2)) with s = shc(sqrt(1 - eps**2), lam), which is
-    sinh(k*lam)/k below the threshold and sin(k*lam)/k above it,
-    k = sqrt(|1 - eps**2|), and lam at eps = 1.
-    """
-    require_finite("eps", eps, 0.0, strict=True)
-    require_finite("lam", lam, 0.0)
-    s = shc(cmath.sqrt(1.0 - eps * eps), lam).real
-    return 1.0 / (1.0 + s * s / (4.0 * eps * eps))

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 from .barrier import require_finite
-from .quaternion import Quaternion
 
 #: numerators over den(lam) of the pure quaternionic case, ascending powers of lam
 _DEN = (24, 24 - 24j, -18j, -4 - 4j, -1)
@@ -59,9 +58,9 @@ class CriticalAmplitudes:
     """Threshold amplitudes and the interior cubic's a and b, with theta.
 
     The cubic's c = i*(1 - r) and d = 1 + r follow from r (see the module
-    docstring and `critical_zone2`).  The complex case has a = b = 0 and
-    rt = tt = 0 exactly.  tt is None where exp(lam) overflows
-    (lam > ~709.78); r, t and rt stay finite at any width.
+    docstring).  The complex case has a = b = 0 and rt = tt = 0 exactly.
+    tt is None where exp(lam) overflows (lam > ~709.78); r, t and rt stay
+    finite at any width.
     """
 
     case: str  # "complex" or "pure_quaternionic"
@@ -120,22 +119,6 @@ def critical_quaternionic(lam: float, theta: float = 0.0) -> CriticalAmplitudes:
     except OverflowError:
         tt = None
     return CriticalAmplitudes("pure_quaternionic", lam, r, t, rt, tt, a, b, theta)
-
-
-def critical_zone2(xi: float, amps: CriticalAmplitudes) -> Quaternion:
-    """Interior wavefunction value phi + j*psi at xi for a threshold solution.
-
-    phi is the cubic a*xi**3 + b*xi**2 + c*xi + d with c = i*(1 - r) and
-    d = 1 + r; psi is its paired cubic in the pure quaternionic case and 0
-    in the complex case.
-    """
-    a, b, c, d = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
-    phi = a * xi**3 + b * xi**2 + c * xi + d
-    if amps.case == "complex":
-        return Quaternion(phi)
-    return Quaternion(phi, -1j * cmath.exp(-1j * amps.theta) * (
-        a * xi**3 + b * xi**2 + (6.0 * a + c) * xi + 2.0 * b + d
-    ))
 
 
 #: the thin series applies below THIN_LIMIT, the thick series above THICK_LIMIT

@@ -30,7 +30,8 @@ phi's channels turn parallel as eps -> 0, and at k = 1 the edges of a
 barrier thinner than 1 nearly cancel (r was 8.3e-8 off at eps = 1e-10,
 lam = 0).  The amplitudes are within B = 1e-11 + 16*max(eps, 1)*lam*2**-52
 of the mpmath referee (`tests/mp_reference.py`); where B exceeds the 1e-9
-of `verify`'s cross-route check, or eps**2 overflows, a call raises.
+of `verify`'s cross-route check, eps**2 overflows or k is subnormal (1/k
+overflows), a call raises.
 """
 
 from __future__ import annotations
@@ -152,18 +153,21 @@ def oracle_amplitudes(eps, b):
 
     Raises:
         ValueError: at the first point whose eps is not > 0, or where eps**2
-            overflows (eps >= 2**512) or max(eps, 1)*lam exceeds _REACH (~2.79e5).
+            overflows (eps >= 2**512), the channel wave number k is subnormal
+            or max(eps, 1)*lam exceeds _REACH (~2.79e5).
     """
     single = isinstance(b, AdimensionalBarrier)
     energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
     eps_all, cols = columns(energies, barriers)
-    bad = ~((0.0 < eps_all) & (eps_all < 2.0**512) & (cols.lam <= _REACH / np.maximum(eps_all, 1.0)))
+    bad = ~((0.0 < eps_all) & (eps_all < 2.0**512) & (cols.lam <= _REACH / np.maximum(eps_all, 1.0))
+            & (np.maximum(eps_all, np.minimum(1.0, cols.lam)) >= sys.float_info.min))
     if bad.any():  # the first failing point raises what it would raise alone
         first = bad.argmax()
         e, bar = energies[first], barriers[first]
         require_finite("eps", e, 0.0, strict=True)
         raise ValueError(f"eps={e!r} at lam={bar.lam!r} is beyond the integrator's reach: eps**2 must be "
-                         f"finite and max(eps, 1)*lam at most {_REACH:.4g}")
+                         f"finite, max(eps, min(1, lam)) at least {sys.float_info.min:.4g} and "
+                         f"max(eps, 1)*lam at most {_REACH:.4g}")
     a = split_ode(cols, eps_all)
     x = np.empty((4, len(barriers)), dtype=complex)
     for block in blocks(len(a), 16):

@@ -78,16 +78,6 @@ def complex_resonance_widths(eps0: float, n_max: int) -> list[tuple[float, float
     ]
 
 
-def min_transmission(eps_tilde: float) -> float:
-    """Transmission probability at a half-integer minimum of the complex barrier.
-
-    Equals [1 + 1/(4*e**2*(e**2-1))]**-1 and tends to 1 as e grows.
-    """
-    require_finite("eps_tilde", eps_tilde, 1.0, strict=True)
-    e2 = eps_tilde * eps_tilde
-    return 1.0 / (1.0 + 1.0 / (4.0 * e2 * (e2 - 1.0)))
-
-
 def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Abscissa of the maximum of f on [a, b] for unimodal f, to within tol."""
     x1 = b - _INVPHI * (b - a)

@@ -17,7 +17,6 @@ from qbarrier import (
     critical_complex,
     critical_quaternionic,
     asymptotic_moduli,
-    min_transmission,
     oracle_amplitudes,
     probability_balance,
     scan_peaks,
@@ -26,12 +25,11 @@ from qbarrier import (
     transfer_closed,
     transfer_numeric,
     transmission,
-    transmission_complex,
-    transmission_probability_complex,
     wave_params,
 )
 from qbarrier.barrier import uniform_grid
 from qbarrier.cli import STANDARD_POTENTIALS, _csv_text, run_sweep
+from tests.complex_reference import complex_probability, complex_t
 from tests.conftest import random_points
 
 PI = math.pi
@@ -338,16 +336,13 @@ def test_criterion_07_complex_limit():
         lam = float(rng.uniform(0.05, 10.0))
         below += eps < 1.0
         above += eps > 1.0
-        general = transmission(eps, AdimensionalBarrier(1.0, 0.0, 0.0, lam)).t
-        special = transmission_complex(eps, lam)
-        worst_t = max(worst_t, abs(general - special.t))
-        # |T|^2 must match the two-branch textbook probability exactly in form
-        assert special.prob == pytest.approx(
-            transmission_probability_complex(eps, lam), abs=1e-12
-        )
+        general = transmission(eps, AdimensionalBarrier(1.0, 0.0, 0.0, lam))
+        worst_t = max(worst_t, abs(general.t - complex_t(eps, lam)))
+        # |T|^2 must match the two-branch textbook probability
+        assert general.prob == pytest.approx(complex_probability(eps, lam), abs=1e-12)
     report(
         7,
-        "complex-barrier limit vs dedicated formula on 100 points",
+        "complex-barrier limit vs textbook formula on 100 points",
         worst_t < 1e-10 and below > 10 and above > 10,
         f"max |dT| {worst_t:.2e} (tol 1e-10), {below} tunneling / {above} diffusive",
     )
@@ -420,7 +415,8 @@ def test_criterion_10_resonance_closed_forms():
         abs(eps[0] - math.sqrt(10.0) / 3.0),
         abs(eps[1] - math.sqrt(13.0) / 3.0),
         abs(eps[2] - SQRT2),
-        abs(min_transmission(SQRT2) - 8.0 / 9.0),
+        # the half-integer minimum sqrt(eps**2-1)*lam = 3*pi/2
+        abs(transmission(SQRT2, AdimensionalBarrier(1.0, 0.0, 0.0, 1.5 * PI)).prob - 8.0 / 9.0),
     )
     report(
         10,

@@ -19,13 +19,10 @@ from qbarrier import (
     complex_resonance_widths,
     critical_complex,
     critical_quaternionic,
-    min_transmission,
     oracle_amplitudes,
     scan_peaks,
     split_ode,
     transmission,
-    transmission_complex,
-    transmission_probability_complex,
     wave_params,
 )
 from qbarrier.barrier import MAX_GRID_POINTS, shc, uniform_grid
@@ -267,17 +264,12 @@ VALIDATED_INPUTS = {
     "transmission eps": lambda x: transmission(x, B),
     "oracle_amplitudes eps": lambda x: oracle_amplitudes(x, B),
     "split_ode eps": lambda x: split_ode(B, x),
-    "transmission_complex eps": lambda x: transmission_complex(x, 2.0),
-    "transmission_complex lam": lambda x: transmission_complex(1.4, x),
-    "transmission_probability_complex eps": lambda x: transmission_probability_complex(x, 2.0),
-    "transmission_probability_complex lam": lambda x: transmission_probability_complex(1.4, x),
     "critical_complex lam": lambda x: critical_complex(x),
     "critical_quaternionic lam": lambda x: critical_quaternionic(x),
     "critical_quaternionic theta": lambda x: critical_quaternionic(2.0, x),
     "asymptotic_moduli lam": lambda x: asymptotic_moduli(x, "complex"),
     "complex_resonance_energies lambda0": lambda x: complex_resonance_energies(x, 3),
     "complex_resonance_widths eps0": lambda x: complex_resonance_widths(x, 3),
-    "min_transmission": lambda x: min_transmission(x),
     "scan_peaks lo": lambda x: scan_peaks(B, x, 1.5),
     "scan_peaks hi": lambda x: scan_peaks(B, 1.1, x),
     "scan_peaks coarse_step": lambda x: scan_peaks(B, 1.1, 1.5, coarse_step=x),

@@ -18,13 +18,12 @@ from qbarrier import (
     transfer_closed,
     transfer_numeric,
     transmission,
-    transmission_complex,
-    transmission_probability_complex,
     wave_params,
 )
 from qbarrier.barrier import SHC_SERIES_BELOW, shc
 from qbarrier.closed_form import denominator_factored, denominator_slope, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
+from tests.complex_reference import complex_probability, complex_t
 from tests.conftest import FIVE_POTENTIALS, circle_points, near_band_points, random_points, unzip
 from tests.mp_reference import reference_amplitudes
 
@@ -153,47 +152,49 @@ def test_threshold_neighbourhood_is_still_continuous():
     assert abs(lo - hi) < 1e-4
 
 
+def complex_barrier(lam):
+    return AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
+
+
 class TestComplexBarrierFormula:
     def test_resonance(self):
-        assert transmission_complex(SQRT2, 2.0 * math.pi).prob == pytest.approx(1.0, abs=1e-12)
+        # sqrt(eps**2-1)*lam = 2*pi at eps=sqrt(2), lam=2*pi: |T|^2 = 1
+        assert transmission(SQRT2, complex_barrier(2.0 * math.pi)).prob == pytest.approx(1.0, abs=1e-12)
 
     def test_half_integer_minimum_value(self):
         # sqrt(eps**2-1)*lam = 3*pi/2 at eps=sqrt(2), lam=3*pi/2: |T|^2 = 8/9
-        assert transmission_complex(SQRT2, 1.5 * math.pi).prob == pytest.approx(8.0 / 9.0, abs=1e-12)
+        assert transmission(SQRT2, complex_barrier(1.5 * math.pi)).prob == pytest.approx(8.0 / 9.0, abs=1e-12)
 
     def test_tunneling_value_against_integrator(self):
-        out = transmission_complex(0.5, 5.0)
+        out = transmission(0.5, complex_barrier(5.0))
         hyp = 1.0 / (1.0 + math.sinh(math.sqrt(0.75) * 5.0) ** 2 / (4.0 * 0.25 * 0.75))
         assert out.prob == pytest.approx(hyp, abs=1e-12)
-        b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=5.0)
-        assert abs(oracle_amplitudes(0.5, b).t - out.t) < 1e-6
+        assert abs(oracle_amplitudes(0.5, complex_barrier(5.0)).t - out.t) < 1e-6
 
     def test_probability_matches_both_real_forms(self):
         for eps, lam in [(0.4, 2.0), (0.9, 4.0), (1.3, 6.0), (2.7, 1.0)]:
-            assert transmission_complex(eps, lam).prob == pytest.approx(
-                transmission_probability_complex(eps, lam), abs=1e-12
+            assert transmission(eps, complex_barrier(lam)).prob == pytest.approx(
+                complex_probability(eps, lam), abs=1e-12
             )
 
     def test_threshold_redirects(self):
-        # at eps = 1 both formulas land on the exact threshold amplitude
-        exact = critical_complex(2.0).t
-        assert abs(transmission_complex(1.0, 2.0).t - exact) <= 1e-15
-        assert abs(transmission_probability_complex(1.0, 2.0) - 0.5) <= 1e-15
+        # at eps = 1 the general route lands on the exact threshold amplitude
+        out = transmission(1.0, complex_barrier(2.0))
+        assert abs(out.t - critical_complex(2.0).t) <= 1e-15
+        assert abs(out.prob - 0.5) <= 1e-15
 
     def test_threshold_neighbourhood_matches_critical(self):
         exact = critical_complex(2.0).t
-        b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
         for eps in (1.0 - 1e-13, 1.0, 1.0 + 1e-13):
-            special = transmission_complex(eps, 2.0)
-            assert abs(special.t - transmission(eps, b).t) < 1e-10
-            assert abs(special.t - exact) < 1e-10
-            assert transmission_probability_complex(eps, 2.0) == pytest.approx(abs(exact) ** 2, abs=1e-10)
+            general = transmission(eps, complex_barrier(2.0))
+            assert abs(general.t - complex_t(eps, 2.0)) < 1e-10
+            assert abs(general.t - exact) < 1e-10
+            assert general.prob == pytest.approx(abs(exact) ** 2, abs=1e-10)
 
     def test_agrees_with_general_formula(self):
         for eps, b in random_points(seed=78, n=100):
-            general = transmission(eps, AdimensionalBarrier(1.0, 0.0, 0.0, b.lam)).t
-            special = transmission_complex(eps, b.lam).t
-            assert abs(general - special) < 1e-10
+            general = transmission(eps, complex_barrier(b.lam)).t
+            assert abs(general - complex_t(eps, b.lam)) < 1e-10
 
 
 def test_theta_invariance_of_amplitude():

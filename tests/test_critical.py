@@ -13,7 +13,6 @@ from qbarrier import (
     asymptotic_moduli,
     critical_complex,
     critical_quaternionic,
-    critical_zone2,
     oracle_amplitudes,
     transmission,
 )
@@ -170,6 +169,22 @@ def _rational_forms_mp(lam, theta):
         phase * poly((0, 12, 6 - 6j, -4j, -1 - 1j)) / den,
         phase * poly((0, 12, 6 - 6j, -2j)) / den * mp.exp(L),
     )
+
+
+def critical_zone2(xi, amps):
+    """Interior wavefunction value phi + j*psi at xi for a threshold solution.
+
+    phi is the cubic a*xi**3 + b*xi**2 + c*xi + d with c = i*(1 - r) and
+    d = 1 + r; psi is its paired cubic in the pure quaternionic case and 0
+    in the complex case (the module docstring of `qbarrier.critical`).
+    """
+    a, b, c, d = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
+    phi = a * xi**3 + b * xi**2 + c * xi + d
+    if amps.case == "complex":
+        return Quaternion(phi)
+    return Quaternion(phi, -1j * cmath.exp(-1j * amps.theta) * (
+        a * xi**3 + b * xi**2 + (6.0 * a + c) * xi + 2.0 * b + d
+    ))
 
 
 class TestZoneTwoSolutions:

@@ -265,10 +265,13 @@ def test_squaring_rule_bounds_each_segments_growth():
         assert _squarings(split_ode(b, e)[None], b.lam)[0] == count
 
 
-@pytest.mark.parametrize("eps, lam", ((1e150, 2.0), (1e200, 1e-300), (1e8, 2.0), (1.2, 3e5)))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps, lam", ((1e150, 2.0), (1e200, 1e-300), (1e8, 2.0), (1.2, 3e5), (1e-320, 1e-321)))
 def test_beyond_reach_is_a_value_error_naming_eps_and_lam(eps, lam):
-    # eps**2 overflows at eps = 1e200; elsewhere max(eps, 1)*lam passes 2.79e5,
-    # where the error bound 1e-11 + 16*max(eps, 1)*lam*2**-52 exceeds 1e-9
+    # eps**2 overflows at eps = 1e200; at (1e-320, 1e-321) the channel wave
+    # number k = max(eps, min(1, lam)) is subnormal and 1/k overflows;
+    # elsewhere max(eps, 1)*lam passes 2.79e5, where the error bound
+    # 1e-11 + 16*max(eps, 1)*lam*2**-52 exceeds 1e-9
     wide = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=lam)
     with pytest.raises(ValueError, match=re.escape(f"eps={eps!r} at lam={lam!r}")) as single:
         oracle_amplitudes(eps, wide)
@@ -276,6 +279,12 @@ def test_beyond_reach_is_a_value_error_naming_eps_and_lam(eps, lam):
     with pytest.raises(ValueError) as batch:
         oracle_amplitudes([1.2, eps, 1.2], [ok, wide, ok])
     assert str(batch.value) == str(single.value)
+
+
+def test_subnormal_energy_at_unit_width_answers():
+    # k = max(eps, min(1, lam)) = 1 is normal, so the point is in reach
+    amps = oracle_amplitudes(1e-320, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.3, lam=1.0))
+    assert amps.r == reference_amplitudes(1e-320, 0.6, 0.8, 0.3, 1.0)[0] == -1 - 1.839e-320j
 
 
 def gate_points():

@@ -12,11 +12,9 @@ from qbarrier import (
     AdimensionalBarrier,
     complex_resonance_energies,
     complex_resonance_widths,
-    min_transmission,
     scan_peaks,
     solve,
     transmission,
-    transmission_complex,
 )
 from qbarrier import closed_form, resonance
 from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid, wave_params
@@ -82,36 +80,39 @@ class TestClosedForms:
             complex_resonance_energies(3.0 * PI, MAX_GRID_POINTS + 1)
         with pytest.raises(ValueError, match="n_max"):
             complex_resonance_widths(SQRT2, MAX_GRID_POINTS + 1)
-        with pytest.raises(ValueError):
-            min_transmission(1.0)
+
+
+def half_integer_minimum(eps):
+    """|T|**2 of the complex barrier at eps and the width where sqrt(eps**2-1)*lam = pi/2."""
+    return transmission(eps, AdimensionalBarrier(1.0, 0.0, 0.0, PI / (2.0 * math.sqrt(eps * eps - 1.0)))).prob
 
 
 class TestMinTransmission:
+    # at the half-integer condition the oscillation factor is exactly 1, so
+    # |T|^2 = [1 + 1/(4*e**2*(e**2-1))]**-1, which tends to 1 as e grows
     def test_exact_rational_value(self):
-        assert min_transmission(SQRT2) == pytest.approx(8.0 / 9.0, abs=1e-15)
+        assert half_integer_minimum(SQRT2) == pytest.approx(8.0 / 9.0, abs=1e-15)
 
     def test_near_threshold_value(self):
         # 1/(1 + 1/(4 * 1.21 * 0.21)), frozen from direct arithmetic
-        assert min_transmission(1.1) == pytest.approx(0.5040666534417774, abs=1e-13)
+        assert half_integer_minimum(1.1) == pytest.approx(0.5040666534417774, abs=1e-13)
 
     def test_monotone_to_one(self):
-        values = [min_transmission(e) for e in (1.2, 1.5, 2.0, 4.0, 10.0, 1e3)]
+        values = [half_integer_minimum(e) for e in (1.2, 1.5, 2.0, 4.0, 10.0, 1e3)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 1.0 - 1e-5
 
     def test_matches_complex_formula_at_half_integer_condition(self):
-        # at the half-integer energy the oscillation factor is exactly 1,
-        # so |T|^2 there equals the closed minimum value; the true valley
-        # of the eps-scan sits slightly below because the prefactor also
-        # moves with eps
+        # the true valley of the eps-scan sits slightly below the value at
+        # the half-integer energy because the prefactor also moves with eps
         lam0 = 2.0 * PI
         rows = complex_resonance_energies(lam0, 1)
         eps_half = rows[0][0] + rows[0][2]
-        at_half = transmission_complex(eps_half, lam0).prob
-        assert at_half == pytest.approx(min_transmission(eps_half), abs=1e-12)
+        e2 = eps_half * eps_half
+        at_half = transmission(eps_half, AdimensionalBarrier(1.0, 0.0, 0.0, lam0)).prob
+        assert at_half == pytest.approx(1.0 / (1.0 + 1.0 / (4.0 * e2 * (e2 - 1.0))), abs=1e-12)
         lo = eps_half - 1e-3
-        scanned_min = min(transmission_complex(lo + i * 2e-6, lam0).prob
-                          for i in range(1001))
+        scanned_min = (abs(transmission_grid(lo + 2e-6 * np.arange(1001), lam0, AdimensionalBarrier(1.0, 0.0))) ** 2).min()
         assert scanned_min <= at_half
         assert at_half - scanned_min < 3e-3
 

@@ -1,9 +1,9 @@
 """Compare the numbers of this checkout's src/ with those of another source tree, bit for bit.
 
 Runs a fixed seeded set of 20,000 points through `solve` (its eight
-amplitudes), `transmission` and `transmission_complex` (t, |t|**2 and
-phase) and, on the first points, `transmission_grid` over an energy grid
-and a width grid.  A seeded set of 2,000 widths goes through
+amplitudes), `transmission` (t, |t|**2 and phase) and, on the first
+points, `transmission_grid` over an energy grid and a width grid.  A
+seeded set of 2,000 widths goes through
 `critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
 None above lam ~709.78) and `asymptotic_moduli` for both cases.  The
 first 4,000 points no wider than 30 go through `oracle_amplitudes` (r,
@@ -168,13 +168,12 @@ def evaluate(src):
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission,
-                          transmission_complex, transmission_grid)
+                          transmission_grid)
     from qbarrier.verify import sample_points
 
     warnings.simplefilter("ignore")
-    out = {name: [] for name in ("solve", "transmission", "transmission_complex",
-                                 "transmission_grid", "critical_complex",
-                                 "critical_quaternionic", "asymptotic_moduli",
+    out = {name: [] for name in ("solve", "transmission", "transmission_grid",
+                                 "critical_complex", "critical_quaternionic", "asymptotic_moduli",
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
                                  "oracle_amplitudes (thick)", "sample_points",
                                  "solve (batch)", "transmission (batch)",
@@ -183,7 +182,6 @@ def evaluate(src):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
         out["transmission"].append(outcome(lambda: transmitted(transmission(eps, b))))
-        out["transmission_complex"].append(outcome(lambda: transmitted(transmission_complex(eps, lam))))
         if i < GRID_POINTS:
             out["transmission_grid"].append(outcome(lambda: transmission_grid(ENERGY_AXIS, lam, b)))
             out["transmission_grid"].append(outcome(lambda: transmission_grid(eps, WIDTH_AXIS, b)))
