@@ -128,9 +128,38 @@ class BarrierSpec:
             require_finite(name, getattr(self, name), 0.0, strict=True)
 
 
+class BarrierColumns(NamedTuple):
+    """vc, vq, theta and lam of a batch of barriers, each a float ndarray of one entry per point.
+
+    A batch route takes it with a float ndarray of energies (`batch`);
+    `columns` builds it from a sequence of AdimensionalBarrier objects.
+    """
+
+    vc: np.ndarray
+    vq: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
+
+    def part(self, index) -> BarrierColumns:
+        """The columns at index, a slice or an index array, of every field."""
+        return BarrierColumns(*(c[index] for c in self))
+
+    def barrier(self, i: int) -> AdimensionalBarrier:
+        """The i-th point as an AdimensionalBarrier (which checks it)."""
+        return AdimensionalBarrier(*(float(c[i]) for c in self))
+
+
+#: the lower bound of each AdimensionalBarrier field (`require_finite`)
+LOWER_BOUNDS = BarrierColumns(vc=-math.inf, vq=0.0, theta=-math.inf, lam=0.0)
+
+
 @dataclass(frozen=True)
 class AdimensionalBarrier:
-    """Reduced barrier: (vc, vq) on the unit circle, phase theta, width lam."""
+    """Reduced barrier: (vc, vq) on the unit circle, phase theta, width lam.
+
+    The rule: each field finite and at least its LOWER_BOUNDS entry, and
+    |vc**2 + vq**2 - 1| <= UNIT_CIRCLE_TOL.  `batch` applies it to columns.
+    """
 
     vc: float
     vq: float
@@ -138,29 +167,21 @@ class AdimensionalBarrier:
     lam: float = 1.0
 
     def __post_init__(self):
-        require_finite("vc", self.vc)
-        require_finite("vq", self.vq, 0.0)
-        require_finite("theta", self.theta)
-        require_finite("lam", self.lam, 0.0)
+        require_finite("vc", self.vc, LOWER_BOUNDS.vc)
+        require_finite("vq", self.vq, LOWER_BOUNDS.vq)
+        require_finite("theta", self.theta, LOWER_BOUNDS.theta)
+        require_finite("lam", self.lam, LOWER_BOUNDS.lam)
         norm = self.vc * self.vc + self.vq * self.vq
         if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"vc**2 + vq**2 must equal 1, got {norm!r}")
 
 
-class BarrierColumns(NamedTuple):
-    """vc, vq, theta and lam of a sequence of barriers, each a float ndarray (`columns`)."""
-
-    vc: np.ndarray
-    vq: np.ndarray
-    theta: np.ndarray
-    lam: np.ndarray
-
-
 def columns(eps, barriers) -> tuple[np.ndarray, BarrierColumns]:
     """Equal-length sequences of energies and barriers as one float array and one BarrierColumns.
 
-    A batch route reads its points through this, and `wave_params` and
-    `split_ode` take the result as they take one (eps, barrier) pair.
+    The converter for a caller that holds AdimensionalBarrier objects: a
+    batch route, `wave_params` and `split_ode` take the result as they
+    take one (eps, barrier) pair.
 
     Raises:
         ValueError: if the lengths differ.
@@ -169,6 +190,32 @@ def columns(eps, barriers) -> tuple[np.ndarray, BarrierColumns]:
         raise ValueError(f"{len(eps)} energies for {len(barriers)} barriers")
     fields = ([getattr(b, name) for b in barriers] for name in BarrierColumns._fields)
     return np.array(eps, dtype=float), BarrierColumns(*(np.array(f, dtype=float) for f in fields))
+
+
+def batch(eps, cols: BarrierColumns) -> tuple[np.ndarray, BarrierColumns]:
+    """A batch's energies and columns as float ndarrays of one length, the columns checked by AdimensionalBarrier's rule.
+
+    A field given as a float holds at every point.  The rule is evaluated
+    on the columns, and no AdimensionalBarrier is built unless a point
+    breaks it: the first such point is then built, and raises what the
+    class raises.  The energies are the route's to check.
+
+    Raises:
+        ValueError: if a column's length differs from the energies', or
+            from AdimensionalBarrier at the first point that breaks its rule.
+    """
+    eps = np.asarray(eps, dtype=float)
+    stack = np.empty((4,) + eps.shape)
+    for i, c in enumerate(cols):
+        if np.ndim(c) and np.shape(c) != eps.shape:
+            raise ValueError(f"{len(eps)} energies for {len(c)} barriers")
+        stack[i] = c
+    cols = BarrierColumns(*stack)
+    ok = (np.isfinite(stack) & (stack >= np.array(LOWER_BOUNDS)[:, None])).all(axis=0)
+    ok &= abs(cols.vc * cols.vc + cols.vq * cols.vq - 1.0) <= UNIT_CIRCLE_TOL
+    if not ok.all():
+        cols.barrier(int(ok.argmin()))
+    return eps, cols
 
 
 def blocks(n: int, entries: int) -> list[slice]:
@@ -248,7 +295,7 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     """Wave numbers alpha_pm and mixing coefficients beta, gamma.
 
     eps is a float or a float ndarray, and b an AdimensionalBarrier or, for
-    a batch, the BarrierColumns of `columns`; one body serves all, with
+    a batch, its BarrierColumns (`batch`); one body serves all, with
     square roots from cmath for a float eps and from numpy for an array,
     and exp(+-i*theta) from cmath for a float theta.  The one
     singular-point rule: no route can build the basis without it.  A float

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, columns, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, batch, shc, wave_params
 from .errors import SingularDenominatorError
 
 
@@ -150,29 +150,27 @@ def transmission(eps, b):
     algebraically identical to the element-table form but keeps full
     precision when exp(alpha_plus*lam) is large.
 
-    A float eps with one barrier b gives one TransmissionResult; equal-
-    length sequences of energies and barriers give a list with one record
-    per point, from one numpy evaluation of the same body.  Its values
-    agree with the single calls' to ~1e-14 away from the degeneracy band
-    (numpy's and cmath's complex functions differ in the last bits), and
-    its errors are theirs: each
+    A float eps with one barrier b gives one TransmissionResult.  A batch,
+    a float ndarray eps with the BarrierColumns b of its points (checked by
+    `barrier.batch`), gives the complex ndarray of their T, from one numpy
+    evaluation of the same body.  Its values agree with the single calls'
+    to ~1e-14 away from the degeneracy band (numpy's and cmath's complex
+    functions differ in the last bits), and its errors are theirs: each
     point whose T comes out non-finite is replayed through a single call in
     order, as in `transmission_grid`.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
-        ValueError: if a batch's lengths differ.
+        ValueError: from `barrier.batch`.
     """
     if isinstance(b, AdimensionalBarrier):
         return TransmissionResult(_amplitude(wave_params(eps, b), b.lam))
-    energies, barriers = list(eps), list(b)
-    eps_all, cols = columns(energies, barriers)
+    eps, b = batch(eps, b)
     with np.errstate(all="ignore"):
-        t = _amplitude(wave_params(eps_all, cols), cols.lam)
-    out = [TransmissionResult(x) for x in t.tolist()]
+        t = _amplitude(wave_params(eps, b), b.lam)
     for i in np.flatnonzero(~np.isfinite(t)).tolist():
-        out[i] = transmission(energies[i], barriers[i])
-    return out
+        t[i] = transmission(float(eps[i]), b.barrier(i)).t
+    return t
 
 
 def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:

@@ -37,11 +37,12 @@ overflows), a call raises.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, blocks, columns, complex_stack, require_finite
+from .barrier import AdimensionalBarrier, batch, blocks, columns, complex_stack, require_finite
 from .solver import ScatteringAmplitudes
 from .transfer import _EYE, _mul, _squarings, transfer_numeric
 
@@ -53,7 +54,7 @@ def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
     """Constant 4x4 matrix A of the interior system y' = A*y, y = (phi, phi', psi, psi').
 
     Like `wave_params`, b may be the BarrierColumns of a batch and eps its
-    float ndarray (`barrier.columns`), whose energies the caller has
+    float ndarray (`barrier.batch`), whose energies the caller has
     checked: then the result is an (n, 4, 4) stack of the single calls'
     matrices, bit for bit.
     """
@@ -142,10 +143,12 @@ def _amplitudes(a: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def oracle_amplitudes(eps, b):
     """Scattering amplitudes with no closed formula anywhere in the path (module docstring).
 
-    A float eps with one barrier b gives one ScatteringAmplitudes; equal-
-    length sequences of energies and barriers give a list with one record
-    per point, each the single call's bit for bit, integrated in blocks of
-    `barrier.blocks(n, 16)` points.  Interior coefficients are not produced.
+    A float eps with one barrier b gives one ScatteringAmplitudes.  A batch,
+    a float ndarray eps with the BarrierColumns b of its points (checked by
+    `barrier.batch`), gives an (n, 4) complex ndarray of r, rt, t and tt,
+    each row the single call's bit for bit, with tt NaN where the single
+    call's is None; it is integrated in blocks of `barrier.blocks(n, 16)`
+    points.  Interior coefficients are not produced.
 
     tt is None where exp(eps*lam) overflows, as in `CriticalAmplitudes`, and
     where its right-edge datum sigma = Tt*exp(-eps*lam) is subnormal, or 0
@@ -154,28 +157,32 @@ def oracle_amplitudes(eps, b):
     Raises:
         ValueError: at the first point whose eps is not > 0, or where eps**2
             overflows (eps >= 2**512), the channel wave number k is subnormal
-            or max(eps, 1)*lam exceeds _REACH (~2.79e5).
+            or max(eps, 1)*lam exceeds _REACH (~2.79e5); from `barrier.batch`.
     """
     single = isinstance(b, AdimensionalBarrier)
-    energies, barriers = ([eps], [b]) if single else (list(eps), list(b))
-    eps_all, cols = columns(energies, barriers)
+    eps_all, cols = columns([eps], [b]) if single else batch(eps, b)
     bad = ~((0.0 < eps_all) & (eps_all < 2.0**512) & (cols.lam <= _REACH / np.maximum(eps_all, 1.0))
             & (np.maximum(eps_all, np.minimum(1.0, cols.lam)) >= sys.float_info.min))
     if bad.any():  # the first failing point raises what it would raise alone
-        first = bad.argmax()
-        e, bar = energies[first], barriers[first]
+        first = int(bad.argmax())
+        e, lam = (eps, b.lam) if single else (float(eps_all[first]), float(cols.lam[first]))
         require_finite("eps", e, 0.0, strict=True)
-        raise ValueError(f"eps={e!r} at lam={bar.lam!r} is beyond the integrator's reach: eps**2 must be "
+        raise ValueError(f"eps={e!r} at lam={lam!r} is beyond the integrator's reach: eps**2 must be "
                          f"finite, max(eps, min(1, lam)) at least {sys.float_info.min:.4g} and "
                          f"max(eps, 1)*lam at most {_REACH:.4g}")
     a = split_ode(cols, eps_all)
-    x = np.empty((4, len(barriers)), dtype=complex)
+    x = np.empty((len(a), 4), dtype=complex)
     for block in blocks(len(a), 16):
-        x[:, block] = _amplitudes(a[block], eps_all[block], cols.lam[block])
-    amps = [ScatteringAmplitudes(r, rt, tau * cmath.exp(-1j * e * bar.lam),
-                                 _far_edge(sigma, e * bar.lam, min(bar.vq, bar.lam) > 0))
-            for (r, rt, tau, sigma), e, bar in zip(x.T.tolist(), energies, barriers)]
-    return amps[0] if single else amps
+        x[block] = _amplitudes(a[block], eps_all[block], cols.lam[block]).T
+    # t and tt point by point, with cmath's exp: numpy's differs from it in the last bit
+    pts = list(zip(x[:, 2].tolist(), x[:, 3].tolist(), eps_all.tolist(), cols.lam.tolist(),
+                   ((cols.vq > 0.0) & (cols.lam > 0.0)).tolist()))
+    x[:, 2] = [tau * cmath.exp(-1j * e * lam) for tau, _, e, lam, _ in pts]
+    tt = [_far_edge(sigma, e * lam, coupled) for _, sigma, e, lam, coupled in pts]
+    if single:
+        return ScatteringAmplitudes(*x[0, :3].tolist(), tt[0])
+    x[:, 3] = [math.nan if t is None else t for t in tt]
+    return x
 
 
 def _far_edge(sigma: complex, growth: float, coupled: bool) -> complex | None:

@@ -32,6 +32,9 @@ ROOT_ULPS = 4
 #: ulp of its |T|**2 by which a peak must stand above its col on each side (`_stands_out`)
 PEAK_FLOOR = 64
 
+#: most grid points, summed over its tops, that a prominence test scans top by top (`_stand_out`)
+TOP_SCANS = 1 << 16
+
 
 def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, float, float]]:
     """(eps_n, spacing to the next peak, offset of the following minimum) for n = 1..n_max.
@@ -140,6 +143,81 @@ def _stands_out(heights: np.ndarray, top: int) -> bool:
     return bool(h - col >= PEAK_FLOOR * math.ulp(h))
 
 
+def _stand_out(heights: np.ndarray, tops: list[int]) -> list[bool]:
+    """`_stands_out` at each of tops, by the same arithmetic.
+
+    Up to TOP_SCANS grid points in all, each top scans the grid.  Beyond,
+    no top does: the search runs outward from every top at once, in
+    blocks of doubling size.  The nodes of a max-tree over the heights
+    find each top's nearest higher neighbour (`_nearest`), and those of a
+    min-tree each col (`_range_min`), in a step per level of the trees.
+    A NaN stops a search as a higher height would and makes its side's col
+    NaN, as in the scan; max() of the two cols then keeps a NaN on the
+    left and passes over one on the right.
+    """
+    if len(tops) * len(heights) <= TOP_SCANS:
+        return [_stands_out(heights, top) for top in tops]
+    t = np.array(tops)
+    h = heights[t]
+    highs = _tree(np.where(np.isnan(heights), np.inf, heights), np.maximum, -np.inf)
+    lows = _tree(heights, np.minimum, np.inf)
+    nan = np.isnan(np.append(heights, 0.0))  # index -1 and n read the 0.0
+    left = _nearest(highs, t, h, -1, np.greater_equal, -1)
+    right = _nearest(highs, t, h, 1, np.greater, len(heights))
+    # a side that stopped at a NaN takes it into its range
+    left_col = _range_min(lows, left + 1 - nan[left], t + 1)
+    right_col = _range_min(lows, t, right + nan[right])
+    col = np.where(right_col > left_col, right_col, left_col)
+    return [x - c >= PEAK_FLOOR * math.ulp(x) for x, c in zip(h.tolist(), col.tolist())]
+
+
+def _tree(values: np.ndarray, reduce, pad: float) -> list[np.ndarray]:
+    """The levels of a binary tree over values, padded with pad to a power of two: level k reduces aligned blocks of 2**k."""
+    levels = [np.full(1 << (len(values) - 1).bit_length(), pad)]
+    levels[0][:len(values)] = values
+    while len(levels[-1]) > 1:
+        levels.append(reduce(levels[-1][0::2], levels[-1][1::2]))
+    return levels
+
+
+def _nearest(highs: list[np.ndarray], tops: np.ndarray, h: np.ndarray, side: int, reaches, none: int) -> np.ndarray:
+    """For each top, the nearest index on its side (-1 left, 1 right) whose value reaches(value, h), else none.
+
+    Climbing the max-tree from a top, the sibling block at each level is
+    the next one outward on its side, so the first sibling that reaches h
+    holds the nearest such value; a descent into it, nearer child first,
+    finds it.  Each step works on the tops still climbing or descending.
+    """
+    out, level = np.full(len(tops), none), np.full(len(tops), -1)
+    climbing, node = np.arange(len(tops)), tops.copy()
+    for k, row in enumerate(highs[:-1]):  # the root has no sibling
+        hit = (node & 1) == (side < 0)  # the sibling on this side is a block of its own
+        hit[hit] = reaches(row[node[hit] + side], h[climbing[hit]])
+        level[climbing[hit]], out[climbing[hit]] = k, node[hit] + side
+        climbing, node = climbing[~hit], node[~hit] >> 1
+    for k in range(len(highs) - 2, -1, -1):
+        down = np.flatnonzero(level > k)
+        near = 2 * out[down] + (side < 0)
+        out[down] = np.where(reaches(highs[k][near], h[down]), near, near + side)
+    return out
+
+
+def _range_min(lows: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least value over [a, b) of the min-tree, for each pair (a < b), NaN if it holds one."""
+    out = np.full(len(a), np.inf)
+    pending, a, b = np.arange(len(a)), a.copy(), b.copy()
+    for row in lows:  # a block at an odd end lies inside [a, b): take it and step past it
+        odd = a % 2 == 1
+        out[pending[odd]] = np.minimum(out[pending[odd]], row[a[odd]])
+        a[odd] += 1
+        odd = (b % 2 == 1) & (a < b)
+        b[odd] -= 1
+        out[pending[odd]] = np.minimum(out[pending[odd]], row[b[odd]])
+        keep = a < b
+        pending, a, b = pending[keep], a[keep] >> 1, b[keep] >> 1
+    return out
+
+
 def scan_peaks(
     b: AdimensionalBarrier,
     lo: float,
@@ -165,9 +243,10 @@ def scan_peaks(
     On a plateau, rounding noise makes maxima of its own, and a flat-topped
     peak several.  So the grid's |T|**2 takes in each refined peak (in
     place of the top grid point of an energy bracket, between the ends of
-    a width bracket), and a peak is kept only if it `_stands_out` there by
-    PEAK_FLOOR ulp.  An empty result is not an error; `uniform_grid`
-    checks lo, hi and coarse_step as its start, stop and step.
+    a width bracket), and a peak is kept only if it stands out there by
+    PEAK_FLOOR ulp (`_stand_out`).  An empty result is not an error;
+    `uniform_grid` checks lo, hi and coarse_step as its start, stop and
+    step.
     """
     grid = uniform_grid(lo, hi, coarse_step)
     # float brackets: from an np.float64 a probe would take numpy's pow, not libm's
@@ -196,4 +275,4 @@ def scan_peaks(
         # each peak goes in after its bracket's left end, which moves later ends one further
         tops = (ends + 1 + np.arange(len(ends))).tolist()
         heights = np.insert(ys, ends + 1, [y for _, y in peaks])
-    return [peak for peak, t in zip(peaks, tops) if _stands_out(heights, t)]
+    return [peak for peak, keep in zip(peaks, _stand_out(heights, tops)) if keep]

@@ -18,9 +18,9 @@ part, gives eight complex equations for the eight unknowns
 system directly - deliberately not through the transfer matrix - so the
 closed formula has an independent in-repo check.
 
-`solve` takes one point or many: a batch's systems are assembled by the
-same body with numpy, as an (n, 8, 8) stack per block of points, and
-solved by one stacked inverse per block.
+`solve` takes one point or a batch of columns: a batch's systems are
+assembled by the same body with numpy, as an (n, 8, 8) stack per block of
+points, and solved by one stacked inverse per block.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import (AdimensionalBarrier, BarrierColumns, WaveParams, blocks, columns, complex_stack,
-                      shc, wave_params)
+from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, complex_stack, shc, wave_params
 from .errors import SingularSystemError
 from .quaternion import I as QI, Quaternion
 
@@ -111,23 +110,25 @@ def solve(eps, b):
     The inverse is applied to the right-hand side: `np.linalg.solve` is
     faster but moves the last bits of the amplitudes.
 
-    A float eps with one barrier b gives one ScatteringAmplitudes; equal-
-    length sequences of energies and barriers give a list with one record
-    per point.  A batch assembles its systems with numpy, in blocks of
-    `blocks(n, 64)` points, and applies one stacked inverse per block.  Its
-    records agree with the single calls' to ~1e-14 away from the degeneracy
-    band, tt and the interior coefficients relatively: numpy's and cmath's
-    complex functions differ in the last bits.  Its errors are the single
-    calls': each point whose amplitudes come out non-finite, and each point
-    of a block that holds an exactly singular matrix, is replayed through a
-    single call in order, so the batch raises the error of the first point
-    whose single call raises, and a replayed point that answers takes its
-    value, as in `closed_form.transmission_grid`.
+    A float eps with one barrier b gives one ScatteringAmplitudes.  A
+    batch, a float ndarray eps with the BarrierColumns b of its points
+    (checked by `barrier.batch`), gives an (n, 8) complex ndarray, one row
+    per point in the field order of ScatteringAmplitudes.  It assembles its
+    systems with numpy, in blocks of `blocks(n, 64)` points, and applies
+    one stacked inverse per block.  Its rows agree with the single calls'
+    to ~1e-14 away from the degeneracy band, tt and the interior
+    coefficients relatively: numpy's and cmath's complex functions differ
+    in the last bits.  Its errors are the single calls': each point whose
+    amplitudes come out non-finite, and each point of a block that holds an
+    exactly singular matrix, is replayed through a single call in order, so
+    the batch raises the error of the first point whose single call raises,
+    and a replayed point that answers takes its value, as in
+    `closed_form.transmission_grid`.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
         SingularSystemError: if the inverse of a point's matrix fails.
-        ValueError: if a batch's lengths differ.
+        ValueError: from `barrier.batch`.
     """
     if isinstance(b, AdimensionalBarrier):
         mat, rhs = _assemble(wave_params(eps, b), b.lam)
@@ -138,21 +139,18 @@ def solve(eps, b):
                                       f"eps={eps!r}, lam={b.lam!r}") from None
         # the unknowns are ordered as the fields: (R, Rt, T, Tt, A, B, At, Bt)
         return ScatteringAmplitudes(*(inverse @ rhs).tolist())
-    energies, barriers = list(eps), list(b)
-    eps_all, cols = columns(energies, barriers)
-    amps = []
-    for block in blocks(len(energies), 64):
+    eps, b = batch(eps, b)
+    x = np.empty((len(eps), 8), dtype=complex)
+    for block in blocks(len(eps), 64):
         with np.errstate(all="ignore"):
-            p = wave_params(eps_all[block], BarrierColumns(*(c[block] for c in cols)))
-            mat, rhs = _assemble(p, cols.lam[block])
+            mat, rhs = _assemble(wave_params(eps[block], b.part(block)), b.lam[block])
             try:
-                x = (np.linalg.inv(mat) @ rhs)[..., 0]
+                x[block] = (np.linalg.inv(mat) @ rhs)[..., 0]
             except np.linalg.LinAlgError:
-                x = np.full(mat.shape[:2], np.nan)
-        amps += [ScatteringAmplitudes(*row) for row in x.tolist()]
-        for i in (block.start + np.flatnonzero(~np.isfinite(x).all(axis=1))).tolist():
-            amps[i] = solve(energies[i], barriers[i])
-    return amps
+                x[block] = np.nan
+    for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
+        x[i] = solve(float(eps[i]), b.barrier(i))
+    return x
 
 
 def probability_balance(amps: ScatteringAmplitudes) -> float:

@@ -8,10 +8,12 @@ Five check classes, each a separate pass/fail unit:
   transmission-cross   closed formula vs direct solve vs integrator
   series-asymptotics   threshold moduli vs their thin/thick truncations
 
-Each route runs once over all the points a check draws: `solve`,
-`transmission` and `oracle_amplitudes` take sequences of energies and
-barriers, and the two transfer tables are built as (n, 4, 4) stacks, in
-blocks of `barrier.blocks(n, 16)` points.
+The samples are drawn as columns, an energy ndarray and a BarrierColumns,
+and stay columns until the verdict: each check takes a slice of them, and
+each route runs once over all the points it checks, `solve`,
+`transmission` and `oracle_amplitudes` as batches that return arrays and
+the two transfer tables as (n, 4, 4) stacks, in blocks of
+`barrier.blocks(n, 16)` points.
 
 The elementwise transfer comparison is scaled by the matrix magnitude:
 entries grow like exp(alpha_plus*lam), where an absolute tolerance below
@@ -25,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, blocks, columns, require_count, require_integer, wave_params
+from .barrier import BarrierColumns, blocks, require_count, require_integer, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .ode_oracle import oracle_amplitudes, split_ode
-from .solver import probability_balance, solve
+from .solver import solve
 from .transfer import transfer_closed, transfer_numeric
 
 #: grid boundaries shared by every randomized check
@@ -61,64 +63,60 @@ class CheckReport:
         )
 
 
-def _unzip(points) -> tuple[list[float], list[AdimensionalBarrier]]:
-    """(energies, barriers) of a list of (eps, barrier) points, as the batch routes take them."""
-    return [eps for eps, _ in points], [b for _, b in points]
-
-
-def sample_points(rng: np.random.Generator, n: int) -> list[tuple[float, AdimensionalBarrier]]:
-    """Draw (eps, barrier) pairs, rejecting the degeneracy band.
+def sample_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, BarrierColumns]:
+    """Draw n (eps, barrier) points as columns, rejecting the degeneracy band.
 
     Each point takes four uniform draws in the order eps, vc, theta, lam,
     drawn as blocks of rows for the points still missing, so a generator
-    yields the same points as it would one draw at a time.
+    yields the same points as it would one draw at a time.  vq is
+    sqrt(1 - vc**2), and the band test takes eps**4 and vq**2 from libm's
+    pow (np.float_power), as Python's ** does on one float.
     """
-    out: list[tuple[float, AdimensionalBarrier]] = []
-    while len(out) < n:
-        for eps, vc, theta, lam in rng.uniform(_LOW, _HIGH, size=(n - len(out), 4)).tolist():
-            vq = math.sqrt(max(0.0, 1.0 - vc * vc))
-            if abs(eps**4 - vq**2) < DEGENERACY_BAND:
-                continue
-            out.append((eps, AdimensionalBarrier(vc=vc, vq=vq, theta=theta, lam=lam)))
-    return out
+    rows = np.empty((0, 5))
+    while len(rows) < n:
+        draws = rng.uniform(_LOW, _HIGH, size=(n - len(rows), 4))
+        vq = np.sqrt(np.maximum(0.0, 1.0 - draws[:, 1] * draws[:, 1]))
+        keep = ~(abs(np.float_power(draws[:, 0], 4) - np.float_power(vq, 2)) < DEGENERACY_BAND)
+        rows = np.concatenate([rows, np.column_stack([draws, vq])[keep]])
+    eps, vc, theta, lam, vq = rows.T.copy()
+    return eps, BarrierColumns(vc, vq, theta, lam)
 
 
-def check_norm_conservation(points, amps) -> CheckReport:
-    """`amps[i]` is `solve` at `points[i]`."""
-    worst = float(np.abs([probability_balance(a) for a in amps]).max())
-    return CheckReport("norm-conservation", worst < 1e-9, worst, 1e-9, len(points))
+def check_norm_conservation(amps: np.ndarray) -> CheckReport:
+    """1 - |r|**2 - |t|**2 of `solve`'s (n, 8) rows.
+
+    |z| is libm's hypot and z**2 libm's pow, as `solver.probability_balance`
+    takes them from Python's abs and ** on one point.
+    """
+    r, t = amps[:, 0], amps[:, 2]
+    balance = 1.0 - np.float_power(np.hypot(r.real, r.imag), 2) - np.float_power(np.hypot(t.real, t.imag), 2)
+    worst = float(np.abs(balance).max())
+    return CheckReport("norm-conservation", worst < 1e-9, worst, 1e-9, len(amps))
 
 
-def _t(results) -> np.ndarray:
-    """The t of each record, as one complex array."""
-    return np.array([x.t for x in results], dtype=complex)
+def check_theta_invariance(eps: np.ndarray, cols: BarrierColumns) -> CheckReport:
+    base = transmission(eps, cols._replace(theta=0.0))
+    worst = float(np.abs(transmission(eps, cols) - base).max())
+    return CheckReport("theta-invariance", worst < 1e-12, worst, 1e-12, len(eps))
 
 
-def check_theta_invariance(points) -> CheckReport:
-    energies, barriers = _unzip(points)
-    base = transmission(energies, [AdimensionalBarrier(b.vc, b.vq, 0.0, b.lam) for b in barriers])
-    worst = float(np.abs(_t(transmission(energies, barriers)) - _t(base)).max())
-    return CheckReport("theta-invariance", worst < 1e-12, worst, 1e-12, len(points))
-
-
-def check_transfer_agreement(points) -> CheckReport:
+def check_transfer_agreement(eps: np.ndarray, cols: BarrierColumns) -> CheckReport:
     gaps = []
-    for block in blocks(len(points), 16):
-        eps, b = columns(*_unzip(points[block]))
-        closed = transfer_closed(wave_params(eps, b), b.lam)
-        numeric = transfer_numeric(split_ode(b, eps), b.lam)
+    for block in blocks(len(eps), 16):
+        e, b = eps[block], cols.part(block)
+        closed = transfer_closed(wave_params(e, b), b.lam)
+        numeric = transfer_numeric(split_ode(b, e), b.lam)
         scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
         gaps.append(np.abs(closed - numeric).max(axis=(1, 2)) / scale)
     worst = float(np.concatenate(gaps).max())
-    return CheckReport("transfer-agreement", worst < 1e-10, worst, 1e-10, len(points))
+    return CheckReport("transfer-agreement", worst < 1e-10, worst, 1e-10, len(eps))
 
 
-def check_transmission_cross(points, amps) -> CheckReport:
-    """`amps[i]` is `solve` at `points[i]`."""
-    energies, barriers = _unzip(points)
-    t_oracle = _t(oracle_amplitudes(energies, barriers))
-    t_closed = _t(transmission(energies, barriers))
-    t_solver = _t(amps)
+def check_transmission_cross(eps: np.ndarray, cols: BarrierColumns, amps: np.ndarray) -> CheckReport:
+    """`amps` is `solve`'s (n, 8) array at the points (eps, cols)."""
+    t_oracle = oracle_amplitudes(eps, cols)[:, 2]
+    t_closed = transmission(eps, cols)
+    t_solver = amps[:, 2]
     gaps = np.abs([t_closed - t_solver, t_closed - t_oracle, t_solver - t_oracle])
     worst_solver, worst = float(gaps[0].max()), float(gaps.max())
     return CheckReport(
@@ -126,7 +124,7 @@ def check_transmission_cross(points, amps) -> CheckReport:
         worst < 1e-9,
         worst,
         1e-9,
-        len(points),
+        len(eps),
         detail=f"closed-vs-solver={worst_solver:.3e}",
     )
 
@@ -155,14 +153,14 @@ def run_all(seed: int, samples: int) -> list[CheckReport]:
     require_count("samples", samples)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    points = sample_points(rng, samples)
-    amps = solve(*_unzip(points))
-    theta_points = points[: min(len(points), max(1, samples // 5))]
-    transfer_points = points[: min(len(points), max(1, 2 * samples // 5))]
+    eps, cols = sample_points(rng, samples)
+    amps = solve(eps, cols)
+    theta_points = slice(max(1, samples // 5))
+    transfer_points = slice(max(1, 2 * samples // 5))
     return [
-        check_norm_conservation(points, amps),
-        check_theta_invariance(theta_points),
-        check_transfer_agreement(transfer_points),
-        check_transmission_cross(points, amps),
+        check_norm_conservation(amps),
+        check_theta_invariance(eps[theta_points], cols.part(theta_points)),
+        check_transfer_agreement(eps[transfer_points], cols.part(transfer_points)),
+        check_transmission_cross(eps, cols, amps),
         check_series_asymptotics(),
     ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from qbarrier import AdimensionalBarrier
+from qbarrier.barrier import columns
 
 #: the five reference potentials, pure complex through pure quaternionic
 FIVE_POTENTIALS = (
@@ -59,6 +60,6 @@ def near_band_points(disc: float):
     ]
 
 
-def unzip(points):
-    """(energies, barriers) of a list of (eps, barrier) pairs, as a batch call takes them."""
-    return [eps for eps, _ in points], [b for _, b in points]
+def as_columns(points):
+    """(energies, BarrierColumns) of a list of (eps, barrier) pairs, as a batch call takes them."""
+    return columns([eps for eps, _ in points], [b for _, b in points])

@@ -21,11 +21,12 @@ from qbarrier import (
     critical_quaternionic,
     oracle_amplitudes,
     scan_peaks,
+    solve,
     split_ode,
     transmission,
     wave_params,
 )
-from qbarrier.barrier import MAX_GRID_POINTS, shc, uniform_grid
+from qbarrier.barrier import MAX_GRID_POINTS, BarrierColumns, batch, columns, shc, uniform_grid
 from qbarrier.cli import run_sweep
 from qbarrier.verify import run_all
 
@@ -109,6 +110,64 @@ class TestAdimensionalBarrier:
         for lam in (-1.0, *NON_FINITE):
             with pytest.raises(ValueError):
                 AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
+
+
+#: fields (vc, vq, theta, lam) that AdimensionalBarrier rejects, one clause each
+BAD_FIELDS = {
+    "nan-vc": (math.nan, 1.0, 0.0, 1.0),
+    "nan-theta": (0.6, 0.8, math.nan, 1.0),
+    "inf-lam": (1.0, 0.0, 0.0, math.inf),
+    "negative-vq": (math.sqrt(1.0 - 1e-6), -1e-3, 0.0, 1.0),
+    "negative-lam": (0.6, 0.8, 0.4, -2.0),
+    "off-circle": (0.6, 0.8 + 1e-11, 0.0, 1.0),
+}
+
+
+class TestBatch:
+    """`batch`: columns checked by AdimensionalBarrier's rule, with no object per point."""
+
+    GOOD = (0.6, 0.8, 0.4, 2.0)
+
+    def columns(self, rows):
+        return BarrierColumns(*(np.array(c, dtype=float) for c in zip(*rows)))
+
+    @pytest.mark.parametrize("bad", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+    def test_raises_what_the_first_bad_point_raises(self, bad):
+        with pytest.raises(ValueError) as single:
+            AdimensionalBarrier(*bad)
+        other = BAD_FIELDS["off-circle"] if bad != BAD_FIELDS["off-circle"] else BAD_FIELDS["nan-vc"]
+        cols = self.columns([self.GOOD, bad, self.GOOD, other])
+        with pytest.raises(ValueError) as caught:
+            batch(np.ones(4), cols)
+        assert str(caught.value) == str(single.value)
+        # and so does each route, before any energy is looked at
+        for route in (transmission, solve, oracle_amplitudes):
+            with pytest.raises(ValueError) as caught:
+                route(np.array([1.2, -1.0, 1.2, 1.2]), cols)
+            assert str(caught.value) == str(single.value)
+
+    def test_builds_no_barrier_when_every_point_is_good(self, monkeypatch):
+        monkeypatch.setattr(BarrierColumns, "barrier", None)
+        eps, cols = batch([1.2, 1.3], self.columns([self.GOOD, (-1.0, 0.0, 0.0, 0.0)]))
+        assert eps.dtype == float and cols.lam.tolist() == [2.0, 0.0]
+
+    def test_a_float_field_holds_at_every_point(self):
+        _, cols = batch(np.ones(3), self.columns([self.GOOD] * 3)._replace(theta=0))
+        assert cols.theta.tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^lam must be finite and >= 0.0, got -1.0$"):
+            batch(np.ones(3), self.columns([self.GOOD] * 3)._replace(lam=-1.0))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^3 energies for 2 barriers$"):
+            batch(np.ones(3), self.columns([self.GOOD] * 2))
+
+    def test_columns_of_objects(self):
+        eps, cols = columns([1.2, 2], [AdimensionalBarrier(*self.GOOD), AdimensionalBarrier(1, 0)])
+        assert eps.tolist() == [1.2, 2.0] and cols.vc.tolist() == [0.6, 1.0]
+        assert cols.barrier(1) == AdimensionalBarrier(1.0, 0.0, 0.0, 1.0)
+        assert cols.part(slice(1)).lam.tolist() == [2.0]
+        with pytest.raises(ValueError, match="^1 energies for 2 barriers$"):
+            columns([1.2], [AdimensionalBarrier(*self.GOOD)] * 2)
 
 
 class TestWaveParams:

@@ -24,7 +24,7 @@ from qbarrier.barrier import SHC_SERIES_BELOW, shc
 from qbarrier.closed_form import denominator_factored, denominator_slope, transmission_grid
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.complex_reference import complex_probability, complex_t
-from tests.conftest import FIVE_POTENTIALS, circle_points, near_band_points, random_points, unzip
+from tests.conftest import FIVE_POTENTIALS, as_columns, circle_points, near_band_points, random_points
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -344,7 +344,7 @@ def test_grid_keeps_the_scalar_value_where_it_is_not_finite(warnings_are_errors)
 
 
 def batch_t(points) -> np.ndarray:
-    return np.array([r.t for r in transmission(*unzip(points))], dtype=complex)
+    return transmission(*as_columns(points))
 
 
 def single_t(points) -> np.ndarray:
@@ -355,9 +355,10 @@ def test_batch_agrees_with_the_single_calls(warnings_are_errors):
     # measured over 20 seeds of 1000 such points: within 2.9e-14
     pts = circle_points(seed=41, n=400)
     assert np.abs(batch_t(pts) - single_t(pts)).max() <= 1e-13
-    [one] = transmission([pts[0][0]], [pts[0][1]])
-    assert abs(one.t - transmission(*pts[0]).t) <= 1e-13
-    assert transmission([], []) == []
+    [one] = batch_t(pts[:1])
+    assert abs(one - transmission(*pts[0]).t) <= 1e-13
+    empty = batch_t([])
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 @pytest.mark.parametrize("disc", (-1e-8, -1e-9, -2e-10, 2e-10, 1e-9, 1e-8))
@@ -381,10 +382,10 @@ def test_batch_raises_what_the_single_call_raises(bad, warnings_are_errors):
     with pytest.raises(Exception) as single:
         transmission(*bad)
     with pytest.raises(type(single.value)) as batch:
-        transmission(*unzip([GOOD, bad, (-1.0, QUATERNIONIC)]))
+        batch_t([GOOD, bad, (-1.0, QUATERNIONIC)])
     assert str(batch.value) == str(single.value)
     with pytest.raises(ValueError, match="^2 energies for 1 barriers$"):
-        transmission([1.2, 1.3], [QUATERNIONIC])
+        transmission(np.array([1.2, 1.3]), as_columns([GOOD])[1])
 
 
 def test_batch_keeps_the_single_value_where_it_is_not_finite(warnings_are_errors):

@@ -18,7 +18,7 @@ from qbarrier import (
 )
 from qbarrier import barrier
 from qbarrier.transfer import _squarings
-from tests.conftest import random_points, unzip
+from tests.conftest import as_columns, random_points
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -140,8 +140,8 @@ def test_transmission_matches_the_referee_to_1e_12():
             eps = rng.uniform(3.0, 25.0)
         if abs(eps**4 - math.sin(phi) ** 2) >= 1e-6:
             pts.append((eps, AdimensionalBarrier(math.cos(phi), math.sin(phi), theta, lam)))
-    amps = oracle_amplitudes(*unzip(pts))
-    worst = max(abs(a.t - reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)[2]) for a, (eps, b) in zip(amps, pts))
+    t = oracle_amplitudes(*as_columns(pts))[:, 2]
+    worst = max(abs(x - reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)[2]) for x, (eps, b) in zip(t, pts))
     assert worst <= 1e-12
 
 
@@ -186,8 +186,8 @@ def batch_points():
 
 
 def amplitude_words(amps):
-    """r, rt, t and tt of each record as uint64 words, a None tt as 0 followed by a 1."""
-    rows = [[a.r, a.rt, a.t, 0 if a.tt is None else a.tt, a.tt is None] for a in amps]
+    """r, rt, t and tt of each single call's record as uint64 words, a None tt as NaN, as a batch gives it."""
+    rows = [[a.r, a.rt, a.t, math.nan if a.tt is None else a.tt] for a in amps]
     return np.array(rows, dtype=complex).view(np.uint64)
 
 
@@ -195,18 +195,19 @@ def test_batch_is_the_single_calls_word_for_word():
     pts = batch_points()
     counts = {int(_squarings(split_ode(b, eps)[None], b.lam)[0]) for eps, b in pts}
     assert set(range(11)) <= counts
-    batch = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
+    batch = oracle_amplitudes(*as_columns(pts))
+    assert batch.shape == (len(pts), 4) and batch.dtype == complex
     singles = [oracle_amplitudes(eps, b) for eps, b in pts]
-    assert np.array_equal(amplitude_words(batch), amplitude_words(singles))
+    assert np.array_equal(batch.view(np.uint64), amplitude_words(singles))
 
 
 def test_batch_split_into_parts_keeps_its_words(monkeypatch):
     pts = batch_points()
-    whole = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
+    whole = oracle_amplitudes(*as_columns(pts))
     # blocks of 4 points
     monkeypatch.setattr(barrier, "MAX_ENTRIES", 64)
-    parts = oracle_amplitudes([eps for eps, _ in pts], [b for _, b in pts])
-    assert np.array_equal(amplitude_words(whole), amplitude_words(parts))
+    parts = oracle_amplitudes(*as_columns(pts))
+    assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
 
 def test_batch_raises_what_the_first_failing_point_raises():
@@ -215,12 +216,12 @@ def test_batch_raises_what_the_first_failing_point_raises():
     with pytest.raises(ValueError) as single:
         oracle_amplitudes(1.2, wide[0])
     with pytest.raises(ValueError) as batch:
-        oracle_amplitudes([1.2, 1.2, 1.2], [ok, *wide])
+        oracle_amplitudes(*as_columns([(1.2, ok), (1.2, wide[0]), (1.2, wide[1])]))
     assert str(batch.value) == str(single.value)
     with pytest.raises(ValueError, match="eps"):
-        oracle_amplitudes([1.2, -1.0, 1.2], [ok, ok, wide[0]])
+        oracle_amplitudes(*as_columns([(1.2, ok), (-1.0, ok), (1.2, wide[0])]))
     with pytest.raises(ValueError, match="2 energies for 1 barriers"):
-        oracle_amplitudes([1.2, 1.3], [ok])
+        oracle_amplitudes(np.array([1.2, 1.3]), as_columns([(1.2, ok)])[1])
 
 
 def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
@@ -230,9 +231,9 @@ def test_overflowing_far_edge_amplitude_is_none_and_spares_the_batch():
     alone = oracle_amplitudes(25.0, thick)
     assert alone.tt is None
     assert cmath.isfinite(alone.t) and cmath.isfinite(alone.r) and cmath.isfinite(alone.rt)
-    batch = oracle_amplitudes([1.2, 25.0], [thick, thick])
-    assert batch[1] == alone
-    assert np.array_equal(amplitude_words(batch[:1]), amplitude_words([oracle_amplitudes(1.2, thick)]))
+    batch = oracle_amplitudes(*as_columns([(1.2, thick), (25.0, thick)]))
+    assert np.array_equal(batch.view(np.uint64), amplitude_words([oracle_amplitudes(1.2, thick), alone]))
+    assert cmath.isnan(batch[1, 3]) and cmath.isfinite(batch[0, 3])
 
 
 def count_points():
@@ -255,7 +256,7 @@ def test_squaring_rule_bounds_each_segments_growth():
     # the referee takes the growth rate max Re eig(A) by an eigensolver; each
     # of the 2**s segments grows by less than exp(2)
     pts = count_points()
-    eps, cols = barrier.columns(*unzip(pts))
+    eps, cols = as_columns(pts)
     a = split_ode(cols, eps)
     s = _squarings(a, cols.lam)
     growth = np.linalg.eigvals(a).real.max(-1) * cols.lam * 0.5**s
@@ -277,7 +278,7 @@ def test_beyond_reach_is_a_value_error_naming_eps_and_lam(eps, lam):
         oracle_amplitudes(eps, wide)
     ok = AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.0, lam=2.0)
     with pytest.raises(ValueError) as batch:
-        oracle_amplitudes([1.2, eps, 1.2], [ok, wide, ok])
+        oracle_amplitudes(*as_columns([(1.2, ok), (eps, wide), (1.2, ok)]))
     assert str(batch.value) == str(single.value)
 
 
@@ -315,15 +316,15 @@ def test_amplitudes_are_within_the_error_bound_of_the_referee():
     # to itself: at eps = 1e-7, lam = 279 (a well), |t| is 4.4e-4 of |sigma| and
     # 2.5e-11 relative off, as is the dense shooting solve at that point.
     pts = gate_points()
-    for (eps, b), amps in zip(pts, oracle_amplitudes(*unzip(pts))):
+    for (eps, b), (r_got, rt_got, t_got, tt_got) in zip(pts, oracle_amplitudes(*as_columns(pts)).tolist()):
         r, rt, t, sigma = reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam, right_edge=True)
         bound = 1e-11 + 16.0 * max(eps, 1.0) * b.lam * 2.0**-52
-        assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= bound
+        assert max(abs(r_got - r), abs(rt_got - rt), abs(t_got - t)) <= bound
         if abs(sigma) >= sys.float_info.min:
-            assert abs(amps.t - t) <= bound * max(abs(t), abs(sigma))
-            if amps.tt is not None:
+            assert abs(t_got - t) <= bound * max(abs(t), abs(sigma))
+            if not cmath.isnan(tt_got):
                 tt = sigma * cmath.exp(eps * b.lam)
-                assert abs(amps.tt - tt) <= bound * abs(tt)
+                assert abs(tt_got - tt) <= bound * abs(tt)
     pinned = oracle_amplitudes(*pts[0]).tt  # Tt of the referee
     assert abs(pinned - (7.899492613119e-69 + 8.975105448541e-69j)) <= 1e-12 * abs(pinned)
 

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from qbarrier import (
     wavefunction,
 )
 from qbarrier import barrier
-from tests.conftest import circle_points, near_band_points, random_points, unzip
+from tests.conftest import as_columns, circle_points, near_band_points, random_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,7 +128,7 @@ def test_singular_system_is_a_typed_error_naming_eps_and_lam():
     assert not isinstance(single.value, ValueError)
     assert single.value.__cause__ is None and single.value.__suppress_context__
     with pytest.raises(SingularSystemError, match=message):
-        solve([1.2, eps], [AdimensionalBarrier(0.6, 0.8, 0.0, 2.0), b])
+        solve(*as_columns([(1.2, AdimensionalBarrier(0.6, 0.8, 0.0, 2.0)), SINGULAR]))
 
 
 def test_threshold_rejected():
@@ -246,23 +245,15 @@ def test_theta_covariance_of_amplitudes():
     assert abs(moved.tt - base.tt * rot) < 1e-12
 
 
-#: the eight amplitudes of a `solve` record, in field order
-FIELDS = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
-
-
 def gaps(batch, singles):
-    """|batch - single| per point and field.
+    """|batch - single| per point and field, for `solve`'s (n, 8) batch rows and its single records.
 
     Absolute for r, rt and t; relative to max(1, |single|) from tt on.
     """
-    x, y = (np.array([FIELDS(a) for a in amps]) for amps in (batch, singles))
-    gap = np.abs(x - y)
+    y = np.array(singles)
+    gap = np.abs(batch - y)
     gap[:, 3:] /= np.maximum(1.0, np.abs(y[:, 3:]))
     return gap
-
-
-def words(amps):
-    return np.array([FIELDS(a) for a in amps]).view(np.uint64)
 
 
 #: a point on each side of those that make a batch raise
@@ -276,13 +267,13 @@ SINGULAR = (2.334319072789119, AdimensionalBarrier(vc=0.9820200615065194, vq=0.1
 
 
 class TestBatch:
-    """`solve` over sequences: numpy assembly, one stacked inverse per block, the single calls' errors."""
+    """`solve` over columns: numpy assembly, one stacked inverse per block, the single calls' errors."""
 
     def test_agrees_with_the_single_calls(self):
         # measured over 20 seeds of 1000 such points: r, rt and t within 8.3e-15,
         # tt within 1.1e-12 relative and a, b, at, bt within 2.5e-14 relative
         pts = circle_points(seed=31, n=400)
-        gap = gaps(solve(*unzip(pts)), [solve(eps, b) for eps, b in pts])
+        gap = gaps(solve(*as_columns(pts)), [solve(eps, b) for eps, b in pts])
         assert gap[:, :3].max() <= 1e-13
         assert gap[:, 3:].max() <= 1e-11
 
@@ -290,21 +281,22 @@ class TestBatch:
     def test_answers_just_outside_the_band(self, disc):
         # both evaluations lose digits like 1/|disc| there: measured gap*|disc| <= 1.0e-17
         pts = near_band_points(disc)
-        gap = gaps(solve(*unzip(pts)), [solve(eps, b) for eps, b in pts])
+        gap = gaps(solve(*as_columns(pts)), [solve(eps, b) for eps, b in pts])
         assert gap.max() <= 1e-16 / abs(disc)
 
-    def test_one_point_in_a_sequence(self):
-        [amps] = solve([OK[0]], [OK[1]])
-        assert gaps([amps], [solve(*OK)]).max() <= 1e-13
+    def test_one_point_in_a_batch(self):
+        amps = solve(*as_columns([OK]))
+        assert amps.shape == (1, 8) and amps.dtype == complex
+        assert gaps(amps, [solve(*OK)]).max() <= 1e-13
 
     def test_empty(self):
-        assert solve([], []) == []
+        assert solve(*as_columns([])).shape == (0, 8)
 
     def test_split_into_blocks_keeps_its_words(self, monkeypatch):
         pts = circle_points(seed=32, n=30)
-        whole = solve(*unzip(pts))
+        whole = solve(*as_columns(pts))
         monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 64)  # four 8x8 systems per block
-        assert np.array_equal(words(solve(*unzip(pts))), words(whole))
+        assert np.array_equal(solve(*as_columns(pts)).view(np.uint64), whole.view(np.uint64))
 
     @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, SINGULAR),
                              ids=("band", "negative-eps", "nan-eps", "singular"))
@@ -312,25 +304,25 @@ class TestBatch:
         with pytest.raises(Exception) as single:
             solve(*bad)
         with pytest.raises(type(single.value)) as batch:
-            solve(*unzip([OK, bad, OK]))
+            solve(*as_columns([OK, bad, OK]))
         assert str(batch.value) == str(single.value)
 
     def test_raises_at_the_first_failing_point(self):
         with pytest.raises(DegenerateEnergyError):
-            solve(*unzip([OK, IN_BAND, BAD_EPS]))
+            solve(*as_columns([OK, IN_BAND, BAD_EPS]))
         with pytest.raises(ValueError, match="eps must be finite"):
-            solve(*unzip([OK, BAD_EPS, IN_BAND]))
+            solve(*as_columns([OK, BAD_EPS, IN_BAND]))
 
     def test_lengths_must_match(self):
+        eps, cols = as_columns([OK])
         with pytest.raises(ValueError, match="^2 energies for 1 barriers$"):
-            solve([1.3, 1.4], [OK[1]])
+            solve(np.array([1.3, 1.4]), cols)
 
 
 def test_records_are_immutable_tuples_of_fixed_fields():
     assert ScatteringAmplitudes._fields == ("r", "rt", "t", "tt", "a", "b", "at", "bt")
-    single, batch, oracle = solve(*OK), solve(*unzip([OK, OK])), oracle_amplitudes(*OK)
-    assert all(type(amps) is type(single) is ScatteringAmplitudes for amps in batch)
-    assert type(oracle) is ScatteringAmplitudes
+    single, oracle = solve(*OK), oracle_amplitudes(*OK)
+    assert type(single) is type(oracle) is ScatteringAmplitudes
     assert (oracle.a, oracle.b, oracle.at, oracle.bt) == (None, None, None, None)
     for record, name in ((single, "t"), (oracle, "bt"), (wave_params(*OK), "beta")):
         with pytest.raises(AttributeError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qbarrier import barrier
-from qbarrier.solver import solve
+from qbarrier.solver import ScatteringAmplitudes, probability_balance, solve
 from qbarrier.verify import (
     DEGENERACY_BAND,
     CheckReport,
@@ -21,13 +21,12 @@ from qbarrier.verify import (
 
 def test_sample_points_respects_bounds_and_band():
     rng = np.random.default_rng(3)
-    pts = sample_points(rng, 200)
-    assert len(pts) == 200
-    for eps, b in pts:
-        assert 0.2 <= eps <= 3.0
-        assert 0.0 < b.lam <= 10.0
-        assert abs(eps**4 - b.vq**2) >= 1e-6
-        assert abs(b.vc**2 + b.vq**2 - 1.0) < 1e-12
+    eps, cols = sample_points(rng, 200)
+    assert all(x.shape == (200,) and x.dtype == float for x in (eps, *cols))
+    assert ((0.2 <= eps) & (eps <= 3.0)).all()
+    assert ((0.0 < cols.lam) & (cols.lam <= 10.0)).all()
+    assert (abs(eps**4 - cols.vq**2) >= 1e-6).all()
+    assert (abs(cols.vc**2 + cols.vq**2 - 1.0) < 1e-12).all()
 
 
 class ScriptedRng:
@@ -47,9 +46,9 @@ class ScriptedRng:
 def test_sample_points_skips_the_degenerate_draw():
     # per draw: eps, vc, theta, lam; eps = 1 with vc = 0 (so vq = 1) is degenerate
     rng = ScriptedRng([1.0, 0.0, 0.4, 2.0, 1.5, 0.6, 0.4, 2.0])
-    [(eps, b)] = sample_points(rng, 1)
-    assert eps == 1.5
-    assert (b.vc, b.theta, b.lam) == (0.6, 0.4, 2.0)
+    eps, cols = sample_points(rng, 1)
+    assert eps.tolist() == [1.5]
+    assert (cols.vc.tolist(), cols.theta.tolist(), cols.lam.tolist()) == ([0.6], [0.4], [2.0])
     assert rng.used == 8  # the degenerate row was drawn, then one more
 
 
@@ -68,28 +67,41 @@ def one_draw_at_a_time(rng, n):
 
 
 def test_sample_points_draw_the_scalar_stream():
-    for seed in (1, 7, 42):
-        pts = sample_points(np.random.default_rng(seed), 150)
-        got = [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in pts]
+    for seed in (1, 7, 42, 271828):
+        eps, cols = sample_points(np.random.default_rng(seed), 150)
+        got = np.column_stack([eps, cols.vc, cols.vq, cols.theta, cols.lam])
         want = one_draw_at_a_time(np.random.default_rng(seed), 150)
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_individual_checks_pass_on_seeded_grid():
-    rng = np.random.default_rng(8)
-    pts = sample_points(rng, 30)
-    amps = [solve(eps, b) for eps, b in pts]
-    for result in (check_norm_conservation(pts, amps), check_theta_invariance(pts),
-                   check_transfer_agreement(pts), check_transmission_cross(pts, amps)):
+    eps, cols = sample_points(np.random.default_rng(8), 30)
+    amps = np.array([solve(float(e), cols.barrier(i)) for i, e in enumerate(eps)])
+    for result in (check_norm_conservation(amps), check_theta_invariance(eps, cols),
+                   check_transfer_agreement(eps, cols), check_transmission_cross(eps, cols, amps)):
         assert result.passed, result.line()
     assert check_series_asymptotics().passed
 
 
+def test_norm_check_is_the_per_point_balance_word_for_word():
+    # libm's hypot and pow on the columns, as Python's abs and ** on each point
+    # (numpy's abs differs from abs in the last bit on about half of these):
+    # solve's rows at 500 sampled points, then 2000 seeded near-unitary pairs
+    rng = np.random.default_rng(12)
+    phi, alpha, beta = rng.uniform(0.0, 2.0 * math.pi, (3, 2000))
+    pairs = np.zeros((2000, 8), dtype=complex)
+    pairs[:, 0], pairs[:, 2] = np.cos(phi) * np.exp(1j * alpha), np.sin(phi) * np.exp(1j * beta)
+    for amps in (solve(*sample_points(np.random.default_rng(13), 500)), pairs):
+        for row in amps:  # a check of one point reports that point's |balance|
+            balance = probability_balance(ScatteringAmplitudes(*row.tolist()))
+            assert check_norm_conservation(row[None]).worst == abs(balance)
+
+
 def test_transfer_check_split_into_blocks_keeps_its_words(monkeypatch):
-    pts = sample_points(np.random.default_rng(9), 30)
-    whole = check_transfer_agreement(pts).worst
+    eps, cols = sample_points(np.random.default_rng(9), 30)
+    whole = check_transfer_agreement(eps, cols).worst
     monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 16)  # four 4x4 tables per block
-    assert check_transfer_agreement(pts).worst == whole
+    assert check_transfer_agreement(eps, cols).worst == whole
 
 
 def test_run_all_produces_five_classes():

@@ -13,7 +13,10 @@ reach 9, and in a third a seeded set of 200 thick points at eps =
 U(0.05, 3) and lam = U(30, 1000); the points on
 which a single `solve` or `transmission` call answers go through that
 route again in one call each; if such a call raises, as it does where the
-route takes one point per call, each point is called alone.
+route takes one point per call, each point is called alone.  A batch
+call passes columns (an energy ndarray and a BarrierColumns) or, in a
+tree whose batch form takes them, sequences of energies and barriers, and
+its result is read as array rows (a NaN oracle tt as None) or as records.
 `verify.sample_points` draws a few seeded sets.  `scan_peaks` runs an
 energy scan and a width scan for each of a seeded set of potentials, over
 the ranges and at the steps `qbarrier resonances --n 3` takes.  Each
@@ -35,6 +38,7 @@ circle, with theta = 0 or U(-pi, pi), lam0 = U(1, 12) for the energy scan
 and eps0 = U(1.05, 3) for the width scan.
 """
 
+import cmath
 import math
 import operator
 import pickle
@@ -65,6 +69,19 @@ transmitted = operator.attrgetter("t", "prob", "phase")
 critical_amplitudes = operator.attrgetter("r", "t", "rt", "tt")
 #: the amplitudes an `oracle_amplitudes` record carries
 oracle_fields = operator.attrgetter("r", "rt", "t", "tt")
+
+
+def transmitted_t(t):
+    """What a `TransmissionResult` gives, from the t of a batch's array."""
+    from qbarrier.closed_form import TransmissionResult
+
+    return transmitted(TransmissionResult(t))
+
+
+def oracle_row(row):
+    """r, rt, t and tt of an `oracle_amplitudes` batch row, whose NaN tt is the single call's None."""
+    r, rt, t, tt = row
+    return r, rt, t, None if cmath.isnan(tt) else tt
 
 
 def points():
@@ -148,15 +165,37 @@ def outcome(fn):
     return tuple(map(words, value)) if isinstance(value, tuple) else words(value)
 
 
-def batch_outcomes(route, fields, pts):
-    """words() of fields of each record of one route(energies, barriers) call.
+def batch_rows(result, fields, row_fields):
+    """The fields of each point of a batch result: records (a tree whose batch form returns them) or array rows."""
+    if isinstance(result, np.ndarray):
+        return [row_fields(row) for row in result.tolist()]
+    return [fields(x) for x in result]
 
-    If that call raises, each point's own outcome instead.
+
+def batch_outcomes(route, fields, row_fields, pts):
+    """words() of the fields of each point of one batch call of route.
+
+    The call takes the columns (energy ndarray, BarrierColumns) or, in a
+    tree whose batch form takes them, sequences of energies and barriers;
+    the other form raises there.  If both raise, each point's own outcome.
     """
-    try:
-        return [tuple(map(words, fields(x))) for x in route([eps for eps, _ in pts], [b for _, b in pts])]
-    except Exception:  # noqa: BLE001 - then every point's own outcome is compared
-        return [outcome(lambda: fields(route(eps, b))) for eps, b in pts]
+    from qbarrier.barrier import columns
+
+    energies, barriers = [eps for eps, _ in pts], [b for _, b in pts]
+    for args in (columns(energies, barriers), (energies, barriers)):
+        try:
+            return [tuple(map(words, x)) for x in batch_rows(route(*args), fields, row_fields)]
+        except Exception:  # noqa: BLE001 - the other form, then every point's own outcome
+            pass
+    return [outcome(lambda: fields(route(eps, b))) for eps, b in pts]
+
+
+def sampled(result):
+    """(eps, vc, vq, theta, lam) rows of `sample_points`' columns, or of its (eps, barrier) list in a tree that returns one."""
+    if isinstance(result, tuple):
+        eps, cols = result
+        return np.column_stack([eps, cols.vc, cols.vq, cols.theta, cols.lam])
+    return np.array([(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in result])
 
 
 def evaluate(src):
@@ -193,22 +232,22 @@ def evaluate(src):
             out["asymptotic_moduli"].append(outcome(lambda: asymptotic_moduli(lam, case)))
     narrow = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
               for eps, vc, vq, theta, lam in points() if lam <= ORACLE_WIDTH][:ORACLE_POINTS]
-    out["oracle_amplitudes"] = batch_outcomes(oracle_amplitudes, oracle_fields, narrow)
+    out["oracle_amplitudes"] = batch_outcomes(oracle_amplitudes, oracle_fields, oracle_row, narrow)
     large = [(eps, AdimensionalBarrier(vc, vq, theta, lam)) for eps, vc, vq, theta, lam in large_eps_points()]
-    out["oracle_amplitudes (eps > 3)"] = batch_outcomes(oracle_amplitudes, oracle_fields, large)
+    out["oracle_amplitudes (eps > 3)"] = batch_outcomes(oracle_amplitudes, oracle_fields, oracle_row, large)
     thick = [(eps, AdimensionalBarrier(vc, vq, theta, lam)) for eps, vc, vq, theta, lam in thick_points()]
-    out["oracle_amplitudes (thick)"] = batch_outcomes(oracle_amplitudes, oracle_fields, thick)
-    for name, route, fields in (("solve", solve, amplitudes), ("transmission", transmission, transmitted)):
+    out["oracle_amplitudes (thick)"] = batch_outcomes(oracle_amplitudes, oracle_fields, oracle_row, thick)
+    for name, route, fields, row_fields in (("solve", solve, amplitudes, tuple),
+                                            ("transmission", transmission, transmitted, transmitted_t)):
         answered = [(eps, AdimensionalBarrier(vc, vq, theta, lam))
                     for (eps, vc, vq, theta, lam), single in zip(points(), out[name])
                     if not isinstance(single, str)]
-        out[f"{name} (batch)"] = batch_outcomes(route, fields, answered)
+        out[f"{name} (batch)"] = batch_outcomes(route, fields, row_fields, answered)
     for b, lo, hi, eps0, step in scans():
         out["scan_peaks (energy)" if eps0 is None else "scan_peaks (width)"].append(
             outcome(lambda: scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)))
     for seed, n in SAMPLER_RUNS:
-        out["sample_points"].append(outcome(lambda: np.array(
-            [(eps, b.vc, b.vq, b.theta, b.lam) for eps, b in sample_points(np.random.default_rng(seed), n)])))
+        out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
     return out
 
 
