@@ -13,6 +13,7 @@ over energy, and false position on the exact slope of |D|**2 over width.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -29,11 +30,8 @@ REFINE_TOL = 1e-6
 #: a width-scan peak's bracket is refined until it is this many ulp of its upper end wide
 ROOT_ULPS = 4
 
-#: ulp of its |T|**2 by which a peak must stand above its col on each side (`_stands_out`)
+#: ulp of its |T|**2 by which a peak must stand above its col on each side (`_stand_out`)
 PEAK_FLOOR = 64
-
-#: most grid points, summed over its tops, that a prominence test scans top by top (`_stand_out`)
-TOP_SCANS = 1 << 16
 
 
 def complex_resonance_energies(lambda0: float, n_max: int) -> list[tuple[float, float, float]]:
@@ -127,95 +125,53 @@ def _false_position(f: Callable[[float], float], a: float, b: float, fa: float, 
             return x
 
 
-def _stands_out(heights: np.ndarray, top: int) -> bool:
-    """Whether heights[top] stands PEAK_FLOOR ulp above its col on each side.
+def _stand_out(heights: np.ndarray, tops: list[int]) -> list[bool]:
+    """Whether each of tops stands PEAK_FLOOR ulp above its col on each side.
 
     The col on one side is the lowest height between the top and the
-    nearest height above it on that side, or the sequence's end: the
-    topographic prominence.  An equal height counts as above on the left,
-    so of equal tops only the leftmost stands out.
+    nearest height above it there, or the grid's end: the topographic
+    prominence.  An equal height counts as above on the left, so of equal
+    tops only the leftmost stands out.  A NaN counts as above and makes
+    its side's col NaN, which fails the top on the left only, as max() does.
+    The nearest height above a top climbs, with no lower one or NaN on the
+    way, to an end or a local maximum h[k-1] < h[k] >= h[k+1], a NaN
+    neighbour counting as lower; only those, NaNs and tops are searched.
     """
-    h = float(heights[top])
-    left = np.flatnonzero(heights[:top] >= h)
-    right = np.flatnonzero(heights[top + 1:] > h)
-    col = max(heights[left[-1] + 1 if left.size else 0:top + 1].min(),
-              heights[top:top + 1 + right[0] if right.size else None].min())
-    return bool(h - col >= PEAK_FLOOR * math.ulp(h))
+    if not tops:
+        return []
+    keep = np.ones(len(heights), bool)  # the ends, then the NaNs and the local maxima
+    keep[1:-1] = ~(heights[:-2] >= heights[1:-1]) & ~(heights[1:-1] < heights[2:])
+    keep[tops] = True
+    at = np.flatnonzero(keep)
+    left = _cols(heights, at, operator.lt)
+    right = _cols(heights[::-1], len(heights) - 1 - at[::-1], operator.le)[::-1]
+    col = np.where(right > left, right, left)[np.searchsorted(at, tops)]  # max(left, right)
+    return [x - c >= PEAK_FLOOR * math.ulp(x) for x, c in zip(heights[tops].tolist(), col.tolist())]
 
 
-def _stand_out(heights: np.ndarray, tops: list[int]) -> list[bool]:
-    """`_stands_out` at each of tops, by the same arithmetic.
+def _cols(heights: np.ndarray, at: np.ndarray, below: Callable[[float, float], bool]) -> np.ndarray:
+    """The col toward the grid's start of each index of at, in order.
 
-    Up to TOP_SCANS grid points in all, each top scans the grid.  Beyond,
-    no top does: the search runs outward from every top at once, in
-    blocks of doubling size.  The nodes of a max-tree over the heights
-    find each top's nearest higher neighbour (`_nearest`), and those of a
-    min-tree each col (`_range_min`), in a step per level of the trees.
-    A NaN stops a search as a higher height would and makes its side's col
-    NaN, as in the scan; max() of the two cols then keeps a NaN on the
-    left and passes over one on the right.
+    Its search stops at the nearest earlier index of at not below(it, the
+    index), or at the start; the col is the least height from there to the
+    index.  A NaN is below no height, so a search stops there and the col
+    is NaN.  One pass keeps a stack of the indices no later one has passed,
+    each with the least height up to the next.
     """
-    if len(tops) * len(heights) <= TOP_SCANS:
-        return [_stands_out(heights, top) for top in tops]
-    t = np.array(tops)
-    h = heights[t]
-    highs = _tree(np.where(np.isnan(heights), np.inf, heights), np.maximum, -np.inf)
-    lows = _tree(heights, np.minimum, np.inf)
-    nan = np.isnan(np.append(heights, 0.0))  # index -1 and n read the 0.0
-    left = _nearest(highs, t, h, -1, np.greater_equal, -1)
-    right = _nearest(highs, t, h, 1, np.greater, len(heights))
-    # a side that stopped at a NaN takes it into its range
-    left_col = _range_min(lows, left + 1 - nan[left], t + 1)
-    right_col = _range_min(lows, t, right + nan[right])
-    col = np.where(right_col > left_col, right_col, left_col)
-    return [x - c >= PEAK_FLOOR * math.ulp(x) for x, c in zip(h.tolist(), col.tolist())]
-
-
-def _tree(values: np.ndarray, reduce, pad: float) -> list[np.ndarray]:
-    """The levels of a binary tree over values, padded with pad to a power of two: level k reduces aligned blocks of 2**k."""
-    levels = [np.full(1 << (len(values) - 1).bit_length(), pad)]
-    levels[0][:len(values)] = values
-    while len(levels[-1]) > 1:
-        levels.append(reduce(levels[-1][0::2], levels[-1][1::2]))
-    return levels
-
-
-def _nearest(highs: list[np.ndarray], tops: np.ndarray, h: np.ndarray, side: int, reaches, none: int) -> np.ndarray:
-    """For each top, the nearest index on its side (-1 left, 1 right) whose value reaches(value, h), else none.
-
-    Climbing the max-tree from a top, the sibling block at each level is
-    the next one outward on its side, so the first sibling that reaches h
-    holds the nearest such value; a descent into it, nearer child first,
-    finds it.  Each step works on the tops still climbing or descending.
-    """
-    out, level = np.full(len(tops), none), np.full(len(tops), -1)
-    climbing, node = np.arange(len(tops)), tops.copy()
-    for k, row in enumerate(highs[:-1]):  # the root has no sibling
-        hit = (node & 1) == (side < 0)  # the sibling on this side is a block of its own
-        hit[hit] = reaches(row[node[hit] + side], h[climbing[hit]])
-        level[climbing[hit]], out[climbing[hit]] = k, node[hit] + side
-        climbing, node = climbing[~hit], node[~hit] >> 1
-    for k in range(len(highs) - 2, -1, -1):
-        down = np.flatnonzero(level > k)
-        near = 2 * out[down] + (side < 0)
-        out[down] = np.where(reaches(highs[k][near], h[down]), near, near + side)
-    return out
-
-
-def _range_min(lows: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The least value over [a, b) of the min-tree, for each pair (a < b), NaN if it holds one."""
-    out = np.full(len(a), np.inf)
-    pending, a, b = np.arange(len(a)), a.copy(), b.copy()
-    for row in lows:  # a block at an odd end lies inside [a, b): take it and step past it
-        odd = a % 2 == 1
-        out[pending[odd]] = np.minimum(out[pending[odd]], row[a[odd]])
-        a[odd] += 1
-        odd = (b % 2 == 1) & (a < b)
-        b[odd] -= 1
-        out[pending[odd]] = np.minimum(out[pending[odd]], row[b[odd]])
-        keep = a < b
-        pending, a, b = pending[keep], a[keep] >> 1, b[keep] >> 1
-    return out
+    highs = heights[at].tolist() + [math.nan]  # stack[-1] = -1 reads the grid's start
+    gaps = np.minimum.reduceat(heights, at).tolist()  # the ends are in at, so the gaps cover the grid
+    cols, stack, lows = [], [-1], [math.inf]
+    for i, h in enumerate(highs[:-1]):
+        low = lows[-1]
+        while below(highs[stack[-1]], h):
+            del stack[-1], lows[-1]
+            if not lows[-1] >= low:  # the lesser, or a NaN
+                low = lows[-1]
+        lows[-1] = low
+        cols.append(h if low >= h else low)
+        stack.append(i)
+        lows.append(gaps[i])
+    return np.array(cols)
 
 
 def scan_peaks(

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import time
@@ -21,7 +22,7 @@ from qbarrier import closed_form, resonance
 from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid, wave_params
 from qbarrier.cli import main
 from qbarrier.closed_form import denominator_slope, transmission_grid
-from qbarrier.resonance import REFINE_TOL, _golden_section
+from qbarrier.resonance import PEAK_FLOOR, REFINE_TOL, _golden_section
 from tests.conftest import FIVE_POTENTIALS
 from tests.mp_reference import reference_width_peak
 
@@ -332,6 +333,22 @@ def test_false_position_returns_an_exact_root_and_a_root_at_the_bracket_end():
     assert resonance._false_position(lambda x: 1.0 / 0.0, 0.0, 1.0, -1.0, 0.0) == 1.0  # f is not called
 
 
+def _stands_out(heights: np.ndarray, top: int) -> bool:
+    """Whether heights[top] stands PEAK_FLOOR ulp above its col on each side.
+
+    The col on one side is the lowest height between the top and the
+    nearest height above it on that side, or the sequence's end: the
+    topographic prominence.  An equal height counts as above on the left,
+    so of equal tops only the leftmost stands out.
+    """
+    h = float(heights[top])
+    left = np.flatnonzero(heights[:top] >= h)
+    right = np.flatnonzero(heights[top + 1:] > h)
+    col = max(heights[left[-1] + 1 if left.size else 0:top + 1].min(),
+              heights[top:top + 1 + right[0] if right.size else None].min())
+    return bool(h - col >= PEAK_FLOOR * math.ulp(h))
+
+
 @pytest.mark.parametrize("heights, top, stands", [
     ([0.0, 1.0, 0.0], 1, True),
     ([0.0, 1.0, 1.0 - 1e-15, 1.0, 0.0], 1, True),  # of equal tops the leftmost stands
@@ -340,7 +357,8 @@ def test_false_position_returns_an_exact_root_and_a_root_at_the_bracket_end():
     ([0.5, 1.0 - 5e-15, 1.0 - 1e-14], 1, False),  # the col to the end
 ])
 def test_stands_out_by_the_peak_floor(heights, top, stands):
-    assert resonance._stands_out(np.array(heights), top) is stands
+    assert _stands_out(np.array(heights), top) is stands
+    assert resonance._stand_out(np.array(heights), [top]) == [stands]
 
 
 def plateaus(seed: int, n: int) -> np.ndarray:
@@ -360,24 +378,39 @@ def plateaus(seed: int, n: int) -> np.ndarray:
     return heights
 
 
+def local_maxima(heights: np.ndarray) -> list[int]:
+    """The tops an energy scan takes: higher than the left neighbour and no lower than the right one."""
+    return (np.flatnonzero((heights[:-2] < heights[1:-1]) & (heights[1:-1] >= heights[2:])) + 1).tolist()
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_stand_out_by_trees_is_the_scan_at_every_top(seed, monkeypatch):
+def test_stand_out_by_trees_is_the_scan_at_every_top(seed):
     heights = plateaus(seed, int(np.random.default_rng(seed).integers(1, 3000)))
     every = list(range(len(heights)))  # every point as a top, local maximum or not
-    want = [resonance._stands_out(heights, t) for t in every]
-    assert resonance._stand_out(heights, every) == want  # the scan
-    monkeypatch.setattr(resonance, "TOP_SCANS", 0)
-    assert resonance._stand_out(heights, every) == want  # the trees
+    want = [_stands_out(heights, t) for t in every]
+    for tops in (every, local_maxima(heights), every[seed % 7::7]):  # with fewer tops the pass skips points
+        assert resonance._stand_out(heights, tops) == [want[t] for t in tops]
     assert resonance._stand_out(heights, []) == []
+
+
+def test_stand_out_is_the_scan_on_every_short_sequence():
+    # ties, heights 1 and 8192 ulp below 1, the ends and NaN on either side of every top
+    values = (0.0, 0.5, 1.0 - 2.0 ** -40, 1.0 - 2.0 ** -53, 1.0, math.nan)
+    for n in range(1, 6):
+        for seq in itertools.product(values, repeat=n):
+            heights = np.array(seq)
+            want = [_stands_out(heights, t) for t in range(n)]
+            assert resonance._stand_out(heights, list(range(n))) == want, seq
+            assert [resonance._stand_out(heights, [t]) for t in range(n)] == [[x] for x in want], seq
 
 
 def test_stand_out_does_not_scan_the_grid_per_top():
     # the --lambda 0.1 plateau: 26,421 tops on 108,960 points took 2.8 s top by top
     heights = plateaus(7, 108_960)
-    tops = list(range(1, len(heights) - 1, 4))
-    t0 = time.perf_counter()
-    resonance._stand_out(heights, tops)
-    assert time.perf_counter() - t0 < 1.0
+    for tops in (list(range(1, len(heights) - 1, 4)), local_maxima(heights)):
+        t0 = time.perf_counter()
+        resonance._stand_out(heights, tops)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):

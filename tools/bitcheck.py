@@ -19,7 +19,11 @@ tree whose batch form takes them, sequences of energies and barriers, and
 its result is read as array rows (a NaN oracle tt as None) or as records.
 `verify.sample_points` draws a few seeded sets.  `scan_peaks` runs an
 energy scan and a width scan for each of a seeded set of potentials, over
-the ranges and at the steps `qbarrier resonances --n 3` takes.  Each
+the ranges and at the steps `qbarrier resonances --n 3` takes, and
+energy scans at lam0 = 0.5 and 0.3 for (vc, vq) = (0, 1) and two
+potentials near it, where rounding noise on a plateau of |T|**2 makes
+maxima of its own: grids of 21k-36k points with up to 4,714 maxima for
+the prominence rule.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -58,6 +62,9 @@ LARGE_EPS_POINTS = 200  # oracle points at large eps, so at large squaring count
 THICK_POINTS = 200  # oracle points at lam up to 1e3
 ORACLE_WIDTH = 30.0  # widest point of the first oracle row, so a tree whose integrator caps lam at 30 answers it
 SCANS = 24  # potentials that get an energy and a width scan
+#: (vc, vq, theta) of the plateau scans: (0, 1), whose |T|**2 has rounding-noise maxima between its peaks, and two near it
+PLATEAU_POTENTIALS = ((0.0, 1.0, 0.0), (math.sin(0.01), math.cos(0.01), 0.0), (-math.sin(0.02), math.cos(0.02), 1.0))
+PLATEAU_LAMBDAS = (0.5, 0.3)  # lam0 of the plateau scans, whose grids have 21,013 and 35,665 points
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
@@ -130,18 +137,24 @@ def thick_points():
     return list(zip(eps.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam.tolist()))
 
 
+def energy_scan(vc, vq, theta, lam0):
+    """(b, lo, hi, None, step) of the energy scan `qbarrier resonances --lambda lam0 --n 3` runs for a potential."""
+    from qbarrier import AdimensionalBarrier, complex_resonance_energies
+
+    closed = complex_resonance_energies(lam0, 3)
+    return (AdimensionalBarrier(vc, vq, theta, lam0), 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0),
+            closed[-1][0] + closed[-1][2], None, min(1e-3, (closed[0][0] - 1.0) / 20.0))
+
+
 def scans():
     """(b, lo, hi, eps0, step) for the seeded energy scans, then the width scans, as the CLI sets them."""
-    from qbarrier import AdimensionalBarrier, complex_resonance_energies, complex_resonance_widths
+    from qbarrier import AdimensionalBarrier, complex_resonance_widths
 
     rng = np.random.default_rng(SEED + 2)
     phi, lam0, eps0 = rng.uniform(0.0, np.pi, SCANS), rng.uniform(1.0, 12.0, SCANS), rng.uniform(1.05, 3.0, SCANS)
     theta = np.where(rng.random(SCANS) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, SCANS))
-    out = []
-    for vc, vq, t, lam in zip(np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam0.tolist()):
-        closed = complex_resonance_energies(lam, 3)
-        out.append((AdimensionalBarrier(vc, vq, t, lam), 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0),
-                    closed[-1][0] + closed[-1][2], None, min(1e-3, (closed[0][0] - 1.0) / 20.0)))
+    out = [energy_scan(vc, vq, t, lam)
+           for vc, vq, t, lam in zip(np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam0.tolist())]
     for vc, vq, t, e in zip(np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), eps0.tolist()):
         closed = complex_resonance_widths(e, 3)
         out.append((AdimensionalBarrier(vc, vq, t), closed[0][1], closed[-1][0] + 0.6 * closed[0][1], e,
@@ -216,7 +229,7 @@ def evaluate(src):
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
                                  "oracle_amplitudes (thick)", "sample_points",
                                  "solve (batch)", "transmission (batch)",
-                                 "scan_peaks (energy)", "scan_peaks (width)")}
+                                 "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -246,6 +259,8 @@ def evaluate(src):
     for b, lo, hi, eps0, step in scans():
         out["scan_peaks (energy)" if eps0 is None else "scan_peaks (width)"].append(
             outcome(lambda: scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)))
+    for b, lo, hi, _, step in (energy_scan(*v, lam0) for v in PLATEAU_POTENTIALS for lam0 in PLATEAU_LAMBDAS):
+        out["scan_peaks (plateau)"].append(outcome(lambda: scan_peaks(b, lo, hi, coarse_step=step)))
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
     return out
