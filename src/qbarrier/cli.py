@@ -91,29 +91,57 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _csv_text(meta: dict, rows: list[tuple]) -> str:
-    lines = [f"# qbarrier {__version__}"]
-    for key, value in meta.items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(SWEEP_COLUMNS))
-    row_format = ",".join(["{:.12g}"] * len(SWEEP_COLUMNS)).format
-    lines.extend(row_format(*row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _rows(first: list, sweeps: list[tuple], row, sep: str, column) -> str:
+    """Every potential's rows, joined by sep: one `%` call per potential on len(first) copies of row(vc, vq).
+
+    row(vc, vq) holds vc and vq formatted (no number's text holds a '%');
+    its five slots take first[i], the grid column, and the i-th values of
+    column() of t_sq, re_t, im_t and phase, interleaved by slice assignment.
+    """
+    blocks = []
+    for vc, vq, t in sweeps:
+        args = [None] * (5 * len(first))
+        args[0::5] = first
+        args[1::5], args[2::5], args[3::5], args[4::5] = map(column, [
+            (np.abs(t) ** 2).tolist(), t.real.tolist(), t.imag.tolist(), np.angle(t).tolist()])
+        blocks.append(sep.join([row(vc, vq)] * len(first)) % tuple(args))
+    return sep.join(blocks)
 
 
-def _json_text(meta: dict, rows: list[tuple]) -> str:
-    """`json.dumps(payload, sort_keys=True, indent=1)` plus a newline.
+def _json_tokens(values: list[float]) -> list[str]:
+    """The C encoder's token of each value; no token contains its separator ', ', so the split is exact."""
+    return json.dumps(values)[1:-1].split(", ")
 
-    The indent encoder is pure Python, so the rows go through the C encoder in
-    compact form and two replaces lay them out: each row is a flat list of
-    numbers, and no number's token contains '], [' or ', '.  rows is never
-    empty: every grid has a point and every sweep a potential.
+
+def _csv_text(meta: dict, grid: list[float], sweeps: list[tuple]) -> str:
+    """The sweep as CSV, each value written as `format(v, ".12g")`.
+
+    Each distinct value is formatted once: the grid column per sweep, vc
+    and vq per potential, each amplitude by its potential's `%` call.
+    `"%.12g" % v` is `format(v, ".12g")`, one C routine for every float.
+    """
+    lines = [f"# qbarrier {__version__}", *(f"# {key}={value}" for key, value in meta.items()),
+             ",".join(SWEEP_COLUMNS)]
+    body = _rows([_fmt(x) for x in grid], sweeps, lambda vc, vq: f"%s,{vc:.12g},{vq:.12g}" + ",%.12g" * 4,
+                 "\n", list)
+    return "\n".join(lines) + "\n" + body + "\n"
+
+
+def _json_text(meta: dict, grid: list[float], sweeps: list[tuple]) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=1)` plus a newline, payload's rows those of `_csv_text`.
+
+    The indent encoder is pure Python, so each column goes through the C
+    encoder in compact form (`_json_tokens`), which writes a float as it
+    does: its repr, `NaN`, `Infinity` or `-Infinity`.  Each distinct value
+    is formatted once, as in `_csv_text`; grid and sweeps are never empty.
     """
     head = json.dumps({"meta": {"tool": "qbarrier", "version": __version__, **meta,
                                 "columns": list(SWEEP_COLUMNS)},
                        "rows": []}, sort_keys=True, indent=1)
+    body = _rows(_json_tokens(grid), sweeps,
+                 lambda vc, vq: f"%s,\n   {json.dumps(vc)},\n   {json.dumps(vq)}" + ",\n   %s" * 4,
+                 "\n  ],\n  [\n   ", _json_tokens)
     # "rows" sorts last, so the head ends with its empty list
-    body = json.dumps(rows)[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
     return head[:-len("[]\n}")] + "[\n  [\n   " + body + "\n  ]\n ]\n}\n"
 
 
@@ -174,38 +202,34 @@ def cmd_point(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def run_sweep(mode: str, fixed: float, grid: list[float],
-              potentials: list[AdimensionalBarrier]) -> list[tuple]:
-    """|T|^2 rows over the grid; potential-major, grid-ascending order.
+def run_sweep(mode: str, fixed: float, grid: np.ndarray,
+              potentials: list[AdimensionalBarrier]) -> tuple[list[float], list[tuple]]:
+    """The sweep's columns: the grid as floats, once, and each potential's (vc, vq, t).
 
     Mode "energy" sweeps eps at lam = fixed and "width" sweeps lam at eps =
-    fixed, ignoring the potentials' own widths: one `transmission_grid` call,
-    with its errors, per potential.
+    fixed, ignoring the potentials' own widths: t is the complex ndarray of
+    one `transmission_grid` call, with its errors, per potential.  The
+    writers write a row per potential and grid point, potential-major, and
+    format the grid once per sweep and vc and vq once per potential.
     """
-    rows = []
     axis = np.asarray(grid)
-    n = len(grid)
-    for b in potentials:
-        t = transmission_grid(axis, fixed, b) if mode == "energy" else transmission_grid(fixed, axis, b)
-        rows.extend(zip(grid, [b.vc] * n, [b.vq] * n, (np.abs(t) ** 2).tolist(),
-                        t.real.tolist(), t.imag.tolist(), np.angle(t).tolist()))
-    return rows
+    return axis.tolist(), [(b.vc, b.vq, transmission_grid(axis, fixed, b) if mode == "energy"
+                            else transmission_grid(fixed, axis, b)) for b in potentials]
 
 
 def cmd_sweep(args) -> int:
     potentials = _parse_potentials(args.potentials)
     fixed = _pi_flag(args.fixed, args.fixed_pi, "--fixed")
     require_finite("fixed", fixed, 0.0, strict=args.mode == "width")
-    grid = uniform_grid(args.start, args.stop, args.step).tolist()
-    rows = run_sweep(args.mode, fixed, grid, potentials)
+    grid, sweeps = run_sweep(args.mode, fixed, uniform_grid(args.start, args.stop, args.step), potentials)
     meta = {
         "command": "sweep", "mode": args.mode, "fixed": _fmt(fixed),
         "start": _fmt(args.start), "stop": _fmt(args.stop), "step": _fmt(args.step),
         "potentials": ";".join(f"{b.vc:.9g},{b.vq:.9g},{b.theta:.9g}" for b in potentials),
     }
     if args.format == "json":
-        return _emit(_json_text(meta, rows), args.out)
-    return _emit(_csv_text(meta, rows), args.out)
+        return _emit(_json_text(meta, grid, sweeps), args.out)
+    return _emit(_csv_text(meta, grid, sweeps), args.out)
 
 
 # ---------------------------------------------------------------- resonances

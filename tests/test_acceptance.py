@@ -438,19 +438,19 @@ def test_criterion_11_figure_data(tmp_path):
     potentials = tuple(AdimensionalBarrier(vc, vq) for vc, vq in STANDARD_POTENTIALS)
     checks = []
 
-    energy_rows = run_sweep("energy", 3.0 * PI, uniform_grid(1.001, 1.5, 1e-3).tolist(), potentials)
-    width_rows = run_sweep("width", SQRT2, uniform_grid(PI, 4.6 * PI, PI * 1e-3).tolist(), potentials)
-    for tag, rows, table, unit in (
-        ("energy", energy_rows, TABLE_ENERGY, 1.0),
-        ("width", width_rows, TABLE_WIDTH, PI),
+    energy = run_sweep("energy", 3.0 * PI, uniform_grid(1.001, 1.5, 1e-3), potentials)
+    width = run_sweep("width", SQRT2, uniform_grid(PI, 4.6 * PI, PI * 1e-3), potentials)
+    for tag, (grid, sweeps), table, unit in (
+        ("energy", energy, TABLE_ENERGY, 1.0),
+        ("width", width, TABLE_WIDTH, PI),
     ):
-        values = np.array([r[3] for r in rows])
-        checks.append(np.all(np.isfinite([c for r in rows for c in r])))
+        xs = [x / unit for x in grid]
+        probs = {(vc, vq): (np.abs(t) ** 2).tolist() for vc, vq, t in sweeps}
+        values = np.array([p for ys in probs.values() for p in ys])
+        checks.append(np.all(np.isfinite(grid)) and all(np.all(np.isfinite(t)) for _, _, t in sweeps))
         checks.append(bool(np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-10)))
         for (vc, vq), expected in table.items():
-            sel = [r for r in rows if r[1] == vc and r[2] == vq]
-            xs = [r[0] / unit for r in sel]
-            ys = [r[3] for r in sel]
+            ys = probs[vc, vq]
             peaks = _grid_local_maxima(xs, ys)[:3]
             step = xs[1] - xs[0]
             locs = (expected[0], expected[1], expected[3])
@@ -462,13 +462,13 @@ def test_criterion_11_figure_data(tmp_path):
 
     # the CSV writer round-trips the same rows
     path = tmp_path / "energy.csv"
-    path.write_text(_csv_text({"command": "sweep"}, energy_rows), encoding="utf-8")
+    path.write_text(_csv_text({"command": "sweep"}, *energy), encoding="utf-8")
     parsed = [
         line.split(",")
         for line in path.read_text().splitlines()
         if line and not line.startswith("#")
     ][1:]
-    checks.append(len(parsed) == len(energy_rows))
+    checks.append(len(parsed) == len(energy[0]) * len(energy[1]))
     checks.append(all(math.isfinite(float(c)) for c in parsed[0]))
 
     report(

@@ -355,6 +355,10 @@ def _stands_out(heights: np.ndarray, top: int) -> bool:
     ([0.0, 1.0, 1.0 - 1e-15, 1.0, 0.0], 3, False),
     ([0.5, 1.0 - 5e-15, 1.0 - 1e-14, 1.0, 0.5], 1, False),  # 45 ulp above its col, then a higher top
     ([0.5, 1.0 - 5e-15, 1.0 - 1e-14], 1, False),  # the col to the end
+    # the floor: a top stands at 64 ulp above its higher col, not at 63
+    ([0.75 - 64 * 2.0 ** -53, 0.75, 0.75 - 64 * 2.0 ** -53], 1, True),
+    ([0.75 - 63 * 2.0 ** -53, 0.75, 0.75 - 64 * 2.0 ** -53], 1, False),
+    ([0.75 - 64 * 2.0 ** -53, 0.75, 0.75 - 63 * 2.0 ** -53], 1, False),
 ])
 def test_stands_out_by_the_peak_floor(heights, top, stands):
     assert _stands_out(np.array(heights), top) is stands

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qbarrier import barrier
+from qbarrier import barrier, verify
 from qbarrier.solver import ScatteringAmplitudes, probability_balance, solve
 from qbarrier.verify import (
     DEGENERACY_BAND,
@@ -102,6 +102,33 @@ def test_transfer_check_split_into_blocks_keeps_its_words(monkeypatch):
     whole = check_transfer_agreement(eps, cols).worst
     monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 16)  # four 4x4 tables per block
     assert check_transfer_agreement(eps, cols).worst == whole
+
+
+def test_norm_check_fails_past_its_bound():
+    # the rule: |1 - |r|**2 - |t|**2| < 1e-9 at every row; one row carries the defect
+    for defect, passes in ((5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)):
+        amps = np.zeros((3, 8), dtype=complex)
+        amps[:, 0], amps[:, 2] = 0.6, 0.8j
+        amps[1, 2] = math.sqrt(0.64 - defect) * 1j
+        assert check_norm_conservation(amps).passed is passes, defect
+
+
+def test_theta_check_fails_past_its_bound(monkeypatch):
+    # the rule: |T - T at theta = 0| < 1e-12 at every point; the route moves T off theta = 0
+    eps, cols = sample_points(np.random.default_rng(8), 30)
+    route = verify.transmission
+    for shift, passes in ((0.5e-12, True), (1.5e-12, False)):
+        monkeypatch.setattr(verify, "transmission", lambda e, c: route(e, c) + shift * (c.theta != 0.0))
+        assert verify.check_theta_invariance(eps, cols).passed is passes, shift
+
+
+def test_transfer_check_fails_past_its_bound(monkeypatch):
+    # the rule: max |closed - numeric| < 1e-10 * max(1, max |numeric|) at every point
+    eps, cols = sample_points(np.random.default_rng(9), 30)
+    route = verify.transfer_closed
+    for error, passes in ((0.5e-10, True), (1.5e-10, False)):
+        monkeypatch.setattr(verify, "transfer_closed", lambda p, lam: route(p, lam) * (1.0 + error))
+        assert verify.check_transfer_agreement(eps, cols).passed is passes, error
 
 
 def test_run_all_produces_five_classes():

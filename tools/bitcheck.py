@@ -23,7 +23,13 @@ the ranges and at the steps `qbarrier resonances --n 3` takes, and
 energy scans at lam0 = 0.5 and 0.3 for (vc, vq) = (0, 1) and two
 potentials near it, where rounding noise on a plateau of |T|**2 makes
 maxima of its own: grids of 21k-36k points with up to 4,714 maxima for
-the prominence rule.  Each
+the prominence rule.  Seeded
+`qbarrier sweep` commands run through `cli.main`, each in CSV and JSON,
+once to stdout and once to an `--out` file: jittered README sweeps, wells
+and theta != 0 over energy and width, a one-point grid at vc = -0.0, the
+thick width grid whose amplitudes are NaN and the one that raises
+OverflowError; their exit codes, stderr and the sha256 of their output
+are compared.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -43,11 +49,15 @@ and eps0 = U(1.05, 3) for the width scan.
 """
 
 import cmath
+import contextlib
+import hashlib
+import io
 import math
 import operator
 import pickle
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -68,6 +78,8 @@ PLATEAU_LAMBDAS = (0.5, 0.3)  # lam0 of the plateau scans, whose grids have 21,0
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
+SWEEP_JITTERS = 3  # jittered copies of each README sweep
+SWEEP_POTENTIALS = 4  # seeded potentials of the well and theta sweeps
 #: the eight amplitudes of a `solve` result
 amplitudes = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
 #: what a `TransmissionResult` gives
@@ -162,6 +174,49 @@ def scans():
     return out
 
 
+def sweep_commands():
+    """`qbarrier sweep` argv lists, each in CSV and JSON, the same on every call.
+
+    The README's two sweeps with their fixed value and start moved as the
+    benchmark moves them, a seeded set of potentials over the unit circle
+    (wells included, theta = U(-pi, pi)) swept over energy and width, a
+    one-point grid at vc = -0.0, the thick width grid whose amplitudes are
+    NaN and the one whose closed form overflows.
+    """
+    rng = np.random.default_rng(SEED + 5)
+    sweeps = []
+    for _ in range(SWEEP_JITTERS):
+        sweeps.append(["--mode", "energy", "--fixed-pi", repr(3.0 + rng.uniform(-0.05, 0.05)),
+                       "--start", repr(1.001 + rng.uniform(0.0, 0.001)), "--stop", "1.5", "--step", "0.001"])
+        sweeps.append(["--mode", "width", "--fixed", repr(math.sqrt(2.0) + rng.uniform(-0.01, 0.01)),
+                       "--start", repr(3.14 + rng.uniform(0.0, 0.003)), "--stop", "14.5", "--step", "0.003",
+                       "--potentials", "1,0;0,1"])
+    phi, theta = rng.uniform(0.0, np.pi, SWEEP_POTENTIALS), rng.uniform(-np.pi, np.pi, SWEEP_POTENTIALS)
+    potentials = "--potentials=" + ";".join(f"{math.cos(p)!r},{math.sin(p)!r},{t!r}"
+                                            for p, t in zip(phi.tolist(), theta.tolist()))
+    sweeps += [["--mode", "energy", "--fixed", "2.5", "--start", "1.05", "--stop", "3", "--step", "0.01", potentials],
+               ["--mode", "width", "--fixed", "1.3", "--start", "0", "--stop", "20", "--step", "0.05", potentials],
+               ["--mode", "energy", "--fixed", "2", "--start", "1.2", "--stop", "1.2", "--step", "0.1",
+                "--potentials=-0,1"],
+               ["--mode", "width", "--fixed", "0.5", "--start", "798", "--stop", "802", "--step", "1",
+                "--potentials", "0,1"],
+               ["--mode", "width", "--fixed", "1.2", "--start", "700", "--stop", "703", "--step", "1",
+                "--potentials", "0,1"]]
+    return [["sweep", *argv, "--format", fmt] for argv in sweeps for fmt in ("csv", "json")]
+
+
+def command_bytes(main, argv, path):
+    """Exit code, stderr and the sha256 of the output of main(argv) to stdout, then of main(argv) to path."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        to_stdout = main(argv)
+        to_file = main([*argv, "--out", path])
+    with open(path, "rb") as fh:
+        written = fh.read()
+    return (f"exit {to_stdout}", hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            f"exit {to_file}", hashlib.sha256(written).hexdigest(), err.getvalue())
+
+
 def words(value):
     """The bytes of a complex value or array as uint64 words; None and strings as they are."""
     if value is None or isinstance(value, str):
@@ -229,7 +284,8 @@ def evaluate(src):
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
                                  "oracle_amplitudes (thick)", "sample_points",
                                  "solve (batch)", "transmission (batch)",
-                                 "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)")}
+                                 "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)",
+                                 "sweep bytes")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -263,6 +319,11 @@ def evaluate(src):
         out["scan_peaks (plateau)"].append(outcome(lambda: scan_peaks(b, lo, hi, coarse_step=step)))
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
+    from qbarrier.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in sweep_commands():
+            out["sweep bytes"].append(outcome(lambda: command_bytes(main, argv, f"{tmp}/sweep")))
     return out
 
 
