@@ -233,14 +233,16 @@ def complex_stack(rows) -> np.ndarray:
 
     The array form of `np.array(rows, dtype=complex)`: scalars broadcast
     against the arrays, so element [k] is that matrix at the k-th point.
+    Each entry is written into a contiguous row of an (r, c, n) buffer, and
+    the stack is that buffer's transposed view, not a C-contiguous array.
     """
     n = next(len(x) for row in rows for x in row if isinstance(x, np.ndarray))
-    out = np.zeros((n, len(rows), len(rows[0])), dtype=complex)
+    out = np.zeros((len(rows), len(rows[0]), n), dtype=complex)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if isinstance(x, np.ndarray) or x != 0:  # the stack starts as zeros
-                out[:, i, j] = x
-    return out
+            if isinstance(x, np.ndarray) or x != 0:  # the buffer starts as zeros
+                out[i, j] = x
+    return out.transpose(2, 0, 1)
 
 
 class WaveParams(NamedTuple):

@@ -131,13 +131,23 @@ def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _amplitudes(a: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(R, Rt, tau, sigma), a (4, n) array, of the split systems a (n, 4, 4) at widths lam."""
+    """(R, Rt, tau, sigma), a (4, n) array, of the split systems a (n, 4, 4) at widths lam.
+
+    The points are sorted once by squaring count s, descending, so round i
+    star-squares the prefix of the points with s > i; the result is put
+    back in input order.
+    """
     s = _squarings(a, lam)
+    order = np.argsort(-s, kind="stable")
+    a, eps, lam, s = a[order], eps[order], lam[order], s[order]
     k = np.maximum(eps, np.minimum(1.0, lam))
     z = _scattering(transfer_numeric(a, lam * 0.5**s), k)
     for i in range(s.max(initial=0)):
-        z[..., s > i] = _square(z[..., s > i])
-    return _edges(z, eps, k)
+        prefix = z[..., :np.count_nonzero(s > i)]
+        prefix[...] = _square(prefix)
+    out = np.empty((4, len(s)), dtype=complex)
+    out[:, order] = _edges(z, eps, k)
+    return out
 
 
 def oracle_amplitudes(eps, b):

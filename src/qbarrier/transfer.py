@@ -140,9 +140,10 @@ def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
 
     `a` is `split_ode`'s matrix with a float lam, or an (n, 4, 4) stack of
     them with one lam per matrix or one for all.  Only the block K of the
-    module docstring is read.  Each matrix has its own squaring count s,
-    and squaring round i works on the matrices with s > i, so a stack's
-    results are the single calls' bit for bit.
+    module docstring is read.  Each matrix has its own squaring count s:
+    the points are sorted once by s, descending, so squaring round i works
+    in place on the prefix of the matrices with s > i, and a stack's
+    results, put back in input order, are the single calls' bit for bit.
 
     Raises:
         ValueError: if an entry of `a` outside K is not the split system's 0 or 1.
@@ -154,6 +155,8 @@ def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
     k = a.reshape(-1, 4, 4)[:, 1::2, 0::2].transpose(1, 2, 0)
     h = np.full(k.shape[-1], -np.asarray(lam, dtype=float))  # B = A*h
     s = _squarings(a, h)
+    order = np.argsort(-s, kind="stable")
+    k, h, s = k[..., order], h[order], s[order]
     h = h * 0.5**s
     series = _series(h * h * k)
     y = np.empty((3, 2, 2, len(s)), dtype=complex)  # C, S, K@S
@@ -161,14 +164,14 @@ def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
     y[1] = h * series[1]
     y[2] = _mul(k, y[1])
     for i in range(s.max(initial=0)):
-        z = y[..., s > i]
+        z = y[..., :np.count_nonzero(s > i)]
         prod = _mul(z[0], z)
         prod[0] += _mul(z[1], z[2])
         prod[1:] *= 2.0
-        y[..., s > i] = prod
+        z[...] = prod
     out = np.empty((len(s), 4, 4), dtype=complex)
     m = out.transpose(1, 2, 0)  # rows and columns (phi, phi', psi, psi'), points last
-    m[0::2, 0::2] = m[1::2, 1::2] = y[0]
-    m[0::2, 1::2] = y[1]
-    m[1::2, 0::2] = y[2]
+    m[0::2, 0::2, order] = m[1::2, 1::2, order] = y[0]
+    m[0::2, 1::2, order] = y[1]
+    m[1::2, 0::2, order] = y[2]
     return out[0] if a.ndim == 2 else out

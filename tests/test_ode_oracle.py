@@ -1,6 +1,7 @@
 """The brute-force integrator: split correctness, accuracy against the referee, matching."""
 
 import cmath
+import dataclasses
 import math
 import re
 import sys
@@ -13,12 +14,13 @@ from qbarrier import (
     critical_quaternionic,
     oracle_amplitudes,
     split_ode,
+    transfer_numeric,
     transmission,
     wave_params,
 )
 from qbarrier import barrier
 from qbarrier.transfer import _squarings
-from tests.conftest import as_columns, random_points
+from tests.conftest import as_columns, circle_points, random_points
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -199,6 +201,24 @@ def test_batch_is_the_single_calls_word_for_word():
     assert batch.shape == (len(pts), 4) and batch.dtype == complex
     singles = [oracle_amplitudes(eps, b) for eps, b in pts]
     assert np.array_equal(batch.view(np.uint64), amplitude_words(singles))
+
+
+def test_shuffled_stack_of_squaring_counts_is_the_single_calls_word_for_word():
+    # three points at each squaring count 0 ... 9, shuffled: the rounds run on a
+    # prefix of the points sorted by count, and the results return in input order
+    pool = circle_points(seed=31, n=600)
+    pool = [(eps, dataclasses.replace(b, lam=2.0 ** (b.lam - 2.0))) for eps, b in pool]  # lam from 1/4 to 256
+    counts = [int(_squarings(split_ode(b, eps)[None], b.lam)[0]) for eps, b in pool]
+    pts = [pt for c in range(10) for pt in [pt for pt, n in zip(pool, counts) if n == c][:3]]
+    assert len(pts) == 30
+    pts = [pts[i] for i in np.random.default_rng(32).permutation(len(pts))]
+    eps, cols = as_columns(pts)
+    stack = transfer_numeric(split_ode(cols, eps), cols.lam)
+    singles = [transfer_numeric(split_ode(b, e), b.lam) for e, b in pts]
+    assert all(m.shape == (4, 4) for m in singles)
+    assert np.array_equal(stack.view(np.uint64), np.stack(singles).view(np.uint64))
+    batch = oracle_amplitudes(eps, cols)
+    assert np.array_equal(batch.view(np.uint64), amplitude_words([oracle_amplitudes(e, b) for e, b in pts]))
 
 
 def test_batch_split_into_parts_keeps_its_words(monkeypatch):

@@ -1,10 +1,13 @@
 """The self-check suite's own machinery."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
 
-from qbarrier import barrier, verify
+from qbarrier import barrier, closed_form, ode_oracle, solver, verify
+from qbarrier.closed_form import transmission
 from qbarrier.solver import ScatteringAmplitudes, probability_balance, solve
 from qbarrier.verify import (
     DEGENERACY_BAND,
@@ -52,6 +55,18 @@ def test_sample_points_skips_the_degenerate_draw():
     assert rng.used == 8  # the degenerate row was drawn, then one more
 
 
+def test_sample_points_band_edges():
+    # vc = 0, so vq = 1: the first draw is 5e-7 off the degeneracy, inside the
+    # 1e-6 band, and is rejected; the second is 2e-6 off, outside it, and is kept
+    inside, outside = (1.0 + 5e-7) ** 0.25, (1.0 + 2e-6) ** 0.25
+    assert abs(inside**4 - 1.0 - 5e-7) < 1e-15 and abs(outside**4 - 1.0 - 2e-6) < 1e-15
+    rng = ScriptedRng([inside, 0.0, 0.4, 2.0, outside, 0.0, 0.5, 3.0])
+    eps, cols = sample_points(rng, 1)
+    assert eps.tolist() == [outside] and cols.vq.tolist() == [1.0]
+    assert (cols.theta.tolist(), cols.lam.tolist()) == ([0.5], [3.0])
+    assert rng.used == 8
+
+
 def one_draw_at_a_time(rng, n):
     """The sampler's points drawn as scalars: eps, vc, theta, lam per point."""
     out = []
@@ -76,9 +91,12 @@ def test_sample_points_draw_the_scalar_stream():
 
 def test_individual_checks_pass_on_seeded_grid():
     eps, cols = sample_points(np.random.default_rng(8), 30)
-    amps = np.array([solve(float(e), cols.barrier(i)) for i, e in enumerate(eps)])
-    for result in (check_norm_conservation(amps), check_theta_invariance(eps, cols),
-                   check_transfer_agreement(eps, cols), check_transmission_cross(eps, cols, amps)):
+    pts = [(float(e), cols.barrier(i)) for i, e in enumerate(eps)]
+    amps = np.array([solve(e, b) for e, b in pts])
+    t = np.array([transmission(e, b).t for e, b in pts])
+    base = np.array([transmission(e, dataclasses.replace(b, theta=0.0)).t for e, b in pts])
+    for result in (check_norm_conservation(amps), check_theta_invariance(t, base),
+                   check_transfer_agreement(eps, cols), check_transmission_cross(eps, cols, amps, t)):
         assert result.passed, result.line()
     assert check_series_asymptotics().passed
 
@@ -114,12 +132,14 @@ def test_norm_check_fails_past_its_bound():
 
 
 def test_theta_check_fails_past_its_bound(monkeypatch):
-    # the rule: |T - T at theta = 0| < 1e-12 at every point; the route moves T off theta = 0
-    eps, cols = sample_points(np.random.default_rng(8), 30)
+    # the rule: |T - T at theta = 0| < 1e-12 at every point; the route moves T off
+    # theta = 0, and run_all must compare its samples with their theta = 0 copies
     route = verify.transmission
     for shift, passes in ((0.5e-12, True), (1.5e-12, False)):
         monkeypatch.setattr(verify, "transmission", lambda e, c: route(e, c) + shift * (c.theta != 0.0))
-        assert verify.check_theta_invariance(eps, cols).passed is passes, shift
+        report = run_all(seed=8, samples=30)[1]
+        assert report.name == "theta-invariance" and report.samples == 6
+        assert report.passed is passes, shift
 
 
 def test_transfer_check_fails_past_its_bound(monkeypatch):
@@ -141,6 +161,28 @@ def test_run_all_produces_five_classes():
         "series-asymptotics",
     ]
     assert all(r.passed for r in reports)
+
+
+def test_run_all_calls_each_route_once(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(module, name):
+        route = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return route(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("solve", "transmission", "oracle_amplitudes", "transfer_closed", "transfer_numeric"):
+        spy(verify, name)
+    for module in (closed_form, solver, ode_oracle):  # each batch route's own binding of barrier.batch
+        assert module.batch is barrier.batch
+        spy(module, "batch")
+    assert all(r.passed for r in run_all(seed=7, samples=100))
+    assert calls == {"solve": 1, "transmission": 1, "oracle_amplitudes": 1, "transfer_closed": 1,
+                     "transfer_numeric": 1, "batch": 3}
 
 
 def test_a_seed_beyond_float_range_is_accepted():

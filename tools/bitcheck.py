@@ -17,7 +17,12 @@ route takes one point per call, each point is called alone.  A batch
 call passes columns (an energy ndarray and a BarrierColumns) or, in a
 tree whose batch form takes them, sequences of energies and barriers, and
 its result is read as array rows (a NaN oracle tt as None) or as records.
-`verify.sample_points` draws a few seeded sets.  `scan_peaks` runs an
+`transfer_numeric` takes seeded stacks of 1-300 split systems at eps =
+U(0.05, 3) and lam log-uniform in [300*2**-12, 300], whose squaring
+counts run from 0 to 9, and the first points' matrices one at a time.
+`verify.sample_points` draws a few seeded sets, and `verify.run_all`
+runs on seeded grids of 1 to 500 samples, every field of its five
+reports compared.  `scan_peaks` runs an
 energy scan and a width scan for each of a seeded set of potentials, over
 the ranges and at the steps `qbarrier resonances --n 3` takes, and
 energy scans at lam0 = 0.5 and 0.3 for (vc, vq) = (0, 1) and two
@@ -76,6 +81,9 @@ SCANS = 24  # potentials that get an energy and a width scan
 PLATEAU_POTENTIALS = ((0.0, 1.0, 0.0), (math.sin(0.01), math.cos(0.01), 0.0), (-math.sin(0.02), math.cos(0.02), 1.0))
 PLATEAU_LAMBDAS = (0.5, 0.3)  # lam0 of the plateau scans, whose grids have 21,013 and 35,665 points
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
+VERIFY_RUNS = [(seed, n) for seed in range(12) for n in (1, 5, 37, 100, 500)]  # (seed, samples)
+EXPONENTIAL_STACKS = 20  # seeded transfer_numeric stacks of 1-300 matrices
+EXPONENTIAL_SINGLES = 50  # matrices of the first stack also exponentiated one at a time
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 SWEEP_JITTERS = 3  # jittered copies of each README sweep
@@ -147,6 +155,26 @@ def thick_points():
     theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, n))
     eps, lam = rng.uniform(0.05, 3.0, n), rng.uniform(30.0, 1000.0, n)
     return list(zip(eps.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam.tolist()))
+
+
+def exponential_stacks():
+    """(eps, vc, vq, theta, lam) float ndarrays of each seeded `transfer_numeric` stack, the same on every call.
+
+    At eps <= 3, ||K||_1 <= 11, so lam <= 300 keeps the squaring count at most 9.
+    """
+    rng = np.random.default_rng(SEED + 6)
+    out = []
+    for n in rng.integers(1, 301, EXPONENTIAL_STACKS).tolist():
+        phi = rng.uniform(0.0, np.pi, n)
+        theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, n))
+        eps, lam = rng.uniform(0.05, 3.0, n), 300.0 * 2.0 ** -rng.uniform(0.0, 12.0, n)
+        out.append((eps, np.cos(phi), np.sin(phi), theta, lam))
+    return out
+
+
+def report_fields(reports):
+    """Every field of each `CheckReport`, in order."""
+    return tuple(getattr(r, f) for r in reports for f in ("name", "passed", "worst", "tolerance", "samples", "detail"))
 
 
 def energy_scan(vc, vq, theta, lam0):
@@ -276,13 +304,15 @@ def evaluate(src):
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission,
                           transmission_grid)
-    from qbarrier.verify import sample_points
+    from qbarrier import split_ode, transfer_numeric
+    from qbarrier.barrier import BarrierColumns
+    from qbarrier.verify import run_all, sample_points
 
     warnings.simplefilter("ignore")
     out = {name: [] for name in ("solve", "transmission", "transmission_grid",
                                  "critical_complex", "critical_quaternionic", "asymptotic_moduli",
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
-                                 "oracle_amplitudes (thick)", "sample_points",
+                                 "oracle_amplitudes (thick)", "transfer_numeric", "sample_points", "verify.run_all",
                                  "solve (batch)", "transmission (batch)",
                                  "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)",
                                  "sweep bytes")}
@@ -317,8 +347,16 @@ def evaluate(src):
             outcome(lambda: scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)))
     for b, lo, hi, _, step in (energy_scan(*v, lam0) for v in PLATEAU_POTENTIALS for lam0 in PLATEAU_LAMBDAS):
         out["scan_peaks (plateau)"].append(outcome(lambda: scan_peaks(b, lo, hi, coarse_step=step)))
+    for i, (eps, vc, vq, theta, lam) in enumerate(exponential_stacks()):
+        a = split_ode(BarrierColumns(vc, vq, theta, lam), eps)
+        out["transfer_numeric"].append(outcome(lambda: transfer_numeric(a, lam)))
+        if i == 0:
+            out["transfer_numeric"] += [outcome(lambda: transfer_numeric(a[j], float(lam[j])))
+                                        for j in range(min(len(a), EXPONENTIAL_SINGLES))]
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
+    for seed, n in VERIFY_RUNS:
+        out["verify.run_all"].append(outcome(lambda: report_fields(run_all(seed, n))))
     from qbarrier.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
