@@ -27,7 +27,6 @@ from .closed_form import (
     TransmissionResult,
     denominator,
     transmission,
-    transmission_grid,
 )
 from .critical import (
     CriticalAmplitudes,
@@ -87,7 +86,6 @@ __all__ = [
     "transfer_closed",
     "transfer_numeric",
     "transmission",
-    "transmission_grid",
     "wave_params",
     "wavefunction",
 ]

@@ -208,7 +208,7 @@ def batch(eps, cols: BarrierColumns) -> tuple[np.ndarray, BarrierColumns]:
     stack = np.empty((4,) + eps.shape)
     for i, c in enumerate(cols):
         if np.ndim(c) and np.shape(c) != eps.shape:
-            raise ValueError(f"{len(eps)} energies for {len(c)} barriers")
+            raise ValueError(f"{np.size(eps)} energies for {np.size(c)} barriers")
         stack[i] = c
     cols = BarrierColumns(*stack)
     ok = (np.isfinite(stack) & (stack >= np.array(LOWER_BOUNDS)[:, None])).all(axis=0)
@@ -303,7 +303,7 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     singular-point rule: no route can build the basis without it.  A float
     eps that breaks it raises; an array holds NaN in alpha_minus and
     alpha_plus at each element that would raise, for the caller to replay
-    as a float (see `closed_form.transmission_grid`).
+    as a float (see `closed_form.transmission`).
 
     At the threshold eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a
     well (vc < 0) alpha_plus = 0.  That is a regular point: every route

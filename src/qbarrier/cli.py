@@ -29,8 +29,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .barrier import AdimensionalBarrier, BarrierSpec, adimensionalize, require_finite, uniform_grid
-from .closed_form import transmission, transmission_grid
+from .barrier import AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, require_finite, uniform_grid
+from .closed_form import transmission
 from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, SingularSystemError
 from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
@@ -207,14 +207,18 @@ def run_sweep(mode: str, fixed: float, grid: np.ndarray,
     """The sweep's columns: the grid as floats, once, and each potential's (vc, vq, t).
 
     Mode "energy" sweeps eps at lam = fixed and "width" sweeps lam at eps =
-    fixed, ignoring the potentials' own widths: t is the complex ndarray of
-    one `transmission_grid` call, with its errors, per potential.  The
-    writers write a row per potential and grid point, potential-major, and
-    format the grid once per sweep and vc and vq once per potential.
+    fixed, ignoring the potentials' own widths.  All points go through one
+    `transmission` batch in the writers' row order, potential-major, so it
+    raises the first failing row's error; t is a potential's slice of it.
+    The writers format the grid once per sweep and vc and vq once per
+    potential.
     """
     axis = np.asarray(grid)
-    return axis.tolist(), [(b.vc, b.vq, transmission_grid(axis, fixed, b) if mode == "energy"
-                            else transmission_grid(fixed, axis, b)) for b in potentials]
+    vc, vq, theta = np.repeat(np.array([(b.vc, b.vq, b.theta) for b in potentials]).T, len(axis), axis=1)
+    swept = np.tile(axis, len(potentials))
+    eps, lam = (swept, fixed) if mode == "energy" else (np.full(swept.shape, fixed), swept)
+    t = transmission(eps, BarrierColumns(vc, vq, theta, lam)).reshape(len(potentials), len(axis))
+    return axis.tolist(), [(b.vc, b.vq, row) for b, row in zip(potentials, t)]
 
 
 def cmd_sweep(args) -> int:

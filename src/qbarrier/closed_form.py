@@ -138,7 +138,7 @@ def _factors(a, c, s, e2):
 
 
 def _amplitude(p: WaveParams, lam):
-    """T = 2*exp(-i*eps*lam)/D at p.eps, for floats or for ndarrays p.eps and lam that broadcast."""
+    """T = 2*exp(-i*eps*lam)/D at p.eps, for floats or for ndarrays p.eps and lam of one length."""
     xp = np if isinstance(p.eps, np.ndarray) else cmath
     return 2.0 * xp.exp(-1j * p.eps * lam) / denominator_factored(p, lam)
 
@@ -157,7 +157,7 @@ def transmission(eps, b):
     to ~1e-14 away from the degeneracy band (numpy's and cmath's complex
     functions differ in the last bits), and its errors are theirs: each
     point whose T comes out non-finite is replayed through a single call in
-    order, as in `transmission_grid`.
+    order, so the batch raises the first error its single calls raise.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
@@ -171,30 +171,3 @@ def transmission(eps, b):
     for i in np.flatnonzero(~np.isfinite(t)).tolist():
         t[i] = transmission(float(eps[i]), b.barrier(i)).t
     return t
-
-
-def transmission_grid(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
-    """Complex T over a grid: eps and lam broadcast together, vc, vq, theta from b.
-
-    One numpy evaluation of the body that `transmission` runs with cmath;
-    the two agree to ~1e-15 (numpy's and cmath's complex functions differ
-    in the last bits).  b's own width is ignored.  eps and lam broadcast
-    only at the kernel's first mixed operation, so a fixed eps gets its wave
-    parameters once.  Errors are the scalar ones: every element whose T
-    comes out non-finite, or whose lam is not finite and >= 0, is replayed
-    through `transmission` in C order, so the first element on which
-    `transmission` raises makes the grid raise the same error, and an
-    element that replays without raising takes its value.
-    """
-    shape = np.broadcast_shapes(np.shape(eps), np.shape(lam))
-    # a scalar becomes shape (1,), not 0-d: numpy scalar math may differ from its loops
-    eps, lam = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (eps, lam))
-    with np.errstate(all="ignore"):
-        t = _amplitude(wave_params(eps, b), lam)
-        eps, lam = np.broadcast_arrays(eps, lam)  # views, indexed like t
-        replay = np.flatnonzero(~(np.isfinite(t) & (lam >= 0.0)))
-    for i in replay:
-        x, width = float(eps.flat[i]), float(lam.flat[i])
-        t.flat[i] = transmission(x, AdimensionalBarrier(b.vc, b.vq, b.theta, width)).t
-    return t.reshape(shape)
-

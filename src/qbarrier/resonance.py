@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, require_count, require_finite, uniform_grid, wave_params
-from .closed_form import _amplitude, denominator_slope, transmission, transmission_grid
+from .barrier import AdimensionalBarrier, BarrierColumns, require_count, require_finite, uniform_grid, wave_params
+from .closed_form import _amplitude, denominator_slope, transmission
 
 #: golden-section shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -186,14 +186,14 @@ def scan_peaks(
 
     Without eps0 the scan runs over eps in [lo, hi] at the barrier's own
     width; with eps0 it runs over lam in [lo, hi] at that energy.  One
-    `transmission_grid` call gives |T|**2 on the grid lo + k*coarse_step,
+    `transmission` batch gives |T|**2 on the grid lo + k*coarse_step,
     with its errors.  An energy scan brackets each grid point that is
     higher than its left neighbour and no lower than its right one, and
     refines it by golden-section search over `transmission` calls to
     REFINE_TOL.  A width scan brackets each sign change from negative to
     positive of the slope Re(conj(D)*dD/dlam) of |D|**2 = 4/|T|**2
     (`denominator_slope`) between neighbouring grid points, and refines it
-    by `_false_position` on the slope to a few ulp, with the wave
+    by `_false_position` on the slope to a few ulp, with the probes' wave
     parameters computed once at eps0.
 
     On a plateau, rounding noise makes maxima of its own, and a flat-topped
@@ -208,7 +208,7 @@ def scan_peaks(
     # float brackets: from an np.float64 a probe would take numpy's pow, not libm's
     xs = grid.tolist()
     if eps0 is None:
-        heights = np.abs(transmission_grid(grid, b.lam, b)) ** 2
+        heights = np.abs(transmission(grid, BarrierColumns(b.vc, b.vq, b.theta, b.lam))) ** 2
 
         def prob(x: float) -> float:
             return transmission(x, b).prob
@@ -217,7 +217,7 @@ def scan_peaks(
         peaks = [(x, prob(x)) for x in (_golden_section(prob, xs[t - 1], xs[t + 1], REFINE_TOL) for t in tops)]
         heights[tops] = np.maximum(heights[tops], [y for _, y in peaks])
     else:
-        ys = np.abs(transmission_grid(eps0, grid, b)) ** 2
+        ys = np.abs(transmission(np.full(grid.shape, eps0), BarrierColumns(b.vc, b.vq, b.theta, grid))) ** 2
         p = wave_params(eps0, b)  # the grid has raised any error this could
 
         def slope(x):

@@ -123,7 +123,7 @@ def solve(eps, b):
     exactly singular matrix, is replayed through a single call in order, so
     the batch raises the error of the first point whose single call raises,
     and a replayed point that answers takes its value, as in
-    `closed_form.transmission_grid`.
+    `closed_form.transmission`.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.

@@ -160,6 +160,11 @@ class TestBatch:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="^3 energies for 2 barriers$"):
             batch(np.ones(3), self.columns([self.GOOD] * 2))
+        # the counts are sizes, for a 0-d or a 2-d eps too
+        with pytest.raises(ValueError, match="^1 energies for 2 barriers$"):
+            batch(0.5, BarrierColumns(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 1.0))
+        with pytest.raises(ValueError, match="^4 energies for 2 barriers$"):
+            batch(np.ones((2, 2)), self.columns([self.GOOD] * 2))
 
     def test_columns_of_objects(self):
         eps, cols = columns([1.2, 2], [AdimensionalBarrier(*self.GOOD), AdimensionalBarrier(1, 0)])

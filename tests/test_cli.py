@@ -5,9 +5,10 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 
-from qbarrier import critical_complex
+from qbarrier import AdimensionalBarrier, cli, critical_complex, transmission
 from qbarrier.barrier import MAX_GRID_POINTS
 from qbarrier.cli import build_parser, main
 from tests.mp_reference import reference_amplitudes
@@ -192,6 +193,30 @@ class TestSweep:
             capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("mode", ["energy", "width"])
+    def test_run_sweep_makes_one_transmission_call(self, count, mode, monkeypatch):
+        calls = []
+
+        def spy(eps, b):
+            calls.append(len(eps))
+            return transmission(eps, b)
+
+        monkeypatch.setattr(cli, "transmission", spy)
+        potentials = [AdimensionalBarrier(vc, vq) for vc, vq in cli.STANDARD_POTENTIALS[:count]]
+        grid, sweeps = cli.run_sweep(mode, 1.4, np.array([1.1, 1.15, 1.2]), potentials)
+        assert calls == [3 * count]
+        assert [(vc, vq, len(t)) for vc, vq, t in sweeps] == [(b.vc, b.vq, 3) for b in potentials]
+
+    def test_first_failing_point_in_row_order_names_the_error(self, capsys):
+        # (0, 1) is degenerate at its second point, eps = 1, and (0.6, 0.8) at the first,
+        # eps = sqrt(0.8): potential-major order meets (0, 1) first
+        code, out, err = run(["sweep", "--mode", "energy", "--fixed", "2", "--start", "0.894427190999916",
+                              "--stop", "1.0", "--step", "0.105572809000084", "--potentials", "0,1;0.6,0.8"],
+                             capsys)
+        assert code == 3 and out == ""
+        assert "(eps=1.0, vq=1.0)" in err and "critical_quaternionic" in err
 
 
 class TestResonances:

@@ -20,8 +20,8 @@ from qbarrier import (
     transmission,
     wave_params,
 )
-from qbarrier.barrier import SHC_SERIES_BELOW, shc
-from qbarrier.closed_form import denominator_factored, denominator_slope, transmission_grid
+from qbarrier.barrier import SHC_SERIES_BELOW, BarrierColumns, shc
+from qbarrier.closed_form import denominator_factored, denominator_slope
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.complex_reference import complex_probability, complex_t
 from tests.conftest import FIVE_POTENTIALS, as_columns, circle_points, near_band_points, random_points
@@ -240,6 +240,12 @@ def grid_points(eps, lam):
     return zip(*(a.ravel().tolist() for a in np.broadcast_arrays(eps, lam)))
 
 
+def grid_t(eps, lam, b: AdimensionalBarrier) -> np.ndarray:
+    """T at the grid_points of eps and lam, from one batch with b's vc, vq and theta as float fields."""
+    eps, lam = (a.ravel() for a in np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(lam, dtype=float)))
+    return transmission(eps, BarrierColumns(b.vc, b.vq, b.theta, lam))
+
+
 def bits(t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t).view(np.uint64)
 
@@ -253,22 +259,10 @@ def test_grid_matches_scalar_in_both_broadcast_directions(vc, vq):
     eps = eps[np.abs(eps**4 - vq**2) >= 1e-6]
     lam = rng.uniform(0.0, 20.0, 300)
     for grid_eps, grid_lam in [(eps, x) for x in lam[:4]] + [(x, lam) for x in eps[:4]]:
-        t = transmission_grid(grid_eps, grid_lam, b)
+        t = grid_t(grid_eps, grid_lam, b)
         for got, (e, w) in zip(t.tolist(), grid_points(grid_eps, grid_lam)):
             want = scalar_t(e, w, b)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
-
-    # a fixed operand kept scalar gives the bits of the same operand broadcast in full,
-    # also at the threshold and at widths whose shc elements take the series
-    threshold = [1.0] if vq != 1.0 else []
-    eps = np.concatenate([eps, threshold])
-    lam = np.concatenate([lam, [0.0, 1e-7, 1e-4]])
-    for x in eps[:4].tolist() + threshold:
-        want = transmission_grid(np.full(lam.shape, x), lam, b)
-        assert np.array_equal(bits(transmission_grid(x, lam, b)), bits(want))
-    for x in lam[:4].tolist() + [0.0, 1e-7, 1e-4]:
-        want = transmission_grid(eps, np.full(eps.shape, x), b)
-        assert np.array_equal(bits(transmission_grid(eps, x, b)), bits(want))
 
 
 def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
@@ -286,7 +280,7 @@ def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
 def test_empty_grid_gives_empty_array():
     b = AdimensionalBarrier(0.0, 1.0, 0.3)
     for eps, lam in [(np.array([]), 2.0), (1.2, np.array([]))]:
-        t = transmission_grid(eps, lam, b)
+        t = grid_t(eps, lam, b)
         assert t.shape == (0,) and t.dtype == complex
 
 
@@ -310,16 +304,18 @@ COLLAPSE = "vq=0.8): the exponential basis collapses"
         (1.2, [1.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got -1.0"),
         (1.2, [1.0, math.nan], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got nan"),
         (1.2, [1.0, math.inf], QUATERNIONIC, ValueError, "lam must be finite and >= 0.0, got inf"),
-        # C order decides between a bad width and a singular energy
+        # a bad width is refused before any point is evaluated, even after a singular energy
         ([[1.2], [1.0]], [2.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite"),
-        ([[1.0], [1.2]], [2.0, -1.0], QUATERNIONIC, DegenerateEnergyError, "degeneracy band"),
+        ([[1.0], [1.2]], [2.0, -1.0], QUATERNIONIC, ValueError, "lam must be finite"),
     ],
 )
 def test_grid_raises_what_the_scalar_path_raises_first(eps, lam, b, kind, message,
                                                        warnings_are_errors):
-    eps, lam = np.asarray(eps, dtype=float), np.asarray(lam, dtype=float)
+    # the first bad width, which `barrier.batch` refuses up front, else the first failing point
     first = None
-    for e, w in grid_points(eps, lam):
+    points = list(grid_points(eps, lam))
+    bad_widths = [(e, w) for e, w in points if not (math.isfinite(w) and w >= 0.0)]
+    for e, w in bad_widths[:1] + points:
         try:
             scalar_t(e, w, b)
         except Exception as exc:  # noqa: BLE001 - the scalar outcome is the reference
@@ -327,14 +323,14 @@ def test_grid_raises_what_the_scalar_path_raises_first(eps, lam, b, kind, messag
             break
     assert type(first) is kind and message in str(first)
     with pytest.raises(kind) as caught:
-        transmission_grid(eps, lam, b)
+        grid_t(eps, lam, b)
     assert type(caught.value) is kind and str(caught.value) == str(first)
 
 
 def test_grid_keeps_the_scalar_value_where_it_is_not_finite(warnings_are_errors):
     # at eps = 0.5, lam = 800 the scalar route returns NaN without raising
     lam = np.array([1.0, 800.0])
-    t = transmission_grid(0.5, lam, QUATERNIONIC)
+    t = grid_t(0.5, lam, QUATERNIONIC)
     want = [scalar_t(0.5, w, QUATERNIONIC) for w in lam.tolist()]
     assert cmath.isnan(want[1]) and cmath.isnan(t[1])
     assert abs(t[0] - want[0]) <= 1e-14

@@ -19,9 +19,9 @@ from qbarrier import (
     transmission,
 )
 from qbarrier import closed_form, resonance
-from qbarrier.barrier import MAX_GRID_POINTS, uniform_grid, wave_params
+from qbarrier.barrier import MAX_GRID_POINTS, BarrierColumns, uniform_grid, wave_params
 from qbarrier.cli import main
-from qbarrier.closed_form import denominator_slope, transmission_grid
+from qbarrier.closed_form import denominator_slope
 from qbarrier.resonance import PEAK_FLOOR, REFINE_TOL, _golden_section
 from tests.conftest import FIVE_POTENTIALS
 from tests.mp_reference import reference_width_peak
@@ -114,7 +114,7 @@ class TestMinTransmission:
         at_half = transmission(eps_half, AdimensionalBarrier(1.0, 0.0, 0.0, lam0)).prob
         assert at_half == pytest.approx(1.0 / (1.0 + 1.0 / (4.0 * e2 * (e2 - 1.0))), abs=1e-12)
         lo = eps_half - 1e-3
-        scanned_min = (abs(transmission_grid(lo + 2e-6 * np.arange(1001), lam0, AdimensionalBarrier(1.0, 0.0))) ** 2).min()
+        scanned_min = (abs(transmission(lo + 2e-6 * np.arange(1001), BarrierColumns(1.0, 0.0, 0.0, lam0))) ** 2).min()
         assert scanned_min <= at_half
         assert at_half - scanned_min < 3e-3
 
@@ -301,7 +301,8 @@ def test_width_scan_agrees_with_the_golden_scan_on_seeded_cases():
         lo, hi = rows[0][1], rows[-1][0] + 0.6 * rows[0][1]
         new = cli_width_peaks(eps0, vc, vq, theta)
         old = [x for x, _ in per_point_scan(
-            b, lo, hi, eps0, coarse=lambda xs: (np.abs(transmission_grid(eps0, np.array(xs), b)) ** 2).tolist())]
+            b, lo, hi, eps0, coarse=lambda xs: (np.abs(transmission(
+                np.full(len(xs), eps0), BarrierColumns(b.vc, b.vq, b.theta, np.array(xs)))) ** 2).tolist())]
         assert all(min(abs(x - y) for y in new) <= 1e-5 for x in old if x <= new[-1])  # none missed
         for x in new:
             y = min(old, key=lambda y: abs(x - y))
@@ -433,8 +434,5 @@ def test_width_scan_computes_wave_params_once_per_fixed_eps(monkeypatch):
     b = AdimensionalBarrier(0.5, math.sqrt(3.0) / 2.0)
     widths = uniform_grid(lo, hi, 1e-3)
     assert len(widths) == 11_310
-    transmission_grid(eps0, widths, b)
-    assert sizes == [1]
-    sizes.clear()
     assert len(scan_peaks(b, lo, hi, eps0=eps0)) == 4
-    assert sizes == [1, 1]
+    assert sizes == [len(widths), 1]

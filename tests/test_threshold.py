@@ -23,13 +23,11 @@ from qbarrier import (
     probability_balance,
     solve,
     transmission,
-    transmission_grid,
     wave_params,
     wavefunction,
 )
+from qbarrier.barrier import BarrierColumns
 from tests.mp_reference import reference_amplitudes
-
-COMPLEX = AdimensionalBarrier(1.0, 0.0)
 
 
 @pytest.mark.parametrize("lam", [1e-8, 0.1, 2.0, 40.0])
@@ -37,11 +35,11 @@ def test_every_route_reproduces_critical_complex(lam):
     exact = critical_complex(lam)
     b = AdimensionalBarrier(1.0, 0.0, 0.0, lam)
     amps = solve(1.0, b)
-    grid = transmission_grid(np.array([0.5, 1.0, 1.5]), lam, COMPLEX)
+    batch = transmission(np.array([0.5, 1.0, 1.5]), BarrierColumns(1.0, 0.0, 0.0, lam))
     gaps = {
         "transmission": transmission(1.0, b).t - exact.t,
         "transmission prob": transmission(1.0, b).prob - abs(exact.t) ** 2,
-        "transmission_grid": grid[1] - exact.t,
+        "transmission batch": batch[1] - exact.t,
         "solve r": amps.r - exact.r,
         "solve t": amps.t - exact.t,
         "solve rt": amps.rt - exact.rt,

@@ -2,7 +2,8 @@
 
 Runs a fixed seeded set of 20,000 points through `solve` (its eight
 amplitudes), `transmission` (t, |t|**2 and phase) and, on the first
-points, `transmission_grid` over an energy grid and a width grid.  A
+points, over an energy grid and a width grid (one `transmission` batch
+of full columns, or `transmission_grid` in a tree that has it).  A
 seeded set of 2,000 widths goes through
 `critical_complex`, `critical_quaternionic` (r, t, rt and tt, which is
 None above lam ~709.78) and `asymptotic_moduli` for both cases.  The
@@ -32,8 +33,10 @@ the prominence rule.  Seeded
 `qbarrier sweep` commands run through `cli.main`, each in CSV and JSON,
 once to stdout and once to an `--out` file: jittered README sweeps, wells
 and theta != 0 over energy and width, a one-point grid at vc = -0.0, the
-thick width grid whose amplitudes are NaN and the one that raises
-OverflowError; their exit codes, stderr and the sha256 of their output
+thick width grid whose amplitudes are NaN, the one that raises
+OverflowError, an energy grid whose first failing point depends on the
+order of potentials and grid points, and a width grid that starts at a
+negative width; their exit codes, stderr and the sha256 of their output
 are compared.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
@@ -55,6 +58,7 @@ and eps0 = U(1.05, 3) for the width scan.
 
 import cmath
 import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -172,6 +176,15 @@ def exponential_stacks():
     return out
 
 
+def grid_batch(transmission, eps, lam, b):
+    """T over an energy grid at width lam or a width grid at energy eps, from one batch of full columns."""
+    from qbarrier.barrier import BarrierColumns
+
+    n = max(np.size(eps), np.size(lam))
+    eps, vc, vq, theta, lam = (np.full(n, x) if np.ndim(x) == 0 else x for x in (eps, b.vc, b.vq, b.theta, lam))
+    return transmission(eps, BarrierColumns(vc, vq, theta, lam))
+
+
 def report_fields(reports):
     """Every field of each `CheckReport`, in order."""
     return tuple(getattr(r, f) for r in reports for f in ("name", "passed", "worst", "tolerance", "samples", "detail"))
@@ -209,7 +222,9 @@ def sweep_commands():
     benchmark moves them, a seeded set of potentials over the unit circle
     (wells included, theta = U(-pi, pi)) swept over energy and width, a
     one-point grid at vc = -0.0, the thick width grid whose amplitudes are
-    NaN and the one whose closed form overflows.
+    NaN, the one whose closed form overflows, an energy grid on which (0, 1)
+    is degenerate at its second point and (0.6, 0.8) at its first, and a
+    width grid from lam = -1.
     """
     rng = np.random.default_rng(SEED + 5)
     sweeps = []
@@ -229,7 +244,11 @@ def sweep_commands():
                ["--mode", "width", "--fixed", "0.5", "--start", "798", "--stop", "802", "--step", "1",
                 "--potentials", "0,1"],
                ["--mode", "width", "--fixed", "1.2", "--start", "700", "--stop", "703", "--step", "1",
-                "--potentials", "0,1"]]
+                "--potentials", "0,1"],
+               ["--mode", "energy", "--fixed", "2", "--start", "0.894427190999916", "--stop", "1.0",
+                "--step", "0.105572809000084", "--potentials", "0,1;0.6,0.8"],
+               ["--mode", "width", "--fixed", "1", "--start", "-1", "--stop", "1", "--step", "0.5",
+                "--potentials", "1,0;0,1"]]
     return [["sweep", *argv, "--format", fmt] for argv in sweeps for fmt in ("csv", "json")]
 
 
@@ -302,14 +321,14 @@ def evaluate(src):
     if Path(qbarrier.__file__).resolve().parent.parent != Path(src).resolve():
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
-                          critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission,
-                          transmission_grid)
+                          critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission)
     from qbarrier import split_ode, transfer_numeric
     from qbarrier.barrier import BarrierColumns
     from qbarrier.verify import run_all, sample_points
 
+    grid = getattr(qbarrier, "transmission_grid", functools.partial(grid_batch, transmission))
     warnings.simplefilter("ignore")
-    out = {name: [] for name in ("solve", "transmission", "transmission_grid",
+    out = {name: [] for name in ("solve", "transmission", "transmission (grid)",
                                  "critical_complex", "critical_quaternionic", "asymptotic_moduli",
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
                                  "oracle_amplitudes (thick)", "transfer_numeric", "sample_points", "verify.run_all",
@@ -321,8 +340,8 @@ def evaluate(src):
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
         out["transmission"].append(outcome(lambda: transmitted(transmission(eps, b))))
         if i < GRID_POINTS:
-            out["transmission_grid"].append(outcome(lambda: transmission_grid(ENERGY_AXIS, lam, b)))
-            out["transmission_grid"].append(outcome(lambda: transmission_grid(eps, WIDTH_AXIS, b)))
+            out["transmission (grid)"].append(outcome(lambda: grid(ENERGY_AXIS, lam, b)))
+            out["transmission (grid)"].append(outcome(lambda: grid(eps, WIDTH_AXIS, b)))
     for lam, theta in widths():
         out["critical_complex"].append(outcome(lambda: critical_amplitudes(critical_complex(lam))))
         out["critical_quaternionic"].append(

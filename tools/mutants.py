@@ -1,0 +1,126 @@
+"""Run a fixed catalogue of mutants of src/ against the tests in tests/ and report the survivors.
+
+Each mutant is a (file, old, new) triple: old must occur exactly once in
+the file, so the catalogue breaks loudly when the code moves.  Every
+mutant's text is checked before any runs, and the tests must pass on an
+unmutated copy.  Each mutant is then made in a fresh copy of the tree in
+a temporary directory, and `python -m pytest -x` runs there with that
+copy's src/ on the import path.  A mutant the tests pass survives; one
+that makes them fail (or not even collect) is killed.  Prints one line
+per mutant and the survivor count; exits 1 if any mutant survives, 2 if a
+triple does not match once or the unmutated copy fails.
+
+    python3 tools/mutants.py [NAME ...]
+
+With names, only those mutants run.  Too slow for the test suite itself:
+a killed mutant takes a few seconds, a survivor the whole suite.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: run_sweep's columns and the slicing of its batch, potential-major
+SWEEP_ORDER = '''np.repeat(np.array([(b.vc, b.vq, b.theta) for b in potentials]).T, len(axis), axis=1)
+    swept = np.tile(axis, len(potentials))
+    eps, lam = (swept, fixed) if mode == "energy" else (np.full(swept.shape, fixed), swept)
+    t = transmission(eps, BarrierColumns(vc, vq, theta, lam)).reshape(len(potentials), len(axis))'''
+#: the same, grid-major: the same values, evaluated in another order
+GRID_MAJOR = '''np.tile(np.array([(b.vc, b.vq, b.theta) for b in potentials]).T, len(axis))
+    swept = np.repeat(axis, len(potentials))
+    eps, lam = (swept, fixed) if mode == "energy" else (np.full(swept.shape, fixed), swept)
+    t = transmission(eps, BarrierColumns(vc, vq, theta, lam)).reshape(len(axis), len(potentials)).T'''
+
+#: name -> (file under the root, text it holds once, its replacement)
+MUTANTS = {
+    # verify's bounds: a check class must fail just past its own bound
+    "norm-conservation bound 1e-9 -> 1e-3": (
+        "src/qbarrier/verify.py", '"norm-conservation", worst < 1e-9', '"norm-conservation", worst < 1e-3'),
+    "theta-invariance bound 1e-12 -> 1e-6": (
+        "src/qbarrier/verify.py", '"theta-invariance", worst < 1e-12', '"theta-invariance", worst < 1e-6'),
+    "transfer-agreement bound 1e-10 -> 1e-4": (
+        "src/qbarrier/verify.py", '"transfer-agreement", worst < 1e-10', '"transfer-agreement", worst < 1e-4'),
+    "verify DEGENERACY_BAND 1e-6 -> 1e-8": (
+        "src/qbarrier/verify.py", "DEGENERACY_BAND = 1e-6", "DEGENERACY_BAND = 1e-8"),
+    # the prominence rule and the energy refinement
+    "PEAK_FLOOR 64 -> 512": ("src/qbarrier/resonance.py", "PEAK_FLOOR = 64", "PEAK_FLOOR = 512"),
+    "PEAK_FLOOR 64 -> 8": ("src/qbarrier/resonance.py", "PEAK_FLOOR = 64", "PEAK_FLOOR = 8"),
+    "REFINE_TOL 1e-6 -> 1e-4": ("src/qbarrier/resonance.py", "REFINE_TOL = 1e-6", "REFINE_TOL = 1e-4"),
+    # the oracle's refusal and the singular-point rule
+    "oracle _REACH x4": (
+        "src/qbarrier/ode_oracle.py", "_REACH = (1e-9 - 1e-11)", "_REACH = 4 * (1e-9 - 1e-11)"),
+    "DEGENERACY_TOL 1e-10 -> 1e-12": (
+        "src/qbarrier/barrier.py", "DEGENERACY_TOL = 1e-10", "DEGENERACY_TOL = 1e-12"),
+    "sign of theta in beta": (
+        "src/qbarrier/barrier.py", "beta=1j * b.vq * exp(1j * b.theta)", "beta=1j * b.vq * exp(-1j * b.theta)"),
+    # the closed form's one replay of non-finite points.  Replaying NaN only survives, and is taken
+    # to be equivalent: no T of the batch has come out infinite without a NaN part (200,000 points
+    # at eps from 1e-320 to 1e160 and lam up to 1e308 gave none), since |T| <= 1 keeps |D| >= 2
+    "closed-form replay of NaN only": (
+        "src/qbarrier/closed_form.py", "np.flatnonzero(~np.isfinite(t))", "np.flatnonzero(np.isnan(t))"),
+    "closed-form replay skipped": (
+        "src/qbarrier/closed_form.py", "for i in np.flatnonzero(~np.isfinite(t)).tolist():", "for i in []:"),
+    # a sweep's one batch, potential-major
+    "run_sweep grid-major": ("src/qbarrier/cli.py", SWEEP_ORDER, GRID_MAJOR),
+    # a batch's length check
+    "batch length check skipped": (
+        "src/qbarrier/barrier.py", "if np.ndim(c) and np.shape(c) != eps.shape:", "if False:"),
+}
+
+
+#: what the copy leaves out: git's store and what building, testing and benchmarking leave behind
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")
+
+
+def tests_pass(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
+    """Whether the tests pass on a copy of the tree with mutant (file, old, new) made, and pytest's summary."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIPPED)
+        if mutant is not None:
+            file, old, new = mutant
+            path = tree / file
+            path.write_text(path.read_text().replace(old, new))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                              cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, lines[-1] if lines else "no output"
+
+
+def main() -> int:
+    names = sys.argv[1:] or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {unknown}", file=sys.stderr)
+        return 2
+    misplaced = []
+    for name in names:
+        file, old, _ = MUTANTS[name]
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            misplaced.append(f"{name}: {file} holds its text {count} times, not once")
+    if misplaced:
+        print("\n".join(misplaced), file=sys.stderr)
+        return 2
+    passed, summary = tests_pass(None)
+    print(f"unmutated: {summary}", flush=True)
+    if not passed:
+        return 2
+    survivors = []
+    for name in names:
+        survived, summary = tests_pass(MUTANTS[name])
+        print(f"{name}: {'SURVIVED' if survived else 'killed'} ({summary})", flush=True)
+        if survived:
+            survivors.append(name)
+    print(f"{len(survivors)} of {len(names)} mutants survived" + "".join(f"\n  {name}" for name in survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
