@@ -201,8 +201,9 @@ def batch(eps, cols: BarrierColumns) -> tuple[np.ndarray, BarrierColumns]:
     class raises.  The energies are the route's to check.
 
     Raises:
-        ValueError: if a column's length differs from the energies', or
-            from AdimensionalBarrier at the first point that breaks its rule.
+        ValueError: if a column's length differs from the energies', if
+            the energies are not a 1-d array, or from AdimensionalBarrier
+            at the first point that breaks its rule.
     """
     eps = np.asarray(eps, dtype=float)
     stack = np.empty((4,) + eps.shape)
@@ -210,6 +211,8 @@ def batch(eps, cols: BarrierColumns) -> tuple[np.ndarray, BarrierColumns]:
         if np.ndim(c) and np.shape(c) != eps.shape:
             raise ValueError(f"{np.size(eps)} energies for {np.size(c)} barriers")
         stack[i] = c
+    if eps.ndim != 1:
+        raise ValueError(f"energies must be a 1-d array, got shape {eps.shape}")
     cols = BarrierColumns(*stack)
     ok = (np.isfinite(stack) & (stack >= np.array(LOWER_BOUNDS)[:, None])).all(axis=0)
     ok &= abs(cols.vc * cols.vc + cols.vq * cols.vq - 1.0) <= UNIT_CIRCLE_TOL
@@ -277,7 +280,8 @@ def shc(a, x):
     Below |a*x| = SHC_SERIES_BELOW it sums x*(1 + z**2/6*(1 + z**2/20)),
     z = a*x, whose first omitted term is z**6/5040 of x.  Like `wave_params`,
     one body serves floats (cmath) and ndarrays (numpy, broadcast); on an
-    ndarray the series is summed only at the elements below the switch.
+    ndarray the series is summed only at the elements below the switch, and
+    only if there are any.
     """
     z = a * x
     small = abs(z) < SHC_SERIES_BELOW
@@ -285,7 +289,8 @@ def shc(a, x):
         return _shc_series(z, x) if small else cmath.sinh(z) / a
     with np.errstate(all="ignore"):  # 0/0 at a = 0, overwritten by the series
         out = np.sinh(z) / a
-    out[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
+    if small.any():
+        out[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
     return out
 
 

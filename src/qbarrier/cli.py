@@ -29,7 +29,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .barrier import AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, require_finite, uniform_grid
+from .barrier import (AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, blocks, require_finite,
+                      uniform_grid)
 from .closed_form import transmission
 from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, SingularSystemError
@@ -78,34 +79,40 @@ def _pi_flag(value: float | None, value_pi: float | None, flag: str,
     return value
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(pieces, out: str | None) -> int:
+    """Write the text pieces, in order, to stdout or to the file out."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return 0
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
         return 4
     return 0
 
 
-def _rows(first: list, sweeps: list[tuple], row, sep: str, column) -> str:
-    """Every potential's rows, joined by sep: one `%` call per potential on len(first) copies of row(vc, vq).
+def _rows(first: list, sweeps: list[tuple], row, sep: str, column):
+    """Every potential's rows, joined by sep, as pieces of at most `blocks(len(first), 16)`'s rows.
 
     row(vc, vq) holds vc and vq formatted (no number's text holds a '%');
-    its five slots take first[i], the grid column, and the i-th values of
+    a piece is one `%` call on as many copies of it as it has rows, whose
+    five slots take first[i], the grid column, and the i-th values of
     column() of t_sq, re_t, im_t and phase, interleaved by slice assignment.
+    Each piece but the first starts with sep.
     """
-    blocks = []
+    lead = ""
     for vc, vq, t in sweeps:
-        args = [None] * (5 * len(first))
-        args[0::5] = first
-        args[1::5], args[2::5], args[3::5], args[4::5] = map(column, [
-            (np.abs(t) ** 2).tolist(), t.real.tolist(), t.imag.tolist(), np.angle(t).tolist()])
-        blocks.append(sep.join([row(vc, vq)] * len(first)) % tuple(args))
-    return sep.join(blocks)
+        template = row(vc, vq)
+        for block in blocks(len(first), 16):
+            part = t[block]
+            args = [None] * (5 * len(part))
+            args[0::5] = first[block]
+            args[1::5], args[2::5], args[3::5], args[4::5] = map(column, [
+                (np.abs(part) ** 2).tolist(), part.real.tolist(), part.imag.tolist(), np.angle(part).tolist()])
+            yield lead + sep.join([template] * len(part)) % tuple(args)
+            lead = sep
 
 
 def _json_tokens(values: list[float]) -> list[str]:
@@ -113,22 +120,23 @@ def _json_tokens(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _csv_text(meta: dict, grid: list[float], sweeps: list[tuple]) -> str:
-    """The sweep as CSV, each value written as `format(v, ".12g")`.
+def _csv_text(meta: dict, grid: list[float], sweeps: list[tuple]):
+    """The sweep as CSV, in pieces (`_rows`), each value written as `format(v, ".12g")`.
 
     Each distinct value is formatted once: the grid column per sweep, vc
-    and vq per potential, each amplitude by its potential's `%` call.
+    and vq per potential, each amplitude by its piece's `%` call.
     `"%.12g" % v` is `format(v, ".12g")`, one C routine for every float.
     """
     lines = [f"# qbarrier {__version__}", *(f"# {key}={value}" for key, value in meta.items()),
              ",".join(SWEEP_COLUMNS)]
-    body = _rows([_fmt(x) for x in grid], sweeps, lambda vc, vq: f"%s,{vc:.12g},{vq:.12g}" + ",%.12g" * 4,
-                 "\n", list)
-    return "\n".join(lines) + "\n" + body + "\n"
+    yield "\n".join(lines) + "\n"
+    yield from _rows([_fmt(x) for x in grid], sweeps, lambda vc, vq: f"%s,{vc:.12g},{vq:.12g}" + ",%.12g" * 4,
+                     "\n", list)
+    yield "\n"
 
 
-def _json_text(meta: dict, grid: list[float], sweeps: list[tuple]) -> str:
-    """`json.dumps(payload, sort_keys=True, indent=1)` plus a newline, payload's rows those of `_csv_text`.
+def _json_text(meta: dict, grid: list[float], sweeps: list[tuple]):
+    """`json.dumps(payload, sort_keys=True, indent=1)` plus a newline, in pieces, payload's rows those of `_csv_text`.
 
     The indent encoder is pure Python, so each column goes through the C
     encoder in compact form (`_json_tokens`), which writes a float as it
@@ -138,18 +146,19 @@ def _json_text(meta: dict, grid: list[float], sweeps: list[tuple]) -> str:
     head = json.dumps({"meta": {"tool": "qbarrier", "version": __version__, **meta,
                                 "columns": list(SWEEP_COLUMNS)},
                        "rows": []}, sort_keys=True, indent=1)
-    body = _rows(_json_tokens(grid), sweeps,
-                 lambda vc, vq: f"%s,\n   {json.dumps(vc)},\n   {json.dumps(vq)}" + ",\n   %s" * 4,
-                 "\n  ],\n  [\n   ", _json_tokens)
     # "rows" sorts last, so the head ends with its empty list
-    return head[:-len("[]\n}")] + "[\n  [\n   " + body + "\n  ]\n ]\n}\n"
+    yield head[:-len("[]\n}")] + "[\n  [\n   "
+    yield from _rows(_json_tokens(grid), sweeps,
+                     lambda vc, vq: f"%s,\n   {json.dumps(vc)},\n   {json.dumps(vq)}" + ",\n   %s" * 4,
+                     "\n  ],\n  [\n   ", _json_tokens)
+    yield "\n  ]\n ]\n}\n"
 
 
 def _report(args, payload, lines: list[str]) -> int:
     """Write `payload` as indented JSON or `lines` as text, as --format asks."""
     if args.format == "json":
-        return _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
-    return _emit("\n".join(lines) + "\n", args.out)
+        return _emit([json.dumps(payload, sort_keys=True, indent=1) + "\n"], args.out)
+    return _emit(["\n".join(lines) + "\n"], args.out)
 
 
 # ---------------------------------------------------------------- point

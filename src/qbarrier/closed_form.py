@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, batch, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, shc, wave_params
 from .errors import SingularDenominatorError
 
 
@@ -152,12 +152,14 @@ def transmission(eps, b):
 
     A float eps with one barrier b gives one TransmissionResult.  A batch,
     a float ndarray eps with the BarrierColumns b of its points (checked by
-    `barrier.batch`), gives the complex ndarray of their T, from one numpy
-    evaluation of the same body.  Its values agree with the single calls'
-    to ~1e-14 away from the degeneracy band (numpy's and cmath's complex
-    functions differ in the last bits), and its errors are theirs: each
-    point whose T comes out non-finite is replayed through a single call in
-    order, so the batch raises the first error its single calls raise.
+    `barrier.batch`), gives the complex ndarray of their T, from numpy
+    evaluations of the same body in blocks of `barrier.blocks(n, 64)`
+    points, as `solver.solve` takes them, so its temporaries stay bounded.
+    Its values agree with the single calls' to ~1e-14 away from the
+    degeneracy band (numpy's and cmath's complex functions differ in the
+    last bits), and its errors are theirs: after the last block, each point
+    whose T came out non-finite is replayed through a single call in order,
+    so the batch raises the first error its single calls raise.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
@@ -166,8 +168,10 @@ def transmission(eps, b):
     if isinstance(b, AdimensionalBarrier):
         return TransmissionResult(_amplitude(wave_params(eps, b), b.lam))
     eps, b = batch(eps, b)
+    t = np.empty(eps.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        t = _amplitude(wave_params(eps, b), b.lam)
+        for block in blocks(len(eps), 64):
+            t[block] = _amplitude(wave_params(eps[block], b.part(block)), b.lam[block])
     for i in np.flatnonzero(~np.isfinite(t)).tolist():
         t[i] = transmission(float(eps[i]), b.barrier(i)).t
     return t

@@ -10,10 +10,13 @@ two coupled complex equations,
 verified here by substituting the exponential interior basis (the residual
 test in the suite pins the coupling signs).  The state y = (phi, phi', psi,
 psi') obeys y' = A*y with constant A, so y(0) = exp(-A*h) @ y(h) across a
-segment of length h: `transfer.transfer_numeric`, the exponential that
-checks the closed transfer table.  The width is cut into 2**s segments, s
-from that exponential's scaling rule, so each map is one Taylor sum.  No
-branch choices, no special functions: this route works at degenerate and
+segment of length h.  The width is cut into 2**s segments, s from the
+scaling rule of `transfer.transfer_numeric` (`transfer._squarings`), so
+each map is one Taylor sum: the blocks (C, S, K@S) of exp(-A*h) from
+`transfer._segment`, the series kernel that `transfer_numeric` squares,
+taken from the 2x2 block K of A, which is built from the barrier's columns
+by `split_ode`'s expressions.  No 4x4 matrix is formed.  No branch
+choices, no special functions: this route works at degenerate and
 threshold parameters alike and checks every closed form in the package.
 
 Each map becomes the segment's scattering matrix (rl, tb, tf, rr) between
@@ -44,10 +47,13 @@ import numpy as np
 
 from .barrier import AdimensionalBarrier, batch, blocks, columns, complex_stack, require_finite
 from .solver import ScatteringAmplitudes
-from .transfer import _EYE, _mul, _squarings, transfer_numeric
+from .transfer import _EYE, _mul, _segment, _squarings
 
 #: largest max(eps, 1)*lam at which the error bound B stays within 1e-9 (about 2.79e5)
 _REACH = (1e-9 - 1e-11) / (16 * 2.0**-52)
+
+#: J = diag(1, -1), the sign of each channel's wave
+_J = np.array([1.0, -1.0])
 
 
 def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
@@ -61,11 +67,7 @@ def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
     batch = isinstance(eps, np.ndarray)
     if not batch:
         require_finite("eps", eps, 0.0, strict=True)
-    exp = np.exp if batch else cmath.exp
-    c_phi = b.vc - eps * eps
-    c_psi = b.vc + eps * eps
-    d_phi = 1j * b.vq * exp(1j * b.theta)
-    d_psi = 1j * b.vq * exp(-1j * b.theta)
+    (c_phi, d_phi), (d_psi, c_psi) = _couplings(b, eps)
     rows = [
         [0.0, 1.0, 0.0, 0.0],
         [c_phi, 0.0, d_phi, 0.0],
@@ -75,41 +77,62 @@ def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
     return complex_stack(rows) if batch else np.array(rows, dtype=complex)
 
 
+def _couplings(b, eps) -> list[list]:
+    """The block K = [[c_phi, d_phi], [d_psi, c_psi]] of `split_ode`'s matrix as rows.
+
+    numpy's exp serves an ndarray eps, cmath's a float.
+    """
+    exp = np.exp if isinstance(eps, np.ndarray) else cmath.exp
+    return [[b.vc - eps * eps, 1j * b.vq * exp(1j * b.theta)],
+            [1j * b.vq * exp(-1j * b.theta), b.vc + eps * eps]]
+
+
 def _inv(m: np.ndarray) -> np.ndarray:
     """The inverse of each 2x2 block of m (2, 2, n), points last."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    out = m[::-1, ::-1].transpose(1, 0, 2).copy()  # [[m11, m01], [m10, m00]]
+    np.negative(out[0, 1], out=out[0, 1])
+    np.negative(out[1, 0], out=out[1, 0])
+    out /= m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return out
 
 
-def _scattering(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The scattering matrices (rl, tb, tf, rr), stacked (4, 2, 2, n), of segment maps m (n, 4, 4) in the channels at k.
+def _scattering(y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The scattering matrices (rl, tb, tf, rr), stacked (4, 2, 2, n), of segment maps y = (C, S, K@S) in the channels at k.
 
-    In the channels (going right | going left), m = [[C, S], [K@S, C]] is
+    In the channels (going right | going left), the map [[C, S], [K@S, C]] is
     [[diag(C) + U - V, offdiag(C) - U - V], [offdiag(C) + U + V, diag(C) - U + V]]
     with U = i*k*S@J/2, V = i*J@(K@S)/(2k) and J = diag(1, -1).
     """
-    y, j = m.transpose(1, 2, 0), np.array([1.0, -1.0])
-    c = y[0::2, 0::2]
+    c = y[0]
     diag = c * _EYE
-    u = (0.5j * k) * y[0::2, 1::2] * j[:, None]
-    v = (0.5j / k) * y[1::2, 0::2] * j[:, None, None]
-    t12 = c - diag - u - v
-    tf = _inv(diag + u - v)
-    rl = _mul(c - diag + u + v, tf)
-    return np.stack([rl, diag - u + v - _mul(rl, t12), tf, -_mul(tf, t12)])
+    off = c - diag
+    u = (0.5j * k) * y[1] * _J[:, None]
+    v = (0.5j / k) * y[2] * _J[:, None, None]
+    t12 = off - u - v
+    z = np.empty((4,) + c.shape, dtype=complex)
+    z[2] = _inv(diag + u - v)
+    z[0] = _mul(off + u + v, z[2])
+    z[1] = diag - u + v - _mul(z[0], t12)
+    z[3] = -_mul(z[2], t12)
+    return z
 
 
-def _square(z: np.ndarray) -> np.ndarray:
-    """The star product of each scattering matrix z = (rl, tb, tf, rr), stacked (4, 2, 2, n), with itself.
+def _square(z: np.ndarray) -> None:
+    """The star product of each scattering matrix z = (rl, tb, tf, rr), stacked (4, 2, 2, n), with itself, in place.
 
     X = inv(I - rr@rl) is the only inverse (Redheffer): tf' = tf@X@tf,
     rr' = rr + tf@X@rr@tb, rl' = rl + tb@rl@X@tf, tb' = tb@(I + rl@X@rr)@tb.
     """
     rl, tb, tf, rr = z
     xs = _mul(_inv(_EYE - _mul(rr, rl)), z[2:])  # X@tf, X@rr
-    (tf_x_tf, tf_x_rr), (rl_x_tf, rl_x_rr) = _mul(z[2::-2, None], xs)
-    rr_tb, tb_tb = _mul(np.stack([tf_x_rr, _EYE + rl_x_rr]), tb)
-    rl_tb = _mul(tb, np.stack([rl_x_tf, tb_tb]))
-    return np.stack([rl + rl_tb[0], rl_tb[1], tf_x_tf, rr + rr_tb])
+    p = _mul(z[2::-2, None], xs)  # [[tf@X@tf, tf@X@rr], [rl@X@tf, rl@X@rr]]
+    p[1, 1] += _EYE
+    rr_tb, p[1, 1] = _mul(p[:, 1], tb)  # tf@X@rr@tb, (I + rl@X@rr)@tb
+    rl_tb = _mul(tb, p[1])  # tb@rl@X@tf, tb@(I + rl@X@rr)@tb
+    z[0] += rl_tb[0]
+    z[1] = rl_tb[1]
+    z[2] = p[0, 0]
+    z[3] += rr_tb
 
 
 def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -121,32 +144,34 @@ def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     rl, tb, tf, rr = z
     kappa = np.array([eps + 0j, -1j * eps])
-    rho, through = (k - kappa) / (k + kappa), 2.0 * k / (k + kappa)
+    total = k + kappa
+    rho, through = (k - kappa) / total, 2.0 * k / total
     xt = _mul(_inv(_EYE - rr * rho), tf)
-    right = np.stack([rl + _mul(tb * rho, xt), through[:, None] * xt])  # rl and tf with the right edge
+    right = np.empty((2,) + xt.shape, dtype=complex)  # rl and tf with the right edge
+    right[0] = rl + _mul(tb * rho, xt)
+    right[1] = through[:, None] * xt
     out = _mul(right, _inv(_EYE - rho[:, None] * right[0])[:, :1]).reshape(4, -1) * (2.0 * eps / (k + eps))
     out[:2] *= through
     out[0] -= rho[0]
     return out
 
 
-def _amplitudes(a: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(R, Rt, tau, sigma), a (4, n) array, of the split systems a (n, 4, 4) at widths lam.
+def _amplitudes(k: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(R, Rt, tau, sigma), a (4, n) array, of the split systems with blocks k (2, 2, n) at widths lam.
 
     The points are sorted once by squaring count s, descending, so round i
     star-squares the prefix of the points with s > i; the result is put
     back in input order.
     """
-    s = _squarings(a, lam)
+    s = _squarings(k, lam)
     order = np.argsort(-s, kind="stable")
-    a, eps, lam, s = a[order], eps[order], lam[order], s[order]
-    k = np.maximum(eps, np.minimum(1.0, lam))
-    z = _scattering(transfer_numeric(a, lam * 0.5**s), k)
+    k, eps, lam, s = k[..., order], eps[order], lam[order], s[order]
+    wave = np.maximum(eps, np.minimum(1.0, lam))
+    z = _scattering(_segment(k, lam * 0.5**s), wave)
     for i in range(s.max(initial=0)):
-        prefix = z[..., :np.count_nonzero(s > i)]
-        prefix[...] = _square(prefix)
+        _square(z[..., :np.count_nonzero(s > i)])
     out = np.empty((4, len(s)), dtype=complex)
-    out[:, order] = _edges(z, eps, k)
+    out[:, order] = _edges(z, eps, wave)
     return out
 
 
@@ -180,26 +205,29 @@ def oracle_amplitudes(eps, b):
         raise ValueError(f"eps={e!r} at lam={lam!r} is beyond the integrator's reach: eps**2 must be "
                          f"finite, max(eps, min(1, lam)) at least {sys.float_info.min:.4g} and "
                          f"max(eps, 1)*lam at most {_REACH:.4g}")
-    a = split_ode(cols, eps_all)
-    x = np.empty((len(a), 4), dtype=complex)
-    for block in blocks(len(a), 16):
-        x[block] = _amplitudes(a[block], eps_all[block], cols.lam[block]).T
+    k = complex_stack(_couplings(cols, eps_all)).transpose(1, 2, 0)
+    x = np.empty((len(eps_all), 4), dtype=complex)
+    for block in blocks(len(eps_all), 16):
+        x[block] = _amplitudes(k[..., block], eps_all[block], cols.lam[block]).T
     # t and tt point by point, with cmath's exp: numpy's differs from it in the last bit
-    pts = list(zip(x[:, 2].tolist(), x[:, 3].tolist(), eps_all.tolist(), cols.lam.tolist(),
-                   ((cols.vq > 0.0) & (cols.lam > 0.0)).tolist()))
-    x[:, 2] = [tau * cmath.exp(-1j * e * lam) for tau, _, e, lam, _ in pts]
-    tt = [_far_edge(sigma, e * lam, coupled) for _, sigma, e, lam, coupled in pts]
+    missing = None if single else math.nan
+    rows = [(tau * cmath.exp(-1j * e * lam), _far_edge(sigma, e * lam, coupled, missing))
+            for tau, sigma, e, lam, coupled in zip(x[:, 2].tolist(), x[:, 3].tolist(), eps_all.tolist(),
+                                                   cols.lam.tolist(), ((cols.vq > 0.0) & (cols.lam > 0.0)).tolist())]
     if single:
-        return ScatteringAmplitudes(*x[0, :3].tolist(), tt[0])
-    x[:, 3] = [math.nan if t is None else t for t in tt]
+        return ScatteringAmplitudes(*x[0, :2].tolist(), *rows[0])
+    x[:, 2:] = np.reshape(np.array(rows, dtype=complex), (-1, 2))
     return x
 
 
-def _far_edge(sigma: complex, growth: float, coupled: bool) -> complex | None:
-    """Tt = sigma*exp(growth) from the right-edge datum sigma; None where exp(growth) overflows or sigma underflows."""
+def _far_edge(sigma: complex, growth: float, coupled: bool, missing):
+    """Tt = sigma*exp(growth) from the right-edge datum sigma.
+
+    missing where exp(growth) overflows or sigma underflows.
+    """
     if abs(sigma) < sys.float_info.min and (sigma or coupled):
-        return None
+        return missing
     try:
         return sigma * cmath.exp(growth)
     except OverflowError:
-        return None
+        return missing

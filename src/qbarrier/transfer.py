@@ -19,8 +19,7 @@ eps = 1, where am (barrier) or ap (well) is 0.
 `transfer_closed` evaluates that table from the wave parameters.
 `transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
 of the split interior system y' = A*y (`ode_oracle.split_ode`), with no wave
-parameter and no branch choice; at lam*2**-s (`_squarings`) it is the
-segment map of `ode_oracle`.  Both take one point or a batch: the wave
+parameter and no branch choice.  Both take one point or a batch: the wave
 parameters of n points give an (n, 4, 4) stack of tables, and an
 (n, 4, 4) stack of matrices A its stack of exponentials.
 
@@ -32,11 +31,16 @@ odd parts:
     exp(-A*lam) = [[C, S], [K@S, C]],
     C = sum_j (lam**2*K)**j/(2j)!,  S = -lam*sum_j (lam**2*K)**j/(2j+1)!.
 
-`transfer_numeric` scales lam by 2**-s until ||(lam*2**-s)**2*K||_1 <= 4,
-sums both series to j = 12 (the exponential's terms B**0 ... B**25; the
-first omitted one is at most 2**26/26! ~ 1.7e-19 of its block's leading
-term) and squares (C, S, K@S) s times by the double-angle rules
-C <- C@C + S@(K@S), S <- 2*C@S, K@S <- 2*C@(K@S).  It reads only K.
+`transfer_numeric` scales lam by 2**-s until ||(lam*2**-s)**2*K||_1 <= 4
+(`_squarings`), sums both series to j = 12 (the exponential's terms B**0
+... B**25; the first omitted one is at most 2**26/26! ~ 1.7e-19 of its
+block's leading term) and squares (C, S, K@S) s times by the double-angle
+rules C <- C@C + S@(K@S), S <- 2*C@S, K@S <- 2*C@(K@S).  It reads only K.
+The series are one private kernel, `_segment`, which maps K and the scaled
+width h = lam*2**-s to the blocks (C, S, K@S) of exp(-A*h), points last.
+`ode_oracle` takes its segment maps from that kernel too, from K built
+from the barrier's columns: the oracle's 2**s segments of width h are
+those blocks, not calls to `transfer_numeric`.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ _EYE = np.eye(2, dtype=complex)[..., None]
 _COEFFICIENTS = np.array([[1.0 / math.factorial(2 * j + odd) for j in range(TAYLOR_TERMS // 2)] for odd in (0, 1)])
 _C_LOW = _COEFFICIENTS[:, :12].reshape(2, 3, 4).transpose(2, 0, 1)[..., None, None, None]
 _C_TOP = _COEFFICIENTS[:, 12, None, None, None]
+#: the terms c_{4q}*x**0 of the coefficients' blocks b_q, [series, q]
+_C_EYE = _C_LOW[0] * _EYE
 
 
 def _mode_block(a, lam) -> np.ndarray:
@@ -115,24 +121,40 @@ def _series(x: np.ndarray) -> np.ndarray:
     Each is b_0 + x4@(b_1 + x4@(b_2 + x4*c_12)), with b_q = sum_r c_{4q+r}*x**r
     and x4 = x**4 (Paterson and Stockmeyer), so it takes five block products.
     """
-    p = np.empty((4,) + x.shape, dtype=complex)  # x**0 ... x**3
-    p[0], p[1] = _EYE, x
-    p[2] = _mul(x, x)
-    p[3] = _mul(p[2], x)
-    x4 = _mul(p[2], p[2])
-    b = _C_LOW[0] * p[0]
-    for r in (1, 2, 3):
-        b += _C_LOW[r] * p[r]
+    x2 = _mul(x, x)
+    x4 = _mul(x2, x2)
+    b = _C_EYE + _C_LOW[1] * x
+    b += _C_LOW[2] * x2
+    b += _C_LOW[3] * _mul(x2, x)
     out = b[:, 2] + _C_TOP * x4
     for q in (1, 0):
         out = b[:, q] + _mul(x4, out)
     return out
 
 
-def _squarings(a: np.ndarray, lam) -> np.ndarray:
-    """The scaling rule: the least s >= 0 with |lam|*2**-s*sqrt(||K||_1) < 2, for `split_ode` matrices a."""
-    norm = np.abs(lam) * np.sqrt(np.abs(a[..., 1::2, 0::2]).sum(axis=-2).max(axis=-1))
+def _k_block(a: np.ndarray) -> np.ndarray:
+    """The block K of `split_ode`'s matrix a, or of each matrix of a stack, as (2, 2, n), points last."""
+    return a.reshape(-1, 4, 4)[:, 1::2, 0::2].transpose(1, 2, 0)
+
+
+def _squarings(k: np.ndarray, lam) -> np.ndarray:
+    """The scaling rule: the least s >= 0 with |lam|*2**-s*sqrt(||K||_1) < 2, for blocks k (2, 2, n)."""
+    norm = np.abs(lam) * np.sqrt(np.abs(k).sum(axis=0).max(axis=0))
     return np.maximum(np.frexp(norm / 2.0)[1], 0)
+
+
+def _segment(k: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The blocks (C, S, K@S) of exp(-A*h), stacked (3, 2, 2, n), from the blocks k (2, 2, n) and widths h (n,).
+
+    The even and the odd series of the module docstring at lam = h, with no
+    squaring: h must satisfy the scaling rule (`_squarings` gives 0 there).
+    """
+    series = _series(h * h * k)
+    y = np.empty((3,) + k.shape, dtype=complex)
+    y[0] = series[0]
+    y[1] = -h * series[1]
+    y[2] = _mul(k, y[1])
+    return y
 
 
 def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
@@ -152,17 +174,12 @@ def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
     if not (a[..., _FIXED] == _PATTERN).all():
         raise ValueError("transfer_numeric takes split_ode's matrix: [[0, 1, 0, 0], [*, 0, *, 0], "
                          "[0, 0, 0, 1], [*, 0, *, 0]]")
-    k = a.reshape(-1, 4, 4)[:, 1::2, 0::2].transpose(1, 2, 0)
-    h = np.full(k.shape[-1], -np.asarray(lam, dtype=float))  # B = A*h
-    s = _squarings(a, h)
+    k = _k_block(a)
+    h = np.full(k.shape[-1], np.asarray(lam, dtype=float))
+    s = _squarings(k, h)
     order = np.argsort(-s, kind="stable")
     k, h, s = k[..., order], h[order], s[order]
-    h = h * 0.5**s
-    series = _series(h * h * k)
-    y = np.empty((3, 2, 2, len(s)), dtype=complex)  # C, S, K@S
-    y[0] = series[0]
-    y[1] = h * series[1]
-    y[2] = _mul(k, y[1])
+    y = _segment(k, h * 0.5**s)
     for i in range(s.max(initial=0)):
         z = y[..., :np.count_nonzero(s > i)]
         prod = _mul(z[0], z)

@@ -462,7 +462,7 @@ def test_criterion_11_figure_data(tmp_path):
 
     # the CSV writer round-trips the same rows
     path = tmp_path / "energy.csv"
-    path.write_text(_csv_text({"command": "sweep"}, *energy), encoding="utf-8")
+    path.write_text("".join(_csv_text({"command": "sweep"}, *energy)), encoding="utf-8")
     parsed = [
         line.split(",")
         for line in path.read_text().splitlines()

@@ -166,6 +166,16 @@ class TestBatch:
         with pytest.raises(ValueError, match="^4 energies for 2 barriers$"):
             batch(np.ones((2, 2)), self.columns([self.GOOD] * 2))
 
+    @pytest.mark.parametrize("eps", [0.5, np.ones((2, 2))], ids=("0-d", "2-d"))
+    def test_energies_must_be_one_dimensional(self, eps):
+        # each batch route takes its points in blocks along the one axis
+        cols = BarrierColumns(0.6, 0.8, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^energies must be a 1-d array, got shape \("):
+            batch(eps, cols)
+        for route in (transmission, solve, oracle_amplitudes):
+            with pytest.raises(ValueError, match="energies must be a 1-d array"):
+                route(eps, cols)
+
     def test_columns_of_objects(self):
         eps, cols = columns([1.2, 2], [AdimensionalBarrier(*self.GOOD), AdimensionalBarrier(1, 0)])
         assert eps.tolist() == [1.2, 2.0] and cols.vc.tolist() == [0.6, 1.0]

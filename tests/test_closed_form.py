@@ -20,6 +20,7 @@ from qbarrier import (
     transmission,
     wave_params,
 )
+from qbarrier import barrier
 from qbarrier.barrier import SHC_SERIES_BELOW, BarrierColumns, shc
 from qbarrier.closed_form import denominator_factored, denominator_slope
 from qbarrier.ode_oracle import oracle_amplitudes
@@ -275,6 +276,60 @@ def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
     want = np.where(small, series, np.sinh(z) / np.where(small, 1.0, a))
     assert small.any() and not small.all()
     assert np.array_equal(bits(shc(a, x)), bits(want))
+
+
+SHC_ROWS = {
+    # (a, x) rows with no element, some elements and every element below the switch
+    "none-below": (np.array([0.3, 2.0 - 1.0j, 25.0j, -4.0]), 0.7),
+    # a = 0, a NaN a and an a whose sinh(a*x) overflows, next to elements below the switch
+    "some-below": (np.array([0.0, 1e-9, math.nan, 800.0, 0.3 - 0.2j, 2e-4 + 3e-4j, complex(math.nan, 1.0)]), 1.0),
+    "all-below": (np.array([0.0, 1e-9, 2e-4 + 3e-4j, 3e-4j, -0.0]), 2.5),
+}
+
+
+@pytest.mark.parametrize("a, x", SHC_ROWS.values(), ids=SHC_ROWS.keys())
+def test_array_shc_is_the_elementwise_rule(a, x, warnings_are_errors):
+    # each element: the series below |a*x| = SHC_SERIES_BELOW, sinh(a*x)/a at and above it
+    # (NaN at a NaN a*x), evaluated one element at a time; no warning escapes
+    want = np.empty_like(a)
+    for i, ai in enumerate(a):
+        z = ai * x
+        if abs(z) < SHC_SERIES_BELOW:
+            want[i] = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
+        else:
+            with np.errstate(all="ignore"):
+                want[i] = np.sinh(z) / ai
+    assert np.array_equal(bits(shc(a, x)), bits(want))
+
+
+def test_array_shc_rows_cover_what_they_name():
+    small = {name: abs(np.multiply(*row)) < SHC_SERIES_BELOW for name, row in SHC_ROWS.items()}
+    assert not small["none-below"].any() and small["all-below"].all()
+    assert small["some-below"].any() and not small["some-below"].all()
+    a, x = SHC_ROWS["some-below"]
+    with np.errstate(all="ignore"):
+        assert 0.0 in a and np.isnan(a).any() and np.isinf(np.sinh(a * x)).any()
+
+
+def test_batch_in_blocks_is_the_whole_batch_word_for_word(monkeypatch):
+    # blocks of 4 points: the thick point whose T is NaN sits in the last block
+    pts = circle_points(seed=43, n=10) + [(0.5, AdimensionalBarrier(0.0, 1.0, 0.4, 800.0))]
+    whole = batch_t(pts)
+    monkeypatch.setattr(barrier, "MAX_ENTRIES", 256)
+    assert len(barrier.blocks(len(pts), 64)) == 3
+    parts = batch_t(pts)
+    assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+    assert cmath.isnan(parts[-1])
+
+
+def test_batch_in_blocks_replays_a_failing_point_of_its_last_block(monkeypatch):
+    monkeypatch.setattr(barrier, "MAX_ENTRIES", 256)  # blocks of 4 points
+    pts = circle_points(seed=44, n=10) + [(1.0, AdimensionalBarrier(0.0, 1.0, 0.4, 1.0))]
+    with pytest.raises(DegenerateEnergyError) as single:
+        transmission(*pts[-1])
+    with pytest.raises(DegenerateEnergyError) as batch:
+        batch_t(pts)
+    assert str(batch.value) == str(single.value)
 
 
 def test_empty_grid_gives_empty_array():

@@ -19,7 +19,7 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier import barrier
-from qbarrier.transfer import _squarings
+from qbarrier.transfer import _k_block, _squarings
 from tests.conftest import as_columns, circle_points, random_points
 from tests.mp_reference import reference_amplitudes
 
@@ -195,7 +195,7 @@ def amplitude_words(amps):
 
 def test_batch_is_the_single_calls_word_for_word():
     pts = batch_points()
-    counts = {int(_squarings(split_ode(b, eps)[None], b.lam)[0]) for eps, b in pts}
+    counts = {int(_squarings(_k_block(split_ode(b, eps)), b.lam)[0]) for eps, b in pts}
     assert set(range(11)) <= counts
     batch = oracle_amplitudes(*as_columns(pts))
     assert batch.shape == (len(pts), 4) and batch.dtype == complex
@@ -208,7 +208,7 @@ def test_shuffled_stack_of_squaring_counts_is_the_single_calls_word_for_word():
     # prefix of the points sorted by count, and the results return in input order
     pool = circle_points(seed=31, n=600)
     pool = [(eps, dataclasses.replace(b, lam=2.0 ** (b.lam - 2.0))) for eps, b in pool]  # lam from 1/4 to 256
-    counts = [int(_squarings(split_ode(b, eps)[None], b.lam)[0]) for eps, b in pool]
+    counts = [int(_squarings(_k_block(split_ode(b, eps)), b.lam)[0]) for eps, b in pool]
     pts = [pt for c in range(10) for pt in [pt for pt, n in zip(pool, counts) if n == c][:3]]
     assert len(pts) == 30
     pts = [pts[i] for i in np.random.default_rng(32).permutation(len(pts))]
@@ -278,12 +278,12 @@ def test_squaring_rule_bounds_each_segments_growth():
     pts = count_points()
     eps, cols = as_columns(pts)
     a = split_ode(cols, eps)
-    s = _squarings(a, cols.lam)
+    s = _squarings(_k_block(a), cols.lam)
     growth = np.linalg.eigvals(a).real.max(-1) * cols.lam * 0.5**s
     assert growth.max() < 2.0
     assert s.max() >= 8 and growth.max() > 1.0
     for (e, b), count in zip(pts, s.tolist()):  # one matrix alone
-        assert _squarings(split_ode(b, e)[None], b.lam)[0] == count
+        assert _squarings(_k_block(split_ode(b, e)), b.lam)[0] == count
 
 
 @pytest.mark.filterwarnings("error")

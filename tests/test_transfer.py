@@ -18,7 +18,7 @@ from qbarrier import (
     transfer_numeric,
     wave_params,
 )
-from qbarrier.transfer import _squarings
+from qbarrier.transfer import _k_block, _squarings
 from tests.conftest import random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -221,7 +221,7 @@ def expm_points():
             lam = -lam
         elif kind == 4:
             eps, lam = rng.uniform((3.0, 0.0), (25.0, 30.0))
-            lam *= 0.5 ** int(_squarings(split_ode(b, eps)[None], lam)[0])
+            lam *= 0.5 ** int(_squarings(_k_block(split_ode(b, eps)), lam)[0])
         pts.append((split_ode(b, eps), lam))
     return pts
 

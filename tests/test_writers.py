@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbarrier import __version__
+from qbarrier import __version__, barrier
 from qbarrier.barrier import AdimensionalBarrier, uniform_grid
-from qbarrier.cli import SWEEP_COLUMNS, _csv_text, _fmt, _json_text, run_sweep
+from qbarrier.cli import SWEEP_COLUMNS, _fmt, run_sweep
+from qbarrier.cli import _csv_text as csv_pieces
+from qbarrier.cli import _json_text as json_pieces
 
 META = {"command": "sweep", "mode": "width", "fixed": "1.41421356", "start": "3.14",
         "stop": "14.5", "step": "0.003", "potentials": "1,0,0;0,1,0"}
@@ -47,6 +49,14 @@ def complex_array(re, im):
     return t
 
 
+def _csv_text(meta, grid, sweeps):
+    return "".join(csv_pieces(meta, grid, sweeps))
+
+
+def _json_text(meta, grid, sweeps):
+    return "".join(json_pieces(meta, grid, sweeps))
+
+
 def width_sweep(fixed, start, stop, step, *potentials):
     return run_sweep("width", fixed, uniform_grid(start, stop, step),
                      [AdimensionalBarrier(vc, vq) for vc, vq in potentials])
@@ -78,6 +88,21 @@ def test_cases_cover_what_they_name():
     grid, sweeps = CASES["readme-width-sweep"]
     assert len(grid) * len(sweeps) == 7574
     assert any(math.isnan(v) for row in rows(*CASES["nan-sweep"]) for v in row)
+
+
+@pytest.mark.parametrize("pieces, reference", [(csv_pieces, reference_csv), (json_pieces, reference_json)],
+                         ids=("csv", "json"))
+def test_pieces_join_to_the_text_across_blocks(pieces, reference, monkeypatch):
+    # blocks of 4 rows: 14 grid points make 4 pieces per potential, after the head
+    monkeypatch.setattr(barrier, "MAX_ENTRIES", 64)
+    grid = (3.14 + 0.003 * np.arange(14)).tolist()
+    case = run_sweep("width", 1.41421356, np.array(grid),
+                     [AdimensionalBarrier(1.0, 0.0), AdimensionalBarrier(0.0, 1.0)])
+    written = list(pieces(META, *case))
+    assert len(written) == 1 + 2 * 4 + 1
+    assert "".join(written) == reference(META, *case)
+    one = list(pieces(META, *CASES["one"]))
+    assert len(one) == 3 and "".join(one) == reference(META, *CASES["one"])
 
 
 #: floats the two formats treat specially: non-finite, signed zero, the least subnormal,

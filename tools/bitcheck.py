@@ -35,9 +35,13 @@ once to stdout and once to an `--out` file: jittered README sweeps, wells
 and theta != 0 over energy and width, a one-point grid at vc = -0.0, the
 thick width grid whose amplitudes are NaN, the one that raises
 OverflowError, an energy grid whose first failing point depends on the
-order of potentials and grid points, and a width grid that starts at a
-negative width; their exit codes, stderr and the sha256 of their output
-are compared.  Each
+order of potentials and grid points, a width grid that starts at a
+negative width, and an energy grid of 70,001 points for two potentials,
+longer than one closed-form block and one writer piece; their exit codes,
+stderr and the sha256 of their output are compared.  `shc` takes 40
+seeded complex arrays with |a*x| on both sides of its series switch, each
+holding a 0 and a NaN, one array wholly below the switch and one
+broadcast pair.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -92,6 +96,7 @@ ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 SWEEP_JITTERS = 3  # jittered copies of each README sweep
 SWEEP_POTENTIALS = 4  # seeded potentials of the well and theta sweeps
+SHC_ROWS = 40  # seeded shc rows of 2-400 elements
 #: the eight amplitudes of a `solve` result
 amplitudes = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
 #: what a `TransmissionResult` gives
@@ -176,6 +181,24 @@ def exponential_stacks():
     return out
 
 
+def shc_arrays():
+    """(a, x) of each seeded `shc` row, the same on every call.
+
+    a is complex with |a| log-uniform in [1e-9, 1e3] and x = U(0, 3), so
+    |a*x| falls on both sides of the series switch; each row holds a 0 and a
+    NaN.  Then a row wholly below the switch and a broadcast (a, x) pair.
+    """
+    rng = np.random.default_rng(SEED + 7)
+    out = []
+    for n in rng.integers(2, 400, SHC_ROWS).tolist():
+        a = 10.0 ** rng.uniform(-9.0, 3.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        a[rng.integers(n)], a[rng.integers(n)] = 0.0, math.nan
+        out.append((a, rng.uniform(0.0, 3.0, n)))
+    small = rng.uniform(-1e-4, 1e-4, 50) + 1j * rng.uniform(-1e-4, 1e-4, 50)
+    out += [(small, 2.0), (out[0][0], rng.uniform(0.0, 3.0, (5, 1)))]
+    return out
+
+
 def grid_batch(transmission, eps, lam, b):
     """T over an energy grid at width lam or a width grid at energy eps, from one batch of full columns."""
     from qbarrier.barrier import BarrierColumns
@@ -223,8 +246,10 @@ def sweep_commands():
     (wells included, theta = U(-pi, pi)) swept over energy and width, a
     one-point grid at vc = -0.0, the thick width grid whose amplitudes are
     NaN, the one whose closed form overflows, an energy grid on which (0, 1)
-    is degenerate at its second point and (0.6, 0.8) at its first, and a
-    width grid from lam = -1.
+    is degenerate at its second point and (0.6, 0.8) at its first, a
+    width grid from lam = -1, and an energy grid of 70,001 points for two
+    potentials, which spans three closed-form blocks and two writer pieces
+    per potential.
     """
     rng = np.random.default_rng(SEED + 5)
     sweeps = []
@@ -248,7 +273,9 @@ def sweep_commands():
                ["--mode", "energy", "--fixed", "2", "--start", "0.894427190999916", "--stop", "1.0",
                 "--step", "0.105572809000084", "--potentials", "0,1;0.6,0.8"],
                ["--mode", "width", "--fixed", "1", "--start", "-1", "--stop", "1", "--step", "0.5",
-                "--potentials", "1,0;0,1"]]
+                "--potentials", "1,0;0,1"],
+               ["--mode", "energy", "--fixed", "2.5", "--start", "1.001", "--stop", "15.001", "--step", "0.0002",
+                "--potentials", "0.6,0.8;0,1,0.3"]]
     return [["sweep", *argv, "--format", fmt] for argv in sweeps for fmt in ("csv", "json")]
 
 
@@ -323,7 +350,7 @@ def evaluate(src):
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission)
     from qbarrier import split_ode, transfer_numeric
-    from qbarrier.barrier import BarrierColumns
+    from qbarrier.barrier import BarrierColumns, shc
     from qbarrier.verify import run_all, sample_points
 
     grid = getattr(qbarrier, "transmission_grid", functools.partial(grid_batch, transmission))
@@ -334,7 +361,7 @@ def evaluate(src):
                                  "oracle_amplitudes (thick)", "transfer_numeric", "sample_points", "verify.run_all",
                                  "solve (batch)", "transmission (batch)",
                                  "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)",
-                                 "sweep bytes")}
+                                 "shc (array)", "sweep bytes")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -376,6 +403,8 @@ def evaluate(src):
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
     for seed, n in VERIFY_RUNS:
         out["verify.run_all"].append(outcome(lambda: report_fields(run_all(seed, n))))
+    for a, x in shc_arrays():
+        out["shc (array)"].append(outcome(lambda: shc(a, x)))
     from qbarrier.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:

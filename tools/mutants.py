@@ -70,6 +70,31 @@ MUTANTS = {
     # a batch's length check
     "batch length check skipped": (
         "src/qbarrier/barrier.py", "if np.ndim(c) and np.shape(c) != eps.shape:", "if False:"),
+    "batch 1-d check skipped": ("src/qbarrier/barrier.py", "if eps.ndim != 1:", "if False:"),
+    # the closed form in blocks: the replay after the blocks must see every block
+    "closed-form replay of the first block only": (
+        "src/qbarrier/closed_form.py", "np.flatnonzero(~np.isfinite(t))",
+        "np.flatnonzero(~np.isfinite(t[:blocks(len(eps), 64)[0].stop]))"),
+    # the array shc sums its series only where an element is below the switch
+    "shc series guard negated": ("src/qbarrier/barrier.py", "if small.any():", "if not small.any():"),
+    # the sweep writers' pieces: each but the first starts with the row separator
+    "writer piece separator dropped": ("src/qbarrier/cli.py", "lead = sep", 'lead = ""'),
+    # the segment blocks (C, S, K@S) and their scaling rule
+    "segment S sign": ("src/qbarrier/transfer.py", "y[1] = -h * series[1]", "y[1] = h * series[1]"),
+    "scaling rule on the least column": (
+        "src/qbarrier/transfer.py", "np.abs(k).sum(axis=0).max(axis=0)", "np.abs(k).sum(axis=0).min(axis=0)"),
+    "transfer_numeric squares s >= i": (
+        "src/qbarrier/transfer.py", "z = y[..., :np.count_nonzero(s > i)]", "z = y[..., :np.count_nonzero(s >= i)]"),
+    # the oracle's scattering matrices, star squares and far-zone phases
+    "scattering sign of u": ("src/qbarrier/ode_oracle.py", "u = (0.5j * k)", "u = (-0.5j * k)"),
+    "star square without + _EYE": ("src/qbarrier/ode_oracle.py", "p[1, 1] += _EYE", "p[1, 1] += 0.0"),
+    "2x2 inverse without a negated entry": (
+        "src/qbarrier/ode_oracle.py", "np.negative(out[1, 0], out=out[1, 0])", "pass"),
+    "oracle star-squares s >= i": (
+        "src/qbarrier/ode_oracle.py", "_square(z[..., :np.count_nonzero(s > i)])",
+        "_square(z[..., :np.count_nonzero(s >= i)])"),
+    "oracle phase of t": (
+        "src/qbarrier/ode_oracle.py", "tau * cmath.exp(-1j * e * lam)", "tau * cmath.exp(1j * e * lam)"),
 }
 
 
