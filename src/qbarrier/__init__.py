@@ -40,7 +40,7 @@ from .errors import (
     SingularDenominatorError,
     SingularSystemError,
 )
-from .ode_oracle import oracle_amplitudes, split_ode
+from .ode_oracle import oracle_amplitudes
 from .quaternion import Quaternion
 from .resonance import (
     complex_resonance_energies,
@@ -82,7 +82,6 @@ __all__ = [
     "probability_balance",
     "scan_peaks",
     "solve",
-    "split_ode",
     "transfer_closed",
     "transfer_numeric",
     "transmission",

@@ -180,8 +180,8 @@ def columns(eps, barriers) -> tuple[np.ndarray, BarrierColumns]:
     """Equal-length sequences of energies and barriers as one float array and one BarrierColumns.
 
     The converter for a caller that holds AdimensionalBarrier objects: a
-    batch route, `wave_params` and `split_ode` take the result as they
-    take one (eps, barrier) pair.
+    batch route, `wave_params` and `transfer_numeric` take the result as
+    they take one (eps, barrier) pair.
 
     Raises:
         ValueError: if the lengths differ.
@@ -283,12 +283,13 @@ def shc(a, x):
     ndarray the series is summed only at the elements below the switch, and
     only if there are any.
     """
-    z = a * x
-    small = abs(z) < SHC_SERIES_BELOW
-    if not isinstance(z, np.ndarray):
-        return _shc_series(z, x) if small else cmath.sinh(z) / a
-    with np.errstate(all="ignore"):  # 0/0 at a = 0, overwritten by the series
+    if not (isinstance(a, np.ndarray) or isinstance(x, np.ndarray)):
+        z = a * x
+        return _shc_series(z, x) if abs(z) < SHC_SERIES_BELOW else cmath.sinh(z) / a
+    with np.errstate(all="ignore"):  # a*x may overflow; 0/0 at a = 0, overwritten by the series
+        z = a * x
         out = np.sinh(z) / a
+    small = abs(z) < SHC_SERIES_BELOW
     if small.any():
         out[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
     return out
@@ -308,7 +309,8 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     singular-point rule: no route can build the basis without it.  A float
     eps that breaks it raises; an array holds NaN in alpha_minus and
     alpha_plus at each element that would raise, for the caller to replay
-    as a float (see `closed_form.transmission`).
+    as a float (see `closed_form.transmission`), and an array's non-finite
+    entries come with no warning.
 
     At the threshold eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a
     well (vc < 0) alpha_plus = 0.  That is a regular point: every route
@@ -319,7 +321,14 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
     """
-    xp = np if isinstance(eps, np.ndarray) else cmath
+    if not isinstance(eps, np.ndarray):
+        return _wave_params(cmath, eps, b)
+    with np.errstate(all="ignore"):  # the NaN and inf entries are the signal
+        return _wave_params(np, eps, b)
+
+
+def _wave_params(xp, eps, b) -> WaveParams:
+    """The body of `wave_params`, with xp the module (cmath or numpy) that takes its square roots."""
     # numpy's ** differs from libm pow in the last bit, which eps**4 - vq**2
     # amplifies near the degeneracy band; float_power is libm pow
     power = np.float_power if xp is np else pow

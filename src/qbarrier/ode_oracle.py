@@ -7,17 +7,17 @@ two coupled complex equations,
     phi'' = (vc - eps**2)*phi + i*vq*exp( i*theta)*psi
     psi'' = (vc + eps**2)*psi + i*vq*exp(-i*theta)*phi,
 
-verified here by substituting the exponential interior basis (the residual
-test in the suite pins the coupling signs).  The state y = (phi, phi', psi,
-psi') obeys y' = A*y with constant A, so y(0) = exp(-A*h) @ y(h) across a
-segment of length h.  The width is cut into 2**s segments, s from the
-scaling rule of `transfer.transfer_numeric` (`transfer._squarings`), so
-each map is one Taylor sum: the blocks (C, S, K@S) of exp(-A*h) from
-`transfer._segment`, the series kernel that `transfer_numeric` squares,
-taken from the 2x2 block K of A, which is built from the barrier's columns
-by `split_ode`'s expressions.  No 4x4 matrix is formed.  No branch
-choices, no special functions: this route works at degenerate and
-threshold parameters alike and checks every closed form in the package.
+verified by substituting the exponential interior basis (the residual
+tests in the suite pin the coupling signs).  The state y = (phi, phi',
+psi, psi') obeys y' = A*y with constant A, so y(0) = exp(-A*h) @ y(h)
+across a segment of length h.  A enters as its 2x2 block K, the
+coefficients above, built in one place (`transfer._k_block`) for this
+route and `transfer.transfer_numeric`.  The width is cut into 2**s
+segments, s from `transfer._squarings`, so each map is one Taylor sum:
+the blocks (C, S, K@S) of exp(-A*h) from `transfer._segment`, the series
+kernel that `transfer_numeric` squares.  No branch choices, no special
+functions: this route works at degenerate and threshold parameters alike
+and checks every closed form in the package.
 
 Each map becomes the segment's scattering matrix (rl, tb, tf, rr) between
 wave channels at wave number k: phi's (1, i*k) and psi's (1, -i*k) go
@@ -45,46 +45,15 @@ import sys
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, batch, blocks, columns, complex_stack, require_finite
+from .barrier import AdimensionalBarrier, batch, blocks, columns, require_finite
 from .solver import ScatteringAmplitudes
-from .transfer import _EYE, _mul, _segment, _squarings
+from .transfer import _EYE, _k_block, _mul, _segment, _squaring_order
 
 #: largest max(eps, 1)*lam at which the error bound B stays within 1e-9 (about 2.79e5)
 _REACH = (1e-9 - 1e-11) / (16 * 2.0**-52)
 
 #: J = diag(1, -1), the sign of each channel's wave
 _J = np.array([1.0, -1.0])
-
-
-def split_ode(b: AdimensionalBarrier, eps) -> np.ndarray:
-    """Constant 4x4 matrix A of the interior system y' = A*y, y = (phi, phi', psi, psi').
-
-    Like `wave_params`, b may be the BarrierColumns of a batch and eps its
-    float ndarray (`barrier.batch`), whose energies the caller has
-    checked: then the result is an (n, 4, 4) stack of the single calls'
-    matrices, bit for bit.
-    """
-    batch = isinstance(eps, np.ndarray)
-    if not batch:
-        require_finite("eps", eps, 0.0, strict=True)
-    (c_phi, d_phi), (d_psi, c_psi) = _couplings(b, eps)
-    rows = [
-        [0.0, 1.0, 0.0, 0.0],
-        [c_phi, 0.0, d_phi, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [d_psi, 0.0, c_psi, 0.0],
-    ]
-    return complex_stack(rows) if batch else np.array(rows, dtype=complex)
-
-
-def _couplings(b, eps) -> list[list]:
-    """The block K = [[c_phi, d_phi], [d_psi, c_psi]] of `split_ode`'s matrix as rows.
-
-    numpy's exp serves an ndarray eps, cmath's a float.
-    """
-    exp = np.exp if isinstance(eps, np.ndarray) else cmath.exp
-    return [[b.vc - eps * eps, 1j * b.vq * exp(1j * b.theta)],
-            [1j * b.vq * exp(-1j * b.theta), b.vc + eps * eps]]
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
@@ -159,13 +128,12 @@ def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _amplitudes(k: np.ndarray, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """(R, Rt, tau, sigma), a (4, n) array, of the split systems with blocks k (2, 2, n) at widths lam.
 
-    The points are sorted once by squaring count s, descending, so round i
-    star-squares the prefix of the points with s > i; the result is put
-    back in input order.
+    The points are sorted once by squaring count s, descending
+    (`transfer._squaring_order`), so round i star-squares the prefix of the
+    points with s > i; the result is put back in input order.
     """
-    s = _squarings(k, lam)
-    order = np.argsort(-s, kind="stable")
-    k, eps, lam, s = k[..., order], eps[order], lam[order], s[order]
+    order, s = _squaring_order(k, lam)
+    k, eps, lam = k[..., order], eps[order], lam[order]
     wave = np.maximum(eps, np.minimum(1.0, lam))
     z = _scattering(_segment(k, lam * 0.5**s), wave)
     for i in range(s.max(initial=0)):
@@ -205,7 +173,7 @@ def oracle_amplitudes(eps, b):
         raise ValueError(f"eps={e!r} at lam={lam!r} is beyond the integrator's reach: eps**2 must be "
                          f"finite, max(eps, min(1, lam)) at least {sys.float_info.min:.4g} and "
                          f"max(eps, 1)*lam at most {_REACH:.4g}")
-    k = complex_stack(_couplings(cols, eps_all)).transpose(1, 2, 0)
+    k = _k_block(cols, eps_all)
     x = np.empty((len(eps_all), 4), dtype=complex)
     for block in blocks(len(eps_all), 16):
         x[block] = _amplitudes(k[..., block], eps_all[block], cols.lam[block]).T

@@ -18,15 +18,19 @@ eps = 1, where am (barrier) or ap (well) is 0.
 
 `transfer_closed` evaluates that table from the wave parameters.
 `transfer_numeric` is its oracle: M = exp(-A*lam) for the constant matrix A
-of the split interior system y' = A*y (`ode_oracle.split_ode`), with no wave
+of the split interior system y' = A*y (`ode_oracle`), with no wave
 parameter and no branch choice.  Both take one point or a batch: the wave
-parameters of n points give an (n, 4, 4) stack of tables, and an
-(n, 4, 4) stack of matrices A its stack of exponentials.
+parameters of n points give an (n, 4, 4) stack of tables, and n energies
+with their BarrierColumns a stack of exponentials.
 
-In the order (phi, psi | phi', psi') A is [[0, I], [K, 0]], with K the
-2x2 block A[[1, 3]][:, [0, 2]].  So B = -A*lam squares to lam**2*K on both
-diagonal blocks, and the Taylor series of exp(B) splits into its even and
-odd parts:
+In the order (phi, psi | phi', psi') A is [[0, I], [K, 0]], with the 2x2
+block
+
+    K = [[vc - eps**2, i*vq*exp(i*theta)], [i*vq*exp(-i*theta), vc + eps**2]],
+
+built in one place, `_k_block`; no 4x4 A is formed.  B = -A*lam squares
+to lam**2*K on both diagonal blocks, and the Taylor series of exp(B)
+splits into its even and odd parts:
 
     exp(-A*lam) = [[C, S], [K@S, C]],
     C = sum_j (lam**2*K)**j/(2j)!,  S = -lam*sum_j (lam**2*K)**j/(2j+1)!.
@@ -35,12 +39,12 @@ odd parts:
 (`_squarings`), sums both series to j = 12 (the exponential's terms B**0
 ... B**25; the first omitted one is at most 2**26/26! ~ 1.7e-19 of its
 block's leading term) and squares (C, S, K@S) s times by the double-angle
-rules C <- C@C + S@(K@S), S <- 2*C@S, K@S <- 2*C@(K@S).  It reads only K.
+rules C <- C@C + S@(K@S), S <- 2*C@S, K@S <- 2*C@(K@S).
 The series are one private kernel, `_segment`, which maps K and the scaled
 width h = lam*2**-s to the blocks (C, S, K@S) of exp(-A*h), points last.
-`ode_oracle` takes its segment maps from that kernel too, from K built
-from the barrier's columns: the oracle's 2**s segments of width h are
-those blocks, not calls to `transfer_numeric`.
+`ode_oracle` takes its K from `_k_block` and its segment maps from that
+kernel, its points in the order of `_squaring_order`: the oracle's 2**s
+segments of width h are those blocks, not calls to `transfer_numeric`.
 """
 
 from __future__ import annotations
@@ -50,16 +54,11 @@ import math
 
 import numpy as np
 
-from .barrier import WaveParams, complex_stack, shc
+from .barrier import WaveParams, complex_stack, require_finite, shc
 
 #: Taylor terms of exp(-A*h) after scaling: B**0 ... B**25 of B = -A*h,
 #: as the powers (h**2*K)**j, j = 0 ... 12, of the even and the odd series
 TAYLOR_TERMS = 26
-
-#: entries of split_ode's matrix that are the same at every point, and their 0/1 values
-_FIXED = np.ones((4, 4), dtype=bool)
-_FIXED[1::2, 0::2] = False
-_PATTERN = np.eye(4, k=1)[_FIXED]
 
 #: the 2x2 identity, points last
 _EYE = np.eye(2, dtype=complex)[..., None]
@@ -90,21 +89,23 @@ def transfer_closed(p: WaveParams, lam) -> np.ndarray:
     The off-diagonal blocks carry beta and gamma, whose product bg has no
     theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.  Like
     `wave_params`, one body serves one point (a 4x4 matrix) and ndarrays
-    p and lam of n points (an (n, 4, 4) stack).
+    p and lam of n points (an (n, 4, 4) stack), whose entries that
+    overflow come out non-finite, with no warning.
     """
-    beta, gamma = p.beta, p.gamma
-    bg = beta * gamma
-    scale = 1.0 / (1.0 - bg)
-    if isinstance(bg, np.ndarray):  # one coefficient per matrix of the stack
-        beta, gamma, bg, scale = (x[:, None, None] for x in (beta, gamma, bg, scale))
-    xm, xp = _mode_block(p.alpha_minus, lam), _mode_block(p.alpha_plus, lam)
-    d = xm - xp
-    m = np.empty(xm.shape[:-2] + (4, 4), dtype=complex)
-    m[..., :2, :2] = xm - bg * xp
-    m[..., :2, 2:] = -beta * d
-    m[..., 2:, :2] = gamma * d
-    m[..., 2:, 2:] = xp - bg * xm
-    return m * scale
+    with np.errstate(all="ignore"):  # an entry that overflows is non-finite, the signal
+        beta, gamma = p.beta, p.gamma
+        bg = beta * gamma
+        scale = 1.0 / (1.0 - bg)
+        if isinstance(bg, np.ndarray):  # one coefficient per matrix of the stack
+            beta, gamma, bg, scale = (x[:, None, None] for x in (beta, gamma, bg, scale))
+        xm, xp = _mode_block(p.alpha_minus, lam), _mode_block(p.alpha_plus, lam)
+        d = xm - xp
+        m = np.empty(xm.shape[:-2] + (4, 4), dtype=complex)
+        m[..., :2, :2] = xm - bg * xp
+        m[..., :2, 2:] = -beta * d
+        m[..., 2:, :2] = gamma * d
+        m[..., 2:, 2:] = xp - bg * xm
+        return m * scale
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,15 +133,33 @@ def _series(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k_block(a: np.ndarray) -> np.ndarray:
-    """The block K of `split_ode`'s matrix a, or of each matrix of a stack, as (2, 2, n), points last."""
-    return a.reshape(-1, 4, 4)[:, 1::2, 0::2].transpose(1, 2, 0)
+def _k_block(b, eps) -> np.ndarray:
+    """The block K of the module docstring at (eps, b), as (2, 2, n), points last.
+
+    A float eps with one barrier gives n = 1, with cmath's exp; a float
+    ndarray with the BarrierColumns of its points gives one K per point,
+    with numpy's.
+    """
+    exp = np.exp if isinstance(eps, np.ndarray) else cmath.exp
+    k = np.empty((2, 2, np.size(eps)), dtype=complex)
+    k[0, 0] = b.vc - eps * eps
+    k[0, 1] = 1j * b.vq * exp(1j * b.theta)
+    k[1, 0] = 1j * b.vq * exp(-1j * b.theta)
+    k[1, 1] = b.vc + eps * eps
+    return k
 
 
 def _squarings(k: np.ndarray, lam) -> np.ndarray:
     """The scaling rule: the least s >= 0 with |lam|*2**-s*sqrt(||K||_1) < 2, for blocks k (2, 2, n)."""
     norm = np.abs(lam) * np.sqrt(np.abs(k).sum(axis=0).max(axis=0))
     return np.maximum(np.frexp(norm / 2.0)[1], 0)
+
+
+def _squaring_order(k: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+    """(order, s[order]): the points of blocks k (2, 2, n) at widths lam by squaring count s, descending, stable."""
+    s = _squarings(k, lam)
+    order = np.argsort(-s, kind="stable")
+    return order, s[order]
 
 
 def _segment(k: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -157,38 +176,38 @@ def _segment(k: np.ndarray, h: np.ndarray) -> np.ndarray:
     return y
 
 
-def transfer_numeric(a: np.ndarray, lam) -> np.ndarray:
-    """exp(-a*lam) by its even and odd Taylor series with scaling and squaring (Higham, Functions of Matrices, ch. 10).
+def transfer_numeric(eps, b) -> np.ndarray:
+    """exp(-A*lam) of the split system at (eps, b) by scaling and squaring (Higham, Functions of Matrices, ch. 10).
 
-    `a` is `split_ode`'s matrix with a float lam, or an (n, 4, 4) stack of
-    them with one lam per matrix or one for all.  Only the block K of the
-    module docstring is read.  Each matrix has its own squaring count s:
-    the points are sorted once by s, descending, so squaring round i works
-    in place on the prefix of the matrices with s > i, and a stack's
-    results, put back in input order, are the single calls' bit for bit.
+    A float eps with one barrier b gives a 4x4 matrix.  A batch, a float
+    ndarray eps with the BarrierColumns b of its points, gives an (n, 4, 4)
+    stack; like `wave_params`, it leaves the columns to the caller's
+    `barrier.batch`.
+    Each point has its own squaring count s: the points are sorted once by
+    s, descending (`_squaring_order`), so squaring round i works in place
+    on the prefix of the points with s > i, and no point's words depend
+    on the rest of its stack.  Entries that overflow come out non-finite,
+    with no warning.
 
     Raises:
-        ValueError: if an entry of `a` outside K is not the split system's 0 or 1.
+        ValueError: unless a float eps is finite and > 0.
     """
-    a = np.asarray(a)
-    if not (a[..., _FIXED] == _PATTERN).all():
-        raise ValueError("transfer_numeric takes split_ode's matrix: [[0, 1, 0, 0], [*, 0, *, 0], "
-                         "[0, 0, 0, 1], [*, 0, *, 0]]")
-    k = _k_block(a)
-    h = np.full(k.shape[-1], np.asarray(lam, dtype=float))
-    s = _squarings(k, h)
-    order = np.argsort(-s, kind="stable")
-    k, h, s = k[..., order], h[order], s[order]
-    y = _segment(k, h * 0.5**s)
-    for i in range(s.max(initial=0)):
-        z = y[..., :np.count_nonzero(s > i)]
-        prod = _mul(z[0], z)
-        prod[0] += _mul(z[1], z[2])
-        prod[1:] *= 2.0
-        z[...] = prod
+    single = not isinstance(eps, np.ndarray)
+    if single:
+        require_finite("eps", eps, 0.0, strict=True)
+    with np.errstate(all="ignore"):  # an entry that overflows is non-finite, the signal
+        k = _k_block(b, eps)
+        order, s = _squaring_order(k, b.lam)
+        y = _segment(k[..., order], np.full(len(s), b.lam, dtype=float)[order] * 0.5**s)
+        for i in range(s.max(initial=0)):
+            z = y[..., :np.count_nonzero(s > i)]
+            prod = _mul(z[0], z)
+            prod[0] += _mul(z[1], z[2])
+            prod[1:] *= 2.0
+            z[...] = prod
     out = np.empty((len(s), 4, 4), dtype=complex)
     m = out.transpose(1, 2, 0)  # rows and columns (phi, phi', psi, psi'), points last
     m[0::2, 0::2, order] = m[1::2, 1::2, order] = y[0]
     m[0::2, 1::2, order] = y[1]
     m[1::2, 0::2, order] = y[2]
-    return out[0] if a.ndim == 2 else out
+    return out[0] if single else out

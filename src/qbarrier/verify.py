@@ -32,7 +32,7 @@ import numpy as np
 from .barrier import BarrierColumns, blocks, require_count, require_integer, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
-from .ode_oracle import oracle_amplitudes, split_ode
+from .ode_oracle import oracle_amplitudes
 from .solver import solve
 from .transfer import transfer_closed, transfer_numeric
 
@@ -107,7 +107,7 @@ def check_transfer_agreement(eps: np.ndarray, cols: BarrierColumns) -> CheckRepo
     for block in blocks(len(eps), 16):
         e, b = eps[block], cols.part(block)
         closed = transfer_closed(wave_params(e, b), b.lam)
-        numeric = transfer_numeric(split_ode(b, e), b.lam)
+        numeric = transfer_numeric(e, b)
         scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
         gaps.append(np.abs(closed - numeric).max(axis=(1, 2)) / scale)
     worst = float(np.concatenate(gaps).max())

@@ -4,6 +4,7 @@ import numpy as np
 
 from qbarrier import AdimensionalBarrier
 from qbarrier.barrier import columns
+from qbarrier.transfer import _k_block
 
 #: the five reference potentials, pure complex through pure quaternionic
 FIVE_POTENTIALS = (
@@ -63,3 +64,16 @@ def near_band_points(disc: float):
 def as_columns(points):
     """(energies, BarrierColumns) of a list of (eps, barrier) pairs, as a batch call takes them."""
     return columns([eps for eps, _ in points], [b for _, b in points])
+
+
+def split_matrix(eps, cols):
+    """The matrices A of the split systems y' = A*y, y = (phi, phi', psi, psi'), at a batch's points, (n, 4, 4).
+
+    The library forms only their block K: A's rows are (0, 1, 0, 0), (K00, 0, K01, 0), (0, 0, 0, 1) and
+    (K10, 0, K11, 0).
+    """
+    k = _k_block(cols, eps)
+    a = np.zeros((len(eps), 4, 4), dtype=complex)
+    a[:, 0, 1] = a[:, 2, 3] = 1.0
+    a[:, 1::2, 0::2] = k.transpose(2, 0, 1)
+    return a

@@ -21,7 +21,6 @@ from qbarrier import (
     probability_balance,
     scan_peaks,
     solve,
-    split_ode,
     transfer_closed,
     transfer_numeric,
     transmission,
@@ -309,7 +308,7 @@ def test_criterion_06_closed_elements_vs_similarity_product(grid500):
     small_points = 0
     for eps, b in grid500[:200]:
         closed = transfer_closed(wave_params(eps, b), b.lam)
-        numeric = transfer_numeric(split_ode(b, eps), b.lam)
+        numeric = transfer_numeric(eps, b)
         scale = float(np.abs(numeric).max())
         diff = float(np.abs(closed - numeric).max())
         worst_scaled = max(worst_scaled, diff / max(1.0, scale))

@@ -22,7 +22,7 @@ from qbarrier import (
     oracle_amplitudes,
     scan_peaks,
     solve,
-    split_ode,
+    transfer_numeric,
     transmission,
     wave_params,
 )
@@ -337,7 +337,7 @@ VALIDATED_INPUTS = {
     "barrier theta": lambda x: AdimensionalBarrier(vc=1.0, vq=0.0, theta=x, lam=1.0),
     "transmission eps": lambda x: transmission(x, B),
     "oracle_amplitudes eps": lambda x: oracle_amplitudes(x, B),
-    "split_ode eps": lambda x: split_ode(B, x),
+    "transfer_numeric eps": lambda x: transfer_numeric(x, B),
     "critical_complex lam": lambda x: critical_complex(x),
     "critical_quaternionic lam": lambda x: critical_quaternionic(x),
     "critical_quaternionic theta": lambda x: critical_quaternionic(2.0, x),

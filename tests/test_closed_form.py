@@ -14,7 +14,6 @@ from qbarrier import (
     critical_complex,
     denominator,
     solve,
-    split_ode,
     transfer_closed,
     transfer_numeric,
     transmission,
@@ -119,7 +118,7 @@ def test_threshold_answered_for_complex_barrier():
     p = wave_params(1.0, b)
     assert p.alpha_minus == 0
     closed = transfer_closed(p, b.lam)
-    assert np.abs(closed - transfer_numeric(split_ode(b, 1.0), b.lam)).max() <= 1e-14
+    assert np.abs(closed - transfer_numeric(1.0, b)).max() <= 1e-14
     t = 2.0 * cmath.exp(-1j * b.lam) / denominator(closed, 1.0)
     assert abs(t - critical_complex(2.0).t) <= 1e-15
 
@@ -129,7 +128,7 @@ def test_element_form_answers_at_the_threshold(vc, vq):
     # eps = 1 zeroes alpha_minus of a barrier and alpha_plus of a well
     b = AdimensionalBarrier(vc, vq, 0.7, 2.0)
     closed = transfer_closed(wave_params(1.0, b), b.lam)
-    numeric = transfer_numeric(split_ode(b, 1.0), b.lam)
+    numeric = transfer_numeric(1.0, b)
     assert np.abs(closed - numeric).max() <= 1e-14 * np.abs(numeric).max()
     t = transmission(1.0, b).t
     for m in (closed, numeric):

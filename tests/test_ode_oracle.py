@@ -13,14 +13,14 @@ from qbarrier import (
     AdimensionalBarrier,
     critical_quaternionic,
     oracle_amplitudes,
-    split_ode,
     transfer_numeric,
     transmission,
     wave_params,
 )
 from qbarrier import barrier
+from qbarrier.ode_oracle import _REACH
 from qbarrier.transfer import _k_block, _squarings
-from tests.conftest import as_columns, circle_points, random_points
+from tests.conftest import as_columns, circle_points, random_points, split_matrix
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -47,22 +47,22 @@ def interior_state(p, coeffs, xi):
 
 def test_complex_barrier_decouples():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1.0)
-    a = split_ode(b, 1.4)
-    assert a[1, 2] == 0.0 and a[3, 0] == 0.0
-    assert a[1, 0] == pytest.approx(1.0 - 1.4**2)
-    assert a[3, 2] == pytest.approx(1.0 + 1.4**2)
+    k = _k_block(b, 1.4)[..., 0]
+    assert k[0, 1] == 0.0 and k[1, 0] == 0.0
+    assert k[0, 0] == pytest.approx(1.0 - 1.4**2)
+    assert k[1, 1] == pytest.approx(1.0 + 1.4**2)
 
 
 def test_exponential_solution_satisfies_split_system():
     rng = np.random.default_rng(11)
     for eps, b in random_points(seed=12, n=10, lam_max=3.0):
         p = wave_params(eps, b)
-        a = split_ode(b, eps)
+        k = _k_block(b, eps)[..., 0]
         coeffs = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
         for _ in range(10):
             xi = float(rng.uniform(0.0, b.lam))
-            y, dy = interior_state(p, coeffs, xi)
-            assert np.abs(a @ y - dy).max() < 1e-9 * max(1.0, np.abs(dy).max())
+            y, dy = interior_state(p, coeffs, xi)  # (phi, psi)'' = K@(phi, psi)
+            assert np.abs(k @ y[0::2] - dy[1::2]).max() < 1e-9 * max(1.0, np.abs(dy).max())
 
 
 def test_threshold_polynomial_solution_satisfies_split_system():
@@ -71,7 +71,7 @@ def test_threshold_polynomial_solution_satisfies_split_system():
     amps = critical_quaternionic(1.5, theta)
     ca, cb, cc, cd = amps.a, amps.b, 1j * (1.0 - amps.r), 1.0 + amps.r
     b = AdimensionalBarrier(vc=0.0, vq=1.0, theta=theta, lam=1.5)
-    a = split_ode(b, 1.0)
+    k = _k_block(b, 1.0)[..., 0]
     phase = -1j * cmath.exp(-1j * theta)
     for xi in (0.2, 0.75, 1.3):
         phi = ca * xi**3 + cb * xi**2 + cc * xi + cd
@@ -82,7 +82,7 @@ def test_threshold_polynomial_solution_satisfies_split_system():
         ddq = 6 * ca * xi + 2 * cb
         y = np.array([phi, dphi, phase * q, phase * dq], dtype=complex)
         dy = np.array([dphi, ddphi, phase * dq, phase * ddq], dtype=complex)
-        assert np.abs(a @ y - dy).max() < 1e-12
+        assert np.abs(k @ y[0::2] - dy[1::2]).max() < 1e-12
 
 
 def test_resonant_transparency():
@@ -157,7 +157,7 @@ def test_agreement_with_closed_form_on_grid():
 def test_input_guards():
     b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=2.0)
     with pytest.raises(ValueError):
-        split_ode(b, -1.0)
+        transfer_numeric(-1.0, b)
 
 
 def test_interior_coefficients_absent():
@@ -195,7 +195,7 @@ def amplitude_words(amps):
 
 def test_batch_is_the_single_calls_word_for_word():
     pts = batch_points()
-    counts = {int(_squarings(_k_block(split_ode(b, eps)), b.lam)[0]) for eps, b in pts}
+    counts = {int(_squarings(_k_block(b, eps), b.lam)[0]) for eps, b in pts}
     assert set(range(11)) <= counts
     batch = oracle_amplitudes(*as_columns(pts))
     assert batch.shape == (len(pts), 4) and batch.dtype == complex
@@ -208,13 +208,13 @@ def test_shuffled_stack_of_squaring_counts_is_the_single_calls_word_for_word():
     # prefix of the points sorted by count, and the results return in input order
     pool = circle_points(seed=31, n=600)
     pool = [(eps, dataclasses.replace(b, lam=2.0 ** (b.lam - 2.0))) for eps, b in pool]  # lam from 1/4 to 256
-    counts = [int(_squarings(_k_block(split_ode(b, eps)), b.lam)[0]) for eps, b in pool]
+    counts = [int(_squarings(_k_block(b, eps), b.lam)[0]) for eps, b in pool]
     pts = [pt for c in range(10) for pt in [pt for pt, n in zip(pool, counts) if n == c][:3]]
     assert len(pts) == 30
     pts = [pts[i] for i in np.random.default_rng(32).permutation(len(pts))]
     eps, cols = as_columns(pts)
-    stack = transfer_numeric(split_ode(cols, eps), cols.lam)
-    singles = [transfer_numeric(split_ode(b, e), b.lam) for e, b in pts]
+    stack = transfer_numeric(eps, cols)
+    singles = [transfer_numeric(e, b) for e, b in pts]
     assert all(m.shape == (4, 4) for m in singles)
     assert np.array_equal(stack.view(np.uint64), np.stack(singles).view(np.uint64))
     batch = oracle_amplitudes(eps, cols)
@@ -277,13 +277,21 @@ def test_squaring_rule_bounds_each_segments_growth():
     # of the 2**s segments grows by less than exp(2)
     pts = count_points()
     eps, cols = as_columns(pts)
-    a = split_ode(cols, eps)
-    s = _squarings(_k_block(a), cols.lam)
-    growth = np.linalg.eigvals(a).real.max(-1) * cols.lam * 0.5**s
+    s = _squarings(_k_block(cols, eps), cols.lam)
+    growth = np.linalg.eigvals(split_matrix(eps, cols)).real.max(-1) * cols.lam * 0.5**s
     assert growth.max() < 2.0
     assert s.max() >= 8 and growth.max() > 1.0
     for (e, b), count in zip(pts, s.tolist()):  # one matrix alone
-        assert _squarings(_k_block(split_ode(b, e)), b.lam)[0] == count
+        assert _squarings(_k_block(b, e), b.lam)[0] == count
+
+
+def test_reach_is_answered_up_to_its_last_width():
+    # at eps = 1.2 the widest barrier answered is _REACH/1.2 exactly; one ulp wider raises
+    edge = _REACH / 1.2
+    amps = oracle_amplitudes(1.2, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=edge))
+    assert cmath.isfinite(amps.t) and cmath.isfinite(amps.r)
+    with pytest.raises(ValueError, match="beyond the integrator's reach"):
+        oracle_amplitudes(1.2, AdimensionalBarrier(vc=0.6, vq=0.8, theta=0.4, lam=math.nextafter(edge, math.inf)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """Closed transfer elements against exp(-A*lam) of the split interior system."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -13,13 +14,13 @@ from hypothesis import strategies as st
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    split_ode,
     transfer_closed,
     transfer_numeric,
     wave_params,
 )
+from qbarrier.barrier import BarrierColumns, shc
 from qbarrier.transfer import _k_block, _squarings
-from tests.conftest import random_points
+from tests.conftest import as_columns, random_points, split_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,7 +31,7 @@ def params(vc, vq, theta, eps):
 
 def both_routes(eps, b):
     """(transfer_closed, transfer_numeric) at (eps, b): the table and exp(-A*lam)."""
-    return transfer_closed(wave_params(eps, b), b.lam), transfer_numeric(split_ode(b, eps), b.lam)
+    return transfer_closed(wave_params(eps, b), b.lam), transfer_numeric(eps, b)
 
 
 def scaled_gap(closed, numeric):
@@ -153,6 +154,27 @@ def test_condition_warning_next_to_the_threshold():
     assert np.abs(numeric - closed).max() <= 1e-14 * np.abs(closed).max()
 
 
+def test_array_kernels_warn_nowhere_their_entries_are_not_finite():
+    # a thick point whose cosh(a*lam) and squarings overflow, an a*x that overflows and a
+    # point in the degeneracy band: the non-finite entries are the signal, and a warning
+    # filter that raises changes no word
+    eps = np.array([1.2, 0.5])
+    cols = BarrierColumns(*(np.array(x) for x in ([0.6, 0.6], [0.8, 0.8], [0.3, 0.3], [800.0, 2.0])))
+    calls = {
+        "transfer_closed": lambda: transfer_closed(wave_params(eps, cols), cols.lam),
+        "shc": lambda: shc(np.array([1e300 + 0j, 1.0]), 1e10),
+        "transfer_numeric": lambda: transfer_numeric(eps, cols),
+        "wave_params": lambda: np.array(wave_params(np.array([1.2, math.sqrt(0.8)]), cols)[1:]),
+    }
+    for name, call in calls.items():
+        quiet = call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loud = call()
+        assert not np.isfinite(quiet).all(), name
+        assert np.array_equal(quiet.view(np.uint64), loud.view(np.uint64)), name
+
+
 def stack_points():
     """Wells and barriers, theta = 0 and != 0, lam = 0 and the threshold eps = 1."""
     pts = [(1.0, AdimensionalBarrier(vc, vq, theta, lam))
@@ -165,9 +187,8 @@ def stack_points():
 
 def test_stacked_exponential_is_the_single_calls_word_for_word():
     pts = stack_points()
-    stack = transfer_numeric(np.stack([split_ode(b, eps) for eps, b in pts]),
-                             np.array([b.lam for _, b in pts]))
-    singles = np.stack([transfer_numeric(split_ode(b, eps), b.lam) for eps, b in pts])
+    stack = transfer_numeric(*as_columns(pts))
+    singles = np.stack([transfer_numeric(eps, b) for eps, b in pts])
     assert stack.shape == (len(pts), 4, 4)
     assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))
 
@@ -182,31 +203,20 @@ def test_exponential_catches_a_wrong_mixing_coefficient(mutate):
     worst = 0.0
     for eps, b in random_points(seed=52, n=60):
         closed = transfer_closed(mutate(wave_params(eps, b)), b.lam)
-        worst = max(worst, scaled_gap(closed, transfer_numeric(split_ode(b, eps), b.lam)))
+        worst = max(worst, scaled_gap(closed, transfer_numeric(eps, b)))
     assert worst > 1.0
 
 
 def test_one_width_serves_a_whole_stack():
-    pts = stack_points()
-    stack = transfer_numeric(np.stack([split_ode(b, eps) for eps, b in pts]), 1.5)
-    singles = np.stack([transfer_numeric(split_ode(b, eps), 1.5) for eps, b in pts])
+    pts = [(eps, dataclasses.replace(b, lam=1.5)) for eps, b in stack_points()]
+    stack = transfer_numeric(*as_columns(pts))
+    singles = np.stack([transfer_numeric(eps, b) for eps, b in pts])
     assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))
 
 
-def test_exponential_refuses_a_matrix_that_is_not_the_split_system():
-    # only K is read, so any other matrix would be answered wrongly, not refused
-    dense = np.random.default_rng(58).normal(size=(4, 4)) + 0j
-    with pytest.raises(ValueError, match="split_ode"):
-        transfer_numeric(dense, 1.0)
-    a = np.stack([split_ode(AdimensionalBarrier(0.6, 0.8, 0.3, 1.0), 1.2)] * 3)
-    a[1, 3, 1] = 1e-300  # one stray entry in a stack
-    with pytest.raises(ValueError, match="split_ode"):
-        transfer_numeric(a, np.ones(3))
-
-
 def expm_points():
-    """Seeded (split_ode matrix, lam) pairs: wells and barriers over the unit circle with theta != 0,
-    the threshold eps = 1, lam = 0, negative lam, and eps = U(3, 25) at the oracle's segment widths."""
+    """Seeded energies and their one-point BarrierColumns: wells and barriers over the unit circle with
+    theta != 0, the threshold eps = 1, lam = 0, negative lam, and eps = U(3, 25) at the oracle's segment widths."""
     rng = np.random.default_rng(57)
     pts = []
     for k in range(120):
@@ -221,15 +231,15 @@ def expm_points():
             lam = -lam
         elif kind == 4:
             eps, lam = rng.uniform((3.0, 0.0), (25.0, 30.0))
-            lam *= 0.5 ** int(_squarings(_k_block(split_ode(b, eps)), lam)[0])
-        pts.append((split_ode(b, eps), lam))
+            lam *= 0.5 ** int(_squarings(_k_block(b, eps), lam)[0])
+        pts.append((np.array([eps]), BarrierColumns(*(np.array([x]) for x in (b.vc, b.vq, b.theta, lam)))))
     return pts
 
 
 def test_exponential_matches_mpmath_expm():
     worst = 0.0
-    for a, lam in expm_points():
+    for eps, b in expm_points():
         with mp.workdps(40):
-            ref = np.array(mp.expm(mp.matrix(a.tolist()) * -lam).tolist(), dtype=complex)
-        worst = max(worst, scaled_gap(ref, transfer_numeric(a, lam)))
+            ref = np.array(mp.expm(mp.matrix(split_matrix(eps, b)[0].tolist()) * -b.lam[0]).tolist(), dtype=complex)
+        worst = max(worst, scaled_gap(ref, transfer_numeric(eps, b)[0]))
     assert worst <= 1e-14

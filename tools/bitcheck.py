@@ -18,9 +18,13 @@ route takes one point per call, each point is called alone.  A batch
 call passes columns (an energy ndarray and a BarrierColumns) or, in a
 tree whose batch form takes them, sequences of energies and barriers, and
 its result is read as array rows (a NaN oracle tt as None) or as records.
-`transfer_numeric` takes seeded stacks of 1-300 split systems at eps =
-U(0.05, 3) and lam log-uniform in [300*2**-12, 300], whose squaring
-counts run from 0 to 9, and the first points' matrices one at a time.
+`transfer_numeric` and `transfer_closed` take seeded stacks of 1-300
+points at eps = U(0.05, 3) and lam log-uniform in [300*2**-12, 300],
+whose squaring counts run from 0 to 9, then one at a time the first
+points and a seeded set of thick points at lam = U(700, 1000), whose
+entries overflow; `transfer_numeric` takes each tree's own form, the
+4x4 matrix of `split_ode` in a tree that has it and (eps, barrier
+columns) otherwise.
 `verify.sample_points` draws a few seeded sets, and `verify.run_all`
 runs on seeded grids of 1 to 500 samples, every field of its five
 reports compared.  `scan_peaks` runs an
@@ -40,8 +44,8 @@ negative width, and an energy grid of 70,001 points for two potentials,
 longer than one closed-form block and one writer piece; their exit codes,
 stderr and the sha256 of their output are compared.  `shc` takes 40
 seeded complex arrays with |a*x| on both sides of its series switch, each
-holding a 0 and a NaN, one array wholly below the switch and one
-broadcast pair.  Each
+holding a 0 and a NaN, one array wholly below the switch, one
+broadcast pair and one array whose a*x overflows.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -91,7 +95,8 @@ PLATEAU_LAMBDAS = (0.5, 0.3)  # lam0 of the plateau scans, whose grids have 21,0
 SAMPLER_RUNS = [(seed, n) for seed in (1, 2, 42, 271828) for n in (1, 7, 500)]  # (seed, points)
 VERIFY_RUNS = [(seed, n) for seed in range(12) for n in (1, 5, 37, 100, 500)]  # (seed, samples)
 EXPONENTIAL_STACKS = 20  # seeded transfer_numeric stacks of 1-300 matrices
-EXPONENTIAL_SINGLES = 50  # matrices of the first stack also exponentiated one at a time
+EXPONENTIAL_SINGLES = 50  # points of the first stack also exponentiated one at a time
+THICK_EXPONENTIALS = 20  # single exponentials at lam = U(700, 1000), whose entries overflow
 ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 SWEEP_JITTERS = 3  # jittered copies of each README sweep
@@ -181,12 +186,28 @@ def exponential_stacks():
     return out
 
 
+def thick_exponentials():
+    """(eps, vc, vq, theta, lam) tuples at eps = U(0.05, 3) and lam = U(700, 1000), the same on every call."""
+    rng = np.random.default_rng(SEED + 8)
+    n = THICK_EXPONENTIALS
+    phi = rng.uniform(0.0, np.pi, n)
+    theta = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-np.pi, np.pi, n))
+    eps, lam = rng.uniform(0.05, 3.0, n), rng.uniform(700.0, 1000.0, n)
+    return list(zip(eps.tolist(), np.cos(phi).tolist(), np.sin(phi).tolist(), theta.tolist(), lam.tolist()))
+
+
+def split_exponential(split_ode, transfer_numeric, eps, b):
+    """`transfer_numeric` at (eps, b) in a tree whose form takes the matrix of `split_ode` and a width."""
+    return transfer_numeric(split_ode(b, eps), b.lam)
+
+
 def shc_arrays():
     """(a, x) of each seeded `shc` row, the same on every call.
 
     a is complex with |a| log-uniform in [1e-9, 1e3] and x = U(0, 3), so
     |a*x| falls on both sides of the series switch; each row holds a 0 and a
-    NaN.  Then a row wholly below the switch and a broadcast (a, x) pair.
+    NaN.  Then a row wholly below the switch, a broadcast (a, x) pair and a
+    row whose a*x overflows.
     """
     rng = np.random.default_rng(SEED + 7)
     out = []
@@ -195,7 +216,7 @@ def shc_arrays():
         a[rng.integers(n)], a[rng.integers(n)] = 0.0, math.nan
         out.append((a, rng.uniform(0.0, 3.0, n)))
     small = rng.uniform(-1e-4, 1e-4, 50) + 1j * rng.uniform(-1e-4, 1e-4, 50)
-    out += [(small, 2.0), (out[0][0], rng.uniform(0.0, 3.0, (5, 1)))]
+    out += [(small, 2.0), (out[0][0], rng.uniform(0.0, 3.0, (5, 1))), (np.array([1e300 + 0j, 1.0]), 1e10)]
     return out
 
 
@@ -349,16 +370,19 @@ def evaluate(src):
         raise SystemExit(f"qbarrier imported from {qbarrier.__file__}, not from {src}")
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission)
-    from qbarrier import split_ode, transfer_numeric
+    from qbarrier import transfer_closed, transfer_numeric, wave_params
     from qbarrier.barrier import BarrierColumns, shc
     from qbarrier.verify import run_all, sample_points
 
     grid = getattr(qbarrier, "transmission_grid", functools.partial(grid_batch, transmission))
+    exponential = (functools.partial(split_exponential, qbarrier.split_ode, transfer_numeric)
+                   if hasattr(qbarrier, "split_ode") else transfer_numeric)
     warnings.simplefilter("ignore")
     out = {name: [] for name in ("solve", "transmission", "transmission (grid)",
                                  "critical_complex", "critical_quaternionic", "asymptotic_moduli",
                                  "oracle_amplitudes", "oracle_amplitudes (eps > 3)",
-                                 "oracle_amplitudes (thick)", "transfer_numeric", "sample_points", "verify.run_all",
+                                 "oracle_amplitudes (thick)", "transfer_numeric", "transfer_closed",
+                                 "sample_points", "verify.run_all",
                                  "solve (batch)", "transmission (batch)",
                                  "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)",
                                  "shc (array)", "sweep bytes")}
@@ -393,12 +417,16 @@ def evaluate(src):
             outcome(lambda: scan_peaks(b, lo, hi, eps0=eps0, coarse_step=step)))
     for b, lo, hi, _, step in (energy_scan(*v, lam0) for v in PLATEAU_POTENTIALS for lam0 in PLATEAU_LAMBDAS):
         out["scan_peaks (plateau)"].append(outcome(lambda: scan_peaks(b, lo, hi, coarse_step=step)))
+    singles = [(eps, AdimensionalBarrier(vc, vq, theta, lam)) for eps, vc, vq, theta, lam in thick_exponentials()]
     for i, (eps, vc, vq, theta, lam) in enumerate(exponential_stacks()):
-        a = split_ode(BarrierColumns(vc, vq, theta, lam), eps)
-        out["transfer_numeric"].append(outcome(lambda: transfer_numeric(a, lam)))
+        cols = BarrierColumns(vc, vq, theta, lam)
+        out["transfer_numeric"].append(outcome(lambda: exponential(eps, cols)))
+        out["transfer_closed"].append(outcome(lambda: transfer_closed(wave_params(eps, cols), lam)))
         if i == 0:
-            out["transfer_numeric"] += [outcome(lambda: transfer_numeric(a[j], float(lam[j])))
-                                        for j in range(min(len(a), EXPONENTIAL_SINGLES))]
+            singles[:0] = [(float(eps[j]), cols.barrier(j)) for j in range(min(len(eps), EXPONENTIAL_SINGLES))]
+    for eps, b in singles:
+        out["transfer_numeric"].append(outcome(lambda: exponential(eps, b)))
+        out["transfer_closed"].append(outcome(lambda: transfer_closed(wave_params(eps, b), b.lam)))
     for seed, n in SAMPLER_RUNS:
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
     for seed, n in VERIFY_RUNS:

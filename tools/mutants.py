@@ -54,6 +54,9 @@ MUTANTS = {
     # the oracle's refusal and the singular-point rule
     "oracle _REACH x4": (
         "src/qbarrier/ode_oracle.py", "_REACH = (1e-9 - 1e-11)", "_REACH = 4 * (1e-9 - 1e-11)"),
+    "oracle reach comparison one ulp loose": (
+        "src/qbarrier/ode_oracle.py", "(cols.lam <= _REACH / np.maximum(eps_all, 1.0))",
+        "(cols.lam <= _REACH / np.maximum(eps_all, 1.0) * (1.0 + 2.0**-52))"),
     "DEGENERACY_TOL 1e-10 -> 1e-12": (
         "src/qbarrier/barrier.py", "DEGENERACY_TOL = 1e-10", "DEGENERACY_TOL = 1e-12"),
     "sign of theta in beta": (
@@ -67,6 +70,8 @@ MUTANTS = {
         "src/qbarrier/closed_form.py", "for i in np.flatnonzero(~np.isfinite(t)).tolist():", "for i in []:"),
     # a sweep's one batch, potential-major
     "run_sweep grid-major": ("src/qbarrier/cli.py", SWEEP_ORDER, GRID_MAJOR),
+    # the CLI's exit code for a singular continuity system
+    "cli exit 5 -> 2": ("src/qbarrier/cli.py", "return 5", "return 2"),
     # a batch's length check
     "batch length check skipped": (
         "src/qbarrier/barrier.py", "if np.ndim(c) and np.shape(c) != eps.shape:", "if False:"),
@@ -79,6 +84,15 @@ MUTANTS = {
     "shc series guard negated": ("src/qbarrier/barrier.py", "if small.any():", "if not small.any():"),
     # the sweep writers' pieces: each but the first starts with the row separator
     "writer piece separator dropped": ("src/qbarrier/cli.py", "lead = sep", 'lead = ""'),
+    # the split system's block K, built once for both transfer_numeric and the oracle
+    "K psi entry with -eps**2": ("src/qbarrier/transfer.py", "k[1, 1] = b.vc + eps * eps", "k[1, 1] = b.vc - eps * eps"),
+    "K phi-psi coupling with exp(-i*theta)": (
+        "src/qbarrier/transfer.py", "k[0, 1] = 1j * b.vq * exp(1j * b.theta)", "k[0, 1] = 1j * b.vq * exp(-1j * b.theta)"),
+    "transfer_numeric eps check dropped": (
+        "src/qbarrier/transfer.py", 'require_finite("eps", eps, 0.0, strict=True)', "pass"),
+    # the one squaring order of transfer_numeric and the oracle: descending, so each round works on a prefix
+    "squaring order ascending": (
+        "src/qbarrier/transfer.py", 'order = np.argsort(-s, kind="stable")', 'order = np.argsort(s, kind="stable")'),
     # the segment blocks (C, S, K@S) and their scaling rule
     "segment S sign": ("src/qbarrier/transfer.py", "y[1] = -h * series[1]", "y[1] = h * series[1]"),
     "scaling rule on the least column": (
