@@ -25,7 +25,6 @@ from .barrier import (
 )
 from .closed_form import (
     TransmissionResult,
-    denominator,
     transmission,
 )
 from .critical import (
@@ -37,11 +36,9 @@ from .critical import (
 from .errors import (
     DegenerateEnergyError,
     QBarrierError,
-    SingularDenominatorError,
     SingularSystemError,
 )
 from .ode_oracle import oracle_amplitudes
-from .quaternion import Quaternion
 from .resonance import (
     complex_resonance_energies,
     complex_resonance_widths,
@@ -49,11 +46,8 @@ from .resonance import (
 )
 from .solver import (
     ScatteringAmplitudes,
-    ZoneWavefunction,
-    current_density,
     probability_balance,
     solve,
-    wavefunction,
 )
 from .transfer import transfer_closed, transfer_numeric
 
@@ -63,21 +57,16 @@ __all__ = [
     "CriticalAmplitudes",
     "DegenerateEnergyError",
     "QBarrierError",
-    "Quaternion",
     "ScatteringAmplitudes",
-    "SingularDenominatorError",
     "SingularSystemError",
     "TransmissionResult",
     "WaveParams",
-    "ZoneWavefunction",
     "adimensionalize",
     "asymptotic_moduli",
     "complex_resonance_energies",
     "complex_resonance_widths",
     "critical_complex",
     "critical_quaternionic",
-    "current_density",
-    "denominator",
     "oracle_amplitudes",
     "probability_balance",
     "scan_peaks",
@@ -86,5 +75,4 @@ __all__ = [
     "transfer_numeric",
     "transmission",
     "wave_params",
-    "wavefunction",
 ]

@@ -31,6 +31,9 @@ from .errors import DegenerateEnergyError
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
 DEGENERACY_TOL = 1e-10
 
+#: the least eps whose eps**4 overflows a float, and so the bound of every eps `wave_params` takes
+EPS_LIMIT = 2.0**256
+
 #: largest accepted |vc**2 + vq**2 - 1| for a reduced potential direction
 UNIT_CIRCLE_TOL = 1e-12
 
@@ -317,7 +320,7 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
     enters a wave number through cosh(a*x) and `shc`, both entire in a**2.
 
     Raises (float eps):
-        ValueError: unless eps is finite and > 0.
+        ValueError: unless eps is finite, > 0 and < EPS_LIMIT.
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
     """
@@ -334,6 +337,8 @@ def _wave_params(xp, eps, b) -> WaveParams:
     power = np.float_power if xp is np else pow
     if xp is cmath:
         require_finite("eps", eps, 0.0, strict=True)
+        if not eps < EPS_LIMIT:
+            raise ValueError(f"eps must be < 2**256, where eps**4 overflows, got {eps!r}")
     disc = power(eps, 4) - b.vq**2
     if xp is cmath and abs(disc) <= DEGENERACY_TOL:
         exact = (
@@ -346,7 +351,7 @@ def _wave_params(xp, eps, b) -> WaveParams:
         )
     root = xp.sqrt(disc + 0j)
     if xp is np:
-        root = np.where(np.isfinite(eps) & (eps > 0.0) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
+        root = np.where((0.0 < eps) & (eps < EPS_LIMIT) & (abs(disc) > DEGENERACY_TOL), root, np.nan)
     denom = power(eps, 2) + root
     exp = np.exp if xp is np and isinstance(b.theta, np.ndarray) else cmath.exp
     return WaveParams(

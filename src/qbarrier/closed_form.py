@@ -11,12 +11,13 @@ in the data basis (phi, phi', psi, psi') of :mod:`qbarrier.transfer`:
 The paper writes D for its basis (phi, phi'/am, psi, psi'/am), am =
 alpha_minus: there M21, M23, M41 and M43 carry a factor am**2 and each
 fraction divides by eps*am; in the data basis every am cancels.
-`transmission` evaluates an algebraically identical factored regrouping of D (`denominator_factored`) that stays at
-machine precision when the growing interior mode is large; `denominator`
-keeps the element-table form.  The same amplitude is produced
-independently by the full boundary-matching solve (:mod:`qbarrier.solver`),
-which is the arbiter for any transcription doubt, and by the brute-force
-integrator (:mod:`qbarrier.ode_oracle`).
+`transmission` evaluates an algebraically identical factored regrouping of D
+(`denominator_factored`) that stays at machine precision when the growing
+interior mode is large.  The element form itself is the test-side referee
+`tests/element_reference.py`, the regrouping's check.  The same amplitude
+is produced independently by the full boundary-matching solve
+(:mod:`qbarrier.solver`), which is the arbiter for any transcription
+doubt, and by the brute-force integrator (:mod:`qbarrier.ode_oracle`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, shc, wave_params
-from .errors import SingularDenominatorError
 
 
 @dataclass(frozen=True)
@@ -45,31 +45,10 @@ class TransmissionResult:
         return cmath.phase(self.t)
 
 
-def denominator(m: np.ndarray, eps: float) -> complex:
-    """Evaluate D from a transfer matrix m in the data basis (phi, phi', psi, psi').
-
-    m is `transfer_closed`'s or `transfer_numeric`'s matrix, read by the
-    module docstring's element form, which divides by eps alone and so is
-    defined at the threshold eps = 1.
-
-    Raises:
-        SingularDenominatorError: if the trailing fraction's denominator
-            vanishes (reported with eps).
-    """
-    e2 = eps**2
-    lead = m[0, 0] + m[1, 1] + 1j * (e2 * m[0, 1] - m[1, 0]) / eps
-    upper = m[0, 2] + 1j * m[1, 3] - (e2 * m[0, 3] + 1j * m[1, 2]) / eps
-    lower_num = m[2, 0] - 1j * m[3, 1] + (1j * e2 * m[2, 1] - m[3, 0]) / eps
-    lower_den = m[3, 3] + m[2, 2] - (e2 * m[2, 3] + m[3, 2]) / eps
-    if abs(lower_den) < 1e-150:
-        raise SingularDenominatorError(f"inner denominator vanished at eps={eps!r}")
-    return complex(lead - upper * lower_num / lower_den)
-
-
 def denominator_factored(p: WaveParams, lam):
     """D in a regrouped form that is stable against the growing interior mode.
 
-    Expanding the element combination of `denominator` and cancelling the
+    Expanding the element combination of the module docstring and cancelling the
     cosh**2 - sinh**2 products analytically gives the identical value
 
         D = [Dm*Ep + u**2*Dp*Em + 2i*u*P*Q - 4u] / [(1-u)*(Ep - u*Em)]

@@ -14,10 +14,6 @@ class DegenerateEnergyError(QBarrierError):
     """
 
 
-class SingularDenominatorError(QBarrierError):
-    """The inner denominator of the closed transmission formula vanished."""
-
-
 class SingularSystemError(QBarrierError):
     """The 8x8 continuity system of `solver.solve` is singular to working precision.
 

@@ -1,4 +1,4 @@
-"""Full boundary-matching solve and piecewise wavefunction evaluation.
+"""Full boundary-matching solve: the eight continuity equations of the wavefunction.
 
 The wavefunction in the three zones (xi in units of the inverse barrier
 wave number, width lam):
@@ -16,7 +16,9 @@ xi = 0 and xi = lam, split into the complex and the pure quaternionic
 part, gives eight complex equations for the eight unknowns
 (R, Rt, T, Tt, A, B, At, Bt).  This module assembles and solves that
 system directly - deliberately not through the transfer matrix - so the
-closed formula has an independent in-repo check.
+closed formula has an independent in-repo check.  The wavefunction
+itself, evaluated piecewise from `solve`'s amplitudes, and its probability
+current are the test-side referee `tests/quaternion_reference.py`.
 
 `solve` takes one point or a batch of columns: a batch's systems are
 assembled by the same body with numpy, as an (n, 8, 8) stack per block of
@@ -26,14 +28,12 @@ points, and solved by one stacked inverse per block.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, complex_stack, shc, wave_params
 from .errors import SingularSystemError
-from .quaternion import I as QI, Quaternion
 
 
 class ScatteringAmplitudes(NamedTuple):
@@ -53,15 +53,6 @@ class ScatteringAmplitudes(NamedTuple):
     b: complex | None = None
     at: complex | None = None
     bt: complex | None = None
-
-
-@dataclass(frozen=True)
-class ZoneWavefunction:
-    """Wavefunction value and derivative at one point, tagged by zone."""
-
-    zone: str  # "I", "II" or "III"
-    value: Quaternion
-    derivative: Quaternion
 
 
 def _assemble(p: WaveParams, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -156,52 +147,3 @@ def solve(eps, b):
 def probability_balance(amps: ScatteringAmplitudes) -> float:
     """Norm-conservation defect 1 - |R|**2 - |T|**2 (zero in exact arithmetic)."""
     return 1.0 - abs(amps.r) ** 2 - abs(amps.t) ** 2
-
-
-def wavefunction(
-    xi: float,
-    amps: ScatteringAmplitudes,
-    p: WaveParams,
-    b: AdimensionalBarrier,
-) -> ZoneWavefunction:
-    """Evaluate the wavefunction and its derivative at xi."""
-    eps = p.eps
-    if xi < 0.0:
-        phi = cmath.exp(1j * eps * xi) + amps.r * cmath.exp(-1j * eps * xi)
-        dphi = 1j * eps * (cmath.exp(1j * eps * xi) - amps.r * cmath.exp(-1j * eps * xi))
-        psi = amps.rt * cmath.exp(eps * xi)
-        dpsi = eps * psi
-        zone = "I"
-    elif xi > b.lam:
-        phi = amps.t * cmath.exp(1j * eps * xi)
-        dphi = 1j * eps * phi
-        psi = amps.tt * cmath.exp(-eps * xi)
-        dpsi = -eps * psi
-        zone = "III"
-    else:
-        if amps.a is None:
-            raise ValueError("interior coefficients are required inside the barrier")
-        am, ap = p.alpha_minus, p.alpha_plus
-        s = xi - 0.5 * b.lam
-        cm, hm = cmath.cosh(am * s), shc(am, s)
-        cp, hp = cmath.cosh(ap * s), shc(ap, s)
-        low = amps.a * cm + amps.b * hm
-        dlow = amps.a * am * am * hm + amps.b * cm
-        high = amps.at * cp + amps.bt * hp
-        dhigh = amps.at * ap * ap * hp + amps.bt * cp
-        phi = low + p.beta * high
-        dphi = dlow + p.beta * dhigh
-        psi = p.gamma * low + high
-        dpsi = p.gamma * dlow + dhigh
-        zone = "II"
-    return ZoneWavefunction(
-        zone=zone,
-        value=Quaternion(phi, psi),
-        derivative=Quaternion(dphi, dpsi),
-    )
-
-
-def current_density(state: ZoneWavefunction) -> float:
-    """Probability current conj(Phi)*i*Phi' + h.c., constant across all zones."""
-    flow = state.value.conjugate() * QI * state.derivative
-    return 2.0 * flow.scalar_part()

@@ -72,32 +72,28 @@ _C_TOP = _COEFFICIENTS[:, 12, None, None, None]
 _C_EYE = _C_LOW[0] * _EYE
 
 
-def _mode_block(a, lam) -> np.ndarray:
-    """X(a) of the module docstring: one mode's 2x2 block in the data basis.
-
-    For ndarrays a and lam of n points, an (n, 2, 2) stack.
-    """
-    xp = np if isinstance(a, np.ndarray) else cmath
-    c, s = xp.cosh(a * lam), shc(a, lam)
-    rows = [[c, -s], [-a * a * s, c]]
-    return np.array(rows) if xp is cmath else complex_stack(rows)
+def _mode_block(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """X(a) of the module docstring: one mode's 2x2 blocks at ndarrays a and lam of n points, an (n, 2, 2) stack."""
+    c, s = np.cosh(a * lam), shc(a, lam)
+    return complex_stack([[c, -s], [-a * a * s, c]])
 
 
 def transfer_closed(p: WaveParams, lam) -> np.ndarray:
     """The table M of the module docstring, mixed from the two modes' blocks.
 
     The off-diagonal blocks carry beta and gamma, whose product bg has no
-    theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.  Like
-    `wave_params`, one body serves one point (a 4x4 matrix) and ndarrays
-    p and lam of n points (an (n, 4, 4) stack), whose entries that
-    overflow come out non-finite, with no warning.
+    theta; 1 - bg = 2*root/(eps**2 + root) != 0 by `wave_params`.  The
+    wave parameters p and widths lam of n points, ndarrays, give an
+    (n, 4, 4) stack, and those of one point a 4x4 matrix, evaluated as a
+    stack of one.  Entries that overflow come out non-finite, with no
+    warning.
     """
+    if not isinstance(p.eps, np.ndarray):
+        return transfer_closed(WaveParams(*(np.array([x]) for x in p)), np.array([lam]))[0]
     with np.errstate(all="ignore"):  # an entry that overflows is non-finite, the signal
-        beta, gamma = p.beta, p.gamma
-        bg = beta * gamma
-        scale = 1.0 / (1.0 - bg)
-        if isinstance(bg, np.ndarray):  # one coefficient per matrix of the stack
-            beta, gamma, bg, scale = (x[:, None, None] for x in (beta, gamma, bg, scale))
+        bg = p.beta * p.gamma
+        # one coefficient per matrix of the stack
+        beta, gamma, bg, scale = (x[:, None, None] for x in (p.beta, p.gamma, bg, 1.0 / (1.0 - bg)))
         xm, xp = _mode_block(p.alpha_minus, lam), _mode_block(p.alpha_plus, lam)
         d = xm - xp
         m = np.empty(xm.shape[:-2] + (4, 4), dtype=complex)

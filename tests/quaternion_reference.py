@@ -1,4 +1,4 @@
-"""Quaternion arithmetic in the symplectic complex-pair representation.
+"""Test-only quaternion arithmetic, and the piecewise wavefunction and its current as a referee of `solve`.
 
 A quaternion q = a + b*i + c*j + d*k is stored as the ordered pair of
 complex numbers (z, w) with
@@ -16,12 +16,20 @@ The sign convention is pinned by i*j = +k (see the unit constants below).
 True
 >>> Quaternion(1, 1) * Quaternion(1, -1)
 Quaternion(z=(2+0j), w=0j)
+
+The wavefunction `wavefunction` evaluates is the three-zone form of the
+`qbarrier.solver` module docstring, at the amplitudes and interior
+coefficients `solve` returns; `current_density` is its probability current.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+
+from qbarrier import AdimensionalBarrier, ScatteringAmplitudes, WaveParams
+from qbarrier.barrier import shc
 
 
 @dataclass(frozen=True)
@@ -91,3 +99,61 @@ ONE = Quaternion(1.0, 0j)
 I = Quaternion(1j, 0j)
 J = Quaternion(0j, 1.0)
 K = Quaternion(0j, -1j)
+
+
+@dataclass(frozen=True)
+class ZoneWavefunction:
+    """Wavefunction value and derivative at one point, tagged by zone."""
+
+    zone: str  # "I", "II" or "III"
+    value: Quaternion
+    derivative: Quaternion
+
+
+def wavefunction(
+    xi: float,
+    amps: ScatteringAmplitudes,
+    p: WaveParams,
+    b: AdimensionalBarrier,
+) -> ZoneWavefunction:
+    """Evaluate the wavefunction and its derivative at xi."""
+    eps = p.eps
+    if xi < 0.0:
+        phi = cmath.exp(1j * eps * xi) + amps.r * cmath.exp(-1j * eps * xi)
+        dphi = 1j * eps * (cmath.exp(1j * eps * xi) - amps.r * cmath.exp(-1j * eps * xi))
+        psi = amps.rt * cmath.exp(eps * xi)
+        dpsi = eps * psi
+        zone = "I"
+    elif xi > b.lam:
+        phi = amps.t * cmath.exp(1j * eps * xi)
+        dphi = 1j * eps * phi
+        psi = amps.tt * cmath.exp(-eps * xi)
+        dpsi = -eps * psi
+        zone = "III"
+    else:
+        if amps.a is None:
+            raise ValueError("interior coefficients are required inside the barrier")
+        am, ap = p.alpha_minus, p.alpha_plus
+        s = xi - 0.5 * b.lam
+        cm, hm = cmath.cosh(am * s), shc(am, s)
+        cp, hp = cmath.cosh(ap * s), shc(ap, s)
+        low = amps.a * cm + amps.b * hm
+        dlow = amps.a * am * am * hm + amps.b * cm
+        high = amps.at * cp + amps.bt * hp
+        dhigh = amps.at * ap * ap * hp + amps.bt * cp
+        phi = low + p.beta * high
+        dphi = dlow + p.beta * dhigh
+        psi = p.gamma * low + high
+        dpsi = p.gamma * dlow + dhigh
+        zone = "II"
+    return ZoneWavefunction(
+        zone=zone,
+        value=Quaternion(phi, psi),
+        derivative=Quaternion(dphi, dpsi),
+    )
+
+
+def current_density(state: ZoneWavefunction) -> float:
+    """Probability current conj(Phi)*i*Phi' + h.c., constant across all zones."""
+    flow = state.value.conjugate() * I * state.derivative
+    return 2.0 * flow.scalar_part()

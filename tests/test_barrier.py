@@ -26,7 +26,7 @@ from qbarrier import (
     transmission,
     wave_params,
 )
-from qbarrier.barrier import MAX_GRID_POINTS, BarrierColumns, batch, columns, shc, uniform_grid
+from qbarrier.barrier import DEGENERACY_TOL, EPS_LIMIT, MAX_GRID_POINTS, BarrierColumns, batch, columns, shc, uniform_grid
 from qbarrier.cli import run_sweep
 from qbarrier.verify import run_all
 
@@ -254,10 +254,21 @@ class TestWaveParams:
             with pytest.raises(ValueError):
                 wave_params(eps, b)
 
+    def test_rejects_eps_whose_fourth_power_overflows(self):
+        # EPS_LIMIT = 2**256 is the least eps whose eps**4 overflows; one ulp below, a thin barrier answers
+        b = AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=1e-156)
+        with pytest.raises(ValueError, match=r"^eps must be < 2\*\*256, where eps\*\*4 overflows, got 1\.157"):
+            wave_params(EPS_LIMIT, b)
+        assert transmission(math.nextafter(EPS_LIMIT, 0.0), b).t == 1.0
+
     @pytest.mark.parametrize("vc, vq", [(1.0, 0.0), (0.8, 0.6), (0.0, 1.0), (-1.0, 0.0)])
     def test_array_holds_nan_exactly_where_a_float_raises(self, vc, vq):
+        # the band's edges, |eps**4 - vq**2| = 0.9 and 1.1 times DEGENERACY_TOL on both sides, and
+        # the eps limit and the float below it
         b = AdimensionalBarrier(vc=vc, vq=vq, theta=0.7)
-        eps = np.array([0.3, 1.0, 1.0 + 1e-12, 1.7, 0.0, -0.5, math.nan, math.inf])
+        edges = [abs(vq * vq + x * DEGENERACY_TOL) ** 0.25 for x in (-1.1, -0.9, 0.9, 1.1)]
+        eps = np.array([0.3, 1.0, 1.0 + 1e-12, 1.7, 0.0, -0.5, math.nan, math.inf,
+                        *edges, EPS_LIMIT, math.nextafter(EPS_LIMIT, 0.0)])
         with np.errstate(all="ignore"):
             grid = wave_params(eps, b)
         fields = ("alpha_minus", "alpha_plus", "beta", "gamma")

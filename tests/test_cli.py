@@ -405,6 +405,8 @@ def test_negative_width_grid_exits_2_naming_lam(capsys):
         (["critical", "--case", "q", "--lambda", "1e100", "--series"], 0),
         (["resonances", "--lambda", "1e-300", "--potentials", "1,0"], 2),
         (["resonances", "--eps0", "1e200", "--potentials", "1,0"], 2),
+        (["point", "--vc", "1", "--vq", "0", "--eps", "1e200", "--lambda", "1e-156"], 2),
+        (["point", "--vc", "0.6", "--vq", "0.8", "--eps", "1e100", "--lambda", "1"], 2),
     ],
 )
 def test_huge_finite_input_ends_finite_or_typed(args, code, capsys):

@@ -10,9 +10,7 @@ import pytest
 from qbarrier import (
     AdimensionalBarrier,
     DegenerateEnergyError,
-    SingularDenominatorError,
     critical_complex,
-    denominator,
     solve,
     transfer_closed,
     transfer_numeric,
@@ -25,6 +23,7 @@ from qbarrier.closed_form import denominator_factored, denominator_slope
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.complex_reference import complex_probability, complex_t
 from tests.conftest import FIVE_POTENTIALS, as_columns, circle_points, near_band_points, random_points
+from tests.element_reference import denominator
 from tests.mp_reference import reference_amplitudes
 
 SQRT2 = math.sqrt(2.0)
@@ -61,11 +60,6 @@ def test_denominator_against_solver_route():
     d = denominator(transfer_closed(p, lam), eps)
     t_solver = solve(eps, b).t
     assert d == pytest.approx(2.0 * cmath.exp(-1j * eps * lam) / t_solver, abs=1e-9)
-
-
-def test_vanishing_denominators_are_typed_errors():
-    with pytest.raises(SingularDenominatorError, match="eps=1.2"):
-        denominator(np.zeros((4, 4), dtype=complex), 1.2)
 
 
 def test_factored_denominator_equals_element_form():
@@ -427,7 +421,8 @@ GOOD = (1.2, QUATERNIONIC)
     (-1.0, QUATERNIONIC),
     (math.nan, QUATERNIONIC),
     (1.2, AdimensionalBarrier(0.0, 1.0, 0.4, 800.0)),
-], ids=("band", "well-band", "negative-eps", "nan-eps", "overflow"))
+    (1e100, AdimensionalBarrier(0.6, 0.8)),
+], ids=("band", "well-band", "negative-eps", "nan-eps", "overflow", "eps-fourth-power-overflow"))
 def test_batch_raises_what_the_single_call_raises(bad, warnings_are_errors):
     with pytest.raises(Exception) as single:
         transmission(*bad)

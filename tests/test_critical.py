@@ -9,14 +9,13 @@ import pytest
 
 from qbarrier import (
     AdimensionalBarrier,
-    Quaternion,
     asymptotic_moduli,
     critical_complex,
     critical_quaternionic,
     oracle_amplitudes,
     transmission,
 )
-from qbarrier.quaternion import I as QI, J as QJ
+from tests.quaternion_reference import I as QI, J as QJ, Quaternion
 
 
 class TestCriticalComplex:

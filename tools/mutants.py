@@ -5,10 +5,12 @@ the file, so the catalogue breaks loudly when the code moves.  Every
 mutant's text is checked before any runs, and the tests must pass on an
 unmutated copy.  Each mutant is then made in a fresh copy of the tree in
 a temporary directory, and `python -m pytest -x` runs there with that
-copy's src/ on the import path.  A mutant the tests pass survives; one
-that makes them fail (or not even collect) is killed.  Prints one line
-per mutant and the survivor count; exits 1 if any mutant survives, 2 if a
-triple does not match once or the unmutated copy fails.
+copy's src/ on the import path, less the test of this catalogue's own
+precondition (`PRECONDITION`), which a mutated copy breaks by design.  A
+mutant the tests pass survives; one that makes them fail (or not even
+collect) is killed.  Prints one line per mutant and the survivor count;
+exits 1 if any mutant survives, 2 if a triple does not match once or the
+unmutated copy fails.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -54,11 +56,21 @@ MUTANTS = {
     # the oracle's refusal and the singular-point rule
     "oracle _REACH x4": (
         "src/qbarrier/ode_oracle.py", "_REACH = (1e-9 - 1e-11)", "_REACH = 4 * (1e-9 - 1e-11)"),
+    "oracle refusal names the batch's first width": (
+        "src/qbarrier/ode_oracle.py", "float(cols.lam[first])", "float(cols.lam[0])"),
     "oracle reach comparison one ulp loose": (
         "src/qbarrier/ode_oracle.py", "(cols.lam <= _REACH / np.maximum(eps_all, 1.0))",
         "(cols.lam <= _REACH / np.maximum(eps_all, 1.0) * (1.0 + 2.0**-52))"),
     "DEGENERACY_TOL 1e-10 -> 1e-12": (
         "src/qbarrier/barrier.py", "DEGENERACY_TOL = 1e-10", "DEGENERACY_TOL = 1e-12"),
+    "float band rule on the side eps**4 >= vq**2 only": (
+        "src/qbarrier/barrier.py", "if xp is cmath and abs(disc) <= DEGENERACY_TOL:",
+        "if xp is cmath and 0.0 <= disc <= DEGENERACY_TOL:"),
+    "array band mask on the side eps**4 >= vq**2 only": (
+        "src/qbarrier/barrier.py", "(abs(disc) > DEGENERACY_TOL)", "((disc > DEGENERACY_TOL) | (disc < 0.0))"),
+    # the least eps whose eps**4 overflows is refused, on both paths
+    "float eps limit admits 2**256": ("src/qbarrier/barrier.py", "if not eps < EPS_LIMIT:", "if not eps <= EPS_LIMIT:"),
+    "array eps limit admits 2**256": ("src/qbarrier/barrier.py", "(eps < EPS_LIMIT)", "(eps <= EPS_LIMIT)"),
     "sign of theta in beta": (
         "src/qbarrier/barrier.py", "beta=1j * b.vq * exp(1j * b.theta)", "beta=1j * b.vq * exp(-1j * b.theta)"),
     # the closed form's one replay of non-finite points.  Replaying NaN only survives, and is taken
@@ -70,8 +82,14 @@ MUTANTS = {
         "src/qbarrier/closed_form.py", "for i in np.flatnonzero(~np.isfinite(t)).tolist():", "for i in []:"),
     # a sweep's one batch, potential-major
     "run_sweep grid-major": ("src/qbarrier/cli.py", SWEEP_ORDER, GRID_MAJOR),
-    # the CLI's exit code for a singular continuity system
+    # the CLI's exit codes for a singular continuity system, a degenerate point and an unwritable output
     "cli exit 5 -> 2": ("src/qbarrier/cli.py", "return 5", "return 2"),
+    "cli exit 3 -> 2": ("src/qbarrier/cli.py", "return 3 if isinstance", "return 2 if isinstance"),
+    "cli exit 4 -> 2": ("src/qbarrier/cli.py", "return 4", "return 2"),
+    # solve's refusal where the inverse of a point's matrix fails
+    "solve lets LinAlgError through": (
+        "src/qbarrier/solver.py", "except np.linalg.LinAlgError:\n            raise SingularSystemError",
+        "except ZeroDivisionError:\n            raise SingularSystemError"),
     # a batch's length check
     "batch length check skipped": (
         "src/qbarrier/barrier.py", "if np.ndim(c) and np.shape(c) != eps.shape:", "if False:"),
@@ -112,6 +130,9 @@ MUTANTS = {
 }
 
 
+#: the tier-1 test that each triple's text occurs once, deselected in the copies
+PRECONDITION = "tests/test_mutants.py::test_each_mutant_text_occurs_once_in_its_file"
+
 #: what the copy leaves out: git's store and what building, testing and benchmarking leave behind
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")
 
@@ -125,7 +146,8 @@ def tests_pass(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
             file, old, new = mutant
             path = tree / file
             path.write_text(path.read_text().replace(old, new))
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--deselect", PRECONDITION],
                               cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     lines = proc.stdout.strip().splitlines()
