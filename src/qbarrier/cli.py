@@ -13,8 +13,8 @@ barrier data (V1 V2 V3 L mass hbar energy) instead.  Widths may be given
 in units of pi with --lambda-pi.  Exit codes: 2 invalid parameters,
 3 a point in the degeneracy band eps**4 ~ vq**2 (naming the exact
 `critical` case, if any), 4 unwritable output path, 5 a valid `point`
-whose 8x8 continuity system is singular to working precision (thick
-barriers; naming eps and lambda).
+whose continuity system is singular to working precision (thick
+barriers, or subnormal eps and lambda; naming eps and lambda).
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ class DegenerateEnergyError(QBarrierError):
 
 
 class SingularSystemError(QBarrierError):
-    """The 8x8 continuity system of `solver.solve` is singular to working precision.
+    """The continuity system of `solver.solve` is singular to working precision.
 
-    The input is valid: at thick widths the matrix holds entries near
-    exp(Re(alpha_plus)*lam) beside O(1) ones, and the inverse fails.  The
-    closed form still answers there.
+    The input is valid: at thick widths exp(-eps*lam) underflows to 0, so
+    the elimination divides by 0, and where max(eps, min(1, lam)) is
+    subnormal its products lose their digits.  The closed form still
+    answers there.
     """

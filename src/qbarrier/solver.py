@@ -14,25 +14,44 @@ regular point; centring it on the barrier splits the growth of the fast
 pair evenly between the two edges.  Continuity of value and derivative at
 xi = 0 and xi = lam, split into the complex and the pure quaternionic
 part, gives eight complex equations for the eight unknowns
-(R, Rt, T, Tt, A, B, At, Bt).  This module assembles and solves that
-system directly - deliberately not through the transfer matrix - so the
-closed formula has an independent in-repo check.  The wavefunction
-itself, evaluated piecewise from `solve`'s amplitudes, and its probability
-current are the test-side referee `tests/quaternion_reference.py`.
+(R, Rt, T, Tt, A, B, At, Bt).  This module solves that system directly -
+deliberately not through the transfer matrix or the closed formula's D -
+so the closed formula has an independent in-repo check.
 
-`solve` takes one point or a batch of columns: a batch's systems are
-assembled by the same body with numpy, as an (n, 8, 8) stack per block of
-points, and solved by one stacked inverse per block.
+In the order (R, Rt, T, Tt, A, B, At, Bt) the rows are the value and the
+derivative of the complex part at xi = 0 (r0, r1), of the quaternionic
+part there (r2, r3), and the same four at xi = lam (r4 to r7).  With
+c, h the cosh and shc of a mode at s = lam/2, ie = 1j*eps and
+u = beta*gamma, four row combinations each remove one outer unknown:
+ie*r0 + r1 removes R, r3 - eps*r2 removes Rt, r5 - ie*r4 removes T and
+r7 + eps*r6 removes Tt.  The centred basis makes them split by parity:
+the difference of the first and third, and of the fourth and second,
+holds only the cosh coefficients, and the sums only the shc ones,
+
+    P(am)*A + beta*P(ap)*At = ie,   gamma*U(am)*A + U(ap)*At = 0,
+    Q(am)*B + beta*Q(ap)*Bt = ie,   gamma*V(am)*B + V(ap)*Bt = 0,
+
+with P(a) = ie*c - a**2*h, U(a) = a**2*h + eps*c, Q(a) = c - ie*h and
+V(a) = c + eps*h.  So A = ie/(P(am) - u*P(ap)*U(am)/U(ap)) and
+At = -gamma*(U(am)/U(ap))*A, and B, Bt alike with Q and V.  Rows r0, r2,
+r4 and r6 then give R, Rt, T and Tt.  The elimination is exact: no
+pivoting, no 8x8 matrix.  The wavefunction itself, evaluated piecewise
+from `solve`'s amplitudes, and its probability current are the test-side
+referee `tests/quaternion_reference.py`.
+
+`solve` takes one point or a batch of columns: a batch runs the same
+body with numpy, in blocks of points.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, complex_stack, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, shc, wave_params
 from .errors import SingularSystemError
 
 
@@ -55,14 +74,14 @@ class ScatteringAmplitudes(NamedTuple):
     bt: complex | None = None
 
 
-def _assemble(p: WaveParams, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right-hand side of the continuity system.
+def _amplitudes(p: WaveParams, lam) -> tuple:
+    """The eight amplitudes (R, Rt, T, Tt, A, B, At, Bt) by the parity split (module docstring).
 
-    Unknown order: (R, Rt, T, Tt, A, B, At, Bt).  At the edges s = -+lam/2,
-    where cosh(a*s) = c and shc(a, s) = -+h, with derivatives -+a**2*h and c.
-    Like `wave_params`, one body serves a float p.eps (cmath; an 8x8 matrix
-    and an 8-vector) and ndarrays p.eps and lam of n points (numpy; an
-    (n, 8, 8) stack and an (n, 8, 1) stack).
+    At the edges s = -+lam/2, cosh(a*s) = c and shc(a, s) = -+h, with
+    derivatives -+a**2*h and c.  Like `wave_params`, one body serves a
+    float p.eps (cmath) and ndarrays p.eps and lam of n points (numpy).  A
+    float call raises ZeroDivisionError where U(ap), V(ap), a pivot or
+    exp(-eps*lam) is 0.
     """
     eps = p.eps
     xp = np if isinstance(eps, np.ndarray) else cmath
@@ -73,73 +92,64 @@ def _assemble(p: WaveParams, lam) -> tuple[np.ndarray, np.ndarray]:
     cp, hp = xp.cosh(ap * half), shc(ap, half)
     dm, dp = am * am * hm, ap * ap * hp
     ie = 1j * eps
-    phase = xp.exp(ie * lam)
-    decay = xp.exp(-eps * lam)
-    rows = [
-        # value and derivative of the complex part at xi = 0
-        [-1 + 0j, 0j, 0j, 0j, cm, -hm, beta * cp, -beta * hp],
-        [ie, 0j, 0j, 0j, -dm, cm, -beta * dp, beta * cp],
-        # value and derivative of the pure quaternionic part at xi = 0
-        [0j, -1 + 0j, 0j, 0j, gamma * cm, -gamma * hm, cp, -hp],
-        [0j, -eps + 0j, 0j, 0j, -gamma * dm, gamma * cm, -dp, cp],
-        # value and derivative of the complex part at xi = lam
-        [0j, 0j, -phase, 0j, cm, hm, beta * cp, beta * hp],
-        [0j, 0j, -ie * phase, 0j, dm, cm, beta * dp, beta * cp],
-        # value and derivative of the pure quaternionic part at xi = lam
-        [0j, 0j, 0j, -decay, gamma * cm, gamma * hm, cp, hp],
-        [0j, 0j, 0j, eps * decay, gamma * dm, gamma * cm, dp, cp],
-    ]
-    rhs = [1 + 0j, ie, 0j, 0j, 0j, 0j, 0j, 0j]
-    if xp is cmath:
-        return np.array(rows, dtype=complex), np.array(rhs, dtype=complex)
-    return complex_stack(rows), complex_stack([[x] for x in rhs])
+    u = beta * gamma
+    # the cosh pair: P(am)*A + beta*P(ap)*At = ie and gamma*U(am)*A + U(ap)*At = 0
+    ratio = (dm + eps * cm) / (dp + eps * cp)
+    a = ie / (ie * cm - dm - u * (ie * cp - dp) * ratio)
+    at = -gamma * ratio * a
+    # the shc pair: Q(am)*B + beta*Q(ap)*Bt = ie and gamma*V(am)*B + V(ap)*Bt = 0
+    ratio = (cm + eps * hm) / (cp + eps * hp)
+    b = ie / (cm - ie * hm - u * (cp - ie * hp) * ratio)
+    bt = -gamma * ratio * b
+    lo_left, lo_right = cm * a - hm * b, cm * a + hm * b
+    hi_left, hi_right = cp * at - hp * bt, cp * at + hp * bt
+    return (lo_left + beta * hi_left - 1.0, gamma * lo_left + hi_left,
+            (lo_right + beta * hi_right) * xp.exp(-ie * lam), (gamma * lo_right + hi_right) / xp.exp(-eps * lam),
+            a, b, at, bt)
 
 
 def solve(eps, b):
     """Solve the eight-equation continuity system for the eight amplitudes.
 
-    The inverse is applied to the right-hand side: `np.linalg.solve` is
-    faster but moves the last bits of the amplitudes.
-
-    A float eps with one barrier b gives one ScatteringAmplitudes.  A
-    batch, a float ndarray eps with the BarrierColumns b of its points
-    (checked by `barrier.batch`), gives an (n, 8) complex ndarray, one row
-    per point in the field order of ScatteringAmplitudes.  It assembles its
-    systems with numpy, in blocks of `blocks(n, 64)` points, and applies
-    one stacked inverse per block.  Its rows agree with the single calls'
-    to ~1e-14 away from the degeneracy band, tt and the interior
-    coefficients relatively: numpy's and cmath's complex functions differ
-    in the last bits.  Its errors are the single calls': each point whose
-    amplitudes come out non-finite, and each point of a block that holds an
-    exactly singular matrix, is replayed through a single call in order, so
-    the batch raises the error of the first point whose single call raises,
-    and a replayed point that answers takes its value, as in
-    `closed_form.transmission`.
+    Exactly, by the two 2x2 eliminations of the parity split (module
+    docstring).  A float eps with one barrier b gives one
+    ScatteringAmplitudes.  A batch, a float ndarray eps with the
+    BarrierColumns b of its points (checked by `barrier.batch`), gives an
+    (n, 8) complex ndarray, one row per point in the field order of
+    ScatteringAmplitudes, computed by the same body with numpy in blocks of
+    `blocks(n, 8)` points.  Its rows agree with the single calls' to ~1e-14
+    away from the degeneracy band, tt and the interior coefficients
+    relatively: numpy's and cmath's complex functions differ in the last
+    bits.  Its errors are the single calls': each point whose amplitudes
+    come out non-finite, or that is beyond reach, is replayed through a
+    single call in order, so the batch raises the error of the first point
+    whose single call raises, and a replayed point that answers takes its
+    value, as in `closed_form.transmission`.
 
     Raises:
         DegenerateEnergyError: from `wave_params`.
-        SingularSystemError: if the inverse of a point's matrix fails.
+        SingularSystemError: where a division of the elimination is by 0
+            (exp(-eps*lam) underflows, or a pivot vanishes), or where
+            max(eps, min(1, lam)) is subnormal, below the reach of float
+            arithmetic; that is the oracle's reach rule.
         ValueError: from `barrier.batch`.
     """
     if isinstance(b, AdimensionalBarrier):
-        mat, rhs = _assemble(wave_params(eps, b), b.lam)
+        p = wave_params(eps, b)
         try:
-            inverse = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(f"the continuity system is singular to working precision at "
-                                      f"eps={eps!r}, lam={b.lam!r}") from None
-        # the unknowns are ordered as the fields: (R, Rt, T, Tt, A, B, At, Bt)
-        return ScatteringAmplitudes(*(inverse @ rhs).tolist())
+            if max(eps, min(1.0, b.lam)) >= sys.float_info.min:
+                return ScatteringAmplitudes(*_amplitudes(p, b.lam))
+        except ZeroDivisionError:
+            pass
+        raise SingularSystemError(f"the continuity system is singular to working precision at "
+                                  f"eps={eps!r}, lam={b.lam!r}") from None
     eps, b = batch(eps, b)
     x = np.empty((len(eps), 8), dtype=complex)
-    for block in blocks(len(eps), 64):
+    for block in blocks(len(eps), 8):
         with np.errstate(all="ignore"):
-            mat, rhs = _assemble(wave_params(eps[block], b.part(block)), b.lam[block])
-            try:
-                x[block] = (np.linalg.inv(mat) @ rhs)[..., 0]
-            except np.linalg.LinAlgError:
-                x[block] = np.nan
-    for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist():
+            x[block] = np.stack(_amplitudes(wave_params(eps[block], b.part(block)), b.lam[block]), axis=-1)
+    replay = ~np.isfinite(x).all(axis=1) | ~(np.maximum(eps, np.minimum(1.0, b.lam)) >= sys.float_info.min)
+    for i in np.flatnonzero(replay).tolist():
         x[i] = solve(float(eps[i]), b.barrier(i))
     return x
 

@@ -115,7 +115,7 @@ class TestPoint:
         assert "critical" in err
 
     def test_singular_continuity_system_exits_5_naming_the_point(self, capsys):
-        # a valid thick well: numpy cannot invert its 8x8 (formerly exit 2, "Singular matrix")
+        # a valid thick well where exp(-eps*lam) underflows to 0 (formerly exit 2, "Singular matrix")
         code, out, err = run(
             ["point", "--vc", "-0.9139725352895285", "--vq", "0.4057760524432554",
              "--eps", "2.8585921603787865", "--lambda", "261.980135469727"],
@@ -124,6 +124,16 @@ class TestPoint:
         assert (code, out) == (5, "")
         assert err == ("error: the continuity system is singular to working precision at "
                        "eps=2.8585921603787865, lam=261.980135469727\n")
+
+    def test_subnormal_energy_and_width_exit_5_printing_no_nan(self, capsys):
+        # max(eps, min(1, lam)) is subnormal: formerly exit 0 with four nan lines
+        code, out, err = run(
+            ["point", "--vc", "0.6", "--vq", "0.8", "--theta", "0.3", "--eps", "1e-320", "--lambda", "1e-321"],
+            capsys,
+        )
+        assert (code, out) == (5, "")
+        assert err == ("error: the continuity system is singular to working precision at "
+                       "eps=1e-320, lam=1e-321\n")
 
 
 class TestSweep:

@@ -16,7 +16,7 @@ from qbarrier.cli import main
 
 README_COMMANDS = [
     pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3"],
-                 "f5687fab38b659e7359cb618609a1b99605c1465fb267fc64c1f6b516662f1c1", id="point"),
+                 "c3b19359b6f5c03fa55eb92b8a6b2d9ef9aa0fbf8020e54ac19b7e16ff523fff", id="point"),
     pytest.param(["point", "--physical", "1", "0", "0", "9.42477796", "1", "1", "2"],
                  "f2689b2899eb595febfb277b2604bcd2a4dec3c3b44fcbb4d98031a34e4ff910", id="point-physical"),
     pytest.param(["sweep", "--mode", "energy", "--fixed-pi", "3", "--start", "1.001", "--stop", "1.5",
@@ -31,7 +31,7 @@ README_COMMANDS = [
     pytest.param(["critical", "--case", "c", "--lambda", "0.1", "--series"],
                  "f7fc29fe98f33c4e89b2353d5da86704235609b8a5c8171e4be2079c87d0357e", id="critical-c-series"),
     pytest.param(["verify", "--seed", "42", "--samples", "500"],
-                 "b5c4d7aa6c4a793c3253e2c1ced121cf8b889a8638827136f7ea8ad7e8df3f44", id="verify"),
+                 "0518025986475a0e7a96a2388cc3b574dd518d2e33e44d72dbb2aa7abeee8c57", id="verify"),
 ]
 
 #: each sweep mode in the format its README command does not use
@@ -66,7 +66,7 @@ JSON_REPORTS = [
                  id="resonances-width-json"),
     pytest.param(["point", "--vc", "0", "--vq", "1", "--theta", "0", "--eps", "1.2", "--lambda", "3",
                   "--format", "json"],
-                 "7c63cf45083cdfc4c50e0f4b280c5cdf4b45ca4b8fd0e9c6f1516fad9011e257", id="point-json"),
+                 "99cca671f2e49e27e7b3851c110b3ca42a6b2fc7be487f625ddc593c4a1d410b", id="point-json"),
     pytest.param(["point", "--vc", "0", "--vq", "1", "--eps", "1.2", "--lambda", "0", "--format", "json"],
                  "4e2946f30c83a652789b40823109b957c25d3486263d32f07cc60205539a718d",
                  id="point-free-json"),

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qbarrier import (
 )
 from qbarrier import barrier
 from tests.conftest import as_columns, circle_points, near_band_points, random_points
+from tests.mp_reference import _solve as referee_solve, reference_amplitudes
 from tests.quaternion_reference import current_density, wavefunction
 
 SQRT2 = math.sqrt(2.0)
@@ -128,6 +131,38 @@ def test_singular_system_is_a_typed_error_naming_eps_and_lam():
     assert single.value.__cause__ is None and single.value.__suppress_context__
     with pytest.raises(SingularSystemError, match=message):
         solve(*as_columns([(1.2, AdimensionalBarrier(0.6, 0.8, 0.0, 2.0)), SINGULAR]))
+
+
+@pytest.mark.parametrize("eps", (1e-300, 1e-308, 1e-315, 1e-320))
+def test_subnormal_corner_raises_or_matches_the_referee(eps):
+    # where max(eps, min(1, lam)) is subnormal the elimination's products lose
+    # their digits: unguarded, r came out 1.0e-4 off at (1e-320, 1e-321)
+    for lam in (1e-321, 1e-310, 1e-300, 1e-5, 1.0):
+        b = AdimensionalBarrier(0.6, 0.8, 0.3, lam)
+        if max(eps, min(1.0, lam)) < sys.float_info.min:
+            with pytest.raises(SingularSystemError, match=f"at eps={eps!r}, lam={lam!r}$"):
+                solve(eps, b)
+            continue
+        amps = solve(eps, b)
+        with mp.workdps(700):
+            e, x = mp.mpf(eps), mp.mpf(lam)
+            ref = referee_solve(e, *(mp.mpf(v) for v in (b.vc, b.vq, b.theta)), x)
+            expected = [complex(ref[0]), complex(ref[1]), complex(ref[2]), complex(ref[3] / mp.exp(-e * x))]
+        assert max(abs(got - want) for got, want in zip(amps[:4], expected)) <= 1e-12
+
+
+def test_subnormal_far_edge_answers_within_the_referee_bounds():
+    # exp(-eps*lam) is subnormal at both points; an 8x8 inverse gave NaN amplitudes there
+    eps, b = 2.1021822336711904, AdimensionalBarrier(0.6340216963215551, 0.773315258218495, 0.0, 337.8353281372142)
+    amps, (r, rt, t, tt) = solve(eps, b), reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)
+    assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= 1e-12
+    assert abs(amps.tt - tt) <= 1e-12 * abs(tt)  # |tt| ~ 1.7e307
+    # here eps*lam = 738 > 709.78: Tt overflows, as in the referee, and the rest answer
+    eps, b = 2.147607631019172, AdimensionalBarrier(0.36428521531694785, 0.9312874324833794,
+                                                    2.8591809043318683, 343.74242370026275)
+    amps, (r, rt, t, _) = solve(eps, b), reference_amplitudes(eps, b.vc, b.vq, b.theta, b.lam)
+    assert max(abs(amps.r - r), abs(amps.rt - rt), abs(amps.t - t)) <= 1e-12
+    assert not cmath.isfinite(amps.tt)
 
 
 def test_threshold_rejected():
@@ -261,13 +296,15 @@ IN_BAND = (1.0, AdimensionalBarrier(0.0, 1.0, 0.0, 1.0))
 BAD_EPS = (-1.0, AdimensionalBarrier(0.6, 0.8, 0.4, 2.0))
 NAN_EPS = (math.nan, AdimensionalBarrier(-0.6, 0.8, 0.0, 2.0))
 HUGE_EPS = (1e100, AdimensionalBarrier(0.6, 0.8, 0.0, 1.0))  # eps**4 overflows
-#: a thick point whose 8x8 matrix is singular to working precision
+#: max(eps, min(1, lam)) is subnormal, though the batch's numpy amplitudes come out finite
+SUBNORMAL = (1e-308, AdimensionalBarrier(0.6, 0.8, 0.3, 1e-310))
+#: a thick point where exp(-eps*lam) underflows to 0, so the elimination divides by 0
 SINGULAR = (2.334319072789119, AdimensionalBarrier(vc=0.9820200615065194, vq=0.18877658434967992,
                                                    theta=2.5377065090912856, lam=338.13961788764976))
 
 
 class TestBatch:
-    """`solve` over columns: numpy assembly, one stacked inverse per block, the single calls' errors."""
+    """`solve` over columns: the single calls' body with numpy, in blocks, and the single calls' errors."""
 
     def test_agrees_with_the_single_calls(self):
         # measured over 20 seeds of 1000 such points: r, rt and t within 8.3e-15,
@@ -295,11 +332,12 @@ class TestBatch:
     def test_split_into_blocks_keeps_its_words(self, monkeypatch):
         pts = circle_points(seed=32, n=30)
         whole = solve(*as_columns(pts))
-        monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 64)  # four 8x8 systems per block
+        monkeypatch.setattr(barrier, "MAX_ENTRIES", 4 * 8)  # four points per block
         assert np.array_equal(solve(*as_columns(pts)).view(np.uint64), whole.view(np.uint64))
 
-    @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, HUGE_EPS, SINGULAR),
-                             ids=("band", "negative-eps", "nan-eps", "eps-fourth-power-overflow", "singular"))
+    @pytest.mark.parametrize("bad", (IN_BAND, BAD_EPS, NAN_EPS, HUGE_EPS, SINGULAR, SUBNORMAL),
+                             ids=("band", "negative-eps", "nan-eps", "eps-fourth-power-overflow", "singular",
+                                  "subnormal"))
     def test_raises_what_the_single_call_raises(self, bad):
         with pytest.raises(Exception) as single:
             solve(*bad)

@@ -86,10 +86,14 @@ MUTANTS = {
     "cli exit 5 -> 2": ("src/qbarrier/cli.py", "return 5", "return 2"),
     "cli exit 3 -> 2": ("src/qbarrier/cli.py", "return 3 if isinstance", "return 2 if isinstance"),
     "cli exit 4 -> 2": ("src/qbarrier/cli.py", "return 4", "return 2"),
-    # solve's refusal where the inverse of a point's matrix fails
-    "solve lets LinAlgError through": (
-        "src/qbarrier/solver.py", "except np.linalg.LinAlgError:\n            raise SingularSystemError",
-        "except ZeroDivisionError:\n            raise SingularSystemError"),
+    # solve's parity split, and its refusals where a division is by 0 or the point is beyond reach
+    "solve lets ZeroDivisionError through": (
+        "src/qbarrier/solver.py", "except ZeroDivisionError:", "except ValueError:"),
+    "solve cosh-pair combination sign": ("src/qbarrier/solver.py", "ie * cm - dm", "ie * cm + dm"),
+    "solve reach guard dropped": (
+        "src/qbarrier/solver.py", "if max(eps, min(1.0, b.lam)) >= sys.float_info.min:", "if True:"),
+    "solve batch reach mask dropped": (
+        "src/qbarrier/solver.py", " | ~(np.maximum(eps, np.minimum(1.0, b.lam)) >= sys.float_info.min)", ""),
     # a batch's length check
     "batch length check skipped": (
         "src/qbarrier/barrier.py", "if np.ndim(c) and np.shape(c) != eps.shape:", "if False:"),
