@@ -41,7 +41,7 @@ UNIT_CIRCLE_TOL = 1e-12
 #: and most rows or samples a resonance table or `verify` run may hold
 MAX_GRID_POINTS = 1_000_000
 
-#: below this |a*x| `shc` sums its Taylor series instead of dividing sinh(a*x) by a
+#: below this |a*x| `cosh_shc` sums its Taylor series instead of dividing sinh(a*x) by a
 SHC_SERIES_BELOW = 1e-3
 
 #: complex entries of a matrix stack built in one piece (16 MiB): a batch as
@@ -234,23 +234,6 @@ def blocks(n: int, entries: int) -> list[slice]:
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
-def complex_stack(rows) -> np.ndarray:
-    """(n, r, c) complex stack from r nested rows of c entries, each a length-n ndarray or a scalar.
-
-    The array form of `np.array(rows, dtype=complex)`: scalars broadcast
-    against the arrays, so element [k] is that matrix at the k-th point.
-    Each entry is written into a contiguous row of an (r, c, n) buffer, and
-    the stack is that buffer's transposed view, not a C-contiguous array.
-    """
-    n = next(len(x) for row in rows for x in row if isinstance(x, np.ndarray))
-    out = np.zeros((len(rows), len(rows[0]), n), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, np.ndarray) or x != 0:  # the buffer starts as zeros
-                out[i, j] = x
-    return out.transpose(2, 0, 1)
-
-
 class WaveParams(NamedTuple):
     """Derived complex quantities for one (eps, barrier) pair, or ndarrays over a grid or a batch."""
 
@@ -277,25 +260,27 @@ def adimensionalize(spec: BarrierSpec) -> tuple[AdimensionalBarrier, float]:
     return barrier, math.sqrt(spec.energy / v0)
 
 
-def shc(a, x):
-    """sinh(a*x)/a, an entire function of a**2 that equals x at a = 0.
+def cosh_shc(a, x):
+    """(cosh(a*x), shc(a, x)) from one z = a*x, with shc(a, x) = sinh(a*x)/a.
 
-    Below |a*x| = SHC_SERIES_BELOW it sums x*(1 + z**2/6*(1 + z**2/20)),
-    z = a*x, whose first omitted term is z**6/5040 of x.  Like `wave_params`,
-    one body serves floats (cmath) and ndarrays (numpy, broadcast); on an
-    ndarray the series is summed only at the elements below the switch, and
-    only if there are any.
+    Both are entire functions of a**2, and shc equals x at a = 0.  Below
+    |z| = SHC_SERIES_BELOW shc sums x*(1 + z**2/6*(1 + z**2/20)), whose
+    first omitted term is z**6/5040 of x.  Every route takes a mode's
+    hyperbolic pair here.  Like `wave_params`, one body serves floats
+    (cmath) and ndarrays (numpy, broadcast); on an ndarray the series is
+    summed only at the elements below the switch, and only if there are
+    any.
     """
     if not (isinstance(a, np.ndarray) or isinstance(x, np.ndarray)):
         z = a * x
-        return _shc_series(z, x) if abs(z) < SHC_SERIES_BELOW else cmath.sinh(z) / a
+        return cmath.cosh(z), (_shc_series(z, x) if abs(z) < SHC_SERIES_BELOW else cmath.sinh(z) / a)
     with np.errstate(all="ignore"):  # a*x may overflow; 0/0 at a = 0, overwritten by the series
         z = a * x
-        out = np.sinh(z) / a
+        c, s = np.cosh(z), np.sinh(z) / a
     small = abs(z) < SHC_SERIES_BELOW
     if small.any():
-        out[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
-    return out
+        s[small] = _shc_series(z[small], np.broadcast_to(x, z.shape)[small])
+    return c, s
 
 
 def _shc_series(z, x):
@@ -317,7 +302,7 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
 
     At the threshold eps = 1 a barrier (vc > 0) has alpha_minus = 0 and a
     well (vc < 0) alpha_plus = 0.  That is a regular point: every route
-    enters a wave number through cosh(a*x) and `shc`, both entire in a**2.
+    enters a wave number through `cosh_shc`, whose pair is entire in a**2.
 
     Raises (float eps):
         ValueError: unless eps is finite, > 0 and < EPS_LIMIT.

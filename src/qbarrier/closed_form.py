@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, wave_params
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def denominator_factored(p: WaveParams, lam):
 
         F(a) = (2*c + i*(a**2-e2)*s, 2*c + (e2+a**2)*s, (1+i)*c + (e2+i*a**2)*s)
 
-    with c = cosh(a*L), s = shc(a, L)/e and shc(a, L) = sinh(a*L)/a.  Each
-    factor is entire in a**2, so D is regular at the threshold eps = 1,
-    where am (barrier) or ap (well) is 0.
+    with c = cosh(a*L), s = shc(a, L)/e and shc(a, L) = sinh(a*L)/a, the
+    pair `barrier.cosh_shc` gives.  Each factor is entire in a**2, so D is
+    regular at the threshold eps = 1, where am (barrier) or ap (well) is 0.
 
     The raw element combination subtracts exp(2*ap*L)-sized products down
     to an O(exp(ap*L)) result, losing |beta*gamma|*exp(ap*L)*ulp of
@@ -73,14 +73,10 @@ def denominator_factored(p: WaveParams, lam):
     """
     eps = p.eps
     am, ap = p.alpha_minus, p.alpha_plus
-    xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
-    u = p.beta * p.gamma
     e2 = eps * eps
-    dm, em, pm = _factors(am, xp.cosh(am * lam), shc(am, lam) / eps, e2)
-    dp, ep, pp = _factors(ap, xp.cosh(ap * lam), shc(ap, lam) / eps, e2)
-    num = dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u
-    den = (1.0 - u) * (ep - u * em)
-    return num / den
+    cm, hm = cosh_shc(am, lam)
+    cp, hp = cosh_shc(ap, lam)
+    return _combine(_factors(am, cm, hm / eps, e2), _factors(ap, cp, hp / eps, e2), p.beta * p.gamma)[0]
 
 
 def denominator_slope(p: WaveParams, lam):
@@ -95,17 +91,15 @@ def denominator_slope(p: WaveParams, lam):
     """
     eps = p.eps
     am, ap = p.alpha_minus, p.alpha_plus
-    xp = np if isinstance(am, np.ndarray) or isinstance(lam, np.ndarray) else cmath
     u = p.beta * p.gamma
     e2 = eps * eps
-    cm, hm = xp.cosh(am * lam), shc(am, lam)
-    cp, hp = xp.cosh(ap * lam), shc(ap, lam)
-    dm, em, pm = _factors(am, cm, hm / eps, e2)
-    dp, ep, pp = _factors(ap, cp, hp / eps, e2)
+    cm, hm = cosh_shc(am, lam)
+    cp, hp = cosh_shc(ap, lam)
+    dm, em, pm = fm = _factors(am, cm, hm / eps, e2)
+    dp, ep, pp = fp = _factors(ap, cp, hp / eps, e2)
     dm1, em1, pm1 = _factors(am, am * am * hm, cm / eps, e2)
     dp1, ep1, pp1 = _factors(ap, ap * ap * hp, cp / eps, e2)
-    den = (1.0 - u) * (ep - u * em)
-    d = (dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u) / den
+    d, den = _combine(fm, fp, u)
     num1 = dm1 * ep + dm * ep1 + u * u * (dp1 * em + dp * em1) + 2j * u * (pm1 * pp + pm * pp1)
     return d, (num1 - d * (1.0 - u) * (ep1 - u * em1)) / den
 
@@ -114,6 +108,14 @@ def _factors(a, c, s, e2):
     """F(a) of `denominator_factored`, a mode's factors (D, E, P), at c and s, which enter linearly."""
     return (2.0 * c + 1j * (a * a - e2) * s, 2.0 * c + (e2 + a * a) * s,
             (1.0 + 1j) * c + (e2 + 1j * a * a) * s)
+
+
+def _combine(fm, fp, u):
+    """(D, (1-u)*(Ep - u*Em)) of `denominator_factored`, from the modes' factors fm = F(am) and fp = F(ap)."""
+    dm, em, pm = fm
+    dp, ep, pp = fp
+    den = (1.0 - u) * (ep - u * em)
+    return (dm * ep + u * u * dp * em + 2j * u * pm * pp - 4.0 * u) / den, den
 
 
 def _amplitude(p: WaveParams, lam):
@@ -133,7 +135,7 @@ def transmission(eps, b):
     a float ndarray eps with the BarrierColumns b of its points (checked by
     `barrier.batch`), gives the complex ndarray of their T, from numpy
     evaluations of the same body in blocks of `barrier.blocks(n, 64)`
-    points, as `solver.solve` takes them, so its temporaries stay bounded.
+    points, so its temporaries stay bounded.
     Its values agree with the single calls' to ~1e-14 away from the
     degeneracy band (numpy's and cmath's complex functions differ in the
     last bits), and its errors are theirs: after the last block, each point

@@ -1,7 +1,7 @@
 """Exact amplitudes at the diffusion/tunneling threshold eps = 1.
 
 At eps = 1 a barrier's alpha_minus vanishes.  The general routes answer
-there (see `barrier.shc`) unless the point is also degenerate, as it is
+there (see `barrier.cosh_shc`) unless the point is also degenerate, as it is
 for vq = 1.  The two extreme barriers admit exact elementary solutions,
 and in both the interior complex part is one cubic in xi,
     phi(xi) = a*xi**3 + b*xi**2 + c*xi + d,   c = i*(1 - R),   d = 1 + R,

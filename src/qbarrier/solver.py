@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, shc, wave_params
+from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, wave_params
 from .errors import SingularSystemError
 
 
@@ -88,8 +88,8 @@ def _amplitudes(p: WaveParams, lam) -> tuple:
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
     half = 0.5 * lam
-    cm, hm = xp.cosh(am * half), shc(am, half)
-    cp, hp = xp.cosh(ap * half), shc(ap, half)
+    cm, hm = cosh_shc(am, half)
+    cp, hp = cosh_shc(ap, half)
     dm, dp = am * am * hm, ap * ap * hp
     ie = 1j * eps
     u = beta * gamma

@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .barrier import WaveParams, complex_stack, require_finite, shc
+from .barrier import WaveParams, cosh_shc, require_finite
 
 #: Taylor terms of exp(-A*h) after scaling: B**0 ... B**25 of B = -A*h,
 #: as the powers (h**2*K)**j, j = 0 ... 12, of the even and the odd series
@@ -74,8 +74,8 @@ _C_EYE = _C_LOW[0] * _EYE
 
 def _mode_block(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """X(a) of the module docstring: one mode's 2x2 blocks at ndarrays a and lam of n points, an (n, 2, 2) stack."""
-    c, s = np.cosh(a * lam), shc(a, lam)
-    return complex_stack([[c, -s], [-a * a * s, c]])
+    c, s = cosh_shc(a, lam)
+    return np.array([[c, -s], [-a * a * s, c]]).transpose(2, 0, 1)
 
 
 def transfer_closed(p: WaveParams, lam) -> np.ndarray:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from qbarrier import AdimensionalBarrier, ScatteringAmplitudes, WaveParams
-from qbarrier.barrier import shc
+from qbarrier.barrier import cosh_shc
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def wavefunction(
             raise ValueError("interior coefficients are required inside the barrier")
         am, ap = p.alpha_minus, p.alpha_plus
         s = xi - 0.5 * b.lam
-        cm, hm = cmath.cosh(am * s), shc(am, s)
-        cp, hp = cmath.cosh(ap * s), shc(ap, s)
+        cm, hm = cosh_shc(am, s)
+        cp, hp = cosh_shc(ap, s)
         low = amps.a * cm + amps.b * hm
         dlow = amps.a * am * am * hm + amps.b * cm
         high = amps.at * cp + amps.bt * hp

@@ -67,7 +67,7 @@ class Erratum(NamedTuple):
 
 
 # Three printed location digits are not the correctly rounded extremum.
-# The closed formula (scan_peaks), the direct 8x8 solve and the integrator
+# The closed formula (scan_peaks), the direct solve and the integrator
 # each locate these peaks by golden section on their own |T|^2; the three agree
 # to 1e-6 and all round to the corrected digit
 # (test_errata_located_by_direct_solve repeats this with solve).  The other
@@ -211,7 +211,7 @@ def _golden_section_max(f, a, b, tol=1e-9):
 
 
 def test_errata_located_by_direct_solve():
-    """Each erratum's peak, found on the 8x8 solve's own |T|^2, rounds to the
+    """Each erratum's peak, found on the direct solve's own |T|^2, rounds to the
     corrected digit, matches scan_peaks to 1e-6 and is off the printed digit."""
     found = {"energy": _scan_energy_table(), "width": _scan_width_table()}
     for (tag, (vc, vq), col), erratum in ERRATA.items():

@@ -26,7 +26,7 @@ from qbarrier import (
     transmission,
     wave_params,
 )
-from qbarrier.barrier import DEGENERACY_TOL, EPS_LIMIT, MAX_GRID_POINTS, BarrierColumns, batch, columns, shc, uniform_grid
+from qbarrier.barrier import DEGENERACY_TOL, EPS_LIMIT, MAX_GRID_POINTS, BarrierColumns, batch, columns, cosh_shc, uniform_grid
 from qbarrier.cli import run_sweep
 from qbarrier.verify import run_all
 
@@ -284,20 +284,23 @@ class TestWaveParams:
 
 class TestShc:
     def test_zero_wave_number_gives_the_width(self):
-        assert shc(0j, 2.5) == 2.5
-        assert shc(np.zeros(3, dtype=complex), np.array([0.0, 1e-8, 40.0])).tolist() == [0.0, 1e-8, 40.0]
+        # the pair (cosh, shc) is (1, x) at a = 0
+        assert cosh_shc(0j, 2.5) == (1.0, 2.5)
+        c, s = cosh_shc(np.zeros(3, dtype=complex), np.array([0.0, 1e-8, 40.0]))
+        assert (c.tolist(), s.tolist()) == ([1.0, 1.0, 1.0], [0.0, 1e-8, 40.0])
 
     def test_series_and_sinh_meet_at_the_switch(self):
-        # both sides of |a*x| = 1e-3, against 50-digit sinh(a*x)/a
+        # both sides of |a*x| = 1e-3, against 50-digit cosh(a*x) and sinh(a*x)/a
         for phase in (0.0, 0.5 * math.pi, 0.3):
             for z in (3e-4, 9.99e-4, 1e-3, 1.01e-3, 3e-3):
                 a, x = 0.7 * cmath.exp(1j * phase), z / 0.7
                 with mp.workdps(50):
-                    want = complex(mp.sinh(mp.mpc(a) * x) / mp.mpc(a))
-                got = shc(a, x)
-                assert abs(got - want) <= 4e-16 * abs(want), (phase, z)
-                grid = shc(np.array([a, a]), np.array([x, 2.0 * x]))
-                assert abs(grid[0] - got) <= 4e-16 * abs(got)  # numpy's and cmath's last bits
+                    want = (complex(mp.cosh(mp.mpc(a) * x)), complex(mp.sinh(mp.mpc(a) * x) / mp.mpc(a)))
+                got = cosh_shc(a, x)
+                grid = cosh_shc(np.array([a, a]), np.array([x, 2.0 * x]))
+                for w, g, row in zip(want, got, grid):
+                    assert abs(g - w) <= 4e-16 * abs(w), (phase, z)
+                    assert abs(row[0] - g) <= 4e-16 * abs(g)  # numpy's and cmath's last bits
 
 
 @given(

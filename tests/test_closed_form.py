@@ -18,7 +18,7 @@ from qbarrier import (
     wave_params,
 )
 from qbarrier import barrier
-from qbarrier.barrier import SHC_SERIES_BELOW, BarrierColumns, shc
+from qbarrier.barrier import SHC_SERIES_BELOW, BarrierColumns, cosh_shc
 from qbarrier.closed_form import denominator_factored, denominator_slope
 from qbarrier.ode_oracle import oracle_amplitudes
 from tests.complex_reference import complex_probability, complex_t
@@ -260,7 +260,8 @@ def test_grid_matches_scalar_in_both_broadcast_directions(vc, vq):
 
 
 def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
-    # small, large and zero a, against the formula that sums the series everywhere
+    # small, large and zero a, against the formula that sums the series everywhere;
+    # the pair's cosh is cosh(a*x) at every element
     a = np.array([0.0, 1e-9, 2e-4 + 3e-4j, 4e-4j, 0.3, 2.0 - 1.0j, 1e-3, 25.0j, 0.0])
     x = np.array([[0.0], [0.7], [2.5]])
     z = a * x
@@ -268,7 +269,8 @@ def test_array_shc_takes_the_series_only_below_the_switch(warnings_are_errors):
     series = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
     want = np.where(small, series, np.sinh(z) / np.where(small, 1.0, a))
     assert small.any() and not small.all()
-    assert np.array_equal(bits(shc(a, x)), bits(want))
+    c, s = cosh_shc(a, x)
+    assert np.array_equal(bits(c), bits(np.cosh(z))) and np.array_equal(bits(s), bits(want))
 
 
 SHC_ROWS = {
@@ -282,17 +284,20 @@ SHC_ROWS = {
 
 @pytest.mark.parametrize("a, x", SHC_ROWS.values(), ids=SHC_ROWS.keys())
 def test_array_shc_is_the_elementwise_rule(a, x, warnings_are_errors):
-    # each element: the series below |a*x| = SHC_SERIES_BELOW, sinh(a*x)/a at and above it
-    # (NaN at a NaN a*x), evaluated one element at a time; no warning escapes
-    want = np.empty_like(a)
+    # each element: cosh(a*x), and the series below |a*x| = SHC_SERIES_BELOW, sinh(a*x)/a
+    # at and above it (NaN at a NaN a*x), evaluated one element at a time; no warning escapes
+    want_c, want = np.empty_like(a), np.empty_like(a)
     for i, ai in enumerate(a):
         z = ai * x
+        with np.errstate(all="ignore"):
+            want_c[i] = np.cosh(z)
         if abs(z) < SHC_SERIES_BELOW:
             want[i] = x * (1.0 + z * z / 6.0 * (1.0 + z * z / 20.0))
         else:
             with np.errstate(all="ignore"):
                 want[i] = np.sinh(z) / ai
-    assert np.array_equal(bits(shc(a, x)), bits(want))
+    c, s = cosh_shc(a, x)
+    assert np.array_equal(bits(c), bits(want_c)) and np.array_equal(bits(s), bits(want))
 
 
 def test_array_shc_rows_cover_what_they_name():

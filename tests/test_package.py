@@ -8,6 +8,8 @@ from pathlib import Path
 import qbarrier
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+#: what only `barrier.cosh_shc` may use: the hyperbolic functions and the series switch
+HYPERBOLIC = {"cosh", "sinh", "SHC_SERIES_BELOW"}
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -36,3 +38,19 @@ def test_readme_library_example_runs():
     section = text[text.index("## Library example"):]
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def hyperbolic_uses(path):
+    """(module, line, name) of each use of a HYPERBOLIC name in the module at path, outside `barrier.cosh_shc`."""
+    tree = ast.parse(path.read_text())
+    inside = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and (path.stem, f.name) == ("barrier", "cosh_shc") for node in ast.walk(f)}
+    named = ((node, getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None))
+             for node in ast.walk(tree) if id(node) not in inside)
+    return [(path.stem, node.lineno, name) for node, name in named
+            if name in HYPERBOLIC and not isinstance(getattr(node, "ctx", None), ast.Store)]
+
+
+def test_one_function_forms_the_hyperbolic_pair():
+    # every route takes cosh(a*x) and sinh(a*x)/a from barrier.cosh_shc, which alone holds the series switch
+    assert [use for path in sorted(Path(qbarrier.__file__).parent.glob("*.py")) for use in hyperbolic_uses(path)] == []

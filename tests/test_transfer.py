@@ -18,7 +18,7 @@ from qbarrier import (
     transfer_numeric,
     wave_params,
 )
-from qbarrier.barrier import BarrierColumns, shc
+from qbarrier.barrier import BarrierColumns, cosh_shc
 from qbarrier.transfer import _k_block, _squarings
 from tests.conftest import as_columns, random_points, split_matrix
 
@@ -162,7 +162,7 @@ def test_array_kernels_warn_nowhere_their_entries_are_not_finite():
     cols = BarrierColumns(*(np.array(x) for x in ([0.6, 0.6], [0.8, 0.8], [0.3, 0.3], [800.0, 2.0])))
     calls = {
         "transfer_closed": lambda: transfer_closed(wave_params(eps, cols), cols.lam),
-        "shc": lambda: shc(np.array([1e300 + 0j, 1.0]), 1e10),
+        "cosh_shc": lambda: np.array(cosh_shc(np.array([1e300 + 0j, 1.0]), 1e10)),
         "transfer_numeric": lambda: transfer_numeric(eps, cols),
         "wave_params": lambda: np.array(wave_params(np.array([1.2, math.sqrt(0.8)]), cols)[1:]),
     }

@@ -42,10 +42,13 @@ OverflowError, an energy grid whose first failing point depends on the
 order of potentials and grid points, a width grid that starts at a
 negative width, and an energy grid of 70,001 points for two potentials,
 longer than one closed-form block and one writer piece; their exit codes,
-stderr and the sha256 of their output are compared.  `shc` takes 40
-seeded complex arrays with |a*x| on both sides of its series switch, each
-holding a 0 and a NaN, one array wholly below the switch, one
-broadcast pair and one array whose a*x overflows.  Each
+stderr and the sha256 of their output are compared.  The hyperbolic
+pair takes 40 seeded complex arrays with |a*x| on both sides of its
+series switch, each holding a 0 and a NaN, one array wholly below the
+switch, one broadcast pair and one array whose a*x overflows: its shc
+half is `cosh_shc(a, x)[1]`, or `shc(a, x)` in a tree that has it, and
+its cosh half `cosh_shc(a, x)[0]`, or `np.cosh(a*x)` in a tree without
+`cosh_shc`, as each route there formed it.  Each
 source tree is evaluated in its own subprocess.  Numbers are compared as
 uint64 words, None and strings as they are, and a raised exception by its
 type and message.  Prints one count line per function and exits 1 on any
@@ -101,7 +104,7 @@ ENERGY_AXIS = 0.05 + 0.01 * np.arange(296)  # eps from 0.05 to 3.0
 WIDTH_AXIS = 0.05 * np.arange(1001)  # lam from 0 to 50
 SWEEP_JITTERS = 3  # jittered copies of each README sweep
 SWEEP_POTENTIALS = 4  # seeded potentials of the well and theta sweeps
-SHC_ROWS = 40  # seeded shc rows of 2-400 elements
+SHC_ROWS = 40  # seeded rows of 2-400 elements for the hyperbolic pair
 #: the eight amplitudes of a `solve` result
 amplitudes = operator.attrgetter("r", "rt", "t", "tt", "a", "b", "at", "bt")
 #: what a `TransmissionResult` gives
@@ -202,7 +205,7 @@ def split_exponential(split_ode, transfer_numeric, eps, b):
 
 
 def shc_arrays():
-    """(a, x) of each seeded `shc` row, the same on every call.
+    """(a, x) of each seeded row of the hyperbolic pair, the same on every call.
 
     a is complex with |a| log-uniform in [1e-9, 1e3] and x = U(0, 3), so
     |a*x| falls on both sides of the series switch; each row holds a 0 and a
@@ -218,6 +221,13 @@ def shc_arrays():
     small = rng.uniform(-1e-4, 1e-4, 50) + 1j * rng.uniform(-1e-4, 1e-4, 50)
     out += [(small, 2.0), (out[0][0], rng.uniform(0.0, 3.0, (5, 1))), (np.array([1e300 + 0j, 1.0]), 1e10)]
     return out
+
+
+def tree_pair(barrier):
+    """The hyperbolic pair (cosh(a*x), shc(a, x)) of the tree whose `barrier` module is given, as its routes form it."""
+    if hasattr(barrier, "cosh_shc"):
+        return barrier.cosh_shc
+    return lambda a, x: (np.cosh(a * x), barrier.shc(a, x))
 
 
 def grid_batch(transmission, eps, lam, b):
@@ -371,7 +381,8 @@ def evaluate(src):
     from qbarrier import (AdimensionalBarrier, asymptotic_moduli, critical_complex,
                           critical_quaternionic, oracle_amplitudes, scan_peaks, solve, transmission)
     from qbarrier import transfer_closed, transfer_numeric, wave_params
-    from qbarrier.barrier import BarrierColumns, shc
+    from qbarrier import barrier
+    from qbarrier.barrier import BarrierColumns
     from qbarrier.verify import run_all, sample_points
 
     grid = getattr(qbarrier, "transmission_grid", functools.partial(grid_batch, transmission))
@@ -385,7 +396,7 @@ def evaluate(src):
                                  "sample_points", "verify.run_all",
                                  "solve (batch)", "transmission (batch)",
                                  "scan_peaks (energy)", "scan_peaks (width)", "scan_peaks (plateau)",
-                                 "shc (array)", "sweep bytes")}
+                                 "shc (array)", "cosh (array)", "sweep bytes")}
     for i, (eps, vc, vq, theta, lam) in enumerate(points()):
         b = AdimensionalBarrier(vc, vq, theta, lam)
         out["solve"].append(outcome(lambda: amplitudes(solve(eps, b))))
@@ -431,8 +442,10 @@ def evaluate(src):
         out["sample_points"].append(outcome(lambda: sampled(sample_points(np.random.default_rng(seed), n))))
     for seed, n in VERIFY_RUNS:
         out["verify.run_all"].append(outcome(lambda: report_fields(run_all(seed, n))))
+    pair = tree_pair(barrier)
     for a, x in shc_arrays():
-        out["shc (array)"].append(outcome(lambda: shc(a, x)))
+        out["shc (array)"].append(outcome(lambda: pair(a, x)[1]))
+        out["cosh (array)"].append(outcome(lambda: pair(a, x)[0]))
     from qbarrier.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:

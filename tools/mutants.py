@@ -102,8 +102,12 @@ MUTANTS = {
     "closed-form replay of the first block only": (
         "src/qbarrier/closed_form.py", "np.flatnonzero(~np.isfinite(t))",
         "np.flatnonzero(~np.isfinite(t[:blocks(len(eps), 64)[0].stop]))"),
-    # the array shc sums its series only where an element is below the switch
+    # the hyperbolic pair: the array shc sums its series only where an element is below the switch,
+    # a float shc only below it, and cosh is taken of z = a*x
     "shc series guard negated": ("src/qbarrier/barrier.py", "if small.any():", "if not small.any():"),
+    "float shc series above the switch": (
+        "src/qbarrier/barrier.py", "abs(z) < SHC_SERIES_BELOW else", "abs(z) >= SHC_SERIES_BELOW else"),
+    "pair's cosh of a, not a*x": ("src/qbarrier/barrier.py", "cmath.cosh(z)", "cmath.cosh(a)"),
     # the sweep writers' pieces: each but the first starts with the row separator
     "writer piece separator dropped": ("src/qbarrier/cli.py", "lead = sep", 'lead = ""'),
     # the split system's block K, built once for both transfer_numeric and the oracle
