@@ -15,18 +15,59 @@ numbers and mixing coefficients are
 
 All square roots are principal-branch (non-negative real part; +i*sqrt|x|
 for negative real x), which fixes every downstream sign deterministically.
+
+This module is the package's one import of numpy, and every other module
+takes `np` from it.  `np` is numpy itself if it is already loaded, and
+otherwise a module that loads it on the first read of one of its
+attributes (`_lazy_module`, the `importlib.util.LazyLoader` recipe), so
+a command that builds no array, such as `qbarrier point` or `critical`,
+runs without loading numpy.  For that, no module reads a numpy
+attribute at import (the constant arrays of `transfer` and `ode_oracle`
+are built on first use), and a function that takes a float or an
+ndarray tests for a Python number first: its scalar branch is
+`isinstance(x, NUMBERS) or not isinstance(x, np.ndarray)`, written
+inline.  np.float64 and np.complex128 subclass float and complex, so
+every input takes the branch that the ndarray test alone gives it.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateEnergyError
+
+
+def _lazy_module(name: str):
+    """The module called name: sys.modules[name] if it is there, else one whose code runs on its first attribute read.
+
+    The lazy module is found and put in sys.modules at once, so a later
+    `import name` returns it, and loads it.
+
+    Raises:
+        ModuleNotFoundError: if no module name can be found.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: numpy, for every module of the package; loaded on the first attribute read (module docstring)
+np = _lazy_module("numpy")
+
+#: the Python number types, tested before np.ndarray so that a scalar call reads no numpy attribute
+NUMBERS = (int, float, complex)
 
 #: below this |eps**4 - vq**2| the exponential basis is numerically collapsed
 DEGENERACY_TOL = 1e-10
@@ -71,7 +112,7 @@ def require_integer(name: str, value: int, lower: int) -> None:
     Raises:
         ValueError: naming the input and its bound.
     """
-    if not isinstance(value, (int, np.integer)):
+    if not (isinstance(value, int) or isinstance(value, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     require_finite(name, value, lower)
 
@@ -271,7 +312,8 @@ def cosh_shc(a, x):
     summed only at the elements below the switch, and only if there are
     any.
     """
-    if not (isinstance(a, np.ndarray) or isinstance(x, np.ndarray)):
+    if (isinstance(a, NUMBERS) and isinstance(x, NUMBERS)
+            or not (isinstance(a, np.ndarray) or isinstance(x, np.ndarray))):
         z = a * x
         return cmath.cosh(z), (_shc_series(z, x) if abs(z) < SHC_SERIES_BELOW else cmath.sinh(z) / a)
     with np.errstate(all="ignore"):  # a*x may overflow; 0/0 at a = 0, overwritten by the series
@@ -309,7 +351,7 @@ def wave_params(eps, b: AdimensionalBarrier) -> WaveParams:
         DegenerateEnergyError: if |eps**4 - vq**2| <= DEGENERACY_TOL, where
             alpha_plus == alpha_minus and the exponential basis collapses.
     """
-    if not isinstance(eps, np.ndarray):
+    if isinstance(eps, NUMBERS) or not isinstance(eps, np.ndarray):
         return _wave_params(cmath, eps, b)
     with np.errstate(all="ignore"):  # the NaN and inf entries are the signal
         return _wave_params(np, eps, b)

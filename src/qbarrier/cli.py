@@ -26,10 +26,8 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
-from .barrier import (AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, blocks, require_finite,
+from .barrier import (AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, blocks, np, require_finite,
                       uniform_grid)
 from .closed_form import transmission
 from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic

@@ -25,9 +25,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
-from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, wave_params
+from .barrier import NUMBERS, AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, np, wave_params
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _combine(fm, fp, u):
 
 def _amplitude(p: WaveParams, lam):
     """T = 2*exp(-i*eps*lam)/D at p.eps, for floats or for ndarrays p.eps and lam of one length."""
-    xp = np if isinstance(p.eps, np.ndarray) else cmath
+    xp = cmath if isinstance(p.eps, NUMBERS) or not isinstance(p.eps, np.ndarray) else np
     return 2.0 * xp.exp(-1j * p.eps * lam) / denominator_factored(p, lam)
 
 

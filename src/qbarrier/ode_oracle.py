@@ -40,20 +40,22 @@ overflows), a call raises.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
-import numpy as np
-
-from .barrier import AdimensionalBarrier, batch, blocks, columns, require_finite
+from .barrier import AdimensionalBarrier, batch, blocks, columns, np, require_finite
 from .solver import ScatteringAmplitudes
-from .transfer import _EYE, _k_block, _mul, _segment, _squaring_order
+from .transfer import _eye, _k_block, _mul, _segment, _squaring_order
 
 #: largest max(eps, 1)*lam at which the error bound B stays within 1e-9 (about 2.79e5)
 _REACH = (1e-9 - 1e-11) / (16 * 2.0**-52)
 
-#: J = diag(1, -1), the sign of each channel's wave
-_J = np.array([1.0, -1.0])
+
+@functools.cache
+def _signs() -> np.ndarray:
+    """The diagonal of J = diag(1, -1), the sign of each channel's wave; built on first use (`barrier`)."""
+    return np.array([1.0, -1.0])
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
@@ -73,10 +75,11 @@ def _scattering(y: np.ndarray, k: np.ndarray) -> np.ndarray:
     with U = i*k*S@J/2, V = i*J@(K@S)/(2k) and J = diag(1, -1).
     """
     c = y[0]
-    diag = c * _EYE
+    diag = c * _eye()
     off = c - diag
-    u = (0.5j * k) * y[1] * _J[:, None]
-    v = (0.5j / k) * y[2] * _J[:, None, None]
+    signs = _signs()
+    u = (0.5j * k) * y[1] * signs[:, None]
+    v = (0.5j / k) * y[2] * signs[:, None, None]
     t12 = off - u - v
     z = np.empty((4,) + c.shape, dtype=complex)
     z[2] = _inv(diag + u - v)
@@ -93,9 +96,10 @@ def _square(z: np.ndarray) -> None:
     rr' = rr + tf@X@rr@tb, rl' = rl + tb@rl@X@tf, tb' = tb@(I + rl@X@rr)@tb.
     """
     rl, tb, tf, rr = z
-    xs = _mul(_inv(_EYE - _mul(rr, rl)), z[2:])  # X@tf, X@rr
+    eye = _eye()
+    xs = _mul(_inv(eye - _mul(rr, rl)), z[2:])  # X@tf, X@rr
     p = _mul(z[2::-2, None], xs)  # [[tf@X@tf, tf@X@rr], [rl@X@tf, rl@X@rr]]
-    p[1, 1] += _EYE
+    p[1, 1] += eye
     rr_tb, p[1, 1] = _mul(p[:, 1], tb)  # tf@X@rr@tb, (I + rl@X@rr)@tb
     rl_tb = _mul(tb, p[1])  # tb@rl@X@tf, tb@(I + rl@X@rr)@tb
     z[0] += rl_tb[0]
@@ -115,11 +119,12 @@ def _edges(z: np.ndarray, eps: np.ndarray, k: np.ndarray) -> np.ndarray:
     kappa = np.array([eps + 0j, -1j * eps])
     total = k + kappa
     rho, through = (k - kappa) / total, 2.0 * k / total
-    xt = _mul(_inv(_EYE - rr * rho), tf)
+    eye = _eye()
+    xt = _mul(_inv(eye - rr * rho), tf)
     right = np.empty((2,) + xt.shape, dtype=complex)  # rl and tf with the right edge
     right[0] = rl + _mul(tb * rho, xt)
     right[1] = through[:, None] * xt
-    out = _mul(right, _inv(_EYE - rho[:, None] * right[0])[:, :1]).reshape(4, -1) * (2.0 * eps / (k + eps))
+    out = _mul(right, _inv(eye - rho[:, None] * right[0])[:, :1]).reshape(4, -1) * (2.0 * eps / (k + eps))
     out[:2] *= through
     out[0] -= rho[0]
     return out

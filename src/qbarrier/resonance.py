@@ -16,9 +16,7 @@ import math
 import operator
 from typing import Callable
 
-import numpy as np
-
-from .barrier import AdimensionalBarrier, BarrierColumns, require_count, require_finite, uniform_grid, wave_params
+from .barrier import AdimensionalBarrier, BarrierColumns, np, require_count, require_finite, uniform_grid, wave_params
 from .closed_form import _amplitude, denominator_slope, transmission
 
 #: golden-section shrink factor

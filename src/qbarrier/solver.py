@@ -49,9 +49,7 @@ import cmath
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from .barrier import AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, wave_params
+from .barrier import NUMBERS, AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, np, wave_params
 from .errors import SingularSystemError
 
 
@@ -84,7 +82,7 @@ def _amplitudes(p: WaveParams, lam) -> tuple:
     exp(-eps*lam) is 0.
     """
     eps = p.eps
-    xp = np if isinstance(eps, np.ndarray) else cmath
+    xp = cmath if isinstance(eps, NUMBERS) or not isinstance(eps, np.ndarray) else np
     am, ap = p.alpha_minus, p.alpha_plus
     beta, gamma = p.beta, p.gamma
     half = 0.5 * lam

@@ -50,26 +50,34 @@ segments of width h are those blocks, not calls to `transfer_numeric`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
-import numpy as np
-
-from .barrier import WaveParams, cosh_shc, require_finite
+from .barrier import WaveParams, cosh_shc, np, require_finite
 
 #: Taylor terms of exp(-A*h) after scaling: B**0 ... B**25 of B = -A*h,
 #: as the powers (h**2*K)**j, j = 0 ... 12, of the even and the odd series
 TAYLOR_TERMS = 26
 
-#: the 2x2 identity, points last
-_EYE = np.eye(2, dtype=complex)[..., None]
 
-#: the coefficients 1/(2j)! of x**j in the even series and 1/(2j+1)! in the odd one, j = 0 ... 12:
-#: those of x**(4q + r), q < 3, as [r, series, q], and those of x**12
-_COEFFICIENTS = np.array([[1.0 / math.factorial(2 * j + odd) for j in range(TAYLOR_TERMS // 2)] for odd in (0, 1)])
-_C_LOW = _COEFFICIENTS[:, :12].reshape(2, 3, 4).transpose(2, 0, 1)[..., None, None, None]
-_C_TOP = _COEFFICIENTS[:, 12, None, None, None]
-#: the terms c_{4q}*x**0 of the coefficients' blocks b_q, [series, q]
-_C_EYE = _C_LOW[0] * _EYE
+@functools.cache
+def _eye() -> np.ndarray:
+    """The 2x2 identity, points last, built on first use: the package builds no array at import (`barrier`)."""
+    return np.eye(2, dtype=complex)[..., None]
+
+
+@functools.cache
+def _coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The series' coefficients (low, top, eye), built on first use.
+
+    The coefficients are 1/(2j)! of x**j in the even series and 1/(2j+1)!
+    in the odd one, j = 0 ... 12: low holds those of x**(4q + r), q < 3,
+    as [r, series, q], top those of x**12, and eye the terms c_{4q}*x**0
+    of the coefficients' blocks b_q, [series, q].
+    """
+    coefficients = np.array([[1.0 / math.factorial(2 * j + odd) for j in range(TAYLOR_TERMS // 2)] for odd in (0, 1)])
+    low = coefficients[:, :12].reshape(2, 3, 4).transpose(2, 0, 1)[..., None, None, None]
+    return low, coefficients[:, 12, None, None, None], low[0] * _eye()
 
 
 def _mode_block(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -118,12 +126,13 @@ def _series(x: np.ndarray) -> np.ndarray:
     Each is b_0 + x4@(b_1 + x4@(b_2 + x4*c_12)), with b_q = sum_r c_{4q+r}*x**r
     and x4 = x**4 (Paterson and Stockmeyer), so it takes five block products.
     """
+    low, top, eye = _coefficients()
     x2 = _mul(x, x)
     x4 = _mul(x2, x2)
-    b = _C_EYE + _C_LOW[1] * x
-    b += _C_LOW[2] * x2
-    b += _C_LOW[3] * _mul(x2, x)
-    out = b[:, 2] + _C_TOP * x4
+    b = eye + low[1] * x
+    b += low[2] * x2
+    b += low[3] * _mul(x2, x)
+    out = b[:, 2] + top * x4
     for q in (1, 0):
         out = b[:, q] + _mul(x4, out)
     return out

@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .barrier import BarrierColumns, blocks, require_count, require_integer, wave_params
+from .barrier import BarrierColumns, blocks, np, require_count, require_integer, wave_params
 from .closed_form import transmission
 from .critical import asymptotic_moduli, critical_complex, critical_quaternionic
 from .ode_oracle import oracle_amplitudes

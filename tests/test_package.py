@@ -54,3 +54,18 @@ def hyperbolic_uses(path):
 def test_one_function_forms_the_hyperbolic_pair():
     # every route takes cosh(a*x) and sinh(a*x)/a from barrier.cosh_shc, which alone holds the series switch
     assert [use for path in sorted(Path(qbarrier.__file__).parent.glob("*.py")) for use in hyperbolic_uses(path)] == []
+
+
+def numpy_imports(path):
+    """Lines of the module at path whose import statement names numpy or a submodule of it."""
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+
+
+def test_only_barrier_imports_numpy():
+    # every other module takes barrier's np, which loads numpy on the first array; an import of its own
+    # would load numpy in every process, `qbarrier point` included
+    found = {path.stem: numpy_imports(path) for path in sorted(Path(qbarrier.__file__).parent.glob("*.py"))}
+    assert {stem: lines for stem, lines in found.items() if lines and stem != "barrier"} == {}

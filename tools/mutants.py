@@ -108,6 +108,11 @@ MUTANTS = {
     "float shc series above the switch": (
         "src/qbarrier/barrier.py", "abs(z) < SHC_SERIES_BELOW else", "abs(z) >= SHC_SERIES_BELOW else"),
     "pair's cosh of a, not a*x": ("src/qbarrier/barrier.py", "cmath.cosh(z)", "cmath.cosh(a)"),
+    # numpy loads on the first array: a command that builds none must not load it
+    "barrier imports numpy eagerly": ("src/qbarrier/barrier.py", 'np = _lazy_module("numpy")', "import numpy as np"),
+    "wave_params reads np.ndarray before its scalar test": (
+        "src/qbarrier/barrier.py", "if isinstance(eps, NUMBERS) or not isinstance(eps, np.ndarray):",
+        "if not isinstance(eps, np.ndarray) or isinstance(eps, NUMBERS):"),
     # the sweep writers' pieces: each but the first starts with the row separator
     "writer piece separator dropped": ("src/qbarrier/cli.py", "lead = sep", 'lead = ""'),
     # the split system's block K, built once for both transfer_numeric and the oracle
@@ -127,7 +132,7 @@ MUTANTS = {
         "src/qbarrier/transfer.py", "z = y[..., :np.count_nonzero(s > i)]", "z = y[..., :np.count_nonzero(s >= i)]"),
     # the oracle's scattering matrices, star squares and far-zone phases
     "scattering sign of u": ("src/qbarrier/ode_oracle.py", "u = (0.5j * k)", "u = (-0.5j * k)"),
-    "star square without + _EYE": ("src/qbarrier/ode_oracle.py", "p[1, 1] += _EYE", "p[1, 1] += 0.0"),
+    "star square without + I": ("src/qbarrier/ode_oracle.py", "p[1, 1] += eye", "p[1, 1] += 0.0"),
     "2x2 inverse without a negated entry": (
         "src/qbarrier/ode_oracle.py", "np.negative(out[1, 0], out=out[1, 0])", "pass"),
     "oracle star-squares s >= i": (
