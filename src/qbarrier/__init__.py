@@ -12,67 +12,53 @@ quaternionic (j, k) part, through three mutually checking routes:
 
 Resonance tables, the exact threshold (eps = 1) amplitudes and a CLI sit
 on top.
+
+Importing the package runs `barrier` (and `errors`) only.  Each route
+module is put in sys.modules unloaded (`barrier._lazy_module`) and runs on
+its first attribute read, so `qbarrier point` never runs `resonance`,
+`verify` or the oracle.  The public names resolve through `__getattr__`
+(PEP 562) from their home modules, in `_HOMES`.
 """
 
 __version__ = "0.1.0"
 
-from .barrier import (
-    AdimensionalBarrier,
-    BarrierSpec,
-    WaveParams,
-    adimensionalize,
-    wave_params,
-)
-from .closed_form import (
-    TransmissionResult,
-    transmission,
-)
-from .critical import (
-    CriticalAmplitudes,
-    asymptotic_moduli,
-    critical_complex,
-    critical_quaternionic,
-)
-from .errors import (
-    DegenerateEnergyError,
-    QBarrierError,
-    SingularSystemError,
-)
-from .ode_oracle import oracle_amplitudes
-from .resonance import (
-    complex_resonance_energies,
-    complex_resonance_widths,
-    scan_peaks,
-)
-from .solver import (
-    ScatteringAmplitudes,
-    probability_balance,
-    solve,
-)
-from .transfer import transfer_closed, transfer_numeric
+from .barrier import _lazy_module
 
-__all__ = [
-    "AdimensionalBarrier",
-    "BarrierSpec",
-    "CriticalAmplitudes",
-    "DegenerateEnergyError",
-    "QBarrierError",
-    "ScatteringAmplitudes",
-    "SingularSystemError",
-    "TransmissionResult",
-    "WaveParams",
-    "adimensionalize",
-    "asymptotic_moduli",
-    "complex_resonance_energies",
-    "complex_resonance_widths",
-    "critical_complex",
-    "critical_quaternionic",
-    "oracle_amplitudes",
-    "probability_balance",
-    "scan_peaks",
-    "solve",
-    "transfer_closed",
-    "transfer_numeric",
-    "transmission",
-    "wave_params",
-]
+#: each public name and the module that defines it
+_HOMES = {
+    "AdimensionalBarrier": "barrier",
+    "BarrierSpec": "barrier",
+    "WaveParams": "barrier",
+    "adimensionalize": "barrier",
+    "wave_params": "barrier",
+    "TransmissionResult": "closed_form",
+    "transmission": "closed_form",
+    "CriticalAmplitudes": "critical",
+    "asymptotic_moduli": "critical",
+    "critical_complex": "critical",
+    "critical_quaternionic": "critical",
+    "DegenerateEnergyError": "errors",
+    "QBarrierError": "errors",
+    "SingularSystemError": "errors",
+    "oracle_amplitudes": "ode_oracle",
+    "complex_resonance_energies": "resonance",
+    "complex_resonance_widths": "resonance",
+    "scan_peaks": "resonance",
+    "ScatteringAmplitudes": "solver",
+    "probability_balance": "solver",
+    "solve": "solver",
+    "transfer_closed": "transfer",
+    "transfer_numeric": "transfer",
+}
+
+for _route in ("closed_form", "critical", "ode_oracle", "resonance", "solver", "transfer", "verify"):
+    _lazy_module(f"{__name__}.{_route}")
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    """The public name from its home module, which its first read loads (each submodule is bound here)."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOMES[name]], name)

@@ -36,7 +36,6 @@ import cmath
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateEnergyError
@@ -46,7 +45,9 @@ def _lazy_module(name: str):
     """The module called name: sys.modules[name] if it is there, else one whose code runs on its first attribute read.
 
     The lazy module is found and put in sys.modules at once, so a later
-    `import name` returns it, and loads it.
+    `import name` returns it, and its first attribute read loads it.  A
+    submodule is also bound in its parent package, as the import system
+    binds one, so `import a.b; a.b.x` works.
 
     Raises:
         ModuleNotFoundError: if no module name can be found.
@@ -60,6 +61,9 @@ def _lazy_module(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module
 
 
@@ -151,10 +155,21 @@ def uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(math.floor(span)) + 1, dtype=float)
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Physical barrier: potential components, width, mass, hbar and energy."""
+class _Checked:
+    """Base of a named-tuple record whose __new__ checks its fields.
 
+    namedtuple's own `_make`, through which `_replace` builds, calls
+    tuple.__new__ and so would skip the check; this one calls the class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _BarrierSpecFields(NamedTuple):
     v1: float
     v2: float
     v3: float
@@ -163,13 +178,24 @@ class BarrierSpec:
     hbar: float
     energy: float
 
-    def __post_init__(self):
+
+class BarrierSpec(_Checked, _BarrierSpecFields):
+    """Physical barrier: potential components, width, mass, hbar and energy.
+
+    A named tuple checked on every construction, `_replace` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("v1", "v2", "v3"):
             require_finite(name, getattr(self, name))
         if self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0:
             raise ValueError("potential is identically zero: no barrier")
         for name in ("length", "mass", "hbar", "energy"):
             require_finite(name, getattr(self, name), 0.0, strict=True)
+        return self
 
 
 class BarrierColumns(NamedTuple):
@@ -197,20 +223,26 @@ class BarrierColumns(NamedTuple):
 LOWER_BOUNDS = BarrierColumns(vc=-math.inf, vq=0.0, theta=-math.inf, lam=0.0)
 
 
-@dataclass(frozen=True)
-class AdimensionalBarrier:
-    """Reduced barrier: (vc, vq) on the unit circle, phase theta, width lam.
-
-    The rule: each field finite and at least its LOWER_BOUNDS entry, and
-    |vc**2 + vq**2 - 1| <= UNIT_CIRCLE_TOL.  `batch` applies it to columns.
-    """
-
+class _AdimensionalFields(NamedTuple):
     vc: float
     vq: float
     theta: float = 0.0
     lam: float = 1.0
 
-    def __post_init__(self):
+
+class AdimensionalBarrier(_Checked, _AdimensionalFields):
+    """Reduced barrier: (vc, vq) on the unit circle, phase theta, width lam.
+
+    The rule: each field finite and at least its LOWER_BOUNDS entry, and
+    |vc**2 + vq**2 - 1| <= UNIT_CIRCLE_TOL.  A named tuple checked by the
+    rule on every construction: `_replace`, `copy` and `pickle` included.
+    `batch` applies the rule to columns.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_finite("vc", self.vc, LOWER_BOUNDS.vc)
         require_finite("vq", self.vq, LOWER_BOUNDS.vq)
         require_finite("theta", self.theta, LOWER_BOUNDS.theta)
@@ -218,6 +250,7 @@ class AdimensionalBarrier:
         norm = self.vc * self.vc + self.vq * self.vq
         if abs(norm - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"vc**2 + vq**2 must equal 1, got {norm!r}")
+        return self
 
 
 def columns(eps, barriers) -> tuple[np.ndarray, BarrierColumns]:

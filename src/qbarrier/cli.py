@@ -21,20 +21,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import replace
 
-from . import __version__
-from .barrier import (AdimensionalBarrier, BarrierColumns, BarrierSpec, adimensionalize, blocks, np, require_finite,
-                      uniform_grid)
+from . import __version__, critical, resonance, verify
+from .barrier import (AdimensionalBarrier, BarrierColumns, BarrierSpec, _lazy_module, adimensionalize, blocks, np,
+                      require_finite, uniform_grid)
 from .closed_form import transmission
-from .critical import THICK_LIMIT, THIN_LIMIT, asymptotic_moduli, critical_complex, critical_quaternionic
 from .errors import DegenerateEnergyError, QBarrierError, SingularSystemError
-from .resonance import complex_resonance_energies, complex_resonance_widths, scan_peaks
 from .solver import probability_balance, solve
-from .verify import run_all
+
+#: loaded on the first JSON written, as `critical`, `resonance` and `verify` are on their first call
+json = _lazy_module("json")
 
 #: the five reference potentials used throughout: pure complex to pure quaternionic
 STANDARD_POTENTIALS = (
@@ -252,17 +250,17 @@ def cmd_resonances(args) -> int:
     if (lam0 is None) == (args.eps0 is None):
         raise ValueError("give exactly one of --lambda/--lambda-pi or --eps0")
     if lam0 is not None:
-        closed = complex_resonance_energies(lam0, n_peaks)
+        closed = resonance.complex_resonance_energies(lam0, n_peaks)
         lo = 1.0 + min(1e-3, (closed[0][0] - 1.0) / 10.0)
         hi = closed[-1][0] + closed[-1][2]  # the minimum after the last tabulated peak
         step = min(1e-3, (closed[0][0] - 1.0) / 20.0)
 
         def scan(b):
-            return scan_peaks(replace(b, lam=lam0), lo, hi, coarse_step=step)
+            return resonance.scan_peaks(b._replace(lam=lam0), lo, hi, coarse_step=step)
 
         axis, suffix, unit = "eps", "", 1.0
     else:
-        closed = complex_resonance_widths(args.eps0, n_peaks)
+        closed = resonance.complex_resonance_widths(args.eps0, n_peaks)
         # scan from the fundamental (one spacing) upward: sub-fundamental peaks
         # are not tabulated
         lo, hi = closed[0][1], closed[-1][0] + 0.6 * closed[0][1]
@@ -270,7 +268,7 @@ def cmd_resonances(args) -> int:
         step = math.pi / (32.0 * math.sqrt(1.0 + max(args.eps0 * args.eps0, 1.0)))
 
         def scan(b):
-            return scan_peaks(b, lo, hi, eps0=args.eps0, coarse_step=step)
+            return resonance.scan_peaks(b, lo, hi, eps0=args.eps0, coarse_step=step)
 
         axis, suffix, unit = "lam", "_pi", math.pi
 
@@ -305,9 +303,9 @@ def _interleave(items: list, gap) -> list:
 def cmd_critical(args) -> int:
     lam = _pi_flag(args.lam, args.lam_pi, "--lambda")
     if args.case in ("c", "complex"):
-        amps = critical_complex(lam)
+        amps = critical.critical_complex(lam)
     elif args.case in ("q", "quaternionic"):
-        amps = critical_quaternionic(lam, args.theta)
+        amps = critical.critical_quaternionic(lam, args.theta)
     else:
         raise ValueError(f"unknown case {args.case!r}")
     report = {
@@ -320,9 +318,10 @@ def cmd_critical(args) -> int:
         report.update({"re_rt": amps.rt.real, "im_rt": amps.rt.imag,
                        "re_tt": amps.tt.real, "im_tt": amps.tt.imag})
     if args.series:
-        series = asymptotic_moduli(lam, amps.case)
+        series = critical.asymptotic_moduli(lam, amps.case)
         if series is None:
-            report["series"] = f"no regime applies for {THIN_LIMIT:g} <= lambda <= {THICK_LIMIT:g}"
+            bounds = f"{critical.THIN_LIMIT:g} <= lambda <= {critical.THICK_LIMIT:g}"
+            report["series"] = f"no regime applies for {bounds}"
         else:
             regime, sr, st = series
             report.update({"series_regime": regime, "series_abs_r": sr, "series_abs_t": st})
@@ -332,7 +331,7 @@ def cmd_critical(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    reports = run_all(args.seed, args.samples)
+    reports = verify.run_all(args.seed, args.samples)
     for report in reports:
         print(report.line())
     failures = sum(0 if r.passed else 1 for r in reports)

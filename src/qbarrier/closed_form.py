@@ -23,13 +23,12 @@ doubt, and by the brute-force integrator (:mod:`qbarrier.ode_oracle`).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barrier import NUMBERS, AdimensionalBarrier, WaveParams, batch, blocks, cosh_shc, np, wave_params
 
 
-@dataclass(frozen=True)
-class TransmissionResult:
+class TransmissionResult(NamedTuple):
     """Transmission amplitude t, with its probability |t|**2 and principal phase."""
 
     t: complex

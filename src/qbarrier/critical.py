@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barrier import require_finite
 
@@ -53,8 +53,7 @@ _RT = (0, 12, 6 - 6j, -4j, -1 - 1j)  # rt/phase, phase = -i*exp(-i*theta)
 _TT = (0, 12, 6 - 6j, -2j)  # tt/(phase*exp(lam))
 
 
-@dataclass(frozen=True)
-class CriticalAmplitudes:
+class CriticalAmplitudes(NamedTuple):
     """Threshold amplitudes and the interior cubic's a and b, with theta.
 
     The cubic's c = i*(1 - r) and d = 1 + r follow from r (see the module

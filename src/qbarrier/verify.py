@@ -25,7 +25,7 @@ one ulp of the entries would be unmeetable by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .barrier import BarrierColumns, blocks, np, require_count, require_integer, wave_params
 from .closed_form import transmission
@@ -43,8 +43,7 @@ _LOW = (EPS_RANGE[0], 0.0, 0.0, LAM_RANGE[0])
 _HIGH = (EPS_RANGE[1], 1.0, 2.0 * math.pi, LAM_RANGE[1])
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one check class."""
 
     name: str
@@ -52,7 +51,7 @@ class CheckReport:
     worst: float
     tolerance: float
     samples: int
-    detail: str = field(default="")
+    detail: str = ""
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -1,7 +1,11 @@
 """Reduction to adimensional form and the derived wave parameters."""
 
 import cmath
+import copy
 import math
+import pickle
+import re
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -110,6 +114,29 @@ class TestAdimensionalBarrier:
         for lam in (-1.0, *NON_FINITE):
             with pytest.raises(ValueError):
                 AdimensionalBarrier(vc=1.0, vq=0.0, theta=0.0, lam=lam)
+
+
+@pytest.mark.parametrize("record, change", [
+    (AdimensionalBarrier(0.6, 0.8, 0.4, 2.0), dict(lam=-1.0)),
+    (AdimensionalBarrier(0.6, 0.8, 0.4, 2.0), dict(vq=0.5)),
+    (BarrierSpec(1.0, 0.5, 0.25, 1.0, 1.0, 1.0, 2.0), dict(mass=0.0)),
+], ids=["lam", "vq-off-circle", "mass"])
+def test_replace_raises_what_the_constructor_raises(record, change):
+    # namedtuple's _replace builds by _make, which the records route through their checking __new__
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(ValueError, match=re.escape(str(built.value))):
+        record._replace(**change)
+
+
+def test_copy_and_pickle_round_trip_a_barrier_through_its_check():
+    b = AdimensionalBarrier(0.6, 0.8, 0.4, 2.0)
+    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert type(twin) is AdimensionalBarrier and twin == b
+    # a pickle whose width is edited to -1.0 is built by the class, so it fails as the constructor does
+    edited = pickle.dumps(b).replace(struct.pack(">d", 2.0), struct.pack(">d", -1.0))
+    with pytest.raises(ValueError, match="lam must be finite and >= 0.0, got -1.0"):
+        pickle.loads(edited)
 
 
 #: fields (vc, vq, theta, lam) that AdimensionalBarrier rejects, one clause each

@@ -1,7 +1,6 @@
 """The brute-force integrator: split correctness, accuracy against the referee, matching."""
 
 import cmath
-import dataclasses
 import math
 import re
 import sys
@@ -207,7 +206,7 @@ def test_shuffled_stack_of_squaring_counts_is_the_single_calls_word_for_word():
     # three points at each squaring count 0 ... 9, shuffled: the rounds run on a
     # prefix of the points sorted by count, and the results return in input order
     pool = circle_points(seed=31, n=600)
-    pool = [(eps, dataclasses.replace(b, lam=2.0 ** (b.lam - 2.0))) for eps, b in pool]  # lam from 1/4 to 256
+    pool = [(eps, b._replace(lam=2.0 ** (b.lam - 2.0))) for eps, b in pool]  # lam from 1/4 to 256
     counts = [int(_squarings(_k_block(b, eps), b.lam)[0]) for eps, b in pool]
     pts = [pt for c in range(10) for pt in [pt for pt, n in zip(pool, counts) if n == c][:3]]
     assert len(pts) == 30

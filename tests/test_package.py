@@ -1,9 +1,12 @@
 """The package's public surface: `qbarrier.__all__` and the names `__init__` binds."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import qbarrier
 
@@ -21,6 +24,8 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 def test_all_is_exactly_the_public_names_init_binds():
+    # __init__ binds no public name of its own: each name of its table resolves, through __getattr__, to the
+    # object its home module defines, and a star import binds them all
     tree = ast.parse(inspect.getsource(qbarrier))
     bound = set()
     for node in tree.body:
@@ -30,7 +35,18 @@ def test_all_is_exactly_the_public_names_init_binds():
             bound.add(node.name)
         elif isinstance(node, ast.Assign):
             bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert set(qbarrier.__all__) == {name for name in bound if not name.startswith("_")}
+    assert {name for name in bound if not name.startswith("_")} == set()
+    assert qbarrier.__all__ == sorted(qbarrier._HOMES)
+    for name, home in qbarrier._HOMES.items():
+        assert getattr(qbarrier, name) is getattr(importlib.import_module(f"qbarrier.{home}"), name), name
+    namespace = {}
+    exec("from qbarrier import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qbarrier.__all__)
+
+
+def test_a_name_outside_the_table_is_no_attribute():
+    with pytest.raises(AttributeError, match="'qbarrier' has no attribute 'run_all'"):
+        qbarrier.run_all
 
 
 def test_readme_library_example_runs():

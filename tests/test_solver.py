@@ -4,7 +4,6 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -231,7 +230,7 @@ class TestWavefunction:
             [start.value.z, start.derivative.z, start.value.w, start.derivative.w],
             dtype=complex,
         )
-        y_mid = np.linalg.solve(transfer_numeric(self.eps, replace(self.b, lam=xi)), y0)  # y(0) = M@y(xi)
+        y_mid = np.linalg.solve(transfer_numeric(self.eps, self.b._replace(lam=xi)), y0)  # y(0) = M@y(xi)
         probe = wavefunction(xi, self.amps, self.p, self.b)
         expected = np.array(
             [probe.value.z, probe.derivative.z, probe.value.w, probe.derivative.w],

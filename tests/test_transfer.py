@@ -1,7 +1,6 @@
 """Closed transfer elements against exp(-A*lam) of the split interior system."""
 
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -218,7 +217,7 @@ def test_exponential_catches_a_wrong_mixing_coefficient(mutate):
 
 
 def test_one_width_serves_a_whole_stack():
-    pts = [(eps, dataclasses.replace(b, lam=1.5)) for eps, b in stack_points()]
+    pts = [(eps, b._replace(lam=1.5)) for eps, b in stack_points()]
     stack = transfer_numeric(*as_columns(pts))
     singles = np.stack([transfer_numeric(eps, b) for eps, b in pts])
     assert np.array_equal(stack.view(np.uint64), singles.view(np.uint64))

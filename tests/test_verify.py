@@ -1,7 +1,6 @@
 """The self-check suite's own machinery."""
 
 import collections
-import dataclasses
 import math
 
 import numpy as np
@@ -94,7 +93,7 @@ def test_individual_checks_pass_on_seeded_grid():
     pts = [(float(e), cols.barrier(i)) for i, e in enumerate(eps)]
     amps = np.array([solve(e, b) for e, b in pts])
     t = np.array([transmission(e, b).t for e, b in pts])
-    base = np.array([transmission(e, dataclasses.replace(b, theta=0.0)).t for e, b in pts])
+    base = np.array([transmission(e, b._replace(theta=0.0)).t for e, b in pts])
     for result in (check_norm_conservation(amps), check_theta_invariance(t, base),
                    check_transfer_agreement(eps, cols), check_transmission_cross(eps, cols, amps, t)):
         assert result.passed, result.line()

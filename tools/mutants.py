@@ -113,6 +113,14 @@ MUTANTS = {
     "wave_params reads np.ndarray before its scalar test": (
         "src/qbarrier/barrier.py", "if isinstance(eps, NUMBERS) or not isinstance(eps, np.ndarray):",
         "if not isinstance(eps, np.ndarray) or isinstance(eps, NUMBERS):"),
+    # a cold command runs only the modules it uses: the route modules and json load on first use
+    "__init__ imports resonance eagerly": (
+        "src/qbarrier/__init__.py", 'for _route in ("closed_form", "critical", "ode_oracle", "resonance",',
+        'from . import resonance\nfor _route in ("closed_form", "critical", "ode_oracle",'),
+    "cli imports json eagerly": ("src/qbarrier/cli.py", 'json = _lazy_module("json")', "import json"),
+    # a record's _make, and so _replace, builds through its checking __new__
+    "record _make skips the check": (
+        "src/qbarrier/barrier.py", "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
     # the sweep writers' pieces: each but the first starts with the row separator
     "writer piece separator dropped": ("src/qbarrier/cli.py", "lead = sep", 'lead = ""'),
     # the split system's block K, built once for both transfer_numeric and the oracle
